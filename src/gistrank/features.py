@@ -123,33 +123,92 @@ def pagerank(qg: QueryGraph, damping: float = 0.85, tol: float = 1e-9) -> dict[i
 
     Mass of isolated (dangling) nodes is redistributed uniformly; iteration
     stops once the largest per-node change drops below ``tol``. Scores sum
-    to 1 within 1e-6 on a nonempty graph.
+    to 1 within 1e-6 on a nonempty graph. This is the one-graph case of
+    :func:`pagerank_batch`.
+    """
+    return pagerank_batch([qg], damping, tol)[0]
+
+
+def _segments_by_length(
+    values: np.ndarray, lengths: np.ndarray
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Split ``values`` into consecutive segments of ``lengths`` and group them by length.
+
+    Returns one (segment ids, segments as rows of a matrix) pair per nonzero
+    length. Summing such a matrix along axis 1 adds each row exactly as a
+    1-D ``.sum()`` of that row does (numpy switches to pairwise summation
+    from 8 terms on), which ``np.add.reduceat`` would not.
+    """
+    starts = np.cumsum(lengths) - lengths
+    groups = []
+    for length in sorted(set(lengths.tolist()) - {0}):
+        ids = np.flatnonzero(lengths == length)
+        groups.append((ids, values[starts[ids, None] + np.arange(length)]))
+    return groups
+
+
+def pagerank_batch(
+    graphs: Sequence[QueryGraph], damping: float = 0.85, tol: float = 1e-9
+) -> list[dict[int, float]]:
+    """PageRank of each query graph, in one power iteration over their union.
+
+    The graphs form one block-diagonal system, but every graph keeps its own
+    node count, dangling mass and stopping point: a graph is frozen from the
+    first iteration in which its own largest change is below ``tol``. Each
+    graph's scores therefore equal, bit for bit, those of :func:`pagerank`
+    on that graph alone.
     """
     if not 0.0 < damping < 1.0:
         raise ValueError("damping must be in (0, 1)")
-    nodes = sorted(qg.nodes)
-    n = len(nodes)
-    if n == 0:
-        return {}
-    index = {v: i for i, v in enumerate(nodes)}
-    neighbors = [np.array([index[w] for w in qg.adjacency.get(v, ())], dtype=np.intp) for v in nodes]
-    degree = np.array([len(nb) for nb in neighbors], dtype=np.float64)
+    orders = [sorted(qg.nodes) for qg in graphs]
+    sizes = np.array([len(nodes) for nodes in orders], dtype=np.intp)
+    offsets = np.cumsum(sizes) - sizes
+    # Neighbour lists as one CSR column array over global node indices.
+    degrees: list[int] = []
+    columns: list[np.ndarray] = [np.zeros(0, dtype=np.intp)]
+    for qg, nodes, start in zip(graphs, orders, offsets.tolist()):
+        adjacency = [qg.adjacency.get(v, ()) for v in nodes]
+        degrees.extend(len(nb) for nb in adjacency)
+        flat = np.array([w for nb in adjacency for w in nb], dtype=np.int64)
+        columns.append(np.searchsorted(np.array(nodes, dtype=np.int64), flat) + start)
+    incoming_groups = _segments_by_length(
+        np.concatenate(columns), np.array(degrees, dtype=np.intp)
+    )
+    degree = np.array(degrees, dtype=np.float64)
     dangling = degree == 0
+    graph_of = np.repeat(np.arange(len(graphs)), sizes)
+    dangling_nodes = np.flatnonzero(dangling)
+    dangling_groups = _segments_by_length(
+        dangling_nodes, np.bincount(graph_of[dangling_nodes], minlength=len(graphs))
+    )
+    n = np.repeat(sizes.astype(np.float64), sizes)  # each node's own graph size
+    nonempty = np.flatnonzero(sizes)
+    starts = offsets[nonempty]
 
-    scores = np.full(n, 1.0 / n)
+    teleport = (1.0 - damping) / n
+    out_degree = np.maximum(degree, 1.0)
+    scores = 1.0 / n
+    active = sizes > 0
     for _ in range(10_000):
-        share = np.where(dangling, 0.0, scores / np.maximum(degree, 1.0))
-        incoming = np.zeros(n)
-        for i, nb in enumerate(neighbors):
-            if nb.size:
-                incoming[i] = share[nb].sum()
-        dangling_mass = scores[dangling].sum()
-        updated = (1.0 - damping) / n + damping * (incoming + dangling_mass / n)
-        if np.max(np.abs(updated - scores)) < tol:
-            scores = updated
+        if not active.any():
             break
-        scores = updated
-    return {v: float(scores[index[v]]) for v in nodes}
+        share = np.where(dangling, 0.0, scores / out_degree)
+        incoming = np.zeros(len(degree))
+        for rows, nb in incoming_groups:
+            incoming[rows] = share[nb].sum(axis=1)
+        dangling_mass = np.zeros(len(graphs))
+        for members, idx in dangling_groups:
+            dangling_mass[members] = scores[idx].sum(axis=1)
+        incoming += dangling_mass[graph_of] / n
+        updated = teleport + damping * incoming
+        change = np.maximum.reduceat(np.abs(updated - scores), starts)
+        scores = np.where(active[graph_of], updated, scores)
+        active[nonempty[change < tol]] = False
+    values = scores.tolist()
+    return [
+        dict(zip(nodes, values[start : start + len(nodes)]))
+        for nodes, start in zip(orders, offsets.tolist())
+    ]
 
 
 @dataclass(frozen=True)
@@ -200,6 +259,7 @@ class _InstanceContext:
         instance: Instance,
         graph: KnowledgeGraph,
         idf: IdfTable,
+        pagerank_scores: Mapping[int, float] | None = None,
     ):
         self.qg = qg
         self.partition = partition
@@ -209,7 +269,7 @@ class _InstanceContext:
         self.n = qg.n_nodes
         self.seed_ids = sorted(qg.seeds)
         self.betweenness = betweenness(qg)
-        self.pagerank = pagerank(qg)
+        self.pagerank = pagerank(qg) if pagerank_scores is None else pagerank_scores
         self.cluster_sizes = partition.cluster_sizes()
         self.members: dict[int, list[int]] = {}
         for node, cluster in partition.assignment.items():
@@ -315,9 +375,14 @@ def extract_instance_features(
     graph: KnowledgeGraph,
     idf: IdfTable,
     candidates: Iterable[int] | None = None,
+    pagerank_scores: Mapping[int, float] | None = None,
 ) -> dict[int, FeatureVector]:
-    """Vectors for all candidate nodes of one instance, sharing computations."""
-    ctx = _InstanceContext(qg, partition, instance, graph, idf)
+    """Vectors for all candidate nodes of one instance, sharing computations.
+
+    Pass ``pagerank_scores`` when they were already computed for ``qg``, for
+    example by :func:`pagerank_batch` over many instances at once.
+    """
+    ctx = _InstanceContext(qg, partition, instance, graph, idf, pagerank_scores)
     node_ids = sorted(qg.nodes) if candidates is None else sorted(candidates)
     return {node_id: _extract(ctx, node_id) for node_id in node_ids}
 

@@ -247,7 +247,10 @@ def train_coordinate_ascent(
                         continue
                     weights = _unit_l1(trial)
                     new_map = candidate_maps[best_idx]
-                    assert new_map >= current - 1e-12, "training MAP decreased"
+                    if new_map < current - 1e-12:
+                        raise TrainingError(
+                            f"training MAP decreased from {current!r} to {new_map!r}"
+                        )
                     current = new_map
                     improved = True
 
@@ -255,7 +258,8 @@ def train_coordinate_ascent(
             best_map = current
             best_weights = weights
 
-    assert best_weights is not None
+    if best_weights is None:
+        raise TrainingError(f"no model trained: restarts must be >= 1, got {config.restarts}")
     return RankModel(
         weights=tuple(float(w) for w in best_weights),
         feature_names=tuple(feature_names),

@@ -38,6 +38,7 @@ from .features import (
     build_idf_table,
     extract_instance_features,
     normalize_per_query,
+    pagerank_batch,
     read_feature_rows,
     write_feature_rows,
 )
@@ -326,13 +327,17 @@ def _stage_features(ctx: PipelineContext) -> None:
     partitions = _read_partitions(mode_dir / "partitions.jsonl")
     instances = ctx.corpus_by_id()
 
-    def extract_one(qg: QueryGraph) -> list[tuple[str, int, object, int | None]]:
+    def extract_one(
+        job: tuple[QueryGraph, dict[int, float]],
+    ) -> list[tuple[str, int, object, int | None]]:
+        qg, pagerank_scores = job
         candidates = _candidates(config, qg)
         if not candidates:
             return []
         instance = instances[qg.instance_id]
         vectors = extract_instance_features(
-            qg, partitions[qg.instance_id], instance, ctx.graph, ctx.idf, candidates
+            qg, partitions[qg.instance_id], instance, ctx.graph, ctx.idf, candidates,
+            pagerank_scores,
         )
         normalized = normalize_per_query([vectors[n] for n in candidates])
         grades = instance.concept_grades or {}
@@ -341,7 +346,8 @@ def _stage_features(ctx: PipelineContext) -> None:
             for node_id, vector in zip(candidates, normalized)
         ]
 
-    rows = [row for chunk in map_ordered(extract_one, graphs, config.workers) for row in chunk]
+    jobs = list(zip(graphs, pagerank_batch(graphs)))
+    rows = [row for chunk in map_ordered(extract_one, jobs, config.workers) for row in chunk]
     write_feature_rows(mode_dir / "features.tsv", rows)
     _write_manifest(config, "features", ["features.tsv"])
 

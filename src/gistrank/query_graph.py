@@ -52,14 +52,16 @@ def bfs_distances(graph: KnowledgeGraph, source: int, cutoff: int) -> dict[int, 
 class QueryGraph:
     """Per-instance subgraph of seeds, intermediate categories, and edges.
 
-    ``distances`` holds hop counts between all reachable node pairs within
-    the subgraph, keyed by sorted id pairs; self distances are implicit 0.
+    ``nodes`` is the union of seeds and intermediates. ``distances`` holds
+    hop counts between all reachable node pairs within the subgraph, keyed
+    by sorted id pairs; self distances are implicit 0.
     """
 
     instance_id: str
     seeds: Mapping[int, SeedOrigin]
     intermediates: frozenset[int]
     edges: frozenset[tuple[int, int]]
+    nodes: frozenset[int] = field(repr=False)
     adjacency: Mapping[int, tuple[int, ...]] = field(repr=False)
     distances: Mapping[tuple[int, int], int] = field(repr=False)
 
@@ -71,7 +73,7 @@ class QueryGraph:
         intermediates: frozenset[int],
         edges: frozenset[tuple[int, int]],
     ) -> "QueryGraph":
-        nodes = set(seeds) | intermediates
+        nodes = frozenset(seeds) | intermediates
         neighbor_sets: dict[int, set[int]] = {n: set() for n in nodes}
         for a, b in edges:
             neighbor_sets[a].add(b)
@@ -87,13 +89,10 @@ class QueryGraph:
             seeds=dict(seeds),
             intermediates=intermediates,
             edges=edges,
+            nodes=nodes,
             adjacency=adjacency,
             distances=distances,
         )
-
-    @property
-    def nodes(self) -> set[int]:
-        return set(self.seeds) | set(self.intermediates)
 
     @property
     def n_nodes(self) -> int:

@@ -19,6 +19,7 @@ from gistrank.features import (
     extract_instance_features,
     normalize_per_query,
     pagerank,
+    pagerank_batch,
     read_feature_rows,
     tokenize,
     write_feature_rows,
@@ -90,6 +91,67 @@ def dense_pagerank(qg, damping=0.85):
     return {v: float(solution[index[v]]) for v in nodes}
 
 
+def loop_pagerank(qg, damping=0.85, tol=1e-9):
+    """Reference: the per-node power iteration the batched PageRank replaced."""
+    nodes = sorted(qg.nodes)
+    n = len(nodes)
+    if n == 0:
+        return {}
+    index = {v: i for i, v in enumerate(nodes)}
+    neighbors = [np.array([index[w] for w in qg.adjacency.get(v, ())], dtype=np.intp) for v in nodes]
+    degree = np.array([len(nb) for nb in neighbors], dtype=np.float64)
+    dangling = degree == 0
+
+    scores = np.full(n, 1.0 / n)
+    for _ in range(10_000):
+        share = np.where(dangling, 0.0, scores / np.maximum(degree, 1.0))
+        incoming = np.zeros(n)
+        for i, nb in enumerate(neighbors):
+            if nb.size:
+                incoming[i] = share[nb].sum()
+        dangling_mass = scores[dangling].sum()
+        updated = (1.0 - damping) / n + damping * (incoming + dangling_mass / n)
+        if np.max(np.abs(updated - scores)) < tol:
+            scores = updated
+            break
+        scores = updated
+    return {v: float(scores[index[v]]) for v in nodes}
+
+
+@st.composite
+def pagerank_graphs(draw, hub_leaves=st.just(0), isolated=st.integers(0, 2)):
+    """Random graph with a hub of ``hub_leaves`` leaves and ``isolated`` isolated nodes.
+
+    Nodes are ``[0, core)`` random, then the hub and its leaves, then the
+    isolated nodes. Random edges may join any two non-isolated nodes.
+    """
+    core, leaves, n_isolated = draw(st.integers(0, 10)), draw(hub_leaves), draw(isolated)
+    hub = core
+    connected = core + (leaves + 1 if leaves else 0)
+    edges = {(hub, hub + 1 + i) for i in range(leaves)}
+    pairs = list(itertools.combinations(range(connected), 2))
+    if pairs:
+        edges |= set(draw(st.lists(st.sampled_from(pairs), max_size=40)))
+    return query_graph_from_edges(connected + n_isolated, sorted(edges))
+
+
+@st.composite
+def pagerank_batches(draw):
+    """A shuffled batch mixing every shape whose segment sums take a distinct path.
+
+    Degree >= 8 and >= 8 dangling nodes hit numpy's pairwise summation.
+    """
+    batch = [
+        query_graph_from_edges(0, []),
+        query_graph_from_edges(1, []),
+        draw(pagerank_graphs(isolated=st.integers(1, 3))),
+        draw(pagerank_graphs(hub_leaves=st.integers(8, 20))),
+        draw(pagerank_graphs(isolated=st.integers(8, 20))),
+        *draw(st.lists(pagerank_graphs(), max_size=6)),
+    ]
+    return draw(st.permutations(batch))
+
+
 class TestBetweenness:
     def test_path_graph(self):
         qg = query_graph_from_edges(3, [(0, 1), (1, 2)])
@@ -141,6 +203,26 @@ class TestPagerank:
     def test_invalid_damping(self):
         with pytest.raises(ValueError):
             pagerank(query_graph_from_edges(1, []), damping=1.0)
+        with pytest.raises(ValueError):
+            pagerank_batch([], damping=0.0)
+
+
+class TestPagerankBatch:
+    @settings(max_examples=30, deadline=None)
+    @given(pagerank_batches())
+    def test_matches_loop_reference_bit_for_bit(self, batch):
+        assert pagerank_batch(batch) == [loop_pagerank(qg) for qg in batch]
+
+    @settings(max_examples=30, deadline=None)
+    @given(pagerank_batches())
+    def test_scores_do_not_depend_on_the_batch(self, batch):
+        alone = [pagerank(qg) for qg in batch]
+        assert pagerank_batch(batch) == alone
+        assert pagerank_batch(batch[::-1]) == alone[::-1]
+        assert pagerank_batch(batch[1::2]) == alone[1::2]
+
+    def test_empty_batch(self):
+        assert pagerank_batch([]) == []
 
 
 @pytest.fixture

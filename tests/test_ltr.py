@@ -202,6 +202,11 @@ class TestTrainCoordinateAscent:
         with pytest.raises(TrainingError, match="relevant"):
             train_coordinate_ascent(examples, ["f0"], CoordinateAscentConfig())
 
+    def test_zero_restarts_is_training_error(self):
+        examples, names = separable_examples(n_queries=2)
+        with pytest.raises(TrainingError, match="restarts"):
+            train_coordinate_ascent(examples, names, CoordinateAscentConfig(restarts=0))
+
     def test_dimension_mismatch_is_integrity_error(self):
         examples = [TrainingExample("q", "a", (0.9, 0.2), 5)]
         with pytest.raises(IntegrityError):

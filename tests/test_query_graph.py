@@ -105,6 +105,11 @@ class TestBuildQueryGraph:
         assert qg.nodes == {0, 1, 2}
         assert qg.edges == {(0, 2), (1, 2)}
 
+    def test_nodes_built_once_and_immutable(self, tiny_kg):
+        qg = build_query_graph(tiny_kg, seedset([0, 1]))
+        assert isinstance(qg.nodes, frozenset)
+        assert qg.nodes is qg.nodes
+
     def test_single_seed(self, tiny_kg):
         qg = build_query_graph(tiny_kg, seedset([0]))
         assert qg.intermediates == frozenset()
