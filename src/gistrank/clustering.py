@@ -10,8 +10,9 @@ runs on the same graph always produce the same partition.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Mapping
+
+import numpy as np
 
 from .errors import IntegrityError, NotFoundError
 from .query_graph import QueryGraph
@@ -51,12 +52,6 @@ class Partition:
     modularity: float
     phase_modularity: tuple[float, ...] = ()
 
-    def cluster_of(self, node_id: int) -> int:
-        try:
-            return self.assignment[node_id]
-        except KeyError:
-            raise NotFoundError(f"node {node_id} is not assigned to a cluster") from None
-
     def cluster_sizes(self) -> dict[int, int]:
         sizes: dict[int, int] = {}
         for cluster in self.assignment.values():
@@ -70,34 +65,41 @@ class Partition:
         }
 
 
-def relatedness(qg: QueryGraph, a: int, b: int) -> float:
-    """Semantic relatedness of two query-graph nodes, in [0, 1].
+def relatedness_matrix(qg: QueryGraph) -> np.ndarray:
+    """Semantic relatedness of every node pair of ``qg``, in [0, 1].
 
-    Defined as decay^d for hop distance d inside the query graph; identical
-    nodes score 1 and pairs farther apart than the horizon (or unreachable)
-    score 0.
+    Rows and columns follow ``qg.order``. Entry (i, j) is decay^d for hop
+    distance d inside the query graph; identical nodes score 1 and pairs
+    farther apart than the horizon (or unreachable) score 0. Every nonzero
+    entry is a power of two, so sums over it are exact in any order.
     """
-    nodes = qg.nodes
+    hops = qg.hops
+    within = (hops >= 0) & (hops <= RELATEDNESS_HORIZON)
+    return np.where(within, RELATEDNESS_DECAY**hops, 0.0)
+
+
+def relatedness(qg: QueryGraph, a: int, b: int) -> float:
+    """Relatedness of two query-graph nodes: one entry of :func:`relatedness_matrix`."""
     for node in (a, b):
-        if node not in nodes:
+        if node not in qg.index:
             raise NotFoundError(f"node {node} is not in the query graph")
-    if a == b:
-        return 1.0
-    d = qg.distance(a, b)
-    if d is None or d > RELATEDNESS_HORIZON:
-        return 0.0
-    return RELATEDNESS_DECAY**d
+    return float(relatedness_matrix(qg)[qg.index[a], qg.index[b]])
 
 
 def build_relatedness_graph(qg: QueryGraph) -> WeightedGraph:
-    """Weighted graph over all query-graph nodes with relatedness weights."""
-    nodes = tuple(sorted(qg.nodes))
-    weights: dict[tuple[int, int], float] = {}
-    for a, b in combinations(nodes, 2):
-        w = relatedness(qg, a, b)
-        if w > 0.0:
-            weights[(a, b)] = w
-    return WeightedGraph(nodes=nodes, weights=weights)
+    """Weighted graph over all query-graph nodes with relatedness weights.
+
+    Pairs are listed in row-major order of the upper triangle, which is the
+    order of ``itertools.combinations(qg.order, 2)``.
+    """
+    matrix = relatedness_matrix(qg)
+    rows, cols = np.nonzero(np.triu(matrix, k=1))
+    order = qg.order
+    weights = {
+        (order[i], order[j]): w
+        for i, j, w in zip(rows.tolist(), cols.tolist(), matrix[rows, cols].tolist())
+    }
+    return WeightedGraph(nodes=order, weights=weights)
 
 
 def modularity(wg: WeightedGraph, assignment: Mapping[int, int]) -> float:
@@ -213,15 +215,13 @@ def _aggregate(
     return new_neighbors, new_loops, new_members
 
 
-def louvain(wg: WeightedGraph, seed: int = 0) -> Partition:
+def louvain(wg: WeightedGraph) -> Partition:
     """Two-phase Louvain clustering maximizing weighted modularity.
 
-    The ``seed`` parameter is accepted for interface stability but has no
-    effect: node visit order is ascending id and ties never move, so the
-    result is fully determined by the graph. Isolated nodes end up as
-    singleton clusters; the empty graph yields an empty partition.
+    Node visit order is ascending id and ties never move, so the result is
+    fully determined by the graph. Isolated nodes end up as singleton
+    clusters; the empty graph yields an empty partition.
     """
-    del seed
     if not wg.nodes:
         return Partition(assignment={}, modularity=0.0, phase_modularity=())
 

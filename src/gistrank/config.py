@@ -30,7 +30,6 @@ class PipelineConfig:
     seed: int = 7
     split_ratio: float = 0.6
     split_seed: int | None = None
-    cluster_seed: int | None = None
     workers: int = 1
     image_labels: Path | None = None
     train1: CoordinateAscentConfig = field(default_factory=CoordinateAscentConfig)
@@ -40,9 +39,6 @@ class PipelineConfig:
 
     def resolved_split_seed(self) -> int:
         return self.split_seed if self.split_seed is not None else self.seed + 1
-
-    def resolved_cluster_seed(self) -> int:
-        return self.cluster_seed if self.cluster_seed is not None else self.seed + 4
 
     def validate(self) -> None:
         for name, path in (("kg.nodes", self.kg_nodes), ("kg.edges", self.kg_edges), ("corpus", self.corpus)):
@@ -83,7 +79,6 @@ class PipelineConfig:
             "seed": str(self.seed),
             "split.ratio": repr(self.split_ratio),
             "split.seed": str(self.resolved_split_seed()),
-            "cluster.seed": str(self.resolved_cluster_seed()),
             "workers": str(self.workers),
             "image_labels": str(self.image_labels) if self.image_labels else "",
         }
@@ -163,7 +158,6 @@ def load_config(path: str | Path, overrides: dict[str, str] | None = None) -> Pi
         seed=seed,
         split_ratio=scalar("split.ratio", float, 0.6),
         split_seed=scalar("split.seed", int, None),
-        cluster_seed=scalar("cluster.seed", int, None),
         workers=scalar("workers", int, 1),
         image_labels=image_labels,
         train1=train1,

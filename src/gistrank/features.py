@@ -17,7 +17,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .clustering import Partition, relatedness
+from .clustering import Partition, relatedness_matrix
 from .errors import IntegrityError, ParseError
 from .kg import KnowledgeGraph, NodeKind
 from .linking import Instance
@@ -72,9 +72,6 @@ class FeatureVector:
     def __getitem__(self, name: str) -> float:
         return self.values[FEATURE_NAMES.index(name)]
 
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.values, dtype=np.float64)
-
 
 def betweenness(qg: QueryGraph) -> dict[int, float]:
     """Exact shortest-path betweenness (Brandes), normalized to [0, 1].
@@ -82,7 +79,7 @@ def betweenness(qg: QueryGraph) -> dict[int, float]:
     Each unordered node pair counts once; scores are divided by
     (n-1)(n-2)/2. Graphs with fewer than three nodes score all zeros.
     """
-    nodes = sorted(qg.nodes)
+    nodes = qg.order
     raw = {v: 0.0 for v in nodes}
     for source in nodes:
         stack: list[int] = []
@@ -160,19 +157,17 @@ def pagerank_batch(
     """
     if not 0.0 < damping < 1.0:
         raise ValueError("damping must be in (0, 1)")
-    orders = [sorted(qg.nodes) for qg in graphs]
-    sizes = np.array([len(nodes) for nodes in orders], dtype=np.intp)
+    sizes = np.array([len(qg.order) for qg in graphs], dtype=np.intp)
     offsets = np.cumsum(sizes) - sizes
     # Neighbour lists as one CSR column array over global node indices.
     degrees: list[int] = []
-    columns: list[np.ndarray] = [np.zeros(0, dtype=np.intp)]
-    for qg, nodes, start in zip(graphs, orders, offsets.tolist()):
-        adjacency = [qg.adjacency.get(v, ()) for v in nodes]
+    columns: list[int] = []
+    for qg, start in zip(graphs, offsets.tolist()):
+        adjacency = [qg.adjacency[v] for v in qg.order]
         degrees.extend(len(nb) for nb in adjacency)
-        flat = np.array([w for nb in adjacency for w in nb], dtype=np.int64)
-        columns.append(np.searchsorted(np.array(nodes, dtype=np.int64), flat) + start)
+        columns.extend(qg.index[w] + start for nb in adjacency for w in nb)
     incoming_groups = _segments_by_length(
-        np.concatenate(columns), np.array(degrees, dtype=np.intp)
+        np.array(columns, dtype=np.intp), np.array(degrees, dtype=np.intp)
     )
     degree = np.array(degrees, dtype=np.float64)
     dangling = degree == 0
@@ -206,8 +201,8 @@ def pagerank_batch(
         active[nonempty[change < tol]] = False
     values = scores.tolist()
     return [
-        dict(zip(nodes, values[start : start + len(nodes)]))
-        for nodes, start in zip(orders, offsets.tolist())
+        dict(zip(qg.order, values[start : start + len(qg.order)]))
+        for qg, start in zip(graphs, offsets.tolist())
     ]
 
 
@@ -250,7 +245,11 @@ def _cosine(a: Mapping[str, float], b: Mapping[str, float]) -> float:
 
 
 class _InstanceContext:
-    """Shared per-instance computations reused across candidate nodes."""
+    """Shared per-instance computations reused across candidate nodes.
+
+    The graph features are computed for every node at once from the rows of
+    ``qg.hops`` and its relatedness matrix, as lists indexed like ``qg.order``.
+    """
 
     def __init__(
         self,
@@ -261,19 +260,46 @@ class _InstanceContext:
         idf: IdfTable,
         pagerank_scores: Mapping[int, float] | None = None,
     ):
+        for node_id in qg.order:
+            if node_id not in partition.assignment:
+                raise IntegrityError(f"node {node_id} is not assigned to a cluster")
         self.qg = qg
         self.partition = partition
         self.instance = instance
         self.graph = graph
         self.idf = idf
-        self.n = qg.n_nodes
-        self.seed_ids = sorted(qg.seeds)
+        self.n = n = qg.n_nodes
         self.betweenness = betweenness(qg)
         self.pagerank = pagerank(qg) if pagerank_scores is None else pagerank_scores
         self.cluster_sizes = partition.cluster_sizes()
-        self.members: dict[int, list[int]] = {}
-        for node, cluster in partition.assignment.items():
-            self.members.setdefault(cluster, []).append(node)
+
+        hops = qg.hops
+        reachable = hops > 0
+        r = reachable.sum(axis=1)
+        total = np.where(reachable, hops, 0).sum(axis=1)
+        # Scaled by the reachable fraction so disconnected graphs stay in [0, 1];
+        # a row with nothing reachable has r = total = 0 and scores 0.
+        self.closeness = ((r / max(n - 1, 1)) * (r / np.maximum(total, 1))).tolist()
+
+        seed_cols = [qg.index[s] for s in sorted(qg.seeds)]
+        n_seeds = len(seed_cols)
+        to_seeds = hops[:, seed_cols]
+        near = ((to_seeds > 0) & (to_seeds <= 2)).sum(axis=1)
+        self.seeds_within = (near / max(n_seeds, 1)).tolist()
+
+        related = relatedness_matrix(qg)
+        np.fill_diagonal(related, 0.0)
+        labels = np.array([partition.assignment[v] for v in qg.order])
+        peers = labels[:, None] == labels[None, :]
+        np.fill_diagonal(peers, False)
+        self.intra = (
+            (related * peers).sum(axis=1) / np.maximum(peers.sum(axis=1), 1)
+        ).tolist()
+        other_seeds = n_seeds - np.isin(np.arange(n), seed_cols)
+        self.seed_rel = (
+            related[:, seed_cols].sum(axis=1) / np.maximum(other_seeds, 1)
+        ).tolist()
+
         mention_text = " ".join(list(instance.tags) + list(instance.image_labels))
         self.instance_tokens = set(tokenize(mention_text))
         self.instance_tfidf = idf.tfidf(tokenize(mention_text))
@@ -281,41 +307,13 @@ class _InstanceContext:
 
 def _extract(ctx: _InstanceContext, node_id: int) -> FeatureVector:
     qg, graph, n = ctx.qg, ctx.graph, ctx.n
-    if node_id not in qg.nodes:
+    if node_id not in qg.index:
         raise IntegrityError(f"node {node_id} is not in the query graph")
-    if node_id not in ctx.partition.assignment:
-        raise IntegrityError(f"node {node_id} is not assigned to a cluster")
+    i = qg.index[node_id]
     node = graph.node(node_id)
 
     degree_centrality = qg.degree(node_id) / (n - 1) if n > 1 else 0.0
-
-    reachable = [qg.distance(node_id, other) for other in qg.nodes if other != node_id]
-    finite = [d for d in reachable if d is not None]
-    if finite and n > 1:
-        # Scaled by the reachable fraction so disconnected graphs stay in [0, 1].
-        r = len(finite)
-        closeness = (r / (n - 1)) * (r / sum(finite))
-    else:
-        closeness = 0.0
-
-    seeds_near = sum(
-        1
-        for s in ctx.seed_ids
-        if s != node_id and (d := qg.distance(node_id, s)) is not None and d <= 2
-    )
-    seeds_within = seeds_near / len(ctx.seed_ids) if ctx.seed_ids else 0.0
-
-    cluster = ctx.partition.assignment[node_id]
-    cluster_size_ratio = ctx.cluster_sizes[cluster] / n
-
-    peers = [m for m in ctx.members[cluster] if m != node_id]
-    intra = sum(relatedness(qg, node_id, m) for m in peers) / len(peers) if peers else 0.0
-    other_seeds = [s for s in ctx.seed_ids if s != node_id]
-    seed_rel = (
-        sum(relatedness(qg, node_id, s) for s in other_seeds) / len(other_seeds)
-        if other_seeds
-        else 0.0
-    )
+    cluster_size_ratio = ctx.cluster_sizes[ctx.partition.assignment[node_id]] / n
 
     origin = qg.seeds.get(node_id)
     origin_tag = 1.0 if origin and origin.from_tags else 0.0
@@ -333,13 +331,13 @@ def _extract(ctx: _InstanceContext, node_id: int) -> FeatureVector:
         values=(
             degree_centrality,
             ctx.betweenness[node_id],
-            closeness,
+            ctx.closeness[i],
             ctx.pagerank[node_id],
-            seeds_within,
+            ctx.seeds_within[i],
             1.0 if node_id in qg.intermediates else 0.0,
             cluster_size_ratio,
-            intra,
-            seed_rel,
+            ctx.intra[i],
+            ctx.seed_rel[i],
             origin_tag,
             origin_image,
             origin_both,
@@ -383,7 +381,7 @@ def extract_instance_features(
     example by :func:`pagerank_batch` over many instances at once.
     """
     ctx = _InstanceContext(qg, partition, instance, graph, idf, pagerank_scores)
-    node_ids = sorted(qg.nodes) if candidates is None else sorted(candidates)
+    node_ids = qg.order if candidates is None else sorted(candidates)
     return {node_id: _extract(ctx, node_id) for node_id in node_ids}
 
 

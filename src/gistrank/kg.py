@@ -96,10 +96,6 @@ class KnowledgeGraph:
         return self.adjacency.get(node_id, ())
 
 
-def lookup_title(graph: KnowledgeGraph, mention: str) -> int | None:
-    return graph.lookup_title(mention)
-
-
 def _data_lines(path: Path) -> Iterable[tuple[int, str]]:
     with path.open("r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):

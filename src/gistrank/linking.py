@@ -13,7 +13,7 @@ import json
 import logging
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .errors import IntegrityError
 from .kg import KnowledgeGraph, normalize_title
@@ -67,14 +67,6 @@ class SeedSet:
 
     instance_id: str
     seeds: dict[int, SeedOrigin] = field(default_factory=dict)
-
-    @property
-    def tag_seeds(self) -> set[int]:
-        return {nid for nid, o in self.seeds.items() if o.from_tags}
-
-    @property
-    def image_seeds(self) -> set[int]:
-        return {nid for nid, o in self.seeds.items() if o.from_image}
 
     def to_json_obj(self) -> dict:
         return {
@@ -220,18 +212,3 @@ def read_corpus(path: str | Path) -> list[Instance]:
             instances.append(instance)
     return instances
 
-
-def write_corpus(instances: Iterable[Instance], path: str | Path) -> None:
-    with Path(path).open("w", encoding="utf-8") as fh:
-        for inst in instances:
-            record = {
-                "id": inst.instance_id,
-                "tags": list(inst.tags),
-                "image_labels": list(inst.image_labels),
-                "topics": sorted(inst.topics),
-            }
-            if inst.concept_grades:
-                record["concept_grades"] = {
-                    str(k): v for k, v in sorted(inst.concept_grades.items())
-                }
-            fh.write(json.dumps(record, sort_keys=True) + "\n")

@@ -169,18 +169,12 @@ class PipelineContext:
         return {inst.instance_id: inst for inst in self.corpus}
 
 
+def _parse_label_override(obj: dict) -> tuple[str, tuple[str, ...]]:
+    return str(obj["id"]), tuple(str(t) for t in obj.get("image_labels", ()))
+
+
 def _read_label_overrides(path: Path) -> dict[str, tuple[str, ...]]:
-    overrides: dict[str, tuple[str, ...]] = {}
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-                overrides[str(obj["id"])] = tuple(str(t) for t in obj.get("image_labels", ()))
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                raise ParseError(f"{path}:{lineno}: bad image-label override ({exc})") from None
-    return overrides
+    return dict(_read_jsonl(path, _parse_label_override))
 
 
 def _mode_dir(config: PipelineConfig) -> Path:
@@ -198,7 +192,6 @@ def _write_manifest(config: PipelineConfig, stage: str, outputs: Sequence[str]) 
         "seed": config.seed,
         "seeds": {
             "split": config.resolved_split_seed(),
-            "cluster": config.resolved_cluster_seed(),
             "train1": config.train1.seed,
             "train2": config.train2.seed,
         },
@@ -225,28 +218,41 @@ def _link_mode(config: PipelineConfig) -> LinkMode:
     return LinkMode.TAGS_ONLY if config.mode == "T" else LinkMode.TAGS_AND_IMAGE
 
 
+def _read_jsonl(path: Path, parse: Callable[[dict], T]) -> list[T]:
+    """Parse each non-blank line of a JSON-lines artifact with ``parse``.
+
+    A line that is not UTF-8 JSON, or that ``parse`` cannot read, raises
+    ``ParseError`` naming the file and line.
+    """
+    records: list[T] = []
+    with path.open("rb") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                records.append(parse(json.loads(line.decode("utf-8"))))
+            except (AttributeError, KeyError, TypeError, ValueError) as exc:
+                raise ParseError(f"{path}:{lineno}: malformed record ({exc!r})") from None
+    return records
+
+
 def _read_seed_sets(path: Path) -> list[SeedSet]:
-    with path.open("r", encoding="utf-8") as fh:
-        return [SeedSet.from_json_obj(json.loads(line)) for line in fh if line.strip()]
+    return _read_jsonl(path, SeedSet.from_json_obj)
 
 
 def _read_query_graphs(path: Path) -> list[QueryGraph]:
-    with path.open("r", encoding="utf-8") as fh:
-        return [QueryGraph.from_json_obj(json.loads(line)) for line in fh if line.strip()]
+    return _read_jsonl(path, QueryGraph.from_json_obj)
+
+
+def _parse_partition(obj: dict) -> tuple[str, Partition]:
+    return obj["instance_id"], Partition(
+        assignment={int(n): int(c) for n, c in obj["assignment"].items()},
+        modularity=float(obj["modularity"]),
+    )
 
 
 def _read_partitions(path: Path) -> dict[str, Partition]:
-    partitions: dict[str, Partition] = {}
-    with path.open("r", encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            obj = json.loads(line)
-            partitions[obj["instance_id"]] = Partition(
-                assignment={int(n): int(c) for n, c in obj["assignment"].items()},
-                modularity=float(obj["modularity"]),
-            )
-    return partitions
+    return dict(_read_jsonl(path, _parse_partition))
 
 
 def _read_rankings_jsonl(path: Path) -> dict[str, Ranking]:
@@ -299,10 +305,9 @@ def _stage_cluster(ctx: PipelineContext) -> None:
     config = ctx.config
     mode_dir = _mode_dir(config)
     graphs = _read_query_graphs(mode_dir / "query_graphs.jsonl")
-    seed = config.resolved_cluster_seed()
 
     def cluster_one(qg: QueryGraph) -> dict:
-        partition = louvain(build_relatedness_graph(qg), seed=seed)
+        partition = louvain(build_relatedness_graph(qg))
         obj = partition.to_json_obj()
         obj["instance_id"] = qg.instance_id
         return obj
@@ -316,7 +321,7 @@ def _stage_cluster(ctx: PipelineContext) -> None:
 
 def _candidates(config: PipelineConfig, qg: QueryGraph) -> list[int]:
     if config.mode == "TII":
-        return sorted(qg.nodes)
+        return list(qg.order)
     return sorted(qg.seeds)
 
 

@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Mapping
 
+import numpy as np
+
 from .errors import IntegrityError, NotFoundError
 from .kg import KnowledgeGraph
 from .linking import SeedOrigin, SeedSet
@@ -52,9 +54,10 @@ def bfs_distances(graph: KnowledgeGraph, source: int, cutoff: int) -> dict[int, 
 class QueryGraph:
     """Per-instance subgraph of seeds, intermediate categories, and edges.
 
-    ``nodes`` is the union of seeds and intermediates. ``distances`` holds
-    hop counts between all reachable node pairs within the subgraph, keyed
-    by sorted id pairs; self distances are implicit 0.
+    ``nodes`` is the union of seeds and intermediates. ``order`` lists the
+    node ids ascending and ``index`` maps each id to its position there.
+    ``hops`` is the read-only n×n matrix of hop counts inside the subgraph,
+    rows and columns in ``order``, with -1 where a pair is unreachable.
     """
 
     instance_id: str
@@ -62,8 +65,10 @@ class QueryGraph:
     intermediates: frozenset[int]
     edges: frozenset[tuple[int, int]]
     nodes: frozenset[int] = field(repr=False)
+    order: tuple[int, ...] = field(repr=False)
+    index: Mapping[int, int] = field(repr=False)
     adjacency: Mapping[int, tuple[int, ...]] = field(repr=False)
-    distances: Mapping[tuple[int, int], int] = field(repr=False)
+    hops: np.ndarray = field(repr=False, compare=False)
 
     @classmethod
     def from_parts(
@@ -74,24 +79,33 @@ class QueryGraph:
         edges: frozenset[tuple[int, int]],
     ) -> "QueryGraph":
         nodes = frozenset(seeds) | intermediates
-        neighbor_sets: dict[int, set[int]] = {n: set() for n in nodes}
+        order = tuple(sorted(nodes))
+        neighbor_sets: dict[int, set[int]] = {n: set() for n in order}
         for a, b in edges:
+            if a not in neighbor_sets or b not in neighbor_sets:
+                raise IntegrityError(
+                    f"instance {instance_id!r}: edge ({a}, {b}) has an endpoint "
+                    "that is neither a seed nor an intermediate"
+                )
             neighbor_sets[a].add(b)
             neighbor_sets[b].add(a)
         adjacency = {n: tuple(sorted(ns)) for n, ns in neighbor_sets.items()}
-        distances: dict[tuple[int, int], int] = {}
-        for source in nodes:
-            for target, d in _bfs(adjacency, source, None).items():
-                if source < target:
-                    distances[(source, target)] = d
+        rows = []
+        for source in order:
+            reached = _bfs(adjacency, source, None)
+            rows.append([reached.get(target, -1) for target in order])
+        hops = np.array(rows, dtype=np.int64).reshape(len(order), len(order))
+        hops.flags.writeable = False
         return cls(
             instance_id=instance_id,
             seeds=dict(seeds),
             intermediates=intermediates,
             edges=edges,
             nodes=nodes,
+            order=order,
+            index={n: i for i, n in enumerate(order)},
             adjacency=adjacency,
-            distances=distances,
+            hops=hops,
         )
 
     @property
@@ -99,11 +113,15 @@ class QueryGraph:
         return len(self.seeds) + len(self.intermediates)
 
     def distance(self, a: int, b: int) -> int | None:
-        """Hop distance within the subgraph, or None when unreachable."""
-        if a == b:
-            return 0
-        key = (a, b) if a < b else (b, a)
-        return self.distances.get(key)
+        """Hop distance within the subgraph, or None when unreachable.
+
+        Raises ``NotFoundError`` for a node outside the subgraph.
+        """
+        for node in (a, b):
+            if node not in self.index:
+                raise NotFoundError(f"node {node} is not in the query graph")
+        d = int(self.hops[self.index[a], self.index[b]])
+        return None if d < 0 else d
 
     def degree(self, node_id: int) -> int:
         return len(self.adjacency.get(node_id, ()))

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from gistrank.kg import ConceptNode, EdgeKind, KgEdge, KnowledgeGraph, NodeKind
 from gistrank.linking import SeedOrigin
@@ -76,6 +79,48 @@ def random_query_graph(rng: np.random.Generator, n_nodes: int, edge_prob: float)
         if rng.random() < edge_prob
     ]
     return query_graph_from_edges(n_nodes, edges)
+
+
+@st.composite
+def seeded_query_graphs(draw, max_linked=12):
+    """Random query graph over scattered node ids with a random seed subset.
+
+    At most two random edges per linked node give paths of several hops and
+    disconnected parts; up to three extra nodes have no edge at all; the seed
+    subset may be empty.
+    """
+    n_linked, n_isolated = draw(st.integers(0, max_linked)), draw(st.integers(0, 3))
+    ids = draw(st.lists(st.integers(0, 999), min_size=n_linked + n_isolated,
+                        max_size=n_linked + n_isolated, unique=True))
+    pairs = list(itertools.combinations(ids[:n_linked], 2))
+    edges = []
+    if pairs:
+        n_edges = draw(st.integers(0, 2 * n_linked))
+        edges = draw(st.lists(st.sampled_from(pairs), min_size=n_edges, max_size=n_edges))
+    seeds = draw(st.sets(st.sampled_from(ids))) if ids else set()
+    return QueryGraph.from_parts(
+        instance_id="q",
+        seeds={s: SeedOrigin(from_tags=True) for s in seeds},
+        intermediates=frozenset(ids) - seeds,
+        edges=frozenset((min(a, b), max(a, b)) for a, b in edges),
+    )
+
+
+def all_pairs_hops(qg: QueryGraph) -> dict[tuple[int, int], int]:
+    """Oracle: hop counts of every reachable ordered pair, by BFS over ``qg.edges``."""
+    neighbors: dict[int, set[int]] = {v: set() for v in qg.nodes}
+    for a, b in qg.edges:
+        neighbors[a].add(b)
+        neighbors[b].add(a)
+    hops = {}
+    for source in qg.nodes:
+        reached, frontier, d = {source}, {source}, 0
+        while frontier:
+            hops.update(((source, v), d) for v in frontier)
+            frontier = {w for v in frontier for w in neighbors[v]} - reached
+            reached |= frontier
+            d += 1
+    return hops
 
 
 @pytest.fixture

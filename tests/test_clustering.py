@@ -4,6 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from gistrank.clustering import (
     Partition,
@@ -12,10 +13,16 @@ from gistrank.clustering import (
     louvain,
     modularity,
     relatedness,
+    relatedness_matrix,
 )
 from gistrank.errors import IntegrityError, NotFoundError
 
-from tests.conftest import query_graph_from_edges, random_query_graph
+from tests.conftest import (
+    all_pairs_hops,
+    query_graph_from_edges,
+    random_query_graph,
+    seeded_query_graphs,
+)
 
 
 def wgraph(n, weighted_edges):
@@ -87,6 +94,22 @@ class TestRelatedness:
             assert relatedness(qg, a, b) == relatedness(qg, b, a)
 
 
+class TestRelatednessMatrix:
+    @settings(max_examples=60, deadline=None)
+    @given(seeded_query_graphs())
+    def test_matches_definition(self, qg):
+        matrix = relatedness_matrix(qg)
+        hops = all_pairs_hops(qg)
+        assert np.array_equal(matrix, matrix.T)
+        assert np.all(np.diag(matrix) == 1.0)
+        for a in qg.order:
+            for b in qg.order:
+                d = hops.get((a, b))
+                expected = 0.5**d if d is not None and d <= 4 else 0.0
+                assert matrix[qg.index[a], qg.index[b]] == expected
+                assert relatedness(qg, a, b) == expected
+
+
 class TestBuildRelatednessGraph:
     def test_empty(self):
         qg = query_graph_from_edges(0, [])
@@ -102,9 +125,13 @@ class TestBuildRelatednessGraph:
         rng = np.random.default_rng(9)
         qg = random_query_graph(rng, 10, 0.3)
         wg = build_relatedness_graph(qg)
-        for a, b in itertools.combinations(sorted(qg.nodes), 2):
-            expected = relatedness(qg, a, b)
-            assert wg.weights.get((a, b), 0.0) == expected
+        expected = [
+            ((a, b), relatedness(qg, a, b))
+            for a, b in itertools.combinations(sorted(qg.nodes), 2)
+            if relatedness(qg, a, b) > 0.0
+        ]
+        # Insertion order too: Louvain sums weights in this order.
+        assert list(wg.weights.items()) == expected
 
 
 class TestModularity:
@@ -212,13 +239,6 @@ class TestLouvain:
             part = louvain(wg)
             singleton = modularity(wg, {i: i for i in range(n)})
             assert part.modularity >= singleton - 1e-12
-
-    def test_deterministic(self):
-        rng = np.random.default_rng(47)
-        for _ in range(10):
-            qg = random_query_graph(rng, 12, 0.3)
-            wg = build_relatedness_graph(qg)
-            assert louvain(wg, seed=1).assignment == louvain(wg, seed=99).assignment
 
     def test_phase_modularity_non_decreasing(self):
         rng = np.random.default_rng(53)

@@ -24,10 +24,17 @@ from gistrank.features import (
     tokenize,
     write_feature_rows,
 )
+from gistrank.kg import NodeKind
 from gistrank.linking import Instance, SeedOrigin, SeedSet
 from gistrank.query_graph import build_query_graph
 
-from tests.conftest import query_graph_from_edges, random_query_graph
+from tests.conftest import (
+    all_pairs_hops,
+    kg_from_parts,
+    query_graph_from_edges,
+    random_query_graph,
+    seeded_query_graphs,
+)
 
 
 def naive_betweenness(qg):
@@ -116,6 +123,38 @@ def loop_pagerank(qg, damping=0.85, tol=1e-9):
             break
         scores = updated
     return {v: float(scores[index[v]]) for v in nodes}
+
+
+def loop_graph_features(qg, partition, node_id):
+    """Reference: the per-candidate loops that the matrix-row graph features replaced."""
+    hops = all_pairs_hops(qg)
+
+    def rel(a, b):
+        d = hops.get((a, b))
+        return 0.5**d if d is not None and d <= 4 else 0.0
+
+    n = qg.n_nodes
+    finite = [hops[(node_id, o)] for o in qg.nodes if o != node_id and (node_id, o) in hops]
+    if finite and n > 1:
+        r = len(finite)
+        closeness = (r / (n - 1)) * (r / sum(finite))
+    else:
+        closeness = 0.0
+    seed_ids = sorted(qg.seeds)
+    near = sum(1 for s in seed_ids if s != node_id and hops.get((node_id, s), 3) <= 2)
+    cluster = partition.assignment[node_id]
+    peers = [m for m, c in partition.assignment.items() if c == cluster and m != node_id]
+    others = [s for s in seed_ids if s != node_id]
+    return {
+        "closeness": closeness,
+        "seeds_within_2hops": near / len(seed_ids) if seed_ids else 0.0,
+        "mean_intra_cluster_relatedness": (
+            sum(rel(node_id, m) for m in peers) / len(peers) if peers else 0.0
+        ),
+        "mean_seed_relatedness": (
+            sum(rel(node_id, s) for s in others) / len(others) if others else 0.0
+        ),
+    }
 
 
 @st.composite
@@ -300,6 +339,19 @@ class TestExtractFeatures:
         kg, qg, partition, instance, idf = extraction_setup
         with pytest.raises(IntegrityError):
             extract_features(qg, Partition(assignment={}, modularity=0.0), instance, 0, kg, idf)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seeded_query_graphs(), st.data())
+    def test_graph_features_match_loop_reference(self, qg, data):
+        labels = data.draw(st.lists(st.integers(0, 3), min_size=qg.n_nodes, max_size=qg.n_nodes))
+        partition = Partition(assignment=dict(zip(qg.order, labels)), modularity=0.0)
+        kg = kg_from_parts([(v, NodeKind.CATEGORY, f"node {v}") for v in qg.order], [])
+        instance = Instance(instance_id="q", tags=("node",))
+        vectors = extract_instance_features(qg, partition, instance, kg, build_idf_table(kg))
+        assert list(vectors) == list(qg.order)
+        for node_id, vec in vectors.items():
+            expected = loop_graph_features(qg, partition, node_id)
+            assert {name: vec[name] for name in expected} == expected
 
     def test_invariants_on_random_fixtures(self):
         rng = np.random.default_rng(73)

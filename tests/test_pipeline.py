@@ -287,6 +287,39 @@ class TestCli:
         main(["gen-fixture", "--seed", "3", "--instances", "9", "--topics", "3", "--out", str(out)])
         assert main(["rank1", "--config", str(out / "pipeline.config")]) == 2
 
+    @pytest.mark.parametrize(
+        "artifact, upstream, stage, corrupt",
+        [
+            ("seeds.jsonl", ["link"], "graph", lambda data: data[:-40]),
+            ("query_graphs.jsonl", ["link", "graph"], "cluster", lambda data: data[:-40]),
+            ("partitions.jsonl", ["link", "graph", "cluster"], "features", lambda data: data[:-40]),
+            ("seeds.jsonl", ["link"], "graph", lambda data: b"\xff" + data),
+            (
+                "partitions.jsonl", ["link", "graph", "cluster"], "features",
+                lambda data: b'{"instance_id": "x", "assignment": [1], "modularity": 0}\n',
+            ),
+            (
+                "query_graphs.jsonl", ["link", "graph"], "cluster",
+                lambda data: b'{"instance_id": "x", "seeds": [], "intermediates": [1], '
+                b'"edges": [[1, 2]]}\n',
+            ),
+        ],
+        ids=["truncated-seeds", "truncated-graphs", "truncated-partitions", "non-utf8-seeds",
+             "partition-type", "graph-stray-edge"],
+    )
+    def test_malformed_graph_layer_artifact_exit_code(
+        self, tmp_path, capsys, artifact, upstream, stage, corrupt
+    ):
+        out = tmp_path / "fx"
+        main(["gen-fixture", "--seed", "9", "--instances", "9", "--topics", "3", "--out", str(out)])
+        config = str(out / "pipeline.config")
+        for name in upstream:
+            assert main([name, "--config", config]) == 0
+        path = out / "out" / "TII" / artifact
+        path.write_bytes(corrupt(path.read_bytes()))
+        assert main([stage, "--config", config]) == 2
+        assert "error:" in capsys.readouterr().err
+
     def test_bad_fixture_sizes_exit_code(self, tmp_path, capsys):
         assert (
             main(["gen-fixture", "--seed", "1", "--instances", "2", "--topics", "3", "--out", str(tmp_path)])

@@ -2,13 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from gistrank.errors import IntegrityError, NotFoundError
 from gistrank.kg import NodeKind
 from gistrank.linking import SeedOrigin, SeedSet
 from gistrank.query_graph import MAX_PATH_LENGTH, QueryGraph, bfs_distances, build_query_graph
 
-from tests.conftest import kg_from_parts, random_kg
+from tests.conftest import all_pairs_hops, kg_from_parts, random_kg, seeded_query_graphs
 
 
 def seedset(ids, instance_id="q"):
@@ -184,6 +185,25 @@ class TestQueryGraphType:
         assert qg.distance(0, 1) == 2
         assert qg.distance(0, 2) == 1
         assert qg.distance(0, 0) == 0
+        with pytest.raises(NotFoundError):
+            qg.distance(0, 9)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seeded_query_graphs())
+    def test_hops_match_all_pairs_bfs(self, qg):
+        expected = all_pairs_hops(qg)
+        assert qg.order == tuple(sorted(qg.nodes))
+        assert qg.index == {v: i for i, v in enumerate(qg.order)}
+        assert qg.hops.shape == (len(qg.order),) * 2
+        assert not qg.hops.flags.writeable
+        for a in qg.order:
+            for b in qg.order:
+                assert qg.hops[qg.index[a], qg.index[b]] == expected.get((a, b), -1)
+                assert qg.distance(a, b) == expected.get((a, b))
+
+    def test_edge_outside_nodes_is_integrity_error(self):
+        with pytest.raises(IntegrityError, match="edge"):
+            QueryGraph.from_parts("q", {0: SeedOrigin(from_tags=True)}, frozenset({1}), frozenset({(1, 2)}))
 
     def test_json_round_trip(self, tiny_kg):
         qg = build_query_graph(tiny_kg, seedset([0, 1]))
@@ -191,4 +211,5 @@ class TestQueryGraphType:
         assert clone.seeds == qg.seeds
         assert clone.intermediates == qg.intermediates
         assert clone.edges == qg.edges
-        assert clone.distances == qg.distances
+        assert clone.order == qg.order
+        assert np.array_equal(clone.hops, qg.hops)
