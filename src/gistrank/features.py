@@ -438,9 +438,10 @@ def read_feature_rows(path: str | Path) -> list[tuple[str, int, FeatureVector, i
             if len(cells) != len(expected):
                 raise ParseError(f"{path}:{lineno}: expected {len(expected)} fields")
             try:
+                node_id = int(cells[1])
                 vector = FeatureVector(values=tuple(float(c) for c in cells[2:-1]))
                 grade = int(cells[-1]) if cells[-1] else None
             except ValueError:
                 raise ParseError(f"{path}:{lineno}: malformed numeric field") from None
-            rows.append((cells[0], int(cells[1]), vector, grade))
+            rows.append((cells[0], node_id, vector, grade))
     return rows

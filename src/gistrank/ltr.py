@@ -6,6 +6,12 @@ steps and a step is kept only when it improves training MAP. Weights are
 renormalized to unit L1 after every accepted step, which never changes the
 induced rankings. Multiple restarts (uniform, then seeded random inits)
 guard against poor local optima; everything is deterministic given the seed.
+
+All restarts (and, in stage 2, all topics) train together: each probe covers
+every active run and every query of one document count as one array, and
+re-places only the documents whose value on the probed coordinate is
+non-zero. The models equal those of probing one run and one query at a time
+bit for bit (``tests/test_ltr.py`` keeps that loop as the reference).
 """
 
 from __future__ import annotations
@@ -13,11 +19,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping, Sequence, overload
 
 import numpy as np
 
-from .errors import IntegrityError, TrainingError
+from .errors import IntegrityError, ParseError, TrainingError
 
 
 def average_precision(ranked_relevance: Sequence[bool]) -> float:
@@ -140,58 +146,30 @@ def rank(model: RankModel, candidates: Sequence[tuple[str, Sequence[float]]], qu
 
 
 class _QueryBlock:
-    """Training documents of one query, pre-sorted by doc id for tie-breaks."""
+    """Training documents of one query, pre-sorted by doc id for tie-breaks.
 
-    def __init__(self, query_id: str, examples: list[TrainingExample], threshold: int):
+    Queries whose documents have the same feature rows share one matrix
+    (in stage 2 every topic ranks the same training instances).
+    """
+
+    def __init__(
+        self, examples: list[TrainingExample], threshold: int, matrices: dict[tuple, np.ndarray]
+    ):
         examples = sorted(examples, key=lambda e: e.doc_id)
-        self.query_id = query_id
-        self.matrix = np.asarray([e.features for e in examples], dtype=np.float64)
+        rows = tuple(e.features for e in examples)
+        if rows not in matrices:
+            matrices[rows] = np.asarray(rows, dtype=np.float64)
+        self.matrix = matrices[rows]
         self.relevant = np.asarray([e.grade >= threshold for e in examples], dtype=bool)
         self.n_relevant = int(self.relevant.sum())
-        self.positions = np.arange(1, len(examples) + 1, dtype=np.float64)
 
 
-def _batch_ap(block: _QueryBlock, scores: np.ndarray) -> np.ndarray:
-    """AP of one query for a batch of score rows (shape: candidates x docs)."""
-    if block.n_relevant == 0:
-        return np.zeros(scores.shape[0])
-    # Stable sort on negated scores keeps ascending doc-id order among ties.
-    order = np.argsort(-scores, axis=1, kind="stable")
-    rel = block.relevant[order]
-    cum = np.cumsum(rel, axis=1)
-    precision = cum / block.positions
-    return (precision * rel).sum(axis=1) / block.n_relevant
-
-
-def _mean_ap(blocks: list[_QueryBlock], weights: np.ndarray) -> float:
-    total = 0.0
-    for block in blocks:
-        total += float(_batch_ap(block, (block.matrix @ weights)[None, :])[0])
-    return total / len(blocks)
-
-
-def _unit_l1(weights: np.ndarray) -> np.ndarray:
-    norm = np.abs(weights).sum()
-    if norm == 0.0:
-        raise TrainingError("weight vector collapsed to zero")
-    return weights / norm
-
-
-def train_coordinate_ascent(
+def _query_blocks(
     examples: Sequence[TrainingExample],
-    feature_names: Sequence[str],
-    config: CoordinateAscentConfig = CoordinateAscentConfig(),
-) -> RankModel:
-    """Fit a linear ranker by coordinate ascent on training MAP.
-
-    Restart 0 starts from uniform weights, later restarts from seeded random
-    unit-L1 vectors. Coordinates are cycled in fixed order; for each one the
-    best additive step among +/- step_base * 2^i is accepted only when it
-    improves MAP by more than ``min_gain``. Training stops after a full
-    cycle without an accepted move; the best restart wins (ties go to the
-    lowest restart index).
-    """
-    n_dims = len(feature_names)
+    n_dims: int,
+    threshold: int,
+    matrices: dict[tuple, np.ndarray],
+) -> list[_QueryBlock]:
     grouped: dict[str, list[TrainingExample]] = {}
     for example in examples:
         if len(example.features) != n_dims:
@@ -203,69 +181,387 @@ def train_coordinate_ascent(
     if not grouped:
         raise TrainingError("no training examples")
 
-    blocks = [
-        _QueryBlock(query_id, grouped[query_id], config.relevance_threshold)
-        for query_id in sorted(grouped)
-    ]
+    blocks = [_QueryBlock(grouped[query_id], threshold, matrices) for query_id in sorted(grouped)]
     if not any(b.n_relevant > 0 for b in blocks):
         raise TrainingError("no query has a relevant document at the configured threshold")
-    if not any(len(b.positions) >= 2 and b.n_relevant > 0 for b in blocks):
+    if not any(len(b.relevant) >= 2 and b.n_relevant > 0 for b in blocks):
         raise TrainingError("need at least one query with >= 2 documents and a relevant one")
+    return blocks
 
+
+def _ap_rows(relevant: np.ndarray, n_relevant) -> np.ndarray:
+    """AP of each ranked relevance row (last axis: rank), one pairwise sum per row."""
+    precision = np.cumsum(relevant, axis=-1) / np.arange(1, relevant.shape[-1] + 1, dtype=np.float64)
+    precision *= relevant
+    return precision.sum(axis=-1) / n_relevant
+
+
+def _unit_l1(weights: np.ndarray) -> np.ndarray:
+    norm = np.abs(weights).sum()
+    if norm == 0.0:
+        raise TrainingError("weight vector collapsed to zero")
+    return weights / norm
+
+
+def _initial_weights(n_dims: int, seed: int, restart: int) -> np.ndarray:
+    if restart == 0:
+        return np.full(n_dims, 1.0 / n_dims)
+    rng = np.random.default_rng((seed, restart))
+    weights = rng.standard_normal(n_dims)
+    if np.abs(weights).sum() == 0.0:
+        weights = np.full(n_dims, 1.0 / n_dims)
+    return _unit_l1(weights)
+
+
+# A probe works on (pairs x steps x documents) arrays. It takes its pairs in
+# slices of at most this many elements, so the temporaries stay small however
+# many runs train together.
+_SLICE_ELEMENTS = 1 << 13
+
+# A probe re-places only the documents that move when fewer than 1 in this
+# many move; otherwise it re-sorts the whole query.
+_SPARSE_RATIO = 8
+
+
+class _LengthGroup:
+    """The (run, query) pairs whose queries have one document count.
+
+    Each pair caches what a probe starts from: its scores under the run's
+    weights, their stable best-first order (and each document's place in
+    it), the relevance in that order and its AP. Queries without a relevant
+    document never enter a group: their AP is 0 under any weights.
+    """
+
+    def __init__(self, blocks: list[_QueryBlock], pairs: list[tuple[int, int, int]]):
+        self.matrices: list[np.ndarray] = []
+        matrix_index: dict[int, int] = {}
+        for b in blocks:
+            if id(b.matrix) not in matrix_index:
+                matrix_index[id(b.matrix)] = len(self.matrices)
+                self.matrices.append(b.matrix)
+        # One matrix (the stage-2 topics) is used as it is, not copied.
+        self.stack = self.matrices[0][None] if len(self.matrices) == 1 else np.stack(self.matrices)
+        self.block_matrix = np.array([matrix_index[id(b.matrix)] for b in blocks])
+        self.relevant = np.stack([b.relevant for b in blocks])
+        self.n_relevant = np.array([b.n_relevant for b in blocks])
+        self.run, self.slot, self.block = (np.array(column) for column in zip(*pairs))
+        n_pairs, n_docs = len(pairs), self.relevant.shape[1]
+        self.scores = np.empty((n_pairs, n_docs))
+        self.order = np.empty((n_pairs, n_docs), dtype=np.intp)
+        self.place = np.empty((n_pairs, n_docs), dtype=np.intp)
+        self.sorted_scores = np.empty((n_pairs, n_docs))
+        self.ranked_relevant = np.empty((n_pairs, n_docs), dtype=bool)
+        self.ap = np.empty(n_pairs)
+        pairs_of_run: dict[int, list[int]] = {}
+        for i, (run, _, _) in enumerate(pairs):
+            pairs_of_run.setdefault(run, []).append(i)
+        self.pairs_of_run = {run: np.array(ids) for run, ids in pairs_of_run.items()}
+
+    def refresh(self, run: int, weights: np.ndarray) -> None:
+        """Recompute the cache of ``run``'s pairs for new weights."""
+        pairs = self.pairs_of_run.get(run)
+        if pairs is None:
+            return
+        blocks = self.block[pairs]
+        scores = np.stack([self.matrices[m] @ weights for m in self.block_matrix[blocks]])
+        # Stable sort on negated scores keeps ascending doc-index order among ties.
+        order = np.argsort(-scores, axis=1, kind="stable")
+        rows = np.arange(len(pairs))[:, None]
+        place = np.empty_like(order)
+        place[rows, order] = np.arange(order.shape[1])
+        ranked = self.relevant[blocks[:, None], order]
+        self.scores[pairs] = scores
+        self.order[pairs] = order
+        self.place[pairs] = place
+        self.sorted_scores[pairs] = scores[rows, order]
+        self.ranked_relevant[pairs] = ranked
+        self.ap[pairs] = _ap_rows(ranked, self.n_relevant[blocks])
+
+    def probe(self, pairs: np.ndarray, dim: int, deltas: np.ndarray) -> np.ndarray:
+        """AP of each pair under each step on ``dim`` (shape: pairs x steps).
+
+        Documents are ordered by the key (-score, doc index), the key of a
+        stable sort on negated scores. A row keeps the cached AP unless its
+        relevance sequence differs from the cached one; only then does it go
+        through the AP arithmetic.
+        """
+        ap = np.repeat(self.ap[pairs][:, None], len(deltas), axis=1)
+        # Per matrix: the documents non-zero on dim first, in ascending order.
+        moves = self.stack[:, :, dim] != 0.0
+        moved, n_moved = np.argsort(~moves, axis=1, kind="stable"), moves.sum(axis=1)
+        matrices = self.block_matrix[self.block[pairs]]
+        hit = np.flatnonzero(n_moved[matrices] > 0)
+        if hit.size == 0:
+            return ap
+        n_docs = self.relevant.shape[1]
+        width = int(n_moved[matrices[hit]].max())
+        resort = width * _SPARSE_RATIO > n_docs
+        step = max(1, _SLICE_ELEMENTS // (len(deltas) * (n_docs if resort else width)))
+        for start in range(0, len(hit), step):
+            rows = hit[start:start + step]
+            if resort:
+                parts = self._resort(pairs[rows], dim, deltas)
+            else:
+                part = matrices[rows]
+                parts = self._replace(pairs[rows], dim, deltas, moved[part, :width], n_moved[part])
+            for at_pair, at_step, relevant in parts:
+                at_pair = rows[at_pair]
+                changed = (relevant != self.ranked_relevant[pairs[at_pair]]).any(axis=1)
+                if changed.any():
+                    at_pair, at_step = at_pair[changed], at_step[changed]
+                    ap[at_pair, at_step] = _ap_rows(
+                        relevant[changed], self.n_relevant[self.block[pairs[at_pair]]]
+                    )
+        return ap
+
+    def _resort(self, pairs, dim, deltas):
+        """Yield (pair, step, relevance row) of every step, from a full stable re-sort."""
+        blocks = self.block[pairs]
+        shifted = (
+            self.scores[pairs][:, None, :]
+            + deltas[None, :, None] * self.stack[self.block_matrix[blocks], :, dim][:, None, :]
+        )
+        order = np.argsort(np.negative(shifted, out=shifted), axis=-1, kind="stable")
+        relevant = self.relevant[blocks[:, None, None], order]
+        at_pair, at_step = np.divmod(np.arange(len(pairs) * len(deltas)), len(deltas))
+        yield at_pair, at_step, relevant.reshape(len(at_pair), -1)
+
+    def _replace(self, pairs, dim, deltas, docs, count):
+        """Yield (pair, step, relevance row) of the steps that may change the relevance.
+
+        Only the ``docs`` non-zero on ``dim`` move (ascending doc index,
+        padded; ``count`` per pair). Each is re-placed among the unmoved
+        ones, which keep their cached order.
+        """
+        blocks = self.block[pairs]
+        n_pairs, n_docs = len(pairs), self.relevant.shape[1]
+        valid = np.arange(docs.shape[1]) < count[:, None]
+        rows = np.arange(n_pairs)[:, None]
+        shifted = (
+            self.scores[pairs[:, None], docs][:, None, :]
+            + deltas[None, :, None]
+            * self.stack[self.block_matrix[blocks][:, None], docs, dim][:, None, :]
+        )
+
+        # The unmoved documents in cached order: the first n_docs - count.
+        place = self.place[pairs[:, None], docs]
+        is_moved = np.zeros((n_pairs, n_docs + 1), dtype=bool)
+        is_moved[rows, np.where(valid, place, n_docs)] = True
+        is_moved = is_moved[:, :n_docs]
+        keep = np.argsort(is_moved, axis=1, kind="stable")
+        rest = np.arange(n_docs) < (n_docs - count)[:, None]
+        rest_relevant = self.ranked_relevant[pairs[:, None], keep] & rest
+        rest_keys = np.where(rest, -self.sorted_scores[pairs[:, None], keep], np.inf)
+        rest_docs = self.order[pairs[:, None], keep]
+
+        # Gap (number of unmoved documents ahead) of each moved document,
+        # from the cached order and after the step.
+        moved_before = np.cumsum(is_moved, axis=1) - is_moved
+        base_gap = place - moved_before[rows, place]
+        keys = np.negative(shifted, out=shifted)
+        gap = _count_ahead(rest_keys, rest_docs, n_docs - count, keys, docs)
+
+        # Unchanged for sure when every moved document only crosses unmoved
+        # documents of its own relevance and all moved documents share one
+        # relevance: each crossed range then holds one relevance value
+        # before and after, at the same places.
+        labels = self.relevant[blocks[:, None], docs]
+        low = np.minimum(gap, base_gap[:, None, :])
+        high = np.maximum(gap, base_gap[:, None, :])
+        prefix = np.zeros((n_pairs, n_docs + 1), dtype=np.intp)
+        np.cumsum(rest_relevant, axis=1, out=prefix[:, 1:])
+        crossed = prefix[rows[:, :, None], high] - prefix[rows[:, :, None], low]
+        uniform = np.where(labels[:, None, :], crossed == high - low, crossed == 0)
+        one_relevance = (labels | ~valid).all(axis=1) | ~(labels & valid).any(axis=1)
+        unsure_pair, unsure_step = np.nonzero(
+            ~((uniform | ~valid[:, None, :]).all(axis=-1) & one_relevance[:, None])
+        )
+        del low, high, crossed, uniform
+
+        # Rebuild the other rows, a slice at a time: moved documents at gap +
+        # rank among the moved, unmoved ones filling the free places in
+        # cached order.
+        step = max(1, _SLICE_ELEMENTS // n_docs)
+        for start in range(0, len(unsure_pair), step):
+            at_pair = unsure_pair[start:start + step]
+            at_step = unsure_step[start:start + step]
+            row_valid = valid[at_pair]
+            keyed = np.where(row_valid, keys[at_pair, at_step], np.inf)
+            rank = np.argsort(np.argsort(keyed, axis=1, kind="stable"), axis=1, kind="stable")
+            new_place = np.where(row_valid, gap[at_pair, at_step] + rank, n_docs)
+            row_ids = np.arange(len(at_pair))[:, None]
+            taken = np.zeros((len(at_pair), n_docs + 1), dtype=bool)
+            taken[row_ids, new_place] = True
+            relevant = np.empty_like(taken)
+            relevant[:, :n_docs][~taken[:, :n_docs]] = rest_relevant[at_pair][rest[at_pair]]
+            relevant[row_ids, new_place] = labels[at_pair]
+            yield at_pair, at_step, relevant[:, :n_docs]
+
+
+def _count_ahead(
+    rest_keys: np.ndarray, rest_docs: np.ndarray, n_rest: np.ndarray, keys: np.ndarray, docs: np.ndarray
+) -> np.ndarray:
+    """Number of unmoved documents ahead of each moved one, by binary search.
+
+    Row i of ``rest_keys``/``rest_docs`` holds the negated scores and doc
+    indices of its ``n_rest[i]`` unmoved documents in key order, then +inf
+    keys; ``keys`` (rows x steps x moved) are the moved documents' negated
+    new scores and ``docs`` (rows x moved) their doc indices. An equal score
+    puts the lower doc index first.
+    """
+    offset = (np.arange(rest_keys.shape[0]) * rest_keys.shape[1])[:, None, None]
+    flat_keys, flat_docs = rest_keys.ravel(), rest_docs.ravel()
+    lo = np.zeros(keys.shape, dtype=np.intp)
+    hi = np.broadcast_to(n_rest[:, None, None], keys.shape)
+    for _ in range(rest_keys.shape[1].bit_length()):
+        mid = (lo + hi) >> 1
+        mid_keys = flat_keys[offset + mid]
+        ahead = mid_keys < keys
+        ties = mid_keys == keys
+        if ties.any():
+            ahead |= ties & (flat_docs[offset + mid] < docs[:, None, :])
+        lo = np.where(ahead, mid + 1, lo)
+        hi = np.where(ahead, hi, mid)
+    return lo
+
+
+def _ascend(
+    runs: list[tuple[list[_QueryBlock], np.ndarray]],
+    deltas: np.ndarray,
+    config: CoordinateAscentConfig,
+) -> list[tuple[np.ndarray, float]]:
+    """Coordinate ascent for independent runs in lockstep; final (weights, MAP) per run.
+
+    A run is a query list and its start weights. Every cycle probes each
+    coordinate for all active runs at once; a run stops after a cycle
+    without an accepted step.
+    """
+    n_runs = len(runs)
+    n_dims = len(runs[0][1])
+    grouped: dict[int, tuple[dict[int, int], list[_QueryBlock], list[tuple[int, int, int]]]] = {}
+    for r, (blocks, _) in enumerate(runs):
+        for slot, block in enumerate(blocks):
+            if block.n_relevant == 0:
+                continue
+            index, members, pairs = grouped.setdefault(len(block.relevant), ({}, [], []))
+            if id(block) not in index:
+                index[id(block)] = len(members)
+                members.append(block)
+            pairs.append((r, slot, index[id(block)]))
+    groups = [_LengthGroup(members, pairs) for _, members, pairs in grouped.values()]
+    n_queries = np.array([len(blocks) for blocks, _ in runs], dtype=np.float64)
+    table = np.zeros((n_runs, int(n_queries.max()), len(deltas)))
+
+    def mean_over_queries(rows: np.ndarray) -> np.ndarray:
+        # A running total in query order, as summing one query at a time does.
+        return np.cumsum(table[rows], axis=1)[:, -1, :] / n_queries[rows, None]
+
+    weights = [w for _, w in runs]
+    for group in groups:
+        for r in range(n_runs):
+            group.refresh(r, weights[r])
+        table[group.run, group.slot, 0] = group.ap
+    current = mean_over_queries(np.arange(n_runs))[:, 0]
+    active = np.ones(n_runs, dtype=bool)
+    while active.any():
+        improved = np.zeros(n_runs, dtype=bool)
+        rows = np.flatnonzero(active)
+        pairs = [np.flatnonzero(active[g.run]) for g in groups]
+        for dim in range(n_dims):
+            for group, group_pairs in zip(groups, pairs):
+                table[group.run[group_pairs], group.slot[group_pairs]] = group.probe(
+                    group_pairs, dim, deltas
+                )
+            candidate_maps = mean_over_queries(rows)
+            best = np.argmax(candidate_maps, axis=1)
+            best_maps = candidate_maps[np.arange(len(rows)), best]
+            gains = best_maps > current[rows] + config.min_gain
+            for r, best_idx, new_map in zip(rows[gains], best[gains], best_maps[gains]):
+                trial = weights[r].copy()
+                trial[dim] += deltas[best_idx]
+                if np.abs(trial).sum() == 0.0:
+                    continue
+                weights[r] = _unit_l1(trial)
+                if new_map < current[r] - 1e-12:
+                    raise TrainingError(
+                        f"training MAP decreased from {current[r]!r} to {new_map!r}"
+                    )
+                current[r] = new_map
+                improved[r] = True
+                for group in groups:
+                    group.refresh(r, weights[r])
+        active &= improved
+    return [(weights[r], float(current[r])) for r in range(n_runs)]
+
+
+@overload
+def train_coordinate_ascent(
+    examples: Sequence[TrainingExample],
+    feature_names: Sequence[str],
+    config: CoordinateAscentConfig = ...,
+) -> RankModel: ...
+
+
+@overload
+def train_coordinate_ascent(
+    examples: Mapping[str, Sequence[TrainingExample]],
+    feature_names: Sequence[str],
+    config: CoordinateAscentConfig = ...,
+) -> dict[str, RankModel]: ...
+
+
+def train_coordinate_ascent(examples, feature_names, config=CoordinateAscentConfig()):
+    """Fit a linear ranker by coordinate ascent on training MAP.
+
+    Restart 0 starts from uniform weights, later restarts from seeded random
+    unit-L1 vectors. Coordinates are cycled in fixed order; for each one the
+    best additive step among +/- step_base * 2^i is accepted only when it
+    improves MAP by more than ``min_gain``. Training stops after a full
+    cycle without an accepted move; the best restart wins (ties go to the
+    lowest restart index).
+
+    Given a mapping of names to example sets, one model is trained per set
+    and a dict of models is returned; each equals the model a separate call
+    would train. The restarts of all sets are trained together.
+    """
+    sets = list(examples.values()) if isinstance(examples, Mapping) else [examples]
+    n_dims = len(feature_names)
+    matrices: dict[tuple, np.ndarray] = {}
+    problems = [_query_blocks(s, n_dims, config.relevance_threshold, matrices) for s in sets]
+    if not problems:
+        return {}
+    if config.restarts < 1:
+        raise TrainingError(f"no model trained: restarts must be >= 1, got {config.restarts}")
     deltas = np.array(
         [sign * config.step_base * (2.0**level) for level in range(config.step_levels) for sign in (1.0, -1.0)]
     )
-
-    best_weights: np.ndarray | None = None
-    best_map = -1.0
-    for restart in range(config.restarts):
-        if restart == 0:
-            weights = np.full(n_dims, 1.0 / n_dims)
-        else:
-            rng = np.random.default_rng((config.seed, restart))
-            weights = rng.standard_normal(n_dims)
-            if np.abs(weights).sum() == 0.0:
-                weights = np.full(n_dims, 1.0 / n_dims)
-            weights = _unit_l1(weights)
-
-        current = _mean_ap(blocks, weights)
-        improved = True
-        while improved:
-            improved = False
-            for dim in range(n_dims):
-                candidate_maps = np.zeros(len(deltas))
-                for block in blocks:
-                    base = block.matrix @ weights
-                    shifted = base[None, :] + deltas[:, None] * block.matrix[:, dim][None, :]
-                    candidate_maps += _batch_ap(block, shifted)
-                candidate_maps /= len(blocks)
-                best_idx = int(np.argmax(candidate_maps))
-                if candidate_maps[best_idx] > current + config.min_gain:
-                    trial = weights.copy()
-                    trial[dim] += deltas[best_idx]
-                    if np.abs(trial).sum() == 0.0:
-                        continue
-                    weights = _unit_l1(trial)
-                    new_map = candidate_maps[best_idx]
-                    if new_map < current - 1e-12:
-                        raise TrainingError(
-                            f"training MAP decreased from {current!r} to {new_map!r}"
-                        )
-                    current = new_map
-                    improved = True
-
-        if current > best_map:
-            best_map = current
-            best_weights = weights
-
-    if best_weights is None:
-        raise TrainingError(f"no model trained: restarts must be >= 1, got {config.restarts}")
-    return RankModel(
-        weights=tuple(float(w) for w in best_weights),
-        feature_names=tuple(feature_names),
-        training_map=float(best_map),
-        config=config.as_dict(),
+    finals = _ascend(
+        [
+            (blocks, _initial_weights(n_dims, config.seed, restart))
+            for blocks in problems
+            for restart in range(config.restarts)
+        ],
+        deltas,
+        config,
     )
+
+    models = []
+    for p in range(len(problems)):
+        best_weights, best_map = None, -1.0
+        for weights, final_map in finals[p * config.restarts:(p + 1) * config.restarts]:
+            if final_map > best_map:
+                best_weights, best_map = weights, final_map
+        models.append(
+            RankModel(
+                weights=tuple(float(w) for w in best_weights),
+                feature_names=tuple(feature_names),
+                training_map=best_map,
+                config=config.as_dict(),
+            )
+        )
+    if isinstance(examples, Mapping):
+        return dict(zip(examples, models))
+    return models[0]
 
 
 def save_model(model: RankModel, path: str | Path) -> None:
@@ -280,12 +576,12 @@ def save_model(model: RankModel, path: str | Path) -> None:
 
 def load_model(path: str | Path) -> RankModel:
     try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise IntegrityError(f"{path}: not a valid model file ({exc})") from None
-    return RankModel(
-        weights=tuple(float(w) for w in payload["weights"]),
-        feature_names=tuple(payload["feature_names"]),
-        training_map=float(payload["training_map"]),
-        config=payload.get("config", {}),
-    )
+        payload = json.loads(Path(path).read_bytes().decode("utf-8"))
+        return RankModel(
+            weights=tuple(float(w) for w in payload["weights"]),
+            feature_names=tuple(payload["feature_names"]),
+            training_map=float(payload["training_map"]),
+            config=payload.get("config", {}),
+        )
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"{path}: not a valid model file ({exc!r})") from None

@@ -17,7 +17,7 @@ import json
 import logging
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Any, Callable, Iterable, Sequence, TypeVar
 
 import numpy as np
 
@@ -255,23 +255,30 @@ def _read_partitions(path: Path) -> dict[str, Partition]:
     return dict(_read_jsonl(path, _parse_partition))
 
 
+def _parse_ranking(obj: dict) -> tuple[str, Ranking]:
+    return obj["query_id"], Ranking(
+        query_id=obj["query_id"], items=tuple((str(d), float(s)) for d, s in obj["items"])
+    )
+
+
 def _read_rankings_jsonl(path: Path) -> dict[str, Ranking]:
-    rankings: dict[str, Ranking] = {}
-    with path.open("r", encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            obj = json.loads(line)
-            rankings[obj["query_id"]] = Ranking(
-                query_id=obj["query_id"],
-                items=tuple((str(d), float(s)) for d, s in obj["items"]),
-            )
-    return rankings
+    return dict(_read_jsonl(path, _parse_ranking))
+
+
+def _read_json(path: Path, parse: Callable[[Any], T]) -> T:
+    """Parse a JSON artifact with ``parse``.
+
+    A file that is not UTF-8 JSON, or that ``parse`` cannot read, raises
+    ``ParseError`` naming the file.
+    """
+    try:
+        return parse(json.loads(path.read_bytes().decode("utf-8")))
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"{path}: malformed file ({exc!r})") from None
 
 
 def _load_split(mode_dir: Path) -> tuple[set[str], set[str]]:
-    obj = json.loads((mode_dir / "split.json").read_text(encoding="utf-8"))
-    return set(obj["train"]), set(obj["test"])
+    return _read_json(mode_dir / "split.json", lambda obj: (set(obj["train"]), set(obj["test"])))
 
 
 def _stage_link(ctx: PipelineContext) -> None:
@@ -351,6 +358,17 @@ def _stage_features(ctx: PipelineContext) -> None:
             for node_id, vector in zip(candidates, normalized)
         ]
 
+    for qg in graphs:
+        if qg.instance_id not in partitions:
+            raise IntegrityError(
+                f"{mode_dir / 'partitions.jsonl'}: no partition for instance "
+                f"{qg.instance_id!r}; rerun stage 'cluster'"
+            )
+        if qg.instance_id not in instances:
+            raise IntegrityError(
+                f"{config.corpus}: no corpus record for instance {qg.instance_id!r} "
+                f"of {mode_dir / 'query_graphs.jsonl'}"
+            )
     jobs = list(zip(graphs, pagerank_batch(graphs)))
     rows = [row for chunk in map_ordered(extract_one, jobs, config.workers) for row in chunk]
     write_feature_rows(mode_dir / "features.tsv", rows)
@@ -475,10 +493,13 @@ def _stage_rank2(ctx: PipelineContext) -> None:
     lexicon = load_lexicon(mode_dir / "lexicon.json")
     _, test_ids = _load_split(mode_dir)
 
-    index = json.loads((mode_dir / "topic_models" / "index.json").read_text(encoding="utf-8"))
+    files = _read_json(
+        mode_dir / "topic_models" / "index.json",
+        lambda obj: {str(topic): str(obj["files"][topic]) for topic in obj["topics"]},
+    )
     models = [
-        TopicModel(topic=topic, model=load_model(mode_dir / "topic_models" / index["files"][topic]))
-        for topic in index["topics"]
+        TopicModel(topic=topic, model=load_model(mode_dir / "topic_models" / filename))
+        for topic, filename in files.items()
     ]
     expected_names = lexicon.feature_names()
     for topic_model in models:
@@ -500,11 +521,13 @@ def _stage_rank2(ctx: PipelineContext) -> None:
 def _stage_evaluate(ctx: PipelineContext) -> None:
     config = ctx.config
     mode_dir = _mode_dir(config)
-    obj = json.loads((mode_dir / "rankings2.json").read_text(encoding="utf-8"))
-    rankings = {
-        topic: Ranking(query_id=topic, items=tuple((str(d), float(s)) for d, s in items))
-        for topic, items in obj.items()
-    }
+    rankings = _read_json(
+        mode_dir / "rankings2.json",
+        lambda obj: {
+            topic: Ranking(query_id=topic, items=tuple((str(d), float(s)) for d, s in items))
+            for topic, items in obj.items()
+        },
+    )
     lexicon = load_lexicon(mode_dir / "lexicon.json")
     gold = {inst.instance_id: inst.topics for inst in ctx.corpus}
     report = evaluate(

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .errors import IntegrityError, TrainingError
+from .errors import IntegrityError, ParseError, TrainingError
 from .ltr import (
     CoordinateAscentConfig,
     RankModel,
@@ -125,7 +125,7 @@ def train_topic_models(
     size = len(lexicon)
     names = lexicon.feature_names()
     dense = {v.instance_id: v.dense(size) for v in vectors}
-    models: list[TopicModel] = []
+    example_sets: dict[str, list[TrainingExample]] = {}
     for topic in topics:
         examples = []
         for vector in vectors:
@@ -143,8 +143,10 @@ def train_topic_models(
             raise TrainingError(f"topic {topic!r} has no positive training instance")
         if positives == len(examples):
             raise TrainingError(f"topic {topic!r} has no negative training instance")
-        models.append(TopicModel(topic=topic, model=train_coordinate_ascent(examples, names, config)))
-    return models
+        example_sets[topic] = examples
+    # The topics share one document matrix, so their restarts train together.
+    models = train_coordinate_ascent(example_sets, names, config)
+    return [TopicModel(topic=topic, model=models[topic]) for topic in topics]
 
 
 def rank_images(
@@ -168,7 +170,10 @@ def save_lexicon(lexicon: Lexicon, path: str | Path) -> None:
 
 
 def load_lexicon(path: str | Path) -> Lexicon:
-    return Lexicon.from_json_obj(json.loads(Path(path).read_text(encoding="utf-8")))
+    try:
+        return Lexicon.from_json_obj(json.loads(Path(path).read_bytes().decode("utf-8")))
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"{path}: not a valid lexicon file ({exc!r})") from None
 
 
 def write_instance_vectors(vectors: Sequence[InstanceVector], path: str | Path) -> None:

@@ -1,5 +1,6 @@
 """Ranking metrics and the coordinate-ascent trainer."""
 
+import dataclasses
 import itertools
 from fractions import Fraction
 
@@ -21,6 +22,7 @@ from gistrank.ltr import (
     save_model,
     train_coordinate_ascent,
 )
+from gistrank.topics import InstanceVector, Lexicon, train_topic_models
 
 
 def ap_oracle(bools):
@@ -248,3 +250,281 @@ class TestTrainCoordinateAscent:
 def test_model_weight_name_mismatch():
     with pytest.raises(IntegrityError):
         RankModel(weights=(0.5,), feature_names=("a", "b"), training_map=0.0)
+
+
+def loop_train_coordinate_ascent(examples, feature_names, config=CoordinateAscentConfig()):
+    """Reference: the per-restart, per-coordinate, per-query loop the batched trainer replaced.
+
+    Every probe re-sorts every query's scores under all steps and recomputes
+    each query's AP from scratch.
+    """
+
+    def batch_ap(matrix, relevant, scores):
+        n_relevant = int(relevant.sum())
+        if n_relevant == 0:
+            return np.zeros(scores.shape[0])
+        order = np.argsort(-scores, axis=1, kind="stable")
+        rel = relevant[order]
+        cum = np.cumsum(rel, axis=1)
+        precision = cum / np.arange(1, matrix.shape[0] + 1, dtype=np.float64)
+        return (precision * rel).sum(axis=1) / n_relevant
+
+    def unit_l1(weights):
+        return weights / np.abs(weights).sum()
+
+    n_dims = len(feature_names)
+    grouped = {}
+    for example in examples:
+        grouped.setdefault(example.query_id, []).append(example)
+    blocks = []
+    for query_id in sorted(grouped):
+        docs = sorted(grouped[query_id], key=lambda e: e.doc_id)
+        matrix = np.asarray([e.features for e in docs], dtype=np.float64)
+        relevant = np.asarray([e.grade >= config.relevance_threshold for e in docs], dtype=bool)
+        blocks.append((matrix, relevant))
+    deltas = np.array(
+        [sign * config.step_base * (2.0**level) for level in range(config.step_levels) for sign in (1.0, -1.0)]
+    )
+
+    best_weights, best_map = None, -1.0
+    for restart in range(config.restarts):
+        if restart == 0:
+            weights = np.full(n_dims, 1.0 / n_dims)
+        else:
+            rng = np.random.default_rng((config.seed, restart))
+            weights = rng.standard_normal(n_dims)
+            if np.abs(weights).sum() == 0.0:
+                weights = np.full(n_dims, 1.0 / n_dims)
+            weights = unit_l1(weights)
+        current = 0.0
+        for matrix, relevant in blocks:
+            current += float(batch_ap(matrix, relevant, (matrix @ weights)[None, :])[0])
+        current /= len(blocks)
+        improved = True
+        while improved:
+            improved = False
+            for dim in range(n_dims):
+                candidate_maps = np.zeros(len(deltas))
+                for matrix, relevant in blocks:
+                    base = matrix @ weights
+                    shifted = base[None, :] + deltas[:, None] * matrix[:, dim][None, :]
+                    candidate_maps += batch_ap(matrix, relevant, shifted)
+                candidate_maps /= len(blocks)
+                best_idx = int(np.argmax(candidate_maps))
+                if candidate_maps[best_idx] > current + config.min_gain:
+                    trial = weights.copy()
+                    trial[dim] += deltas[best_idx]
+                    if np.abs(trial).sum() == 0.0:
+                        continue
+                    weights = unit_l1(trial)
+                    current = candidate_maps[best_idx]
+                    improved = True
+        if current > best_map:
+            best_map, best_weights = current, weights
+    return RankModel(
+        weights=tuple(float(w) for w in best_weights),
+        feature_names=tuple(feature_names),
+        training_map=float(best_map),
+        config=config.as_dict(),
+    )
+
+
+# Grid values make equal scores likely: with five dimensions the uniform
+# start weight is 0.2 and the step -0.2 sends a one-feature row exactly to
+# the score of an all-zero row.
+GRID = (0.25, 0.5, 1.0, 2.0, -0.5)
+
+
+def random_rows(rng, n_rows, n_dims, density):
+    """Sparse rows with all-zero columns and rows, duplicate rows and both signs."""
+    rows = np.zeros((n_rows, n_dims))
+    dead = rng.random(n_dims) < 0.2
+    for i in range(n_rows):
+        kind = rng.integers(6)
+        if kind == 0 or (kind == 1 and i == 0):
+            continue  # all-zero row
+        if kind == 1:
+            rows[i] = rows[rng.integers(i)]  # duplicate row: exact score ties
+        elif kind == 2:
+            rows[i, rng.integers(n_dims)] = GRID[rng.integers(len(GRID))]
+        else:
+            mask = rng.random(n_dims) < density
+            grid = np.asarray(GRID)[rng.integers(len(GRID), size=n_dims)]
+            rows[i] = np.where(mask, np.where(rng.random(n_dims) < 0.5, grid, rng.normal(size=n_dims)), 0.0)
+    rows[:, dead] = 0.0
+    return rows
+
+
+@st.composite
+def training_sets(draw):
+    """Queries of mixed lengths: one-document queries, queries without a
+    relevant document, and queries long enough that sparse columns move few
+    of their documents."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_dims = draw(st.sampled_from([1, 2, 3, 5, 5]))
+    density = draw(st.sampled_from([0.1, 0.3, 0.8]))
+    lengths = draw(st.lists(st.sampled_from([1, 2, 3, 9, 17, 24]), min_size=1, max_size=4))
+    lengths[0] = max(lengths[0], 2)
+    examples = []
+    for q, n_docs in enumerate(lengths):
+        rows = random_rows(rng, n_docs, n_dims, density)
+        grades = rng.integers(0, 6, size=n_docs)
+        if q == 0:
+            grades[rng.integers(n_docs)] = 5
+        for d in rng.permutation(n_docs):
+            examples.append(
+                TrainingExample(f"q{q}", f"d{d:02d}", tuple(float(x) for x in rows[d]), int(grades[d]))
+            )
+    config = CoordinateAscentConfig(
+        restarts=draw(st.integers(1, 3)),
+        step_base=draw(st.sampled_from([0.05, 0.1])),
+        step_levels=draw(st.integers(1, 3)),
+        min_gain=draw(st.sampled_from([0.0, 1e-6])),
+        seed=draw(st.integers(0, 100)),
+        relevance_threshold=3,
+    )
+    return examples, [f"f{i}" for i in range(n_dims)], config
+
+
+def topic_data(rng, n_instances, n_dims, topics, density):
+    vectors = []
+    rows = random_rows(rng, n_instances, n_dims, density)
+    for i in range(n_instances):
+        entries = {d: float(rows[i, d]) for d in range(n_dims) if rows[i, d] != 0.0}
+        vectors.append(InstanceVector(instance_id=f"i{i:02d}", entries=entries))
+    gold = {}
+    for i, vector in enumerate(vectors):
+        gold[vector.instance_id] = {t for t in topics if rng.random() < 0.3}
+    for k, topic in enumerate(topics):  # every topic has a positive and a negative
+        gold[vectors[k % n_instances].instance_id].add(topic)
+        gold[vectors[(k + 1) % n_instances].instance_id].discard(topic)
+    return vectors, gold
+
+
+def topic_examples(vectors, gold, topic, n_dims):
+    return [
+        TrainingExample(topic, v.instance_id, v.dense(n_dims), 1 if topic in gold[v.instance_id] else 0)
+        for v in vectors
+    ]
+
+
+class TestBatchedTrainerMatchesLoop:
+    @settings(max_examples=80, deadline=None)
+    @given(training_sets())
+    def test_models_equal_loop(self, data):
+        examples, names, config = data
+        assert train_coordinate_ascent(examples, names, config) == loop_train_coordinate_ascent(
+            examples, names, config
+        )
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([9, 17, 30]),
+        st.sampled_from([3, 5, 8]),
+        st.sampled_from([0.1, 0.4]),
+        st.integers(1, 4),
+    )
+    def test_topic_models_equal_loop(self, seed, n_instances, n_dims, density, n_topics):
+        rng = np.random.default_rng(seed)
+        topics = [f"t{k}" for k in range(n_topics)]
+        vectors, gold = topic_data(rng, n_instances, n_dims, topics, density)
+        lexicon = Lexicon(entries={d: d for d in range(n_dims)}, top_k=10)
+        config = CoordinateAscentConfig(restarts=2, step_levels=3, seed=seed % 50, relevance_threshold=1)
+        models = train_topic_models(vectors, gold, topics, lexicon, config)
+        assert [m.topic for m in models] == topics
+        for topic_model in models:
+            examples = topic_examples(vectors, gold, topic_model.topic, n_dims)
+            assert topic_model.model == loop_train_coordinate_ascent(
+                examples, lexicon.feature_names(), config
+            )
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.lists(training_sets(), min_size=1, max_size=3), st.integers(1, 3))
+    def test_joint_training_equals_training_alone(self, sets, restarts):
+        # Sets of different queries, lengths and widths, one shared config.
+        n_dims = max(len(names) for _, names, _ in sets)
+        names = [f"f{i}" for i in range(n_dims)]
+        config = dataclasses.replace(sets[0][2], restarts=restarts)
+        padded = {
+            f"set{k}": [
+                dataclasses.replace(e, features=e.features + (0.0,) * (n_dims - len(e.features)))
+                for e in examples
+            ]
+            for k, (examples, _, _) in enumerate(sets)
+        }
+        joint = train_coordinate_ascent(padded, names, config)
+        assert list(joint) == list(padded)
+        for key, examples in padded.items():
+            assert joint[key] == train_coordinate_ascent(examples, names, config)
+
+    def test_topics_jointly_equal_each_topic_alone(self):
+        rng = np.random.default_rng(12)
+        topics = [f"t{k}" for k in range(5)]
+        vectors, gold = topic_data(rng, 40, 12, topics, 0.15)
+        lexicon = Lexicon(entries={d: d for d in range(12)}, top_k=10)
+        config = CoordinateAscentConfig(restarts=3, relevance_threshold=1)
+        models = train_topic_models(vectors, gold, topics, lexicon, config)
+        for topic_model in models:
+            (alone,) = train_topic_models(vectors, gold, [topic_model.topic], lexicon, config)
+            assert topic_model == alone
+
+    def test_moved_document_ties_an_unmoved_one(self):
+        # Uniform start weights 0.2; the step -0.2 on a dimension sends each
+        # row that is non-zero only there to score 0, the score of the
+        # all-zero rows, and the doc index alone decides their order. About
+        # two rows in 32 move per dimension, so only they are re-placed.
+        rng = np.random.default_rng(6)
+        examples = []
+        for q in range(2):
+            for d in range(32):
+                row = [0.0] * 5
+                if rng.random() < 0.3:
+                    row[rng.integers(5)] = GRID[rng.integers(4)]
+                examples.append(TrainingExample(f"q{q}", f"d{d:02d}", tuple(row), int(rng.integers(0, 6))))
+        config = CoordinateAscentConfig(restarts=1, step_levels=3, min_gain=0.0)
+        names = [f"f{i}" for i in range(5)]
+        assert train_coordinate_ascent(examples, names, config) == loop_train_coordinate_ascent(
+            examples, names, config
+        )
+
+    def test_moved_documents_of_both_relevances(self):
+        # Long sparse queries where documents of both relevance values move
+        # on one coordinate, each crossing only its own kind, and their
+        # reordering among themselves changes the relevance sequence.
+        rng = np.random.default_rng(70)
+        examples = []
+        for q in range(2):
+            rows = random_rows(rng, 32, 4, 0.1)
+            grades = rng.integers(0, 6, size=32)
+            examples += [
+                TrainingExample(f"q{q}", f"d{d:02d}", tuple(float(x) for x in rows[d]), int(grades[d]))
+                for d in range(32)
+            ]
+        names = [f"f{i}" for i in range(4)]
+        config = CoordinateAscentConfig(restarts=2, step_levels=4, relevance_threshold=3)
+        assert train_coordinate_ascent(examples, names, config) == loop_train_coordinate_ascent(
+            examples, names, config
+        )
+
+    def test_queries_summed_in_query_order(self):
+        # Six queries: summing their APs in any other order changes the last
+        # bits of some candidate MAP, and with them the model.
+        rng = np.random.default_rng(1)
+        examples = []
+        for q in range(6):
+            rows = random_rows(rng, 9, 4, 0.5)
+            grades = rng.integers(0, 6, size=9)
+            examples += [
+                TrainingExample(f"q{q}", f"d{d}", tuple(float(x) for x in rows[d]), int(grades[d]))
+                for d in range(9)
+            ]
+        names = [f"f{i}" for i in range(4)]
+        config = CoordinateAscentConfig(restarts=2, step_levels=4)
+        assert train_coordinate_ascent(examples, names, config) == loop_train_coordinate_ascent(
+            examples, names, config
+        )
+
+    def test_no_example_sets_no_models(self):
+        assert train_coordinate_ascent({}, ["f0"], CoordinateAscentConfig(restarts=0)) == {}
+        assert train_topic_models([], {}, [], Lexicon(entries={0: 0}, top_k=10)) == []

@@ -269,6 +269,13 @@ class TestStages:
             run_stage(config, "rank1")
 
 
+def _prefix_first_node_id(data: bytes, prefix: bytes) -> bytes:
+    header, first, rest = data.split(b"\n", 2)
+    cells = first.split(b"\t")
+    cells[1] = prefix + cells[1]
+    return b"\n".join([header, b"\t".join(cells), rest])
+
+
 class TestCli:
     def test_gen_fixture_and_stage(self, tmp_path, capsys):
         out = tmp_path / "fx"
@@ -319,6 +326,63 @@ class TestCli:
         path.write_bytes(corrupt(path.read_bytes()))
         assert main([stage, "--config", config]) == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "path, missing",
+        [("out/TII/partitions.jsonl", "partition"), ("corpus.jsonl", "corpus record")],
+        ids=["partitions-line-dropped", "corpus-line-dropped"],
+    )
+    def test_features_with_missing_instance_exit_code(self, tmp_path, capsys, path, missing):
+        out = tmp_path / "fx"
+        main(["gen-fixture", "--seed", "9", "--instances", "9", "--topics", "3", "--out", str(out)])
+        config = str(out / "pipeline.config")
+        for name in ("link", "graph", "cluster"):
+            assert main([name, "--config", config]) == 0
+        target = out / path
+        lines = target.read_bytes().splitlines(keepends=True)
+        target.write_bytes(b"".join(lines[:-1]))
+        assert main(["features", "--config", config]) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and missing in err and target.name in err
+
+    @pytest.mark.parametrize(
+        "artifact, upstream, stage, corrupt",
+        [
+            ("features.tsv", 4, "train1", lambda data: _prefix_first_node_id(data, b"n")),
+            ("model1.json", 5, "rank1", lambda data: data.replace(b'"weights"', b'"weight"')),
+            ("rankings1.jsonl", 6, "lexicon", lambda data: data[:-40]),
+            ("split.json", 6, "lexicon", lambda data: data[:-40]),
+            ("lexicon.json", 7, "train2", lambda data: data[:-40]),
+            ("topic_models/index.json", 8, "rank2", lambda data: data[:-40]),
+            ("topic_models/index.json", 8, "rank2", lambda data: data.replace(b'"files"', b'"file"')),
+            (None, 8, "rank2", lambda data: data.replace(b'"weights"', b'"weight"')),
+            ("rankings2.json", 9, "evaluate", lambda data: data[:-40]),
+        ],
+        ids=["feature-node-id", "model1-no-weights", "truncated-rankings1", "truncated-split",
+             "truncated-lexicon", "truncated-topic-index", "topic-index-no-files",
+             "topic-model-no-weights", "truncated-rankings2"],
+    )
+    def test_malformed_training_artifact_exit_code(
+        self, tmp_path, capsys, artifact, upstream, stage, corrupt
+    ):
+        out = tmp_path / "fx"
+        main(["gen-fixture", "--seed", "9", "--instances", "9", "--topics", "3", "--out", str(out)])
+        config = str(out / "pipeline.config")
+        stages = ["link", "graph", "cluster", "features", "train1", "rank1", "lexicon", "train2", "rank2"]
+        for name in stages[:upstream]:
+            assert main([name, "--config", config]) == 0
+        mode_dir = out / "out" / "TII"
+        if artifact is None:  # the first topic model
+            index = json.loads((mode_dir / "topic_models" / "index.json").read_text())
+            path = mode_dir / "topic_models" / index["files"][index["topics"][0]]
+        else:
+            path = mode_dir / artifact
+        data = path.read_bytes()
+        assert corrupt(data) != data
+        path.write_bytes(corrupt(data))
+        assert main([stage, "--config", config]) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and path.name in err
 
     def test_bad_fixture_sizes_exit_code(self, tmp_path, capsys):
         assert (
