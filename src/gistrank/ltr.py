@@ -23,7 +23,7 @@ from typing import Mapping, Sequence, overload
 
 import numpy as np
 
-from .errors import IntegrityError, ParseError, TrainingError
+from .errors import IntegrityError, TrainingError, read_json
 
 
 def average_precision(ranked_relevance: Sequence[bool]) -> float:
@@ -146,29 +146,17 @@ def rank(model: RankModel, candidates: Sequence[tuple[str, Sequence[float]]], qu
 
 
 class _QueryBlock:
-    """Training documents of one query, pre-sorted by doc id for tie-breaks.
+    """Training documents of one query, pre-sorted by doc id for tie-breaks."""
 
-    Queries whose documents have the same feature rows share one matrix
-    (in stage 2 every topic ranks the same training instances).
-    """
-
-    def __init__(
-        self, examples: list[TrainingExample], threshold: int, matrices: dict[tuple, np.ndarray]
-    ):
+    def __init__(self, examples: list[TrainingExample], threshold: int):
         examples = sorted(examples, key=lambda e: e.doc_id)
-        rows = tuple(e.features for e in examples)
-        if rows not in matrices:
-            matrices[rows] = np.asarray(rows, dtype=np.float64)
-        self.matrix = matrices[rows]
+        self.rows = tuple(e.features for e in examples)
         self.relevant = np.asarray([e.grade >= threshold for e in examples], dtype=bool)
         self.n_relevant = int(self.relevant.sum())
 
 
 def _query_blocks(
-    examples: Sequence[TrainingExample],
-    n_dims: int,
-    threshold: int,
-    matrices: dict[tuple, np.ndarray],
+    examples: Sequence[TrainingExample], n_dims: int, threshold: int
 ) -> list[_QueryBlock]:
     grouped: dict[str, list[TrainingExample]] = {}
     for example in examples:
@@ -181,7 +169,7 @@ def _query_blocks(
     if not grouped:
         raise TrainingError("no training examples")
 
-    blocks = [_QueryBlock(grouped[query_id], threshold, matrices) for query_id in sorted(grouped)]
+    blocks = [_QueryBlock(grouped[query_id], threshold) for query_id in sorted(grouped)]
     if not any(b.n_relevant > 0 for b in blocks):
         raise TrainingError("no query has a relevant document at the configured threshold")
     if not any(len(b.relevant) >= 2 and b.n_relevant > 0 for b in blocks):
@@ -233,15 +221,15 @@ class _LengthGroup:
     """
 
     def __init__(self, blocks: list[_QueryBlock], pairs: list[tuple[int, int, int]]):
-        self.matrices: list[np.ndarray] = []
-        matrix_index: dict[int, int] = {}
-        for b in blocks:
-            if id(b.matrix) not in matrix_index:
-                matrix_index[id(b.matrix)] = len(self.matrices)
-                self.matrices.append(b.matrix)
-        # One matrix (the stage-2 topics) is used as it is, not copied.
+        # Queries with equal feature rows share one matrix (in stage 2 every
+        # topic ranks the same training instances).
+        matrix_index: dict[tuple, int] = {}
+        self.block_matrix = np.array(
+            [matrix_index.setdefault(b.rows, len(matrix_index)) for b in blocks]
+        )
+        self.matrices = [np.asarray(rows, dtype=np.float64) for rows in matrix_index]
+        # A single matrix (the stage-2 topics) is used as it is, not copied.
         self.stack = self.matrices[0][None] if len(self.matrices) == 1 else np.stack(self.matrices)
-        self.block_matrix = np.array([matrix_index[id(b.matrix)] for b in blocks])
         self.relevant = np.stack([b.relevant for b in blocks])
         self.n_relevant = np.array([b.n_relevant for b in blocks])
         self.run, self.slot, self.block = (np.array(column) for column in zip(*pairs))
@@ -526,8 +514,7 @@ def train_coordinate_ascent(examples, feature_names, config=CoordinateAscentConf
     """
     sets = list(examples.values()) if isinstance(examples, Mapping) else [examples]
     n_dims = len(feature_names)
-    matrices: dict[tuple, np.ndarray] = {}
-    problems = [_query_blocks(s, n_dims, config.relevance_threshold, matrices) for s in sets]
+    problems = [_query_blocks(s, n_dims, config.relevance_threshold) for s in sets]
     if not problems:
         return {}
     if config.restarts < 1:
@@ -575,13 +562,12 @@ def save_model(model: RankModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> RankModel:
-    try:
-        payload = json.loads(Path(path).read_bytes().decode("utf-8"))
-        return RankModel(
+    return read_json(
+        path,
+        lambda payload: RankModel(
             weights=tuple(float(w) for w in payload["weights"]),
             feature_names=tuple(payload["feature_names"]),
             training_map=float(payload["training_map"]),
             config=payload.get("config", {}),
-        )
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"{path}: not a valid model file ({exc!r})") from None
+        ),
+    )

@@ -17,14 +17,14 @@ import json
 import logging
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-from typing import Any, Callable, Iterable, Sequence, TypeVar
+from typing import Callable, Iterable, Sequence, TypeVar
 
 import numpy as np
 
 from . import __version__
 from .clustering import Partition, build_relatedness_graph, louvain
 from .config import PipelineConfig
-from .errors import ConfigError, IntegrityError, ParseError, StageDependencyError
+from .errors import ConfigError, IntegrityError, ParseError, StageDependencyError, read_json
 from .evaluation import (
     MODES,
     EvalReport,
@@ -265,20 +265,8 @@ def _read_rankings_jsonl(path: Path) -> dict[str, Ranking]:
     return dict(_read_jsonl(path, _parse_ranking))
 
 
-def _read_json(path: Path, parse: Callable[[Any], T]) -> T:
-    """Parse a JSON artifact with ``parse``.
-
-    A file that is not UTF-8 JSON, or that ``parse`` cannot read, raises
-    ``ParseError`` naming the file.
-    """
-    try:
-        return parse(json.loads(path.read_bytes().decode("utf-8")))
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"{path}: malformed file ({exc!r})") from None
-
-
 def _load_split(mode_dir: Path) -> tuple[set[str], set[str]]:
-    return _read_json(mode_dir / "split.json", lambda obj: (set(obj["train"]), set(obj["test"])))
+    return read_json(mode_dir / "split.json", lambda obj: (set(obj["train"]), set(obj["test"])))
 
 
 def _stage_link(ctx: PipelineContext) -> None:
@@ -493,7 +481,7 @@ def _stage_rank2(ctx: PipelineContext) -> None:
     lexicon = load_lexicon(mode_dir / "lexicon.json")
     _, test_ids = _load_split(mode_dir)
 
-    files = _read_json(
+    files = read_json(
         mode_dir / "topic_models" / "index.json",
         lambda obj: {str(topic): str(obj["files"][topic]) for topic in obj["topics"]},
     )
@@ -521,7 +509,7 @@ def _stage_rank2(ctx: PipelineContext) -> None:
 def _stage_evaluate(ctx: PipelineContext) -> None:
     config = ctx.config
     mode_dir = _mode_dir(config)
-    rankings = _read_json(
+    rankings = read_json(
         mode_dir / "rankings2.json",
         lambda obj: {
             topic: Ranking(query_id=topic, items=tuple((str(d), float(s)) for d, s in items))

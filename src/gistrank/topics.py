@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .errors import IntegrityError, ParseError, TrainingError
+from .errors import IntegrityError, TrainingError, read_json
 from .ltr import (
     CoordinateAscentConfig,
     RankModel,
@@ -170,10 +170,7 @@ def save_lexicon(lexicon: Lexicon, path: str | Path) -> None:
 
 
 def load_lexicon(path: str | Path) -> Lexicon:
-    try:
-        return Lexicon.from_json_obj(json.loads(Path(path).read_bytes().decode("utf-8")))
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"{path}: not a valid lexicon file ({exc!r})") from None
+    return read_json(path, Lexicon.from_json_obj)
 
 
 def write_instance_vectors(vectors: Sequence[InstanceVector], path: str | Path) -> None:
