@@ -21,7 +21,7 @@ from .kg import KnowledgeGraph, load_graph, save_graph
 from .linking import Instance, LinkMode, SeedSet, corpus_link_stats, link_instance, read_corpus
 from .query_graph import QueryGraph, bfs_distances, build_query_graph
 from .clustering import Partition, WeightedGraph, build_relatedness_graph, louvain, modularity, relatedness
-from .features import FEATURE_NAMES, FeatureVector, extract_features, normalize_per_query
+from .features import FEATURE_NAMES, normalize_per_query
 from .ltr import (
     CoordinateAscentConfig,
     RankModel,
@@ -64,8 +64,6 @@ __all__ = [
     "louvain",
     "modularity",
     "FEATURE_NAMES",
-    "FeatureVector",
-    "extract_features",
     "normalize_per_query",
     "TrainingExample",
     "Ranking",

@@ -1,9 +1,11 @@
-"""Per-candidate feature vectors for concept ranking.
+"""Per-instance feature matrices for concept ranking.
 
 Sixteen features describe one candidate concept for one instance: graph
 connectivity (degree, betweenness, closeness, pagerank, seed proximity),
 cluster and relatedness signals, origin booleans, and text overlap between
-the concept's title/abstract and the instance's tags and image labels.
+the concept's title/abstract and the instance's tags and image labels. An
+instance's candidates form one matrix, a row per candidate and a column per
+entry of ``FEATURE_NAMES``.
 """
 
 from __future__ import annotations
@@ -45,9 +47,7 @@ FEATURE_NAMES: tuple[str, ...] = (
 BOOLEAN_FEATURES: frozenset[str] = frozenset(
     {"is_intermediate", "origin_tag", "origin_image", "origin_both", "is_category"}
 )
-_BOOLEAN_DIMS = tuple(i for i, name in enumerate(FEATURE_NAMES) if name in BOOLEAN_FEATURES)
-
-N_FEATURES = len(FEATURE_NAMES)
+_BOOLEAN_COLUMNS = np.array([name in BOOLEAN_FEATURES for name in FEATURE_NAMES])
 
 _TOKEN_RE = re.compile(r"[0-9a-z]+")
 
@@ -55,22 +55,6 @@ _TOKEN_RE = re.compile(r"[0-9a-z]+")
 def tokenize(text: str) -> list[str]:
     """Lowercase tokens split on non-alphanumeric runs."""
     return _TOKEN_RE.findall(text.lower())
-
-
-@dataclass(frozen=True)
-class FeatureVector:
-    """Fixed-order vector of the 16 candidate features."""
-
-    values: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.values) != N_FEATURES:
-            raise IntegrityError(f"feature vector must have {N_FEATURES} entries")
-        if any(not math.isfinite(v) for v in self.values):
-            raise IntegrityError("feature vector contains non-finite values")
-
-    def __getitem__(self, name: str) -> float:
-        return self.values[FEATURE_NAMES.index(name)]
 
 
 def betweenness(qg: QueryGraph) -> dict[int, float]:
@@ -244,187 +228,132 @@ def _cosine(a: Mapping[str, float], b: Mapping[str, float]) -> float:
     return dot / (norm_a * norm_b)
 
 
-class _InstanceContext:
-    """Shared per-instance computations reused across candidate nodes.
-
-    The graph features are computed for every node at once from the rows of
-    ``qg.hops`` and its relatedness matrix, as lists indexed like ``qg.order``.
-    """
-
-    def __init__(
-        self,
-        qg: QueryGraph,
-        partition: Partition,
-        instance: Instance,
-        graph: KnowledgeGraph,
-        idf: IdfTable,
-        pagerank_scores: Mapping[int, float] | None = None,
-    ):
-        for node_id in qg.order:
-            if node_id not in partition.assignment:
-                raise IntegrityError(f"node {node_id} is not assigned to a cluster")
-        self.qg = qg
-        self.partition = partition
-        self.instance = instance
-        self.graph = graph
-        self.idf = idf
-        self.n = n = qg.n_nodes
-        self.betweenness = betweenness(qg)
-        self.pagerank = pagerank(qg) if pagerank_scores is None else pagerank_scores
-        self.cluster_sizes = partition.cluster_sizes()
-
-        hops = qg.hops
-        reachable = hops > 0
-        r = reachable.sum(axis=1)
-        total = np.where(reachable, hops, 0).sum(axis=1)
-        # Scaled by the reachable fraction so disconnected graphs stay in [0, 1];
-        # a row with nothing reachable has r = total = 0 and scores 0.
-        self.closeness = ((r / max(n - 1, 1)) * (r / np.maximum(total, 1))).tolist()
-
-        seed_cols = [qg.index[s] for s in sorted(qg.seeds)]
-        n_seeds = len(seed_cols)
-        to_seeds = hops[:, seed_cols]
-        near = ((to_seeds > 0) & (to_seeds <= 2)).sum(axis=1)
-        self.seeds_within = (near / max(n_seeds, 1)).tolist()
-
-        related = relatedness_matrix(qg)
-        np.fill_diagonal(related, 0.0)
-        labels = np.array([partition.assignment[v] for v in qg.order])
-        peers = labels[:, None] == labels[None, :]
-        np.fill_diagonal(peers, False)
-        self.intra = (
-            (related * peers).sum(axis=1) / np.maximum(peers.sum(axis=1), 1)
-        ).tolist()
-        other_seeds = n_seeds - np.isin(np.arange(n), seed_cols)
-        self.seed_rel = (
-            related[:, seed_cols].sum(axis=1) / np.maximum(other_seeds, 1)
-        ).tolist()
-
-        mention_text = " ".join(list(instance.tags) + list(instance.image_labels))
-        self.instance_tokens = set(tokenize(mention_text))
-        self.instance_tfidf = idf.tfidf(tokenize(mention_text))
-
-
-def _extract(ctx: _InstanceContext, node_id: int) -> FeatureVector:
-    qg, graph, n = ctx.qg, ctx.graph, ctx.n
-    if node_id not in qg.index:
-        raise IntegrityError(f"node {node_id} is not in the query graph")
-    i = qg.index[node_id]
-    node = graph.node(node_id)
-
-    degree_centrality = qg.degree(node_id) / (n - 1) if n > 1 else 0.0
-    cluster_size_ratio = ctx.cluster_sizes[ctx.partition.assignment[node_id]] / n
-
-    origin = qg.seeds.get(node_id)
-    origin_tag = 1.0 if origin and origin.from_tags else 0.0
-    origin_image = 1.0 if origin and origin.from_image else 0.0
-    origin_both = 1.0 if origin and origin.from_tags and origin.from_image else 0.0
-
-    title_tokens = set(tokenize(node.title))
-    union = title_tokens | ctx.instance_tokens
-    jaccard = len(title_tokens & ctx.instance_tokens) / len(union) if union else 0.0
-
-    abstract_tokens = tokenize(node.abstract_text)
-    cosine = _cosine(ctx.idf.tfidf(abstract_tokens), ctx.instance_tfidf)
-
-    return FeatureVector(
-        values=(
-            degree_centrality,
-            ctx.betweenness[node_id],
-            ctx.closeness[i],
-            ctx.pagerank[node_id],
-            ctx.seeds_within[i],
-            1.0 if node_id in qg.intermediates else 0.0,
-            cluster_size_ratio,
-            ctx.intra[i],
-            ctx.seed_rel[i],
-            origin_tag,
-            origin_image,
-            origin_both,
-            jaccard,
-            cosine,
-            math.log(1.0 + len(abstract_tokens)),
-            1.0 if node.is_category else 0.0,
-        )
-    )
-
-
-def extract_features(
-    qg: QueryGraph,
-    partition: Partition,
-    instance: Instance,
-    node: int,
-    graph: KnowledgeGraph,
-    idf: IdfTable | None = None,
-) -> FeatureVector:
-    """Feature vector for one candidate node of one instance.
-
-    Pass a prebuilt ``idf`` table when extracting many candidates; it only
-    depends on the knowledge graph.
-    """
-    ctx = _InstanceContext(qg, partition, instance, graph, idf or build_idf_table(graph))
-    return _extract(ctx, node)
-
-
 def extract_instance_features(
     qg: QueryGraph,
     partition: Partition,
     instance: Instance,
     graph: KnowledgeGraph,
     idf: IdfTable,
-    candidates: Iterable[int] | None = None,
-    pagerank_scores: Mapping[int, float] | None = None,
-) -> dict[int, FeatureVector]:
-    """Vectors for all candidate nodes of one instance, sharing computations.
+    candidates: Iterable[int],
+    pagerank_scores: Mapping[int, float],
+) -> np.ndarray:
+    """Feature matrix of one instance: a row per candidate, a column per feature.
 
-    Pass ``pagerank_scores`` when they were already computed for ``qg``, for
-    example by :func:`pagerank_batch` over many instances at once.
+    Rows follow the candidates in ascending order and columns follow
+    ``FEATURE_NAMES``. The graph columns are read for all nodes at once from
+    the rows of ``qg.hops`` and its relatedness matrix; the text columns are
+    computed per candidate. ``pagerank_scores`` are the PageRank scores of
+    ``qg``, as computed by :func:`pagerank_batch` over many instances at once.
     """
-    ctx = _InstanceContext(qg, partition, instance, graph, idf, pagerank_scores)
-    node_ids = qg.order if candidates is None else sorted(candidates)
-    return {node_id: _extract(ctx, node_id) for node_id in node_ids}
+    for node_id in qg.order:
+        if node_id not in partition.assignment:
+            raise IntegrityError(f"node {node_id} is not assigned to a cluster")
+    node_ids = sorted(candidates)
+    for node_id in node_ids:
+        if node_id not in qg.index:
+            raise IntegrityError(f"node {node_id} is not in the query graph")
+    rows = [qg.index[v] for v in node_ids]
+    n = qg.n_nodes
+
+    hops = qg.hops
+    reachable = hops > 0
+    r = reachable.sum(axis=1)
+    total = np.where(reachable, hops, 0).sum(axis=1)
+    # Scaled by the reachable fraction so disconnected graphs stay in [0, 1];
+    # a row with nothing reachable has r = total = 0 and scores 0.
+    closeness = (r / max(n - 1, 1)) * (r / np.maximum(total, 1))
+
+    seed_cols = [qg.index[s] for s in sorted(qg.seeds)]
+    n_seeds = len(seed_cols)
+    to_seeds = hops[:, seed_cols]
+    near = ((to_seeds > 0) & (to_seeds <= 2)).sum(axis=1)
+
+    related = relatedness_matrix(qg)
+    np.fill_diagonal(related, 0.0)
+    labels = np.array([partition.assignment[v] for v in qg.order])
+    peers = labels[:, None] == labels[None, :]
+    np.fill_diagonal(peers, False)
+    intra = (related * peers).sum(axis=1) / np.maximum(peers.sum(axis=1), 1)
+    other_seeds = n_seeds - np.isin(np.arange(n), seed_cols)
+    seed_rel = related[:, seed_cols].sum(axis=1) / np.maximum(other_seeds, 1)
+
+    between = betweenness(qg)
+    cluster_sizes = partition.cluster_sizes()
+    origins = [qg.seeds.get(v) for v in node_ids]
+    nodes = [graph.node(v) for v in node_ids]
+    mention_text = " ".join(list(instance.tags) + list(instance.image_labels))
+    instance_tokens = set(tokenize(mention_text))
+    instance_tfidf = idf.tfidf(tokenize(mention_text))
+    jaccard, cosine, log_length = [], [], []
+    for node in nodes:
+        title_tokens = set(tokenize(node.title))
+        union = title_tokens | instance_tokens
+        jaccard.append(len(title_tokens & instance_tokens) / len(union) if union else 0.0)
+        abstract_tokens = tokenize(node.abstract_text)
+        cosine.append(_cosine(idf.tfidf(abstract_tokens), instance_tfidf))
+        log_length.append(math.log(1.0 + len(abstract_tokens)))
+
+    columns = {
+        "degree_centrality": [qg.degree(v) / (n - 1) if n > 1 else 0.0 for v in node_ids],
+        "betweenness": [between[v] for v in node_ids],
+        "closeness": closeness[rows],
+        "pagerank": [pagerank_scores[v] for v in node_ids],
+        "seeds_within_2hops": (near / max(n_seeds, 1))[rows],
+        "is_intermediate": [v in qg.intermediates for v in node_ids],
+        "cluster_size_ratio": [cluster_sizes[partition.assignment[v]] / n for v in node_ids],
+        "mean_intra_cluster_relatedness": intra[rows],
+        "mean_seed_relatedness": seed_rel[rows],
+        "origin_tag": [bool(o and o.from_tags) for o in origins],
+        "origin_image": [bool(o and o.from_image) for o in origins],
+        "origin_both": [bool(o and o.from_tags and o.from_image) for o in origins],
+        "title_token_jaccard": jaccard,
+        "abstract_tfidf_cosine": cosine,
+        "log_abstract_length": log_length,
+        "is_category": [node.is_category for node in nodes],
+    }
+    matrix = np.column_stack([np.asarray(columns[name], dtype=np.float64) for name in FEATURE_NAMES])
+    if not np.isfinite(matrix).all():
+        raise IntegrityError(f"instance {qg.instance_id!r}: non-finite feature value")
+    return matrix
 
 
-def normalize_per_query(vectors: Sequence[FeatureVector]) -> list[FeatureVector]:
-    """Min-max scale each dimension to [0, 1] within one instance's candidates.
+def normalize_per_query(matrix: np.ndarray) -> np.ndarray:
+    """Min-max scale each column to [0, 1] within one instance's candidates.
 
-    Boolean dimensions pass through unchanged; constant non-boolean
-    dimensions collapse to 0. Normalizing twice equals normalizing once.
+    Boolean columns pass through unchanged; constant non-boolean columns
+    collapse to 0. Normalizing twice equals normalizing once.
     """
-    if not vectors:
-        raise ValueError("normalize_per_query requires at least one vector")
-    matrix = np.array([v.values for v in vectors], dtype=np.float64)
+    if not len(matrix):
+        raise ValueError("normalize_per_query requires at least one row")
     lo = matrix.min(axis=0)
-    hi = matrix.max(axis=0)
-    span = hi - lo
-    for dim in range(N_FEATURES):
-        if dim in _BOOLEAN_DIMS:
-            continue
-        if span[dim] > 1e-12:
-            matrix[:, dim] = (matrix[:, dim] - lo[dim]) / span[dim]
-        else:
-            matrix[:, dim] = 0.0
-    return [FeatureVector(values=tuple(float(x) for x in row)) for row in matrix]
+    span = matrix.max(axis=0) - lo
+    varies = span > 1e-12
+    scaled = np.where(varies, matrix - lo, 0.0) / np.where(varies, span, 1.0)
+    return np.where(_BOOLEAN_COLUMNS, matrix, scaled)
 
 
 def write_feature_rows(
     path: str | Path,
-    rows: Iterable[tuple[str, int, FeatureVector, int | None]],
+    rows: Iterable[tuple[str, int, Sequence[float], int | None]],
 ) -> None:
     """Write the feature dump TSV: instance id, node id, 16 features, grade."""
     with Path(path).open("w", encoding="utf-8") as fh:
         fh.write("\t".join(("instance_id", "node_id") + FEATURE_NAMES + ("grade",)) + "\n")
-        for instance_id, node_id, vector, grade in rows:
+        for instance_id, node_id, values, grade in rows:
             cells = [instance_id, str(node_id)]
-            cells.extend(repr(v) for v in vector.values)
+            cells.extend(repr(v) for v in values)
             cells.append("" if grade is None else str(grade))
             fh.write("\t".join(cells) + "\n")
 
 
-def read_feature_rows(path: str | Path) -> list[tuple[str, int, FeatureVector, int | None]]:
-    """Read a feature dump; fails when the header names do not match."""
+def read_feature_rows(path: str | Path) -> list[tuple[str, int, tuple[float, ...], int | None]]:
+    """Read a feature dump; fails when the header names do not match.
+
+    A line with the wrong field count or a malformed number raises
+    ``ParseError``, a non-finite feature value ``IntegrityError``.
+    """
     path = Path(path)
-    rows: list[tuple[str, int, FeatureVector, int | None]] = []
+    rows: list[tuple[str, int, tuple[float, ...], int | None]] = []
     with path.open("r", encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n").split("\t")
         expected = ["instance_id", "node_id", *FEATURE_NAMES, "grade"]
@@ -439,9 +368,11 @@ def read_feature_rows(path: str | Path) -> list[tuple[str, int, FeatureVector, i
                 raise ParseError(f"{path}:{lineno}: expected {len(expected)} fields")
             try:
                 node_id = int(cells[1])
-                vector = FeatureVector(values=tuple(float(c) for c in cells[2:-1]))
+                values = tuple(float(c) for c in cells[2:-1])
                 grade = int(cells[-1]) if cells[-1] else None
             except ValueError:
                 raise ParseError(f"{path}:{lineno}: malformed numeric field") from None
-            rows.append((cells[0], node_id, vector, grade))
+            if not all(map(math.isfinite, values)):
+                raise IntegrityError(f"{path}:{lineno}: non-finite feature value")
+            rows.append((cells[0], node_id, values, grade))
     return rows

@@ -107,6 +107,15 @@ STAGE_INPUTS = {
     "evaluate": ("rankings2.json", "lexicon.json"),
 }
 
+# The seeds that each stage's outputs depend on; other stages depend on none.
+STAGE_SEEDS = {
+    "train1": ("split", "train1"),
+    "rank1": ("split", "train1"),
+    "lexicon": ("split", "train1"),
+    "train2": ("split", "train1", "train2"),
+    "rank2": ("split", "train1", "train2"),
+}
+
 
 def map_ordered(fn: Callable[[T], R], items: Sequence[T], workers: int = 1) -> list[R]:
     """Apply ``fn`` over items, preserving input order regardless of workers."""
@@ -185,16 +194,20 @@ def _write_json(path: Path, obj) -> None:
     path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
+def _seeds(config: PipelineConfig) -> dict[str, int]:
+    return {
+        "split": config.resolved_split_seed(),
+        "train1": config.train1.seed,
+        "train2": config.train2.seed,
+    }
+
+
 def _write_manifest(config: PipelineConfig, stage: str, outputs: Sequence[str]) -> None:
     manifest = {
         "stage": stage,
         "mode": config.mode,
         "seed": config.seed,
-        "seeds": {
-            "split": config.resolved_split_seed(),
-            "train1": config.train1.seed,
-            "train2": config.train2.seed,
-        },
+        "seeds": _seeds(config),
         "config_hash": config.config_hash(),
         "inputs": list(STAGE_INPUTS[stage]),
         "outputs": list(outputs),
@@ -204,13 +217,30 @@ def _write_manifest(config: PipelineConfig, stage: str, outputs: Sequence[str]) 
 
 
 def _check_inputs(config: PipelineConfig, stage: str) -> None:
+    """Check that each input exists and, when seed-dependent, was made with this run's seeds.
+
+    The seeds an input was made with are read from its producer's manifest.
+    """
     mode_dir = _mode_dir(config)
+    seeds = _seeds(config)
     for artifact in STAGE_INPUTS[stage]:
-        if not (mode_dir / artifact).is_file():
-            producer = ARTIFACTS[artifact]
+        producer = ARTIFACTS[artifact]
+        keys = STAGE_SEEDS.get(producer, ())
+        manifest = mode_dir / f"{producer}.manifest.json"
+        for path in [mode_dir / artifact, manifest] if keys else [mode_dir / artifact]:
+            if not path.is_file():
+                raise StageDependencyError(
+                    f"stage {stage!r} needs {path} which does not exist; "
+                    f"run stage {producer!r} first"
+                )
+        if not keys:
+            continue
+        made_with = read_json(manifest, lambda obj: {k: int(obj["seeds"][k]) for k in keys})
+        expected = {k: seeds[k] for k in keys}
+        if made_with != expected:
             raise StageDependencyError(
-                f"stage {stage!r} needs {mode_dir / artifact} which does not exist; "
-                f"run stage {producer!r} first"
+                f"stage {stage!r} needs {mode_dir / artifact} made with seeds {expected}, "
+                f"but stage {producer!r} made it with {made_with}; re-run stage {producer!r}"
             )
 
 
@@ -329,21 +359,20 @@ def _stage_features(ctx: PipelineContext) -> None:
 
     def extract_one(
         job: tuple[QueryGraph, dict[int, float]],
-    ) -> list[tuple[str, int, object, int | None]]:
+    ) -> list[tuple[str, int, list[float], int | None]]:
         qg, pagerank_scores = job
         candidates = _candidates(config, qg)
         if not candidates:
             return []
         instance = instances[qg.instance_id]
-        vectors = extract_instance_features(
+        matrix = extract_instance_features(
             qg, partitions[qg.instance_id], instance, ctx.graph, ctx.idf, candidates,
             pagerank_scores,
         )
-        normalized = normalize_per_query([vectors[n] for n in candidates])
         grades = instance.concept_grades or {}
         return [
-            (qg.instance_id, node_id, vector, grades.get(node_id))
-            for node_id, vector in zip(candidates, normalized)
+            (qg.instance_id, node_id, row, grades.get(node_id))
+            for node_id, row in zip(candidates, normalize_per_query(matrix).tolist())
         ]
 
     for qg in graphs:
@@ -373,8 +402,8 @@ def _stage_train1(ctx: PipelineContext) -> None:
     _write_json(mode_dir / "split.json", {"train": sorted(train_ids), "test": sorted(test_ids)})
 
     examples = [
-        TrainingExample(query_id=iid, doc_id=str(nid), features=vec.values, grade=grade)
-        for iid, nid, vec, grade in rows
+        TrainingExample(query_id=iid, doc_id=str(nid), features=values, grade=grade)
+        for iid, nid, values, grade in rows
         if grade is not None and iid in train_ids
     ]
     model = train_coordinate_ascent(examples, FEATURE_NAMES, config.train1)
@@ -395,8 +424,8 @@ def _stage_rank1(ctx: PipelineContext) -> None:
     rows = read_feature_rows(mode_dir / "features.tsv")
 
     by_instance: dict[str, list[tuple[str, tuple[float, ...]]]] = {}
-    for iid, nid, vec, _ in rows:
-        by_instance.setdefault(iid, []).append((str(nid), vec.values))
+    for iid, nid, values, _ in rows:
+        by_instance.setdefault(iid, []).append((str(nid), values))
 
     with (mode_dir / "rankings1.jsonl").open("w", encoding="utf-8") as fh:
         for iid in sorted(by_instance):

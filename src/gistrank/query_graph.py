@@ -54,8 +54,8 @@ def bfs_distances(graph: KnowledgeGraph, source: int, cutoff: int) -> dict[int, 
 class QueryGraph:
     """Per-instance subgraph of seeds, intermediate categories, and edges.
 
-    ``nodes`` is the union of seeds and intermediates. ``order`` lists the
-    node ids ascending and ``index`` maps each id to its position there.
+    ``order`` lists the node ids of seeds and intermediates ascending and
+    ``index`` maps each id to its position there.
     ``hops`` is the read-only n×n matrix of hop counts inside the subgraph,
     rows and columns in ``order``, with -1 where a pair is unreachable.
     """
@@ -64,7 +64,6 @@ class QueryGraph:
     seeds: Mapping[int, SeedOrigin]
     intermediates: frozenset[int]
     edges: frozenset[tuple[int, int]]
-    nodes: frozenset[int] = field(repr=False)
     order: tuple[int, ...] = field(repr=False)
     index: Mapping[int, int] = field(repr=False)
     adjacency: Mapping[int, tuple[int, ...]] = field(repr=False)
@@ -78,8 +77,7 @@ class QueryGraph:
         intermediates: frozenset[int],
         edges: frozenset[tuple[int, int]],
     ) -> "QueryGraph":
-        nodes = frozenset(seeds) | intermediates
-        order = tuple(sorted(nodes))
+        order = tuple(sorted(frozenset(seeds) | intermediates))
         neighbor_sets: dict[int, set[int]] = {n: set() for n in order}
         for a, b in edges:
             if a not in neighbor_sets or b not in neighbor_sets:
@@ -101,7 +99,6 @@ class QueryGraph:
             seeds=dict(seeds),
             intermediates=intermediates,
             edges=edges,
-            nodes=nodes,
             order=order,
             index={n: i for i, n in enumerate(order)},
             adjacency=adjacency,

@@ -187,18 +187,3 @@ def write_instance_vectors(vectors: Sequence[InstanceVector], path: str | Path) 
                 + "\n"
             )
 
-
-def read_instance_vectors(path: str | Path) -> list[InstanceVector]:
-    vectors = []
-    with Path(path).open("r", encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            obj = json.loads(line)
-            vectors.append(
-                InstanceVector(
-                    instance_id=obj["instance_id"],
-                    entries={int(d): float(s) for d, s in obj["entries"].items()},
-                )
-            )
-    return vectors

@@ -108,12 +108,12 @@ def seeded_query_graphs(draw, max_linked=12):
 
 def all_pairs_hops(qg: QueryGraph) -> dict[tuple[int, int], int]:
     """Oracle: hop counts of every reachable ordered pair, by BFS over ``qg.edges``."""
-    neighbors: dict[int, set[int]] = {v: set() for v in qg.nodes}
+    neighbors: dict[int, set[int]] = {v: set() for v in qg.order}
     for a, b in qg.edges:
         neighbors[a].add(b)
         neighbors[b].add(a)
     hops = {}
-    for source in qg.nodes:
+    for source in qg.order:
         reached, frontier, d = {source}, {source}, 0
         while frontier:
             hops.update(((source, v), d) for v in frontier)

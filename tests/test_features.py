@@ -7,15 +7,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gistrank.clustering import Partition, build_relatedness_graph, louvain
-from gistrank.errors import IntegrityError
+from gistrank.clustering import Partition, build_relatedness_graph, louvain, relatedness_matrix
+from gistrank.errors import IntegrityError, ParseError
 from gistrank.features import (
     BOOLEAN_FEATURES,
     FEATURE_NAMES,
-    FeatureVector,
+    _cosine,
     betweenness,
     build_idf_table,
-    extract_features,
     extract_instance_features,
     normalize_per_query,
     pagerank,
@@ -26,7 +25,7 @@ from gistrank.features import (
 )
 from gistrank.kg import NodeKind
 from gistrank.linking import Instance, SeedOrigin, SeedSet
-from gistrank.query_graph import build_query_graph
+from gistrank.query_graph import QueryGraph, build_query_graph
 
 from tests.conftest import (
     all_pairs_hops,
@@ -39,7 +38,7 @@ from tests.conftest import (
 
 def naive_betweenness(qg):
     """Oracle: enumerate every shortest path explicitly and count pass-throughs."""
-    nodes = sorted(qg.nodes)
+    nodes = qg.order
     scores = {v: 0.0 for v in nodes}
 
     def shortest_paths(s, t):
@@ -81,7 +80,7 @@ def naive_betweenness(qg):
 
 def dense_pagerank(qg, damping=0.85):
     """Oracle: solve the stationary linear system directly."""
-    nodes = sorted(qg.nodes)
+    nodes = qg.order
     index = {v: i for i, v in enumerate(nodes)}
     n = len(nodes)
     transition = np.zeros((n, n))
@@ -100,7 +99,7 @@ def dense_pagerank(qg, damping=0.85):
 
 def loop_pagerank(qg, damping=0.85, tol=1e-9):
     """Reference: the per-node power iteration the batched PageRank replaced."""
-    nodes = sorted(qg.nodes)
+    nodes = qg.order
     n = len(nodes)
     if n == 0:
         return {}
@@ -134,7 +133,7 @@ def loop_graph_features(qg, partition, node_id):
         return 0.5**d if d is not None and d <= 4 else 0.0
 
     n = qg.n_nodes
-    finite = [hops[(node_id, o)] for o in qg.nodes if o != node_id and (node_id, o) in hops]
+    finite = [hops[(node_id, o)] for o in qg.order if o != node_id and (node_id, o) in hops]
     if finite and n > 1:
         r = len(finite)
         closeness = (r / (n - 1)) * (r / sum(finite))
@@ -155,6 +154,111 @@ def loop_graph_features(qg, partition, node_id):
             sum(rel(node_id, s) for s in others) / len(others) if others else 0.0
         ),
     }
+
+
+def loop_instance_features(qg, partition, instance, graph, idf, candidates, pagerank_scores):
+    """Reference: the per-candidate assembly that the feature matrix replaced.
+
+    The graph features come from per-node lists indexed like ``qg.order``;
+    each candidate's 16 values are then gathered one by one.
+    """
+    n = qg.n_nodes
+    between = betweenness(qg)
+    cluster_sizes = partition.cluster_sizes()
+
+    hops = qg.hops
+    reachable = hops > 0
+    r = reachable.sum(axis=1)
+    total = np.where(reachable, hops, 0).sum(axis=1)
+    closeness = ((r / max(n - 1, 1)) * (r / np.maximum(total, 1))).tolist()
+
+    seed_cols = [qg.index[s] for s in sorted(qg.seeds)]
+    n_seeds = len(seed_cols)
+    to_seeds = hops[:, seed_cols]
+    near = ((to_seeds > 0) & (to_seeds <= 2)).sum(axis=1)
+    seeds_within = (near / max(n_seeds, 1)).tolist()
+
+    related = relatedness_matrix(qg)
+    np.fill_diagonal(related, 0.0)
+    labels = np.array([partition.assignment[v] for v in qg.order])
+    peers = labels[:, None] == labels[None, :]
+    np.fill_diagonal(peers, False)
+    intra = ((related * peers).sum(axis=1) / np.maximum(peers.sum(axis=1), 1)).tolist()
+    other_seeds = n_seeds - np.isin(np.arange(n), seed_cols)
+    seed_rel = (related[:, seed_cols].sum(axis=1) / np.maximum(other_seeds, 1)).tolist()
+
+    mention_text = " ".join(list(instance.tags) + list(instance.image_labels))
+    instance_tokens = set(tokenize(mention_text))
+    instance_tfidf = idf.tfidf(tokenize(mention_text))
+
+    rows = []
+    for node_id in sorted(candidates):
+        i = qg.index[node_id]
+        node = graph.node(node_id)
+        origin = qg.seeds.get(node_id)
+        title_tokens = set(tokenize(node.title))
+        union = title_tokens | instance_tokens
+        abstract_tokens = tokenize(node.abstract_text)
+        rows.append(
+            (
+                qg.degree(node_id) / (n - 1) if n > 1 else 0.0,
+                between[node_id],
+                closeness[i],
+                pagerank_scores[node_id],
+                seeds_within[i],
+                1.0 if node_id in qg.intermediates else 0.0,
+                cluster_sizes[partition.assignment[node_id]] / n,
+                intra[i],
+                seed_rel[i],
+                1.0 if origin and origin.from_tags else 0.0,
+                1.0 if origin and origin.from_image else 0.0,
+                1.0 if origin and origin.from_tags and origin.from_image else 0.0,
+                len(title_tokens & instance_tokens) / len(union) if union else 0.0,
+                _cosine(idf.tfidf(abstract_tokens), instance_tfidf),
+                math.log(1.0 + len(abstract_tokens)),
+                1.0 if node.is_category else 0.0,
+            )
+        )
+    return rows
+
+
+_WORDS = ("car", "volvo", "motor", "vehicle", "road", "sky", "sea", "red")
+
+
+@st.composite
+def featured_instances(draw):
+    """A random query graph with mixed seed origins over a graph with titles and abstracts.
+
+    Returns the query graph, a random partition of its nodes, the knowledge
+    graph, an instance whose tags and image labels share words with the
+    titles and abstracts, and a random subset of the nodes as candidates.
+    """
+    shape = draw(seeded_query_graphs())
+    seeds = {
+        s: SeedOrigin(from_tags=draw(st.booleans()), from_image=draw(st.booleans()))
+        for s in sorted(shape.seeds)
+    }
+    qg = QueryGraph.from_parts("q", seeds, shape.intermediates, shape.edges)
+    words = st.lists(st.sampled_from(_WORDS), max_size=6).map(" ".join)
+    specs = []
+    for v in qg.order:
+        kind = draw(st.sampled_from(NodeKind))
+        abstract = draw(words) if kind is NodeKind.ARTICLE else ""
+        specs.append((v, kind, draw(words), (), abstract))
+    kg = kg_from_parts(specs, [])
+    labels = draw(st.lists(st.integers(0, 3), min_size=qg.n_nodes, max_size=qg.n_nodes))
+    partition = Partition(assignment=dict(zip(qg.order, labels)), modularity=0.0)
+    instance = Instance(
+        instance_id="q",
+        tags=tuple(draw(st.lists(words, max_size=3))),
+        image_labels=tuple(draw(st.lists(words, max_size=3))),
+    )
+    candidates = draw(st.lists(st.sampled_from(qg.order), unique=True)) if qg.order else []
+    return qg, partition, kg, instance, candidates
+
+
+def column(name):
+    return FEATURE_NAMES.index(name)
 
 
 @st.composite
@@ -282,63 +386,103 @@ def extraction_setup(tiny_kg):
     return tiny_kg, qg, partition, instance, idf
 
 
+def features_of(qg, partition, instance, kg, node, idf=None):
+    """The one-row feature matrix of ``node`` as a candidate of ``instance``."""
+    idf = build_idf_table(kg) if idf is None else idf
+    (row,) = extract_instance_features(
+        qg, partition, instance, kg, idf, candidates=[node], pagerank_scores=pagerank(qg)
+    )
+    return row
+
+
 class TestExtractFeatures:
     def test_intermediate_category_booleans(self, extraction_setup):
         kg, qg, partition, instance, idf = extraction_setup
-        vec = extract_features(qg, partition, instance, 2, kg, idf)
-        assert vec["is_intermediate"] == 1.0
-        assert vec["origin_tag"] == 0.0
-        assert vec["origin_image"] == 0.0
-        assert vec["origin_both"] == 0.0
-        assert vec["is_category"] == 1.0
+        row = features_of(qg, partition, instance, kg, 2, idf)
+        assert row[column("is_intermediate")] == 1.0
+        assert row[column("origin_tag")] == 0.0
+        assert row[column("origin_image")] == 0.0
+        assert row[column("origin_both")] == 0.0
+        assert row[column("is_category")] == 1.0
 
     def test_isolated_single_seed(self, tiny_kg):
         seedset = SeedSet("q2", {0: SeedOrigin(from_tags=True)})
         qg = build_query_graph(tiny_kg, seedset)
         partition = louvain(build_relatedness_graph(qg))
         instance = Instance(instance_id="q2", tags=("volvo",))
-        vec = extract_features(qg, partition, instance, 0, tiny_kg)
-        assert vec["degree_centrality"] == 0.0
-        assert vec["betweenness"] == 0.0
-        assert vec["closeness"] == 0.0
-        assert vec["seeds_within_2hops"] == 0.0
-        assert vec["origin_tag"] == 1.0
+        row = features_of(qg, partition, instance, tiny_kg, 0)
+        assert row[column("degree_centrality")] == 0.0
+        assert row[column("betweenness")] == 0.0
+        assert row[column("closeness")] == 0.0
+        assert row[column("seeds_within_2hops")] == 0.0
+        assert row[column("origin_tag")] == 1.0
 
     def test_title_token_jaccard(self, extraction_setup):
         kg, qg, partition, instance, idf = extraction_setup
         # title "car" vs mention tokens {volvo, car} -> 1/2
-        vec = extract_features(qg, partition, instance, 1, kg, idf)
-        assert vec["title_token_jaccard"] == pytest.approx(0.5)
+        row = features_of(qg, partition, instance, kg, 1, idf)
+        assert row[column("title_token_jaccard")] == pytest.approx(0.5)
 
     def test_origin_both(self, tiny_kg):
         seedset = SeedSet("q3", {1: SeedOrigin(from_tags=True, from_image=True)})
         qg = build_query_graph(tiny_kg, seedset)
         partition = louvain(build_relatedness_graph(qg))
         instance = Instance(instance_id="q3", tags=("car",), image_labels=("car",))
-        vec = extract_features(qg, partition, instance, 1, tiny_kg)
-        assert (vec["origin_tag"], vec["origin_image"], vec["origin_both"]) == (1.0, 1.0, 1.0)
+        row = features_of(qg, partition, instance, tiny_kg, 1)
+        origins = [row[column(name)] for name in ("origin_tag", "origin_image", "origin_both")]
+        assert origins == [1.0, 1.0, 1.0]
 
     def test_abstract_cosine_positive_on_overlap(self, extraction_setup):
         kg, qg, partition, instance, idf = extraction_setup
         instance = Instance(instance_id="q1", tags=("motor", "vehicle"), image_labels=())
-        vec = extract_features(qg, partition, instance, 1, kg, idf)
-        assert 0.0 < vec["abstract_tfidf_cosine"] <= 1.0
+        row = features_of(qg, partition, instance, kg, 1, idf)
+        assert 0.0 < row[column("abstract_tfidf_cosine")] <= 1.0
 
     def test_log_abstract_length(self, extraction_setup):
         kg, qg, partition, instance, idf = extraction_setup
-        vec = extract_features(qg, partition, instance, 1, kg, idf)
+        row = features_of(qg, partition, instance, kg, 1, idf)
         n_tokens = len(tokenize(kg.node(1).abstract_text))
-        assert vec["log_abstract_length"] == pytest.approx(math.log(1 + n_tokens))
+        assert row[column("log_abstract_length")] == math.log(1 + n_tokens)
+
+    def test_log_abstract_length_is_math_log(self):
+        # log(9170) is one of the few small arguments where numpy's vectorised
+        # log may round differently from math.log; the dump must not move.
+        kg = kg_from_parts([(0, NodeKind.ARTICLE, "a", (), "w " * 9169)], [])
+        qg = query_graph_from_edges(1, [])
+        partition = Partition(assignment={0: 0}, modularity=0.0)
+        row = features_of(qg, partition, Instance(instance_id="q"), kg, 0)
+        assert row[column("log_abstract_length")] == math.log(9170.0)
 
     def test_node_outside_graph_rejected(self, extraction_setup):
         kg, qg, partition, instance, idf = extraction_setup
         with pytest.raises(IntegrityError):
-            extract_features(qg, partition, instance, 99, kg, idf)
+            features_of(qg, partition, instance, kg, 99, idf)
 
     def test_unassigned_node_rejected(self, extraction_setup):
         kg, qg, partition, instance, idf = extraction_setup
         with pytest.raises(IntegrityError):
-            extract_features(qg, Partition(assignment={}, modularity=0.0), instance, 0, kg, idf)
+            features_of(qg, Partition(assignment={}, modularity=0.0), instance, kg, 0, idf)
+
+    def test_non_finite_value_rejected(self, extraction_setup):
+        kg, qg, partition, instance, idf = extraction_setup
+        scores = {**pagerank(qg), 1: float("nan")}
+        with pytest.raises(IntegrityError, match="non-finite"):
+            extract_instance_features(qg, partition, instance, kg, idf, [0, 1, 2], scores)
+
+    @settings(max_examples=80, deadline=None)
+    @given(featured_instances())
+    def test_matches_loop_reference_bit_for_bit(self, case):
+        qg, partition, kg, instance, candidates = case
+        idf = build_idf_table(kg)
+        scores = pagerank(qg)
+        got = extract_instance_features(qg, partition, instance, kg, idf, candidates, scores)
+        expected = np.array(
+            loop_instance_features(qg, partition, instance, kg, idf, candidates, scores),
+            dtype=np.float64,
+        ).reshape(len(candidates), len(FEATURE_NAMES))
+        assert got.shape == expected.shape
+        for j, name in enumerate(FEATURE_NAMES):
+            assert got[:, j].tobytes() == expected[:, j].tobytes(), name
 
     @settings(max_examples=60, deadline=None)
     @given(seeded_query_graphs(), st.data())
@@ -347,11 +491,12 @@ class TestExtractFeatures:
         partition = Partition(assignment=dict(zip(qg.order, labels)), modularity=0.0)
         kg = kg_from_parts([(v, NodeKind.CATEGORY, f"node {v}") for v in qg.order], [])
         instance = Instance(instance_id="q", tags=("node",))
-        vectors = extract_instance_features(qg, partition, instance, kg, build_idf_table(kg))
-        assert list(vectors) == list(qg.order)
-        for node_id, vec in vectors.items():
+        matrix = extract_instance_features(
+            qg, partition, instance, kg, build_idf_table(kg), qg.order, pagerank(qg)
+        )
+        for node_id, row in zip(qg.order, matrix):
             expected = loop_graph_features(qg, partition, node_id)
-            assert {name: vec[name] for name in expected} == expected
+            assert {name: row[column(name)] for name in expected} == expected
 
     def test_invariants_on_random_fixtures(self):
         rng = np.random.default_rng(73)
@@ -379,45 +524,46 @@ class TestExtractFeatures:
             partition = louvain(build_relatedness_graph(qg))
             instance = Instance(instance_id="r", tags=("node 1", "node 2"))
             idf = build_idf_table(kg)
-            vectors = extract_instance_features(qg, partition, instance, kg, idf)
-            for vec in vectors.values():
-                for name in bounded:
-                    assert 0.0 <= vec[name] <= 1.0 + 1e-12, name
-                for name in BOOLEAN_FEATURES:
-                    assert vec[name] in (0.0, 1.0)
-                assert all(math.isfinite(v) for v in vec.values)
+            matrix = extract_instance_features(
+                qg, partition, instance, kg, idf, qg.order, pagerank(qg)
+            )
+            for name in bounded:
+                values = matrix[:, column(name)]
+                assert ((0.0 <= values) & (values <= 1.0 + 1e-12)).all(), name
+            for name in BOOLEAN_FEATURES:
+                assert set(matrix[:, column(name)].tolist()) <= {0.0, 1.0}
+            assert np.isfinite(matrix).all()
+
+
+def feature_row(fill, **named):
+    values = [fill] * len(FEATURE_NAMES)
+    for name, value in named.items():
+        values[column(name)] = value
+    return values
 
 
 class TestNormalizePerQuery:
-    def vec(self, fill, **named):
-        values = [fill] * len(FEATURE_NAMES)
-        for name, value in named.items():
-            values[FEATURE_NAMES.index(name)] = value
-        return FeatureVector(values=tuple(values))
-
     def test_single_vector_zeroes_non_booleans(self):
-        vec = self.vec(0.7, is_category=1.0, origin_tag=1.0)
-        (out,) = normalize_per_query([vec])
-        for name in FEATURE_NAMES:
+        row = feature_row(0.7, is_category=1.0, origin_tag=1.0)
+        (out,) = normalize_per_query(np.array([row]))
+        for j, name in enumerate(FEATURE_NAMES):
             if name in BOOLEAN_FEATURES:
-                assert out[name] == vec[name]
+                assert out[j] == row[j]
             else:
-                assert out[name] == 0.0
+                assert out[j] == 0.0
 
     def test_affine_scaling(self):
-        vectors = [self.vec(v) for v in (2.0, 4.0, 6.0)]
-        out = normalize_per_query(vectors)
-        scaled = [o["degree_centrality"] for o in out]
-        assert scaled == [0.0, 0.5, 1.0]
+        out = normalize_per_query(np.array([feature_row(v) for v in (2.0, 4.0, 6.0)]))
+        assert out[:, column("degree_centrality")].tolist() == [0.0, 0.5, 1.0]
 
     def test_booleans_pass_through(self):
-        vectors = [self.vec(0.2, origin_tag=1.0), self.vec(0.4, origin_tag=1.0)]
-        out = normalize_per_query(vectors)
-        assert [o["origin_tag"] for o in out] == [1.0, 1.0]
+        rows = [feature_row(0.2, origin_tag=1.0), feature_row(0.4, origin_tag=1.0)]
+        out = normalize_per_query(np.array(rows))
+        assert out[:, column("origin_tag")].tolist() == [1.0, 1.0]
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            normalize_per_query([])
+            normalize_per_query(np.zeros((0, len(FEATURE_NAMES))))
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -432,18 +578,38 @@ class TestNormalizePerQuery:
         )
     )
     def test_idempotent(self, raw):
-        vectors = [FeatureVector(values=tuple(row)) for row in raw]
-        once = normalize_per_query(vectors)
+        once = normalize_per_query(np.array(raw))
         twice = normalize_per_query(once)
-        for a, b in zip(once, twice):
-            assert a.values == pytest.approx(b.values, abs=1e-12)
+        assert twice == pytest.approx(once, abs=1e-12)
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        st.lists(
+            st.lists(
+                st.floats(min_value=-50, max_value=50, allow_nan=False),
+                min_size=len(FEATURE_NAMES),
+                max_size=len(FEATURE_NAMES),
+            ),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    def test_matches_per_column_loop(self, raw):
+        matrix = np.array(raw)
+        expected = matrix.copy()
+        for j, name in enumerate(FEATURE_NAMES):
+            if name in BOOLEAN_FEATURES:
+                continue
+            lo, hi = matrix[:, j].min(), matrix[:, j].max()
+            expected[:, j] = (matrix[:, j] - lo) / (hi - lo) if hi - lo > 1e-12 else 0.0
+        assert normalize_per_query(matrix).tobytes() == expected.tobytes()
 
 
 class TestFeatureIO:
     def test_round_trip(self, tmp_path):
         rows = [
-            ("i1", 3, FeatureVector(values=tuple(float(x) / 7 for x in range(16))), 5),
-            ("i1", 4, FeatureVector(values=(0.0,) * 16), None),
+            ("i1", 3, tuple(float(x) / 7 for x in range(16)), 5),
+            ("i1", 4, (0.0,) * 16, None),
         ]
         path = tmp_path / "features.tsv"
         write_feature_rows(path, rows)
@@ -455,19 +621,21 @@ class TestFeatureIO:
         with pytest.raises(IntegrityError, match="header mismatch"):
             read_feature_rows(path)
 
+    def test_wrong_field_count_is_parse_error(self, tmp_path):
+        path = tmp_path / "features.tsv"
+        write_feature_rows(path, [("i1", 3, (0.5,) * 15, 1)])
+        with pytest.raises(ParseError, match="features.tsv:2"):
+            read_feature_rows(path)
+
+    @pytest.mark.parametrize("cell", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_cell_is_integrity_error(self, tmp_path, cell):
+        path = tmp_path / "features.tsv"
+        write_feature_rows(path, [("i1", 3, (0.5,) * 15 + (cell,), 1)])
+        with pytest.raises(IntegrityError, match="features.tsv:2"):
+            read_feature_rows(path)
+
 
 def test_feature_names_frozen():
     assert len(FEATURE_NAMES) == 16
     assert FEATURE_NAMES[0] == "degree_centrality"
     assert FEATURE_NAMES[-1] == "is_category"
-
-
-def test_vector_length_enforced():
-    with pytest.raises(IntegrityError):
-        FeatureVector(values=(1.0, 2.0))
-
-
-def test_vector_rejects_nan():
-    values = [0.0] * 15 + [float("nan")]
-    with pytest.raises(IntegrityError):
-        FeatureVector(values=tuple(values))

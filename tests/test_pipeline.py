@@ -126,7 +126,7 @@ class TestGenFixture:
             hub = graph.lookup_title(f"{topic} hub")
             assert hub is not None
             for qg in graphs:
-                assert hub in qg.nodes, (topic, qg.instance_id)
+                assert hub in qg.index, (topic, qg.instance_id)
 
 
 class TestStages:
@@ -383,6 +383,57 @@ class TestCli:
         assert main([stage, "--config", config]) == 2
         err = capsys.readouterr().err
         assert "error:" in err and path.name in err
+
+    def test_non_finite_feature_cell_exit_code(self, tmp_path, capsys):
+        out = tmp_path / "fx"
+        main(["gen-fixture", "--seed", "9", "--instances", "9", "--topics", "3", "--out", str(out)])
+        config = str(out / "pipeline.config")
+        for name in ("link", "graph", "cluster", "features"):
+            assert main([name, "--config", config]) == 0
+        path = out / "out" / "TII" / "features.tsv"
+        header, first, rest = path.read_bytes().split(b"\n", 2)
+        cells = first.split(b"\t")
+        cells[2] = b"nan"
+        path.write_bytes(b"\n".join([header, b"\t".join(cells), rest]))
+        assert main(["train1", "--config", config]) == 2
+        err = capsys.readouterr().err
+        assert "non-finite" in err and "features.tsv:2" in err
+
+    @pytest.mark.parametrize(
+        "rerun, later, stale",
+        [
+            (["train1"], ["rank1", "lexicon", "train2", "rank2"], "train1"),
+            (["train1", "rank1", "lexicon"], ["train2", "rank2"], "rank1"),
+        ],
+        ids=["train1-then-rank1", "train1-to-lexicon-then-train2"],
+    )
+    def test_stage_seed_mismatch_exit_code(self, tmp_path, capsys, rerun, later, stale):
+        # Outputs of train1 and later stages are made with the split and
+        # training seeds; a later stage run with other seeds must not use them.
+        out = tmp_path / "fx"
+        main(["gen-fixture", "--seed", "9", "--instances", "9", "--topics", "3", "--out", str(out)])
+        config = str(out / "pipeline.config")
+        for name in ("link", "graph", "cluster", "features"):
+            assert main([name, "--config", config]) == 0
+        for name in rerun:
+            assert main([name, "--config", config, "--seed", "99"]) == 0
+        capsys.readouterr()
+        assert main([later[0], "--config", config, "--seed", "3"]) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and f"re-run stage {stale!r}" in err
+        for name in later:
+            assert main([name, "--config", config, "--seed", "99"]) == 0
+
+    def test_seed_dependent_input_without_manifest_exit_code(self, tmp_path, capsys):
+        out = tmp_path / "fx"
+        main(["gen-fixture", "--seed", "9", "--instances", "9", "--topics", "3", "--out", str(out)])
+        config = str(out / "pipeline.config")
+        for name in ("link", "graph", "cluster", "features", "train1"):
+            assert main([name, "--config", config]) == 0
+        (out / "out" / "TII" / "train1.manifest.json").unlink()
+        assert main(["rank1", "--config", config]) == 2
+        err = capsys.readouterr().err
+        assert "train1.manifest.json" in err and "run stage 'train1'" in err
 
     def test_bad_fixture_sizes_exit_code(self, tmp_path, capsys):
         assert (

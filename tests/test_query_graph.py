@@ -103,23 +103,18 @@ class TestBuildQueryGraph:
     def test_hub_category_between_two_articles(self, tiny_kg):
         qg = build_query_graph(tiny_kg, seedset([0, 1]))
         assert qg.intermediates == {2}
-        assert qg.nodes == {0, 1, 2}
+        assert qg.order == (0, 1, 2)
         assert qg.edges == {(0, 2), (1, 2)}
-
-    def test_nodes_built_once_and_immutable(self, tiny_kg):
-        qg = build_query_graph(tiny_kg, seedset([0, 1]))
-        assert isinstance(qg.nodes, frozenset)
-        assert qg.nodes is qg.nodes
 
     def test_single_seed(self, tiny_kg):
         qg = build_query_graph(tiny_kg, seedset([0]))
         assert qg.intermediates == frozenset()
-        assert qg.nodes == {0}
+        assert qg.order == (0,)
         assert qg.edges == frozenset()
 
     def test_empty_seedset(self, tiny_kg):
         qg = build_query_graph(tiny_kg, seedset([]))
-        assert qg.nodes == set()
+        assert qg.order == ()
 
     def test_unknown_seed_is_integrity_error(self, tiny_kg):
         with pytest.raises(IntegrityError, match="seed 42"):
@@ -192,7 +187,7 @@ class TestQueryGraphType:
     @given(seeded_query_graphs())
     def test_hops_match_all_pairs_bfs(self, qg):
         expected = all_pairs_hops(qg)
-        assert qg.order == tuple(sorted(qg.nodes))
+        assert qg.order == tuple(sorted(set(qg.seeds) | qg.intermediates))
         assert qg.index == {v: i for i, v in enumerate(qg.order)}
         assert qg.hops.shape == (len(qg.order),) * 2
         assert not qg.hops.flags.writeable

@@ -1,5 +1,7 @@
 """Stage 2: lexicon construction, vectorization, per-topic models."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -206,15 +208,20 @@ class TestRankImages:
 
 
 def test_instance_vector_io_round_trip(tmp_path):
-    from gistrank.topics import read_instance_vectors, write_instance_vectors
+    from gistrank.topics import write_instance_vectors
 
     vectors = [
-        InstanceVector("a", {0: 0.5, 3: -1.25}),
+        InstanceVector("a", {3: -1.25, 0: 0.5}),
         InstanceVector("b", {}),
     ]
     path = tmp_path / "vectors.jsonl"
     write_instance_vectors(vectors, path)
-    assert read_instance_vectors(path) == vectors
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert [json.loads(line) for line in lines] == [
+        {"entries": {"0": 0.5, "3": -1.25}, "instance_id": "a"},
+        {"entries": {}, "instance_id": "b"},
+    ]
+    assert lines[0] == '{"entries": {"0": 0.5, "3": -1.25}, "instance_id": "a"}'
 
 
 def test_lexicon_io_round_trip(tmp_path):
