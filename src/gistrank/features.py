@@ -63,13 +63,15 @@ def betweenness(qg: QueryGraph) -> dict[int, float]:
     Each unordered node pair counts once; scores are divided by
     (n-1)(n-2)/2. Graphs with fewer than three nodes score all zeros.
     """
-    nodes = qg.order
-    raw = {v: 0.0 for v in nodes}
-    for source in nodes:
+    n = len(qg.order)
+    # Neighbours in ascending index order, which is ascending node id.
+    neighbors = [np.flatnonzero(row).tolist() for row in qg.hops == 1]
+    raw = [0.0] * n
+    for source in range(n):
         stack: list[int] = []
-        predecessors: dict[int, list[int]] = {v: [] for v in nodes}
-        sigma = {v: 0.0 for v in nodes}
-        dist = {v: -1 for v in nodes}
+        predecessors: list[list[int]] = [[] for _ in range(n)]
+        sigma = [0.0] * n
+        dist = [-1] * n
         sigma[source], dist[source] = 1.0, 0
         queue = [source]
         head = 0
@@ -77,14 +79,14 @@ def betweenness(qg: QueryGraph) -> dict[int, float]:
             v = queue[head]
             head += 1
             stack.append(v)
-            for w in qg.adjacency.get(v, ()):
+            for w in neighbors[v]:
                 if dist[w] < 0:
                     dist[w] = dist[v] + 1
                     queue.append(w)
                 if dist[w] == dist[v] + 1:
                     sigma[w] += sigma[v]
                     predecessors[w].append(v)
-        delta = {v: 0.0 for v in nodes}
+        delta = [0.0] * n
         while stack:
             w = stack.pop()
             for v in predecessors[w]:
@@ -92,11 +94,10 @@ def betweenness(qg: QueryGraph) -> dict[int, float]:
             if w != source:
                 raw[w] += delta[w]
 
-    n = len(nodes)
     if n < 3:
-        return {v: 0.0 for v in nodes}
+        return {v: 0.0 for v in qg.order}
     scale = (n - 1) * (n - 2)  # raw counts each pair twice (both endpoints)
-    return {v: raw[v] / scale for v in nodes}
+    return dict(zip(qg.order, (r / scale for r in raw)))
 
 
 def pagerank(qg: QueryGraph, damping: float = 0.85, tol: float = 1e-9) -> dict[int, float]:
@@ -143,13 +144,13 @@ def pagerank_batch(
         raise ValueError("damping must be in (0, 1)")
     sizes = np.array([len(qg.order) for qg in graphs], dtype=np.intp)
     offsets = np.cumsum(sizes) - sizes
-    # Neighbour lists as one CSR column array over global node indices.
+    # Ascending neighbour lists as one CSR column array over global node indices.
     degrees: list[int] = []
     columns: list[int] = []
     for qg, start in zip(graphs, offsets.tolist()):
-        adjacency = [qg.adjacency[v] for v in qg.order]
-        degrees.extend(len(nb) for nb in adjacency)
-        columns.extend(qg.index[w] + start for nb in adjacency for w in nb)
+        adjacent = qg.hops == 1
+        degrees.extend(adjacent.sum(axis=1).tolist())
+        columns.extend((np.nonzero(adjacent)[1] + start).tolist())
     incoming_groups = _segments_by_length(
         np.array(columns, dtype=np.intp), np.array(degrees, dtype=np.intp)
     )
@@ -294,7 +295,7 @@ def extract_instance_features(
         log_length.append(math.log(1.0 + len(abstract_tokens)))
 
     columns = {
-        "degree_centrality": [qg.degree(v) / (n - 1) if n > 1 else 0.0 for v in node_ids],
+        "degree_centrality": ((hops == 1).sum(axis=1) / max(n - 1, 1))[rows],
         "betweenness": [between[v] for v in node_ids],
         "closeness": closeness[rows],
         "pagerank": [pagerank_scores[v] for v in node_ids],

@@ -119,14 +119,6 @@ class RankModel:
                 f"model has {len(self.weights)} weights for {len(self.feature_names)} features"
             )
 
-    def score(self, vector: Sequence[float]) -> float:
-        if len(vector) != len(self.weights):
-            raise IntegrityError(
-                f"vector of length {len(vector)} does not match model "
-                f"dimensionality {len(self.weights)}"
-            )
-        return float(np.dot(np.asarray(self.weights), np.asarray(vector, dtype=np.float64)))
-
 
 def rank(model: RankModel, candidates: Sequence[tuple[str, Sequence[float]]], query_id: str = "") -> Ranking:
     """Score candidates and sort them best-first (ties by ascending doc id)."""

@@ -10,8 +10,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import combinations
-from typing import Mapping
+from typing import Collection, Mapping
 
 import numpy as np
 
@@ -22,7 +21,7 @@ from .linking import SeedOrigin, SeedSet
 MAX_PATH_LENGTH = 4
 
 
-def _bfs(adjacency: Mapping[int, tuple[int, ...]], source: int, cutoff: int | None) -> dict[int, int]:
+def _bfs(adjacency: Mapping[int, Collection[int]], source: int, cutoff: int | None) -> dict[int, int]:
     distances = {source: 0}
     queue = deque([source])
     while queue:
@@ -57,7 +56,8 @@ class QueryGraph:
     ``order`` lists the node ids of seeds and intermediates ascending and
     ``index`` maps each id to its position there.
     ``hops`` is the read-only n×n matrix of hop counts inside the subgraph,
-    rows and columns in ``order``, with -1 where a pair is unreachable.
+    rows and columns in ``order``, with -1 where a pair is unreachable; it
+    is the graph's only adjacency, a node's neighbours being ``hops[i] == 1``.
     """
 
     instance_id: str
@@ -66,7 +66,6 @@ class QueryGraph:
     edges: frozenset[tuple[int, int]]
     order: tuple[int, ...] = field(repr=False)
     index: Mapping[int, int] = field(repr=False)
-    adjacency: Mapping[int, tuple[int, ...]] = field(repr=False)
     hops: np.ndarray = field(repr=False, compare=False)
 
     @classmethod
@@ -77,20 +76,26 @@ class QueryGraph:
         intermediates: frozenset[int],
         edges: frozenset[tuple[int, int]],
     ) -> "QueryGraph":
+        both = intermediates.intersection(seeds)
+        if both:
+            raise IntegrityError(
+                f"instance {instance_id!r}: node {min(both)} is both a seed and an intermediate"
+            )
         order = tuple(sorted(frozenset(seeds) | intermediates))
-        neighbor_sets: dict[int, set[int]] = {n: set() for n in order}
+        neighbors: dict[int, set[int]] = {n: set() for n in order}
         for a, b in edges:
-            if a not in neighbor_sets or b not in neighbor_sets:
+            if a == b:
+                raise IntegrityError(f"instance {instance_id!r}: self-loop edge ({a}, {b})")
+            if a not in neighbors or b not in neighbors:
                 raise IntegrityError(
                     f"instance {instance_id!r}: edge ({a}, {b}) has an endpoint "
                     "that is neither a seed nor an intermediate"
                 )
-            neighbor_sets[a].add(b)
-            neighbor_sets[b].add(a)
-        adjacency = {n: tuple(sorted(ns)) for n, ns in neighbor_sets.items()}
+            neighbors[a].add(b)
+            neighbors[b].add(a)
         rows = []
         for source in order:
-            reached = _bfs(adjacency, source, None)
+            reached = _bfs(neighbors, source, None)
             rows.append([reached.get(target, -1) for target in order])
         hops = np.array(rows, dtype=np.int64).reshape(len(order), len(order))
         hops.flags.writeable = False
@@ -101,13 +106,12 @@ class QueryGraph:
             edges=edges,
             order=order,
             index={n: i for i, n in enumerate(order)},
-            adjacency=adjacency,
             hops=hops,
         )
 
     @property
     def n_nodes(self) -> int:
-        return len(self.seeds) + len(self.intermediates)
+        return len(self.order)
 
     def distance(self, a: int, b: int) -> int | None:
         """Hop distance within the subgraph, or None when unreachable.
@@ -119,9 +123,6 @@ class QueryGraph:
                 raise NotFoundError(f"node {node} is not in the query graph")
         d = int(self.hops[self.index[a], self.index[b]])
         return None if d < 0 else d
-
-    def degree(self, node_id: int) -> int:
-        return len(self.adjacency.get(node_id, ()))
 
     def to_json_obj(self) -> dict:
         return {
@@ -153,10 +154,11 @@ def build_query_graph(graph: KnowledgeGraph, seedset: SeedSet) -> QueryGraph:
     """Expand a seed set into its query-specific subgraph.
 
     For every unordered seed pair within distance 4 of each other, all
-    category nodes on *any* shortest path between them become intermediates
-    (membership tested as d(s,v) + d(v,t) = d(s,t) over two BFS frontiers).
-    Seeds never re-enter the intermediate set, and article nodes are never
-    collected. An empty seed set yields an empty subgraph.
+    category nodes on *any* shortest path between them become intermediates:
+    one integer test, d(s,v) + d(v,t) == d(s,t), over a matrix of each seed's
+    BFS distances (beyond 4 read as 5). Seeds never re-enter the intermediate
+    set, and article nodes are never collected. An empty seed set yields an
+    empty subgraph.
     """
     for seed_id in seedset.seeds:
         if seed_id not in graph.nodes:
@@ -165,22 +167,19 @@ def build_query_graph(graph: KnowledgeGraph, seedset: SeedSet) -> QueryGraph:
             )
 
     seeds = dict(seedset.seeds)
-    frontiers = {
-        seed_id: _bfs(graph.adjacency, seed_id, MAX_PATH_LENGTH) for seed_id in seeds
-    }
-
-    intermediates: set[int] = set()
-    for s, t in combinations(sorted(seeds), 2):
-        d_pair = frontiers[s].get(t)
-        if d_pair is None or d_pair > MAX_PATH_LENGTH:
-            continue
-        far = frontiers[t]
-        for v, d_sv in frontiers[s].items():
-            if v in seeds or not graph.nodes[v].is_category:
-                continue
-            d_vt = far.get(v)
-            if d_vt is not None and d_sv + d_vt == d_pair:
-                intermediates.add(v)
+    seed_ids = sorted(seeds)
+    frontiers = [_bfs(graph.adjacency, s, MAX_PATH_LENGTH) for s in seed_ids]
+    reached = sorted(
+        {v for f in frontiers for v in f if v not in seeds and graph.nodes[v].is_category}
+    )
+    columns, k = seed_ids + reached, len(seed_ids)
+    dist = np.array(
+        [[f.get(v, MAX_PATH_LENGTH + 1) for v in columns] for f in frontiers], dtype=np.int64
+    ).reshape(k, len(columns))
+    to_seed, to_node = dist[:, :k], dist[:, k:]
+    s, t = np.nonzero(np.triu(to_seed <= MAX_PATH_LENGTH, k=1))
+    on_path = (to_node[s] + to_node[t] == to_seed[s, t, None]).any(axis=0)
+    intermediates = {v for v, hit in zip(reached, on_path.tolist()) if hit}
 
     nodes = set(seeds) | intermediates
     edges = {

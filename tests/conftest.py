@@ -106,12 +106,18 @@ def seeded_query_graphs(draw, max_linked=12):
     )
 
 
-def all_pairs_hops(qg: QueryGraph) -> dict[tuple[int, int], int]:
-    """Oracle: hop counts of every reachable ordered pair, by BFS over ``qg.edges``."""
+def neighbor_tuples(qg: QueryGraph) -> dict[int, tuple[int, ...]]:
+    """Each node's neighbours in ``qg.edges``, as an ascending tuple."""
     neighbors: dict[int, set[int]] = {v: set() for v in qg.order}
     for a, b in qg.edges:
         neighbors[a].add(b)
         neighbors[b].add(a)
+    return {v: tuple(sorted(ns)) for v, ns in neighbors.items()}
+
+
+def all_pairs_hops(qg: QueryGraph) -> dict[tuple[int, int], int]:
+    """Oracle: hop counts of every reachable ordered pair, by BFS over ``qg.edges``."""
+    neighbors = neighbor_tuples(qg)
     hops = {}
     for source in qg.order:
         reached, frontier, d = {source}, {source}, 0

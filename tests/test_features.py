@@ -30,6 +30,7 @@ from gistrank.query_graph import QueryGraph, build_query_graph
 from tests.conftest import (
     all_pairs_hops,
     kg_from_parts,
+    neighbor_tuples,
     query_graph_from_edges,
     random_query_graph,
     seeded_query_graphs,
@@ -39,6 +40,7 @@ from tests.conftest import (
 def naive_betweenness(qg):
     """Oracle: enumerate every shortest path explicitly and count pass-throughs."""
     nodes = qg.order
+    adjacency = neighbor_tuples(qg)
     scores = {v: 0.0 for v in nodes}
 
     def shortest_paths(s, t):
@@ -52,7 +54,7 @@ def naive_betweenness(qg):
             if node == t:
                 paths.append(path)
                 continue
-            for nb in qg.adjacency.get(node, ()):
+            for nb in adjacency[node]:
                 # extend only along shortest-path structure
                 if (
                     qg.distance(s, nb) == len(path)
@@ -78,14 +80,52 @@ def naive_betweenness(qg):
     return {v: scores[v] / ((n - 1) * (n - 2) / 2) for v in nodes}
 
 
+def loop_betweenness(qg):
+    """Reference: the node-keyed Brandes loop that the index-space one replaced."""
+    nodes = qg.order
+    adjacency = neighbor_tuples(qg)
+    raw = {v: 0.0 for v in nodes}
+    for source in nodes:
+        stack = []
+        predecessors = {v: [] for v in nodes}
+        sigma = {v: 0.0 for v in nodes}
+        dist = {v: -1 for v in nodes}
+        sigma[source], dist[source] = 1.0, 0
+        queue = [source]
+        head = 0
+        while head < len(queue):
+            v = queue[head]
+            head += 1
+            stack.append(v)
+            for w in adjacency[v]:
+                if dist[w] < 0:
+                    dist[w] = dist[v] + 1
+                    queue.append(w)
+                if dist[w] == dist[v] + 1:
+                    sigma[w] += sigma[v]
+                    predecessors[w].append(v)
+        delta = {v: 0.0 for v in nodes}
+        while stack:
+            w = stack.pop()
+            for v in predecessors[w]:
+                delta[v] += (sigma[v] / sigma[w]) * (1.0 + delta[w])
+            if w != source:
+                raw[w] += delta[w]
+    n = len(nodes)
+    if n < 3:
+        return {v: 0.0 for v in nodes}
+    return {v: raw[v] / ((n - 1) * (n - 2)) for v in nodes}
+
+
 def dense_pagerank(qg, damping=0.85):
     """Oracle: solve the stationary linear system directly."""
     nodes = qg.order
     index = {v: i for i, v in enumerate(nodes)}
     n = len(nodes)
+    adjacency = neighbor_tuples(qg)
     transition = np.zeros((n, n))
     for v in nodes:
-        neighbors = qg.adjacency.get(v, ())
+        neighbors = adjacency[v]
         if neighbors:
             for w in neighbors:
                 transition[index[w], index[v]] = 1.0 / len(neighbors)
@@ -104,7 +144,8 @@ def loop_pagerank(qg, damping=0.85, tol=1e-9):
     if n == 0:
         return {}
     index = {v: i for i, v in enumerate(nodes)}
-    neighbors = [np.array([index[w] for w in qg.adjacency.get(v, ())], dtype=np.intp) for v in nodes]
+    adjacency = neighbor_tuples(qg)
+    neighbors = [np.array([index[w] for w in adjacency[v]], dtype=np.intp) for v in nodes]
     degree = np.array([len(nb) for nb in neighbors], dtype=np.float64)
     dangling = degree == 0
 
@@ -163,6 +204,7 @@ def loop_instance_features(qg, partition, instance, graph, idf, candidates, page
     each candidate's 16 values are then gathered one by one.
     """
     n = qg.n_nodes
+    adjacency = neighbor_tuples(qg)
     between = betweenness(qg)
     cluster_sizes = partition.cluster_sizes()
 
@@ -201,7 +243,7 @@ def loop_instance_features(qg, partition, instance, graph, idf, candidates, page
         abstract_tokens = tokenize(node.abstract_text)
         rows.append(
             (
-                qg.degree(node_id) / (n - 1) if n > 1 else 0.0,
+                len(adjacency[node_id]) / (n - 1) if n > 1 else 0.0,
                 between[node_id],
                 closeness[i],
                 pagerank_scores[node_id],
@@ -295,6 +337,19 @@ def pagerank_batches(draw):
     return draw(st.permutations(batch))
 
 
+@st.composite
+def dense_query_graphs(draw):
+    """Random graph of 10 to 16 nodes, each pair joined with probability about 1/2.
+
+    Many nodes have three or more successors in a breadth-first DAG, with
+    fractional dependencies, so the order of a dependency sum shows in its bits.
+    """
+    n = draw(st.integers(10, 16))
+    pairs = list(itertools.combinations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return query_graph_from_edges(n, [pair for pair, k in zip(pairs, keep) if k])
+
+
 class TestBetweenness:
     def test_path_graph(self):
         qg = query_graph_from_edges(3, [(0, 1), (1, 2)])
@@ -312,6 +367,11 @@ class TestBetweenness:
             expected = naive_betweenness(qg)
             for node in got:
                 assert got[node] == pytest.approx(expected[node], abs=1e-9)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(dense_query_graphs(), seeded_query_graphs()))
+    def test_matches_loop_reference_bit_for_bit(self, qg):
+        assert betweenness(qg) == loop_betweenness(qg)
 
 
 class TestPagerank:

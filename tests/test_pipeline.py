@@ -276,6 +276,18 @@ def _prefix_first_node_id(data: bytes, prefix: bytes) -> bytes:
     return b"\n".join([header, b"\t".join(cells), rest])
 
 
+def _edit_first_seeded_graph(data: bytes, edit) -> bytes:
+    """Apply ``edit(record, seed_id)`` to the first query-graph line that has a seed."""
+    lines = data.splitlines(keepends=True)
+    for i, line in enumerate(lines):
+        record = json.loads(line)
+        if record["seeds"]:
+            edit(record, record["seeds"][0]["id"])
+            lines[i] = json.dumps(record).encode() + b"\n"
+            break
+    return b"".join(lines)
+
+
 class TestCli:
     def test_gen_fixture_and_stage(self, tmp_path, capsys):
         out = tmp_path / "fx"
@@ -310,9 +322,22 @@ class TestCli:
                 lambda data: b'{"instance_id": "x", "seeds": [], "intermediates": [1], '
                 b'"edges": [[1, 2]]}\n',
             ),
+            (
+                "query_graphs.jsonl", ["link", "graph"], "cluster",
+                lambda data: _edit_first_seeded_graph(
+                    data, lambda record, seed: record["intermediates"].append(seed)
+                ),
+            ),
+            (
+                "query_graphs.jsonl", ["link", "graph"], "cluster",
+                lambda data: _edit_first_seeded_graph(
+                    data, lambda record, seed: record["edges"].append([seed, seed])
+                ),
+            ),
         ],
         ids=["truncated-seeds", "truncated-graphs", "truncated-partitions", "non-utf8-seeds",
-             "partition-type", "graph-stray-edge"],
+             "partition-type", "graph-stray-edge", "graph-seed-as-intermediate",
+             "graph-self-loop"],
     )
     def test_malformed_graph_layer_artifact_exit_code(
         self, tmp_path, capsys, artifact, upstream, stage, corrupt

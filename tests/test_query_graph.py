@@ -1,8 +1,10 @@
 """Query-graph expansion against brute-force path-enumeration oracles."""
 
+import itertools
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from gistrank.errors import IntegrityError, NotFoundError
 from gistrank.kg import NodeKind
@@ -45,6 +47,52 @@ def enumerate_intermediates(graph, seed_ids, max_len=MAX_PATH_LENGTH):
                     if node not in seed_ids and graph.nodes[node].is_category:
                         collected.add(node)
     return collected
+
+
+def loop_build_query_graph(graph, seedset):
+    """Reference: the per-pair frontier expansion that the array test replaced."""
+    seeds = dict(seedset.seeds)
+    frontiers = {s: bfs_distances(graph, s, MAX_PATH_LENGTH) for s in seeds}
+    intermediates = set()
+    for s, t in itertools.combinations(sorted(seeds), 2):
+        d_pair = frontiers[s].get(t)
+        if d_pair is None or d_pair > MAX_PATH_LENGTH:
+            continue
+        far = frontiers[t]
+        for v, d_sv in frontiers[s].items():
+            if v in seeds or not graph.nodes[v].is_category:
+                continue
+            d_vt = far.get(v)
+            if d_vt is not None and d_sv + d_vt == d_pair:
+                intermediates.add(v)
+    nodes = set(seeds) | intermediates
+    edges = {
+        (min(a, b), max(a, b)) for a in nodes for b in graph.adjacency.get(a, ()) if b in nodes
+    }
+    return QueryGraph.from_parts(seedset.instance_id, seeds, frozenset(intermediates), frozenset(edges))
+
+
+@st.composite
+def expansion_cases(draw):
+    """A random knowledge graph and a seed set of 0 to 6 of its nodes.
+
+    A path through all nodes puts seed pairs both within and beyond 4 hops;
+    a hub joined to three or more nodes and a few random edges add shortcuts
+    and ties. Node kinds are random, so seeds may be categories.
+    """
+    n = draw(st.integers(1, 16))
+    kinds = draw(st.lists(st.sampled_from(NodeKind), min_size=n, max_size=n))
+    path = draw(st.permutations(range(n)))
+    edges = set(zip(path, path[1:]))
+    if n > 3:
+        hub = draw(st.integers(0, n - 1))
+        others = [v for v in range(n) if v != hub]
+        edges |= {(hub, v) for v in draw(st.lists(st.sampled_from(others), min_size=3, unique=True))}
+    pairs = list(itertools.combinations(range(n), 2))
+    if pairs:
+        edges |= set(draw(st.lists(st.sampled_from(pairs), max_size=3)))
+    graph = kg_from_parts([(v, kinds[v], f"n{v}") for v in range(n)], sorted(edges))
+    return graph, seedset(draw(st.lists(st.integers(0, n - 1), max_size=6, unique=True)))
 
 
 def floyd_warshall(graph):
@@ -163,6 +211,14 @@ class TestBuildQueryGraph:
             # The new seed itself may leave I (seeds and intermediates are disjoint).
             assert qg_small.intermediates - {extra} <= qg_big.intermediates
 
+    @settings(max_examples=300, deadline=None)
+    @given(expansion_cases())
+    def test_matches_loop_reference(self, case):
+        graph, seeds = case
+        got, expected = build_query_graph(graph, seeds), loop_build_query_graph(graph, seeds)
+        assert got == expected
+        assert np.array_equal(got.hops, expected.hops)
+
     def test_subgraph_edges_are_induced(self, tiny_kg):
         qg = build_query_graph(tiny_kg, seedset([0, 1]))
         kg_edges = {(min(a, b), max(a, b)) for a, nbrs in tiny_kg.adjacency.items() for b in nbrs}
@@ -199,6 +255,15 @@ class TestQueryGraphType:
     def test_edge_outside_nodes_is_integrity_error(self):
         with pytest.raises(IntegrityError, match="edge"):
             QueryGraph.from_parts("q", {0: SeedOrigin(from_tags=True)}, frozenset({1}), frozenset({(1, 2)}))
+
+    def test_seed_listed_as_intermediate_is_integrity_error(self):
+        with pytest.raises(IntegrityError, match="both a seed and an intermediate"):
+            QueryGraph.from_parts("q", {0: SeedOrigin(from_tags=True)}, frozenset({0, 1}), frozenset())
+
+    def test_self_loop_is_integrity_error(self):
+        seeds = {0: SeedOrigin(from_tags=True), 1: SeedOrigin(from_tags=True)}
+        with pytest.raises(IntegrityError, match="self-loop"):
+            QueryGraph.from_parts("q", seeds, frozenset(), frozenset({(0, 1), (1, 1)}))
 
     def test_json_round_trip(self, tiny_kg):
         qg = build_query_graph(tiny_kg, seedset([0, 1]))
