@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the JSON artifact reader.
+"""Exception types shared across the package, and the shared file readers.
 
 The CLI maps these onto exit codes: config problems exit 1, data problems
 (parse, integrity, lookup, missing stage artifacts) exit 2, training
@@ -8,6 +8,7 @@ failures exit 3.
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path
 from typing import Any, Callable, TypeVar
 
@@ -52,3 +53,27 @@ def read_json(path: str | Path, parse: Callable[[Any], T]) -> T:
         return parse(json.loads(Path(path).read_bytes().decode("utf-8")))
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"{path}: malformed file ({exc!r})") from None
+
+
+# surrogateescape decoding maps each byte that is not UTF-8 to one of these.
+_ESCAPED_BYTE = re.compile("[\udc80-\udcff]")
+
+
+def read_lines(path: str | Path) -> list[str | None]:
+    """The lines of a text file, without their line ends.
+
+    Lines end at "\\n", "\\r\\n" or "\\r", as in text-mode reading, and at no
+    other character, so "\\x85" and "\\u2028" stay inside a line. A line that
+    is not valid UTF-8 reads as None; the others are decoded.
+    """
+    raw = Path(path).read_bytes()
+    try:
+        text, escaped = raw.decode("utf-8"), False
+    except UnicodeDecodeError:
+        text, escaped = raw.decode("utf-8", "surrogateescape"), True
+    lines: list[str | None] = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    if lines[-1] == "":
+        lines.pop()  # the end of the last line, not a line of its own
+    if escaped:
+        lines = [None if _ESCAPED_BYTE.search(line) else line for line in lines]
+    return lines

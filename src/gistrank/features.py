@@ -21,7 +21,7 @@ import numpy as np
 
 from .clustering import Partition, relatedness_matrix
 from .errors import IntegrityError, ParseError
-from .kg import KnowledgeGraph, NodeKind
+from .kg import KnowledgeGraph
 from .linking import Instance
 from .query_graph import QueryGraph
 
@@ -211,10 +211,10 @@ class IdfTable:
 def build_idf_table(graph: KnowledgeGraph) -> IdfTable:
     doc_frequency: Counter[str] = Counter()
     n_documents = 0
-    for node in graph.nodes.values():
-        if node.kind is NodeKind.ARTICLE and node.abstract_text:
+    for abstract in graph.abstracts:
+        if abstract:  # only articles carry an abstract
             n_documents += 1
-            doc_frequency.update(set(tokenize(node.abstract_text)))
+            doc_frequency.update(set(tokenize(abstract)))
     return IdfTable(doc_frequency=dict(doc_frequency), n_documents=n_documents)
 
 
@@ -281,16 +281,16 @@ def extract_instance_features(
     between = betweenness(qg)
     cluster_sizes = partition.cluster_sizes()
     origins = [qg.seeds.get(v) for v in node_ids]
-    nodes = [graph.node(v) for v in node_ids]
+    positions = [graph.position(v) for v in node_ids]
     mention_text = " ".join(list(instance.tags) + list(instance.image_labels))
     instance_tokens = set(tokenize(mention_text))
     instance_tfidf = idf.tfidf(tokenize(mention_text))
     jaccard, cosine, log_length = [], [], []
-    for node in nodes:
-        title_tokens = set(tokenize(node.title))
+    for p in positions:
+        title_tokens = set(tokenize(graph.titles[p]))
         union = title_tokens | instance_tokens
         jaccard.append(len(title_tokens & instance_tokens) / len(union) if union else 0.0)
-        abstract_tokens = tokenize(node.abstract_text)
+        abstract_tokens = tokenize(graph.abstracts[p])
         cosine.append(_cosine(idf.tfidf(abstract_tokens), instance_tfidf))
         log_length.append(math.log(1.0 + len(abstract_tokens)))
 
@@ -310,7 +310,7 @@ def extract_instance_features(
         "title_token_jaccard": jaccard,
         "abstract_tfidf_cosine": cosine,
         "log_abstract_length": log_length,
-        "is_category": [node.is_category for node in nodes],
+        "is_category": graph.is_category[positions],
     }
     matrix = np.column_stack([np.asarray(columns[name], dtype=np.float64) for name in FEATURE_NAMES])
     if not np.isfinite(matrix).all():

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError
-from .kg import EdgeKind, KgEdge, NodeKind
+from .kg import EdgeKind, NodeKind
 
 TAG_POOL = 30  # per topic, half per group; instances draw 3 + 2 across groups
 NOISE_POOL = 24
@@ -43,7 +43,7 @@ class _Builder:
 
     def __init__(self) -> None:
         self.rows: list[tuple[int, str, str, str, str]] = []
-        self.edges: list[KgEdge] = []
+        self.edges: list[tuple[int, int]] = []
         self.ids: dict[str, int] = {}
 
     def add_node(self, kind: NodeKind, title: str, redirects: str = "", abstract: str = "") -> int:
@@ -53,7 +53,7 @@ class _Builder:
         return node_id
 
     def link(self, src_title: str, dst_title: str) -> None:
-        self.edges.append(KgEdge(self.ids[src_title], self.ids[dst_title], EdgeKind.CATEGORY_LINK))
+        self.edges.append((self.ids[src_title], self.ids[dst_title]))
 
     def write(self, nodes_path: Path, edges_path: Path) -> None:
         with nodes_path.open("w", encoding="utf-8") as fh:
@@ -62,8 +62,8 @@ class _Builder:
                 fh.write("\t".join(str(c) for c in row) + "\n")
         with edges_path.open("w", encoding="utf-8") as fh:
             fh.write("# src_id\tdst_id\tkind\n")
-            for edge in self.edges:
-                fh.write(f"{edge.src}\t{edge.dst}\t{edge.kind.value}\n")
+            for src, dst in self.edges:
+                fh.write(f"{src}\t{dst}\t{EdgeKind.CATEGORY_LINK.value}\n")
 
 
 def _topic_name(t: int) -> str:

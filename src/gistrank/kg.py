@@ -10,10 +10,16 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from itertools import compress, count, repeat
+from operator import eq, ge, is_not, le, ne, not_, or_
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from .errors import IntegrityError, NotFoundError, ParseError
+import numpy as np
+
+from .errors import GistRankError, IntegrityError, NotFoundError, ParseError, read_lines
+
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 class NodeKind(enum.Enum):
@@ -24,6 +30,10 @@ class NodeKind(enum.Enum):
 class EdgeKind(enum.Enum):
     CATEGORY_LINK = "category_link"
     REDIRECT = "redirect"
+
+
+_NODE_KINDS = frozenset(k.value for k in NodeKind)
+_EDGE_KINDS = frozenset(k.value for k in EdgeKind)
 
 
 def normalize_title(text: str) -> str:
@@ -50,37 +60,107 @@ class ConceptNode:
         return self.kind is NodeKind.CATEGORY
 
 
-@dataclass(frozen=True)
-class KgEdge:
-    src: int
-    dst: int
-    kind: EdgeKind
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KnowledgeGraph:
-    """Immutable, fully indexed concept graph.
+    """Immutable concept graph held as arrays, indexed by node position.
 
-    ``adjacency`` covers category-link edges only and is symmetric;
-    ``title_index`` maps every normalized title and redirect title to a
-    node id, with redirect edges already resolved to their target.
-    Safe to share across threads after construction.
+    ``ids`` holds the node ids ascending (not necessarily dense); a node's
+    position is its index there, ``positions`` maps id to position, and
+    ``is_category``, ``titles`` and ``abstracts`` follow the same order.
+    ``redirect_titles`` holds the normalized redirect titles of only the
+    nodes that carry any, by id. ``indptr``/``indices`` is the CSR adjacency
+    of the category-link edges over positions: symmetric, each row's
+    neighbours ascending. ``edges`` holds every edge as a (src, dst) id row
+    in file order, ``edge_is_redirect`` marks the redirects. ``title_index``
+    maps every normalized title and redirect title to a node id, with
+    redirect edges already resolved to their target. Every array is
+    read-only, so the graph is safe to share across threads.
     """
 
-    nodes: Mapping[int, ConceptNode]
-    edges: tuple[KgEdge, ...]
-    adjacency: Mapping[int, tuple[int, ...]] = field(repr=False)
+    ids: np.ndarray
+    is_category: np.ndarray
+    titles: Sequence[str] = field(repr=False)
+    abstracts: Sequence[str] = field(repr=False)
+    redirect_titles: Mapping[int, frozenset[str]] = field(repr=False)
+    indptr: np.ndarray = field(repr=False)
+    indices: np.ndarray = field(repr=False)
+    edges: np.ndarray = field(repr=False)
+    edge_is_redirect: np.ndarray = field(repr=False)
     title_index: Mapping[str, int] = field(repr=False)
+    positions: Mapping[int, int] = field(repr=False)
+
+    @classmethod
+    def from_columns(
+        cls,
+        ids: Sequence[int],
+        is_category: Sequence[bool],
+        titles: Sequence[str],
+        abstracts: Sequence[str],
+        redirect_titles: Mapping[int, frozenset[str]],
+        edges: np.ndarray | Sequence[tuple[int, int]],
+        edge_is_redirect: Sequence[bool],
+    ) -> "KnowledgeGraph":
+        """Index checked node columns (in any id order) and edges between them.
+
+        Raises IntegrityError on a node with two redirect targets or a
+        redirect cycle.
+        """
+        node_ids = np.asarray(ids, dtype=np.int64)
+        order = np.argsort(node_ids, kind="stable")
+        picks = order.tolist()
+        node_ids = node_ids[order]
+        ends = np.ascontiguousarray(edges, dtype=np.int64).reshape(-1, 2)
+        redirect = np.asarray(edge_is_redirect, dtype=bool)
+        n = len(node_ids)
+        a, b = np.searchsorted(node_ids, ends[~redirect].T)
+        pairs = np.sort(np.concatenate([a * n + b, b * n + a]))
+        pairs = pairs[np.diff(pairs, prepend=-1) != 0]  # a link listed both ways counts once
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(pairs // n, minlength=n), out=indptr[1:])
+        id_list = node_ids.tolist()
+        sorted_titles = [titles[i] for i in picks]
+        graph = cls(
+            ids=node_ids,
+            is_category=np.asarray(is_category, dtype=bool)[order],
+            titles=sorted_titles,
+            abstracts=[abstracts[i] for i in picks],
+            redirect_titles=dict(redirect_titles),
+            indptr=indptr,
+            indices=pairs % n,
+            edges=ends,
+            edge_is_redirect=redirect,
+            title_index=_title_index(id_list, sorted_titles, redirect_titles, ends[redirect].tolist()),
+            positions=dict(zip(id_list, range(n))),
+        )
+        for array in (graph.ids, graph.is_category, graph.indptr, graph.indices, graph.edges,
+                      graph.edge_is_redirect):
+            array.flags.writeable = False
+        return graph
 
     @property
     def n_nodes(self) -> int:
-        return len(self.nodes)
+        return len(self.ids)
 
-    def node(self, node_id: int) -> ConceptNode:
+    @property
+    def nodes(self) -> Mapping[int, ConceptNode]:
+        """Read-only view from node id to its ``ConceptNode``, built on demand."""
+        return _NodeView(self)
+
+    def position(self, node_id: int) -> int:
         try:
-            return self.nodes[node_id]
+            return self.positions[node_id]
         except KeyError:
             raise NotFoundError(f"unknown node id {node_id}") from None
+
+    def node(self, node_id: int) -> ConceptNode:
+        p = self.position(node_id)
+        return ConceptNode(
+            node_id,
+            NodeKind.CATEGORY if self.is_category[p] else NodeKind.ARTICLE,
+            self.titles[p],
+            self.redirect_titles.get(node_id, frozenset()),
+            self.abstracts[p],
+        )
 
     def lookup_title(self, mention: str) -> int | None:
         """Resolve a mention to a node id, or None when nothing matches.
@@ -91,108 +171,41 @@ class KnowledgeGraph:
         return self.title_index.get(normalize_title(mention))
 
     def neighbors(self, node_id: int) -> tuple[int, ...]:
-        if node_id not in self.nodes:
-            raise NotFoundError(f"unknown node id {node_id}")
-        return self.adjacency.get(node_id, ())
+        p = self.position(node_id)
+        return tuple(self.ids[self.indices[self.indptr[p] : self.indptr[p + 1]]].tolist())
 
 
-def _data_lines(path: Path) -> Iterable[tuple[int, str]]:
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip() or line.startswith("#"):
-                continue
-            yield lineno, line
+class _NodeView(Mapping[int, ConceptNode]):
+    def __init__(self, graph: KnowledgeGraph) -> None:
+        self._graph = graph
+
+    def __getitem__(self, node_id: int) -> ConceptNode:
+        if node_id not in self._graph.positions:
+            raise KeyError(node_id)
+        return self._graph.node(node_id)
+
+    def __contains__(self, node_id: object) -> bool:
+        return node_id in self._graph.positions
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._graph.positions)
+
+    def __len__(self) -> int:
+        return len(self._graph.positions)
 
 
-def _parse_nodes(path: Path) -> dict[int, ConceptNode]:
-    nodes: dict[int, ConceptNode] = {}
-    seen_titles: dict[str, int] = {}
-    for lineno, line in _data_lines(path):
-        parts = line.split("\t")
-        if len(parts) != 5:
-            raise ParseError(
-                f"{path}:{lineno}: expected 5 tab-separated fields, got {len(parts)}"
-            )
-        raw_id, raw_kind, raw_title, raw_redirects, abstract = parts
-        try:
-            node_id = int(raw_id)
-        except ValueError:
-            raise ParseError(f"{path}:{lineno}: node id {raw_id!r} is not an integer") from None
-        if node_id < 0:
-            raise ParseError(f"{path}:{lineno}: node id must be non-negative")
-        try:
-            kind = NodeKind(raw_kind)
-        except ValueError:
-            raise ParseError(f"{path}:{lineno}: unknown node kind {raw_kind!r}") from None
-        title = normalize_title(raw_title)
-        if not title:
-            raise ParseError(f"{path}:{lineno}: empty title")
-        if node_id in nodes:
-            raise IntegrityError(f"{path}:{lineno}: duplicate node id {node_id}")
-        if title in seen_titles:
-            raise IntegrityError(
-                f"{path}:{lineno}: duplicate title {title!r} "
-                f"(also node {seen_titles[title]})"
-            )
-        redirects = frozenset(
-            normalize_title(t) for t in raw_redirects.split("|") if normalize_title(t)
-        )
-        if kind is NodeKind.CATEGORY and (redirects or abstract):
-            raise IntegrityError(
-                f"{path}:{lineno}: category {title!r} must not carry "
-                "redirect titles or an abstract"
-            )
-        seen_titles[title] = node_id
-        nodes[node_id] = ConceptNode(node_id, kind, title, redirects, abstract)
-    return nodes
-
-
-def _parse_edges(path: Path, nodes: Mapping[int, ConceptNode]) -> list[KgEdge]:
-    edges: list[KgEdge] = []
-    seen: set[tuple[int, int, EdgeKind]] = set()
-    for lineno, line in _data_lines(path):
-        parts = line.split("\t")
-        if len(parts) != 3:
-            raise ParseError(
-                f"{path}:{lineno}: expected 3 tab-separated fields, got {len(parts)}"
-            )
-        try:
-            src, dst = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise ParseError(f"{path}:{lineno}: edge endpoints must be integers") from None
-        try:
-            kind = EdgeKind(parts[2])
-        except ValueError:
-            raise ParseError(f"{path}:{lineno}: unknown edge kind {parts[2]!r}") from None
-        for endpoint in (src, dst):
-            if endpoint not in nodes:
-                raise IntegrityError(f"{path}:{lineno}: edge references unknown node {endpoint}")
-        if src == dst:
-            raise IntegrityError(f"{path}:{lineno}: self-loop on node {src}")
-        triple = (src, dst, kind)
-        if triple in seen:
-            raise IntegrityError(f"{path}:{lineno}: duplicate edge {src}->{dst} ({kind.value})")
-        if kind is EdgeKind.CATEGORY_LINK and not nodes[dst].is_category:
-            raise IntegrityError(
-                f"{path}:{lineno}: category link {src}->{dst} must point at a category"
-            )
-        seen.add(triple)
-        edges.append(KgEdge(src, dst, kind))
-    return edges
-
-
-def _build_title_index(
-    nodes: Mapping[int, ConceptNode], edges: Iterable[KgEdge]
+def _title_index(
+    ids: list[int],
+    titles: Sequence[str],
+    redirect_titles: Mapping[int, frozenset[str]],
+    redirects: Iterable[Sequence[int]],
 ) -> dict[str, int]:
     # Redirect edges re-point a source node's titles at the edge target.
     redirect_to: dict[int, int] = {}
-    for edge in edges:
-        if edge.kind is not EdgeKind.REDIRECT:
-            continue
-        if edge.src in redirect_to:
-            raise IntegrityError(f"node {edge.src} has conflicting redirect edges")
-        redirect_to[edge.src] = edge.dst
+    for src, dst in redirects:
+        if src in redirect_to:
+            raise IntegrityError(f"node {src} has conflicting redirect edges")
+        redirect_to[src] = dst
 
     def resolve(node_id: int) -> int:
         seen = {node_id}
@@ -203,50 +216,224 @@ def _build_title_index(
             seen.add(node_id)
         return node_id
 
-    index: dict[str, int] = {}
+    resolved = {node_id: resolve(node_id) for node_id in sorted(redirect_to)}
     # Primary titles first: they always win over redirect aliases.
-    for node_id in sorted(nodes):
-        index[nodes[node_id].title] = resolve(node_id)
-    for node_id in sorted(nodes):
-        target = resolve(node_id)
-        for alias in sorted(nodes[node_id].redirect_titles):
+    index = dict(zip(titles, [resolved.get(i, i) for i in ids]))
+    for node_id in sorted(redirect_titles):
+        target = resolved.get(node_id, node_id)
+        for alias in sorted(redirect_titles[node_id]):
             # An alias never shadows a primary title; among competing
             # aliases the lowest carrier id wins.
             index.setdefault(alias, target)
     return index
 
 
+class _Rows:
+    """The data lines of one TSV file, as columns, and the first error in them.
+
+    Blank lines and lines starting with ``#`` are not data lines; a line that
+    is not UTF-8 ends them and is the pending error. Each check scans the
+    rows before the earliest error found so far (``limit``), which passed
+    every earlier check, and lowers ``limit`` to the first row it fails. So
+    the error left at the end is the one that running the checks in order on
+    each line, line after line, meets first.
+    """
+
+    def __init__(self, path: Path, n_fields: int) -> None:
+        self.path = path
+        lines = read_lines(path)
+        end = lines.index(None) if None in lines else len(lines)
+        self.error: GistRankError | None = None
+        if end < len(lines):
+            self.error = ParseError(f"{path}:{end + 1}: line is not valid UTF-8")
+        self.linenos = [
+            i for i, line in enumerate(lines[:end], 1)
+            if line and line[0] != "#" and not line.isspace()
+        ]
+        data = [lines[i - 1] for i in self.linenos]
+        del lines
+        self.limit = len(data)
+        tabs = list(map(str.count, data, repeat("\t")))
+        self.check(
+            map(eq, tabs, repeat(n_fields - 1)),
+            lambda r: ParseError(
+                f"{self.where(r)}: expected {n_fields} tab-separated fields, got {tabs[r] + 1}"
+            ),
+        )
+        cells = "\t".join(data[: self.limit]).split("\t") if self.limit else []
+        del data
+        # The fields of the rows before ``limit``, one list per column.
+        self.columns = [cells[i::n_fields] for i in range(n_fields)]
+
+    def where(self, row: int) -> str:
+        return f"{self.path}:{self.linenos[row]}"
+
+    def check(self, ok: Iterable[object], error: Callable[[int], GistRankError]) -> None:
+        """Fail the first row whose ``ok`` entry is false."""
+        self.fail(next(compress(count(), map(not_, ok)), None), error)
+
+    def fail(self, row: int | None, error: Callable[[int], GistRankError]) -> None:
+        if row is not None and row < self.limit:
+            self.limit, self.error = row, error(row)
+
+    def first_repeat(self, values: Sequence, error: Callable[[int, int], GistRankError]) -> None:
+        """Fail the first row that repeats an earlier row's value; ``error``
+        gets that row and the row that first held the value."""
+        values = values[: self.limit]
+        if len(set(values)) == len(values):
+            return
+        first: dict = {}
+        for row, value in enumerate(values):
+            if value in first:
+                return self.fail(row, lambda r: error(r, first[value]))
+            first[value] = row
+
+    def raise_first(self) -> None:
+        if self.error is not None:
+            raise self.error
+
+
+def _ints(raw: Sequence[str]) -> list[int | None]:
+    try:
+        return list(map(int, raw))
+    except ValueError:
+        return [_int_or_none(s) for s in raw]
+
+
+def _int_or_none(text: str) -> int | None:
+    try:
+        return int(text)
+    except ValueError:
+        return None
+
+
+def _read_nodes(
+    path: Path,
+) -> tuple[list[int], list[bool], list[str], list[str], dict[int, frozenset[str]]]:
+    """A node file's checked columns in file order: ids, category flags,
+    normalized titles, abstracts, and the redirect titles of the nodes that
+    carry any."""
+    rows = _Rows(path, 5)
+    raw_ids, kinds, raw_titles, raw_redirects, abstracts = rows.columns
+    parsed = _ints(raw_ids)
+    rows.check(
+        map(is_not, parsed, repeat(None)),
+        lambda r: ParseError(f"{rows.where(r)}: node id {raw_ids[r]!r} is not an integer"),
+    )
+    ids: list[int] = parsed[: rows.limit]  # type: ignore[assignment]
+    rows.check(
+        map(ge, ids, repeat(0)),
+        lambda r: ParseError(f"{rows.where(r)}: node id must be non-negative"),
+    )
+    rows.check(
+        map(le, ids, repeat(_INT64_MAX)),
+        lambda r: ParseError(f"{rows.where(r)}: node id {raw_ids[r]!r} is out of range"),
+    )
+    rows.check(
+        map(_NODE_KINDS.__contains__, kinds[: rows.limit]),
+        lambda r: ParseError(f"{rows.where(r)}: unknown node kind {kinds[r]!r}"),
+    )
+    # normalize_title, column-wise
+    titles = list(map(" ".join, map(str.split, map(str.lower, raw_titles[: rows.limit]))))
+    rows.check(titles, lambda r: ParseError(f"{rows.where(r)}: empty title"))
+    rows.first_repeat(
+        ids, lambda r, _: IntegrityError(f"{rows.where(r)}: duplicate node id {ids[r]}")
+    )
+    rows.first_repeat(
+        titles,
+        lambda r, first: IntegrityError(
+            f"{rows.where(r)}: duplicate title {titles[r]!r} (also node {ids[first]})"
+        ),
+    )
+    n = rows.limit
+    is_category = list(map(NodeKind.CATEGORY.value.__eq__, kinds[:n]))
+    redirect_titles = {}
+    for r in compress(range(n), raw_redirects):
+        aliases = frozenset(t for t in map(normalize_title, raw_redirects[r].split("|")) if t)
+        if aliases:
+            redirect_titles[ids[r]] = aliases
+    carrying = (r for r in compress(range(n), is_category) if ids[r] in redirect_titles or abstracts[r])
+    rows.fail(
+        next(carrying, None),
+        lambda r: IntegrityError(
+            f"{rows.where(r)}: category {titles[r]!r} must not carry redirect titles or an abstract"
+        ),
+    )
+    rows.raise_first()
+    return ids, is_category, titles, abstracts, redirect_titles
+
+
+def _read_edges(
+    path: Path, row_of: Mapping[int, int], is_category: Sequence[bool]
+) -> tuple[np.ndarray, list[bool]]:
+    """An edge file's checked edges, as (src, dst) id rows in file order,
+    and which of them are redirects; ``row_of`` maps a node id to its row in
+    ``is_category``."""
+    rows = _Rows(path, 3)
+    raw_src, raw_dst, edge_kinds = rows.columns
+    src, dst = _ints(raw_src), _ints(raw_dst)
+    for ends in (src, dst):
+        rows.check(
+            map(is_not, ends, repeat(None)),
+            lambda r: ParseError(f"{rows.where(r)}: edge endpoints must be integers"),
+        )
+    rows.check(
+        map(_EDGE_KINDS.__contains__, edge_kinds[: rows.limit]),
+        lambda r: ParseError(f"{rows.where(r)}: unknown edge kind {edge_kinds[r]!r}"),
+    )
+    src_rows = list(map(row_of.get, src[: rows.limit]))
+    dst_rows = list(map(row_of.get, dst[: rows.limit]))
+    for ends, end_rows in ((src, src_rows), (dst, dst_rows)):
+        rows.check(
+            map(is_not, end_rows, repeat(None)),
+            lambda r: IntegrityError(f"{rows.where(r)}: edge references unknown node {ends[r]}"),
+        )
+    rows.check(
+        map(ne, src_rows, dst_rows),
+        lambda r: IntegrityError(f"{rows.where(r)}: self-loop on node {src[r]}"),
+    )
+    m = rows.limit
+    is_redirect = list(map(EdgeKind.REDIRECT.value.__eq__, edge_kinds[:m]))
+    # One integer per (src, dst, kind) triple, from the endpoints' rows.
+    ends = np.array([src_rows[:m], dst_rows[:m]], dtype=np.int64)
+    keys = (ends[0] * len(is_category) + ends[1]) * 2 + np.asarray(is_redirect, dtype=np.int64)
+    rows.first_repeat(
+        keys.tolist(),
+        lambda r, _: IntegrityError(
+            f"{rows.where(r)}: duplicate edge {src[r]}->{dst[r]} ({edge_kinds[r]})"
+        ),
+    )
+    rows.check(
+        map(or_, is_redirect, map(is_category.__getitem__, dst_rows[: rows.limit])),
+        lambda r: IntegrityError(
+            f"{rows.where(r)}: category link {src[r]}->{dst[r]} must point at a category"
+        ),
+    )
+    rows.raise_first()
+    return np.array([src, dst], dtype=np.int64).T, is_redirect
+
+
 def load_graph(nodes_path: str | Path, edges_path: str | Path) -> KnowledgeGraph:
     """Load and index a knowledge graph from the TSV node/edge files.
 
-    Raises ParseError on malformed lines (naming file and line number) and
-    IntegrityError on duplicate titles, duplicate edges, or edges that
+    Each file is read once and checked a column at a time; the first bad
+    line in file order decides the error. Raises ParseError on a line that
+    is not UTF-8 or is malformed (naming file and line number) and
+    IntegrityError on duplicate ids or titles, duplicate edges, or edges that
     reference unknown nodes.
     """
-    nodes_path, edges_path = Path(nodes_path), Path(edges_path)
-    nodes = _parse_nodes(nodes_path)
-    edges = _parse_edges(edges_path, nodes)
-
-    neighbor_sets: dict[int, set[int]] = {node_id: set() for node_id in nodes}
-    for edge in edges:
-        if edge.kind is EdgeKind.CATEGORY_LINK:
-            neighbor_sets[edge.src].add(edge.dst)
-            neighbor_sets[edge.dst].add(edge.src)
-    adjacency = {node_id: tuple(sorted(ns)) for node_id, ns in neighbor_sets.items()}
-
-    return KnowledgeGraph(
-        nodes=dict(sorted(nodes.items())),
-        edges=tuple(edges),
-        adjacency=adjacency,
-        title_index=_build_title_index(nodes, edges),
+    ids, is_category, titles, abstracts, redirect_titles = _read_nodes(Path(nodes_path))
+    edges, is_redirect = _read_edges(Path(edges_path), dict(zip(ids, range(len(ids)))), is_category)
+    return KnowledgeGraph.from_columns(
+        ids, is_category, titles, abstracts, redirect_titles, edges, is_redirect
     )
 
 
 def save_graph(graph: KnowledgeGraph, nodes_path: str | Path, edges_path: str | Path) -> None:
     """Write a graph back to the TSV file format (round-trips with load_graph)."""
     with Path(nodes_path).open("w", encoding="utf-8") as fh:
-        for node_id in sorted(graph.nodes):
-            node = graph.nodes[node_id]
+        for node_id in graph.ids.tolist():
+            node = graph.node(node_id)
             fh.write(
                 "\t".join(
                     (
@@ -259,6 +446,7 @@ def save_graph(graph: KnowledgeGraph, nodes_path: str | Path, edges_path: str | 
                 )
                 + "\n"
             )
+    kinds = {False: EdgeKind.CATEGORY_LINK.value, True: EdgeKind.REDIRECT.value}
     with Path(edges_path).open("w", encoding="utf-8") as fh:
-        for edge in graph.edges:
-            fh.write(f"{edge.src}\t{edge.dst}\t{edge.kind.value}\n")
+        for (src, dst), redirect in zip(graph.edges.tolist(), graph.edge_is_redirect.tolist()):
+            fh.write(f"{src}\t{dst}\t{kinds[redirect]}\n")

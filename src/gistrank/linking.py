@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .errors import IntegrityError
+from .errors import IntegrityError, read_lines
 from .kg import KnowledgeGraph, normalize_title
 
 logger = logging.getLogger(__name__)
@@ -188,27 +188,30 @@ def _instance_from_record(obj: dict) -> Instance:
 def read_corpus(path: str | Path) -> list[Instance]:
     """Read a JSON-lines corpus file.
 
-    Unreadable records are skipped with a warning instead of aborting the
-    whole run; duplicate instance ids are an integrity error.
+    Unreadable records (a line that is not UTF-8, not JSON, or not a valid
+    record) are skipped with a warning instead of aborting the whole run;
+    duplicate instance ids are an integrity error.
     """
     instances: list[Instance] = []
     seen: set[str] = set()
     path = Path(path)
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                instance = _instance_from_record(json.loads(line))
-            except (json.JSONDecodeError, IntegrityError, KeyError, TypeError, ValueError) as exc:
-                logger.warning("%s:%d: skipping unreadable record (%s)", path, lineno, exc)
-                continue
-            if instance.instance_id in seen:
-                raise IntegrityError(
-                    f"{path}:{lineno}: duplicate instance id {instance.instance_id!r}"
-                )
-            seen.add(instance.instance_id)
-            instances.append(instance)
+    for lineno, raw in enumerate(read_lines(path), start=1):
+        if raw is None:
+            logger.warning("%s:%d: skipping unreadable record (not valid UTF-8)", path, lineno)
+            continue
+        line = raw.strip()
+        if not line:
+            continue
+        try:
+            instance = _instance_from_record(json.loads(line))
+        except (json.JSONDecodeError, IntegrityError, KeyError, TypeError, ValueError) as exc:
+            logger.warning("%s:%d: skipping unreadable record (%s)", path, lineno, exc)
+            continue
+        if instance.instance_id in seen:
+            raise IntegrityError(
+                f"{path}:{lineno}: duplicate instance id {instance.instance_id!r}"
+            )
+        seen.add(instance.instance_id)
+        instances.append(instance)
     return instances
 

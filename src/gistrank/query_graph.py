@@ -8,9 +8,8 @@ category-link edges induced among the retained nodes.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Collection, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -21,32 +20,54 @@ from .linking import SeedOrigin, SeedSet
 MAX_PATH_LENGTH = 4
 
 
-def _bfs(adjacency: Mapping[int, Collection[int]], source: int, cutoff: int | None) -> dict[int, int]:
-    distances = {source: 0}
-    queue = deque([source])
-    while queue:
-        current = queue.popleft()
-        d = distances[current]
-        if cutoff is not None and d >= cutoff:
-            continue
-        for neighbor in adjacency.get(current, ()):
-            if neighbor not in distances:
-                distances[neighbor] = d + 1
-                queue.append(neighbor)
-    return distances
+def _gather(graph: KnowledgeGraph, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The CSR rows of ``nodes``, concatenated: for each neighbour position,
+    the index into ``nodes`` of the node it was read from, and the position."""
+    starts = graph.indptr[nodes]
+    sizes = graph.indptr[nodes + 1] - starts
+    owner = np.repeat(np.arange(len(nodes)), sizes)
+    return owner, graph.indices[(starts - np.cumsum(sizes) + sizes)[owner] + np.arange(len(owner))]
+
+
+def _hop_counts(graph: KnowledgeGraph, sources: np.ndarray, cutoff: int) -> np.ndarray:
+    """Hop counts over the category links from each source position (rows)
+    to every node position (columns), with cutoff + 1 beyond ``cutoff``.
+
+    One breadth-first search from all sources at once, a level at a time:
+    the frontier is a set of (source, node) cells, and each level reads the
+    CSR rows of all of them together.
+    """
+    k, n, far = len(sources), graph.n_nodes, cutoff + 1
+    dist = np.full(k * n, far, dtype=np.min_scalar_type(far))
+    frontier = np.arange(k) * n + sources
+    dist[frontier] = 0
+    for level in range(1, far):
+        nodes = frontier % n
+        owner, reached = _gather(graph, nodes)
+        cells = (frontier - nodes)[owner] + reached
+        cells = cells[dist[cells] == far]
+        if not len(cells):
+            break
+        dist[cells] = level
+        frontier = np.flatnonzero(dist == level)
+    return dist.reshape(k, n)
 
 
 def bfs_distances(graph: KnowledgeGraph, source: int, cutoff: int) -> dict[int, int]:
     """Unweighted shortest-path distances from ``source`` up to ``cutoff`` hops.
 
     Traversal follows category-link adjacency (undirected); nodes farther
-    than the cutoff are omitted from the result.
+    than the cutoff are omitted from the result, which is keyed by node id
+    in ascending order.
     """
-    if source not in graph.nodes:
+    if source not in graph.positions:
         raise NotFoundError(f"unknown source node {source}")
     if cutoff < 0:
         raise ValueError("cutoff must be >= 0")
-    return _bfs(graph.adjacency, source, cutoff)
+    cutoff = min(cutoff, graph.n_nodes)
+    dist = _hop_counts(graph, np.array([graph.positions[source]]), cutoff)[0]
+    hit = np.flatnonzero(dist <= cutoff)
+    return dict(zip(graph.ids[hit].tolist(), dist[hit].tolist()))
 
 
 @dataclass(frozen=True)
@@ -82,21 +103,33 @@ class QueryGraph:
                 f"instance {instance_id!r}: node {min(both)} is both a seed and an intermediate"
             )
         order = tuple(sorted(frozenset(seeds) | intermediates))
-        neighbors: dict[int, set[int]] = {n: set() for n in order}
+        index = {n: i for i, n in enumerate(order)}
+        neighbors: list[list[int]] = [[] for _ in order]
         for a, b in edges:
             if a == b:
                 raise IntegrityError(f"instance {instance_id!r}: self-loop edge ({a}, {b})")
-            if a not in neighbors or b not in neighbors:
+            if a not in index or b not in index:
                 raise IntegrityError(
                     f"instance {instance_id!r}: edge ({a}, {b}) has an endpoint "
                     "that is neither a seed nor an intermediate"
                 )
-            neighbors[a].add(b)
-            neighbors[b].add(a)
+            neighbors[index[a]].append(index[b])
+            neighbors[index[b]].append(index[a])
+        # Breadth-first from each position, a frontier list per level.
         rows = []
-        for source in order:
-            reached = _bfs(neighbors, source, None)
-            rows.append([reached.get(target, -1) for target in order])
+        for source in range(len(order)):
+            row = [-1] * len(order)
+            row[source], frontier, d = 0, [source], 0
+            while frontier:
+                d += 1
+                reached = []
+                for v in frontier:
+                    for w in neighbors[v]:
+                        if row[w] < 0:
+                            row[w] = d
+                            reached.append(w)
+                frontier = reached
+            rows.append(row)
         hops = np.array(rows, dtype=np.int64).reshape(len(order), len(order))
         hops.flags.writeable = False
         return cls(
@@ -105,7 +138,7 @@ class QueryGraph:
             intermediates=intermediates,
             edges=edges,
             order=order,
-            index={n: i for i, n in enumerate(order)},
+            index=index,
             hops=hops,
         )
 
@@ -161,36 +194,32 @@ def build_query_graph(graph: KnowledgeGraph, seedset: SeedSet) -> QueryGraph:
     empty subgraph.
     """
     for seed_id in seedset.seeds:
-        if seed_id not in graph.nodes:
+        if seed_id not in graph.positions:
             raise IntegrityError(
                 f"instance {seedset.instance_id!r}: seed {seed_id} is not in the graph"
             )
 
     seeds = dict(seedset.seeds)
-    seed_ids = sorted(seeds)
-    frontiers = [_bfs(graph.adjacency, s, MAX_PATH_LENGTH) for s in seed_ids]
-    reached = sorted(
-        {v for f in frontiers for v in f if v not in seeds and graph.nodes[v].is_category}
-    )
-    columns, k = seed_ids + reached, len(seed_ids)
-    dist = np.array(
-        [[f.get(v, MAX_PATH_LENGTH + 1) for v in columns] for f in frontiers], dtype=np.int64
-    ).reshape(k, len(columns))
-    to_seed, to_node = dist[:, :k], dist[:, k:]
+    sources = np.array([graph.positions[s] for s in sorted(seeds)], dtype=np.int64)
+    dist = _hop_counts(graph, sources, MAX_PATH_LENGTH)
+    candidate = (dist <= MAX_PATH_LENGTH).any(axis=0) & graph.is_category
+    candidate[sources] = False
+    reached = np.flatnonzero(candidate)
+    to_seed, to_node = dist[:, sources], dist[:, reached]
     s, t = np.nonzero(np.triu(to_seed <= MAX_PATH_LENGTH, k=1))
     on_path = (to_node[s] + to_node[t] == to_seed[s, t, None]).any(axis=0)
-    intermediates = {v for v, hit in zip(reached, on_path.tolist()) if hit}
+    intermediates = reached[on_path]
 
-    nodes = set(seeds) | intermediates
-    edges = {
-        (node, neighbor) if node < neighbor else (neighbor, node)
-        for node in nodes
-        for neighbor in graph.adjacency.get(node, ())
-        if neighbor in nodes
-    }
+    kept = np.sort(np.concatenate([sources, intermediates]))  # disjoint sets
+    inside = np.zeros(graph.n_nodes, dtype=bool)
+    inside[kept] = True
+    owner, neighbor = _gather(graph, kept)
+    node = kept[owner]
+    induced = inside[neighbor] & (node < neighbor)
+    edges = zip(graph.ids[node[induced]].tolist(), graph.ids[neighbor[induced]].tolist())
     return QueryGraph.from_parts(
         instance_id=seedset.instance_id,
         seeds=seeds,
-        intermediates=frozenset(intermediates),
+        intermediates=frozenset(graph.ids[intermediates].tolist()),
         edges=frozenset(edges),
     )

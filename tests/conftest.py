@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import itertools
+from collections import deque
 
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from gistrank.kg import ConceptNode, EdgeKind, KgEdge, KnowledgeGraph, NodeKind
+from gistrank.kg import KnowledgeGraph, NodeKind
 from gistrank.linking import SeedOrigin
 from gistrank.query_graph import QueryGraph
 
@@ -16,28 +17,43 @@ from gistrank.query_graph import QueryGraph
 def kg_from_parts(nodes, edges) -> KnowledgeGraph:
     """Assemble a KnowledgeGraph directly from (id, kind, title[, redirects, abstract])
     node tuples and (src, dst) category-link edge pairs."""
-    node_map = {}
-    for spec in nodes:
-        node_id, kind, title = spec[0], spec[1], spec[2]
-        redirects = frozenset(spec[3]) if len(spec) > 3 else frozenset()
-        abstract = spec[4] if len(spec) > 4 else ""
-        node_map[node_id] = ConceptNode(node_id, kind, title, redirects, abstract)
-    edge_objs = tuple(KgEdge(a, b, EdgeKind.CATEGORY_LINK) for a, b in edges)
-    neighbor_sets = {nid: set() for nid in node_map}
-    for a, b in edges:
-        neighbor_sets[a].add(b)
-        neighbor_sets[b].add(a)
-    title_index = {}
-    for nid, node in sorted(node_map.items()):
-        title_index.setdefault(node.title, nid)
-        for alias in sorted(node.redirect_titles):
-            title_index.setdefault(alias, nid)
-    return KnowledgeGraph(
-        nodes=dict(sorted(node_map.items())),
-        edges=edge_objs,
-        adjacency={nid: tuple(sorted(ns)) for nid, ns in neighbor_sets.items()},
-        title_index=title_index,
+    specs = [(*spec, (), "")[:5] for spec in nodes]
+    edges = list(edges)
+    return KnowledgeGraph.from_columns(
+        ids=[spec[0] for spec in specs],
+        is_category=[spec[1] is NodeKind.CATEGORY for spec in specs],
+        titles=[spec[2] for spec in specs],
+        abstracts=[spec[4] for spec in specs],
+        redirect_titles={spec[0]: frozenset(spec[3]) for spec in specs if spec[3]},
+        edges=edges,
+        edge_is_redirect=[False] * len(edges),
     )
+
+
+def kg_adjacency(graph: KnowledgeGraph) -> dict[int, tuple[int, ...]]:
+    """Each node's category-link neighbours, ascending, read from ``graph.edges``."""
+    neighbors: dict[int, set[int]] = {v: set() for v in graph.ids.tolist()}
+    for (a, b), redirect in zip(graph.edges.tolist(), graph.edge_is_redirect.tolist()):
+        if not redirect:
+            neighbors[a].add(b)
+            neighbors[b].add(a)
+    return {v: tuple(sorted(ns)) for v, ns in neighbors.items()}
+
+
+def dict_bfs(adjacency, source: int, cutoff: int) -> dict[int, int]:
+    """Reference BFS: hop counts from ``source`` over an adjacency dict, up to ``cutoff``."""
+    distances = {source: 0}
+    queue = deque([source])
+    while queue:
+        current = queue.popleft()
+        d = distances[current]
+        if d >= cutoff:
+            continue
+        for neighbor in adjacency.get(current, ()):
+            if neighbor not in distances:
+                distances[neighbor] = d + 1
+                queue.append(neighbor)
+    return distances
 
 
 def random_kg(rng: np.random.Generator, n_nodes: int, edge_prob: float) -> KnowledgeGraph:

@@ -15,6 +15,8 @@ from gistrank.linking import LinkMode, link_instance, read_corpus
 from gistrank.pipeline import run_stage, split_instances
 from gistrank.query_graph import build_query_graph
 
+from tests.conftest import kg_adjacency
+
 
 @pytest.fixture(scope="module")
 def fixture_dir(tmp_path_factory) -> Path:
@@ -92,10 +94,13 @@ class TestGenFixture:
         assert graph.n_nodes > 100
         assert len(corpus) == 30
         assert all(instance.topics for instance in corpus)
-        # adjacency symmetry, exhaustively on this mid-size fixture
-        for a, neighbors in graph.adjacency.items():
-            for b in neighbors:
-                assert a in graph.adjacency[b]
+        # the CSR rows equal the symmetric category links, exhaustively on this
+        # mid-size fixture
+        adjacency = kg_adjacency(graph)
+        for a in graph.ids.tolist():
+            assert graph.neighbors(a) == adjacency[a]
+            for b in adjacency[a]:
+                assert a in graph.neighbors(b)
 
     def test_deterministic(self, tmp_path, fixture_dir):
         other = tmp_path / "again"
@@ -351,6 +356,37 @@ class TestCli:
         path.write_bytes(corrupt(path.read_bytes()))
         assert main([stage, "--config", config]) == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "name, edit, where",
+        [
+            ("kg_nodes.tsv", lambda lines: lines + [b"\xff"], "last"),
+            ("kg_edges.tsv", lambda lines: [lines[0].rstrip(b"\n") + b"\xff\n"] + lines[1:], 1),
+        ],
+        ids=["nodes-byte-appended", "edges-comment-line"],
+    )
+    def test_non_utf8_graph_line_exit_code(self, tmp_path, capsys, name, edit, where):
+        out = tmp_path / "fx"
+        main(["gen-fixture", "--seed", "9", "--instances", "9", "--topics", "3", "--out", str(out)])
+        path = out / name
+        lines = edit(path.read_bytes().splitlines(keepends=True))
+        assert lines[0].startswith(b"#")
+        path.write_bytes(b"".join(lines))
+        assert main(["link", "--config", str(out / "pipeline.config")]) == 2
+        lineno = len(lines) if where == "last" else where
+        assert f"error: {path}:{lineno}: line is not valid UTF-8" in capsys.readouterr().err
+
+    def test_non_utf8_corpus_record_is_skipped(self, tmp_path, capsys, caplog):
+        out = tmp_path / "fx"
+        main(["gen-fixture", "--seed", "9", "--instances", "9", "--topics", "3", "--out", str(out)])
+        corpus = out / "corpus.jsonl"
+        lines = corpus.read_bytes().splitlines(keepends=True)
+        lines[2] = lines[2].rstrip(b"\n") + b"\xff\n"
+        corpus.write_bytes(b"".join(lines))
+        assert main(["link", "--config", str(out / "pipeline.config")]) == 0
+        assert f"{corpus}:3: skipping unreadable record (not valid UTF-8)" in caplog.text
+        seeds = (out / "out" / "TII" / "seeds.jsonl").read_text().splitlines()
+        assert len(seeds) == len(lines) - 1
 
     @pytest.mark.parametrize(
         "path, missing",

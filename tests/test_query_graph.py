@@ -11,7 +11,14 @@ from gistrank.kg import NodeKind
 from gistrank.linking import SeedOrigin, SeedSet
 from gistrank.query_graph import MAX_PATH_LENGTH, QueryGraph, bfs_distances, build_query_graph
 
-from tests.conftest import all_pairs_hops, kg_from_parts, random_kg, seeded_query_graphs
+from tests.conftest import (
+    all_pairs_hops,
+    dict_bfs,
+    kg_adjacency,
+    kg_from_parts,
+    random_kg,
+    seeded_query_graphs,
+)
 
 
 def seedset(ids, instance_id="q"):
@@ -22,6 +29,7 @@ def enumerate_intermediates(graph, seed_ids, max_len=MAX_PATH_LENGTH):
     """Oracle: collect interior category nodes of all shortest paths <= max_len
     between seed pairs, by exhaustive simple-path enumeration."""
     seed_ids = sorted(seed_ids)
+    adjacency = kg_adjacency(graph)
     collected = set()
     for idx, s in enumerate(seed_ids):
         for t in seed_ids[idx + 1 :]:
@@ -34,7 +42,7 @@ def enumerate_intermediates(graph, seed_ids, max_len=MAX_PATH_LENGTH):
                     continue
                 if len(path) > max_len:  # path already has max_len edges
                     continue
-                for neighbor in graph.adjacency.get(node, ()):
+                for neighbor in adjacency[node]:
                     if neighbor not in path:
                         stack.append((neighbor, path + [neighbor]))
             if not paths:
@@ -50,9 +58,11 @@ def enumerate_intermediates(graph, seed_ids, max_len=MAX_PATH_LENGTH):
 
 
 def loop_build_query_graph(graph, seedset):
-    """Reference: the per-pair frontier expansion that the array test replaced."""
+    """Reference: the per-pair expansion over one dict BFS per seed, which the
+    array test and the CSR breadth-first search replaced."""
     seeds = dict(seedset.seeds)
-    frontiers = {s: bfs_distances(graph, s, MAX_PATH_LENGTH) for s in seeds}
+    adjacency = kg_adjacency(graph)
+    frontiers = {s: dict_bfs(adjacency, s, MAX_PATH_LENGTH) for s in seeds}
     intermediates = set()
     for s, t in itertools.combinations(sorted(seeds), 2):
         d_pair = frontiers[s].get(t)
@@ -67,7 +77,7 @@ def loop_build_query_graph(graph, seedset):
                 intermediates.add(v)
     nodes = set(seeds) | intermediates
     edges = {
-        (min(a, b), max(a, b)) for a in nodes for b in graph.adjacency.get(a, ()) if b in nodes
+        (min(a, b), max(a, b)) for a in nodes for b in adjacency[a] if b in nodes
     }
     return QueryGraph.from_parts(seedset.instance_id, seeds, frozenset(intermediates), frozenset(edges))
 
@@ -101,7 +111,7 @@ def floyd_warshall(graph):
     n = len(nodes)
     dist = np.full((n, n), np.inf)
     np.fill_diagonal(dist, 0.0)
-    for a, neighbors in graph.adjacency.items():
+    for a, neighbors in kg_adjacency(graph).items():
         for b in neighbors:
             dist[index[a], index[b]] = 1.0
     for k in range(n):
@@ -221,7 +231,7 @@ class TestBuildQueryGraph:
 
     def test_subgraph_edges_are_induced(self, tiny_kg):
         qg = build_query_graph(tiny_kg, seedset([0, 1]))
-        kg_edges = {(min(a, b), max(a, b)) for a, nbrs in tiny_kg.adjacency.items() for b in nbrs}
+        kg_edges = {(min(a, b), max(a, b)) for a, nbrs in kg_adjacency(tiny_kg).items() for b in nbrs}
         assert qg.edges <= kg_edges
 
     def test_category_seed_not_double_counted(self, tiny_kg):
