@@ -11,7 +11,7 @@ import hashlib
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import ConfigError
+from .errors import ConfigError, read_lines
 from .evaluation import MODES
 from .ltr import CoordinateAscentConfig
 
@@ -103,15 +103,16 @@ def load_config(path: str | Path, overrides: dict[str, str] | None = None) -> Pi
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
     values: dict[str, str] = {}
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            key, _, value = line.partition("=")
-            values[key.strip()] = value.strip()
+    for lineno, raw in enumerate(read_lines(path), start=1):
+        if raw is None:
+            raise ConfigError(f"{path}:{lineno}: line is not valid UTF-8")
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
+        key, _, value = line.partition("=")
+        values[key.strip()] = value.strip()
     values.update(overrides or {})
 
     base = path.parent

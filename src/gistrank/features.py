@@ -20,7 +20,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .clustering import Partition, relatedness_matrix
-from .errors import IntegrityError, ParseError
+from .errors import IntegrityError, ParseError, read_lines
 from .kg import KnowledgeGraph
 from .linking import Instance
 from .query_graph import QueryGraph
@@ -350,30 +350,34 @@ def write_feature_rows(
 def read_feature_rows(path: str | Path) -> list[tuple[str, int, tuple[float, ...], int | None]]:
     """Read a feature dump; fails when the header names do not match.
 
-    A line with the wrong field count or a malformed number raises
-    ``ParseError``, a non-finite feature value ``IntegrityError``.
+    A line that is not UTF-8, has the wrong field count or a malformed
+    number raises ``ParseError``, a non-finite feature value ``IntegrityError``.
     """
     path = Path(path)
+    expected = ["instance_id", "node_id", *FEATURE_NAMES, "grade"]
+    lines = read_lines(path)
+    header = lines[0] if lines else ""
+    if header is None:
+        raise ParseError(f"{path}:1: line is not valid UTF-8")
+    names = header.split("\t")
+    if names != expected:
+        raise IntegrityError(f"{path}: feature header mismatch: {names!r}")
     rows: list[tuple[str, int, tuple[float, ...], int | None]] = []
-    with path.open("r", encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n").split("\t")
-        expected = ["instance_id", "node_id", *FEATURE_NAMES, "grade"]
-        if header != expected:
-            raise IntegrityError(f"{path}: feature header mismatch: {header!r}")
-        for lineno, raw in enumerate(fh, start=2):
-            line = raw.rstrip("\n")
-            if not line:
-                continue
-            cells = line.split("\t")
-            if len(cells) != len(expected):
-                raise ParseError(f"{path}:{lineno}: expected {len(expected)} fields")
-            try:
-                node_id = int(cells[1])
-                values = tuple(float(c) for c in cells[2:-1])
-                grade = int(cells[-1]) if cells[-1] else None
-            except ValueError:
-                raise ParseError(f"{path}:{lineno}: malformed numeric field") from None
-            if not all(map(math.isfinite, values)):
-                raise IntegrityError(f"{path}:{lineno}: non-finite feature value")
-            rows.append((cells[0], node_id, values, grade))
+    for lineno, line in enumerate(lines[1:], start=2):
+        if line is None:
+            raise ParseError(f"{path}:{lineno}: line is not valid UTF-8")
+        if not line:
+            continue
+        cells = line.split("\t")
+        if len(cells) != len(expected):
+            raise ParseError(f"{path}:{lineno}: expected {len(expected)} fields")
+        try:
+            node_id = int(cells[1])
+            values = tuple(float(c) for c in cells[2:-1])
+            grade = int(cells[-1]) if cells[-1] else None
+        except ValueError:
+            raise ParseError(f"{path}:{lineno}: malformed numeric field") from None
+        if not all(map(math.isfinite, values)):
+            raise IntegrityError(f"{path}:{lineno}: non-finite feature value")
+        rows.append((cells[0], node_id, values, grade))
     return rows

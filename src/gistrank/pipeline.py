@@ -13,6 +13,7 @@ seeds reproduces every file byte for byte.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import logging
 from concurrent.futures import ThreadPoolExecutor
@@ -138,30 +139,48 @@ def split_instances(instance_ids: Iterable[str], ratio: float, seed: int) -> tup
     return train, {i for i in ordered if i not in train}
 
 
-class PipelineContext:
-    """Caches the loaded graph and corpus across stages of one run."""
+class _Shared:
+    """What the contexts of one run share: the loaded inputs and a stage-result store."""
 
-    def __init__(self, config: PipelineConfig):
+    def __init__(self) -> None:
+        self.graph = None
+        self.corpus: list[Instance] | None = None
+        self.idf = None
+        self.results: dict[tuple, object] = {}
+
+
+class PipelineContext:
+    """One mode's view of a run: its config, the loaded graph, corpus and IDF
+    table, and a store of stage results.
+
+    The graph, corpus and IDF table load on first use. ``for_mode`` makes the
+    context of another mode that shares them, and the store, with this one;
+    ``run_all`` runs its three modes so. ``run_stage`` makes a fresh context
+    per call, so a single-mode stage loads and computes everything itself.
+    """
+
+    def __init__(self, config: PipelineConfig, shared: _Shared | None = None):
         self.config = config
-        self._graph = None
-        self._corpus: list[Instance] | None = None
-        self._idf = None
+        self.shared = _Shared() if shared is None else shared
+
+    def for_mode(self, mode: str) -> "PipelineContext":
+        return PipelineContext(dataclasses.replace(self.config, mode=mode), self.shared)
 
     @property
     def graph(self):
-        if self._graph is None:
-            self._graph = load_graph(self.config.kg_nodes, self.config.kg_edges)
-        return self._graph
+        if self.shared.graph is None:
+            self.shared.graph = load_graph(self.config.kg_nodes, self.config.kg_edges)
+        return self.shared.graph
 
     @property
     def idf(self):
-        if self._idf is None:
-            self._idf = build_idf_table(self.graph)
-        return self._idf
+        if self.shared.idf is None:
+            self.shared.idf = build_idf_table(self.graph)
+        return self.shared.idf
 
     @property
     def corpus(self) -> list[Instance]:
-        if self._corpus is None:
+        if self.shared.corpus is None:
             instances = read_corpus(self.config.corpus)
             if self.config.image_labels is not None:
                 overrides = _read_label_overrides(self.config.image_labels)
@@ -171,11 +190,22 @@ class PipelineContext:
                     else inst
                     for inst in instances
                 ]
-            self._corpus = instances
-        return self._corpus
+            self.shared.corpus = instances
+        return self.shared.corpus
 
     def corpus_by_id(self) -> dict[str, Instance]:
         return {inst.instance_id: inst for inst in self.corpus}
+
+    def reuse(self, key: tuple, compute: Callable[[], T]) -> T:
+        """The stored result under ``key``, computed and stored on first use.
+
+        A key names everything the result depends on that can differ between
+        the modes of a run: a link mode, or the hashes of the input files.
+        """
+        results = self.shared.results
+        if key not in results:
+            results[key] = compute()
+        return results[key]
 
 
 def _parse_label_override(obj: dict) -> tuple[str, tuple[str, ...]]:
@@ -190,8 +220,12 @@ def _mode_dir(config: PipelineConfig) -> Path:
     return config.out / config.mode
 
 
+def _json_text(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
 def _write_json(path: Path, obj) -> None:
-    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    path.write_text(_json_text(obj), encoding="utf-8")
 
 
 def _seeds(config: PipelineConfig) -> dict[str, int]:
@@ -299,37 +333,52 @@ def _load_split(mode_dir: Path) -> tuple[set[str], set[str]]:
     return read_json(mode_dir / "split.json", lambda obj: (set(obj["train"]), set(obj["test"])))
 
 
+def _sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def _jsonl_text(objs: Iterable[dict]) -> str:
+    return "".join(json.dumps(obj, sort_keys=True) + "\n" for obj in objs)
+
+
 def _stage_link(ctx: PipelineContext) -> None:
     config = ctx.config
     mode_dir = _mode_dir(config)
     link_mode = _link_mode(config)
-    seed_sets = map_ordered(
-        lambda inst: link_instance(ctx.graph, inst, link_mode), ctx.corpus, config.workers
-    )
-    with (mode_dir / "seeds.jsonl").open("w", encoding="utf-8") as fh:
-        for seed_set in seed_sets:
-            fh.write(json.dumps(seed_set.to_json_obj(), sort_keys=True) + "\n")
-    _write_json(mode_dir / "link_report.json", corpus_link_stats(ctx.graph, ctx.corpus).as_dict())
+
+    def link() -> tuple[str, str]:
+        seed_sets = map_ordered(
+            lambda inst: link_instance(ctx.graph, inst, link_mode), ctx.corpus, config.workers
+        )
+        report = corpus_link_stats(ctx.graph, ctx.corpus).as_dict()
+        return _jsonl_text(s.to_json_obj() for s in seed_sets), _json_text(report)
+
+    seeds, report = ctx.reuse(("link", link_mode), link)
+    (mode_dir / "seeds.jsonl").write_text(seeds, encoding="utf-8")
+    (mode_dir / "link_report.json").write_text(report, encoding="utf-8")
     _write_manifest(config, "link", ["seeds.jsonl", "link_report.json"])
 
 
 def _stage_graph(ctx: PipelineContext) -> None:
     config = ctx.config
     mode_dir = _mode_dir(config)
-    seed_sets = _read_seed_sets(mode_dir / "seeds.jsonl")
-    graphs = map_ordered(
-        lambda ss: build_query_graph(ctx.graph, ss), seed_sets, config.workers
-    )
-    with (mode_dir / "query_graphs.jsonl").open("w", encoding="utf-8") as fh:
-        for qg in graphs:
-            fh.write(json.dumps(qg.to_json_obj(), sort_keys=True) + "\n")
+    seeds_path = mode_dir / "seeds.jsonl"
+
+    def expand() -> str:
+        graphs = map_ordered(
+            lambda ss: build_query_graph(ctx.graph, ss), _read_seed_sets(seeds_path), config.workers
+        )
+        return _jsonl_text(qg.to_json_obj() for qg in graphs)
+
+    text = ctx.reuse(("graph", _sha256(seeds_path)), expand)
+    (mode_dir / "query_graphs.jsonl").write_text(text, encoding="utf-8")
     _write_manifest(config, "graph", ["query_graphs.jsonl"])
 
 
 def _stage_cluster(ctx: PipelineContext) -> None:
     config = ctx.config
     mode_dir = _mode_dir(config)
-    graphs = _read_query_graphs(mode_dir / "query_graphs.jsonl")
+    graphs_path = mode_dir / "query_graphs.jsonl"
 
     def cluster_one(qg: QueryGraph) -> dict:
         partition = louvain(build_relatedness_graph(qg))
@@ -337,44 +386,36 @@ def _stage_cluster(ctx: PipelineContext) -> None:
         obj["instance_id"] = qg.instance_id
         return obj
 
-    results = map_ordered(cluster_one, graphs, config.workers)
-    with (mode_dir / "partitions.jsonl").open("w", encoding="utf-8") as fh:
-        for obj in results:
-            fh.write(json.dumps(obj, sort_keys=True) + "\n")
+    def cluster() -> str:
+        return _jsonl_text(
+            map_ordered(cluster_one, _read_query_graphs(graphs_path), config.workers)
+        )
+
+    text = ctx.reuse(("cluster", _sha256(graphs_path)), cluster)
+    (mode_dir / "partitions.jsonl").write_text(text, encoding="utf-8")
     _write_manifest(config, "cluster", ["partitions.jsonl"])
 
 
-def _candidates(config: PipelineConfig, qg: QueryGraph) -> list[int]:
-    if config.mode == "TII":
-        return list(qg.order)
-    return sorted(qg.seeds)
+@dataclasses.dataclass(frozen=True)
+class _RawFeatures:
+    """One instance's features before normalisation, a row per node of its query graph."""
+
+    instance_id: str
+    order: tuple[int, ...]
+    seed_rows: list[int]  # rows of the seeds, in ascending node id
+    grades: dict[int, int]
+    matrix: np.ndarray
 
 
-def _stage_features(ctx: PipelineContext) -> None:
-    config = ctx.config
-    mode_dir = _mode_dir(config)
+def _raw_features(ctx: PipelineContext, mode_dir: Path) -> list[_RawFeatures]:
+    """The raw feature matrix of every instance with a non-empty query graph.
+
+    A raw row depends on its node, not on the candidate set, so computing
+    every node once serves every mode's candidates.
+    """
     graphs = _read_query_graphs(mode_dir / "query_graphs.jsonl")
     partitions = _read_partitions(mode_dir / "partitions.jsonl")
     instances = ctx.corpus_by_id()
-
-    def extract_one(
-        job: tuple[QueryGraph, dict[int, float]],
-    ) -> list[tuple[str, int, list[float], int | None]]:
-        qg, pagerank_scores = job
-        candidates = _candidates(config, qg)
-        if not candidates:
-            return []
-        instance = instances[qg.instance_id]
-        matrix = extract_instance_features(
-            qg, partitions[qg.instance_id], instance, ctx.graph, ctx.idf, candidates,
-            pagerank_scores,
-        )
-        grades = instance.concept_grades or {}
-        return [
-            (qg.instance_id, node_id, row, grades.get(node_id))
-            for node_id, row in zip(candidates, normalize_per_query(matrix).tolist())
-        ]
-
     for qg in graphs:
         if qg.instance_id not in partitions:
             raise IntegrityError(
@@ -383,11 +424,47 @@ def _stage_features(ctx: PipelineContext) -> None:
             )
         if qg.instance_id not in instances:
             raise IntegrityError(
-                f"{config.corpus}: no corpus record for instance {qg.instance_id!r} "
+                f"{ctx.config.corpus}: no corpus record for instance {qg.instance_id!r} "
                 f"of {mode_dir / 'query_graphs.jsonl'}"
             )
-    jobs = list(zip(graphs, pagerank_batch(graphs)))
-    rows = [row for chunk in map_ordered(extract_one, jobs, config.workers) for row in chunk]
+
+    def extract_one(job: tuple[QueryGraph, dict[int, float]]) -> _RawFeatures:
+        qg, pagerank_scores = job
+        instance = instances[qg.instance_id]
+        matrix = extract_instance_features(
+            qg, partitions[qg.instance_id], instance, ctx.graph, ctx.idf, qg.order,
+            pagerank_scores,
+        )
+        return _RawFeatures(
+            qg.instance_id, qg.order, [qg.index[s] for s in sorted(qg.seeds)],
+            instance.concept_grades or {}, matrix,
+        )
+
+    jobs = [job for job in zip(graphs, pagerank_batch(graphs)) if job[0].order]
+    return map_ordered(extract_one, jobs, ctx.config.workers)
+
+
+def _stage_features(ctx: PipelineContext) -> None:
+    config = ctx.config
+    mode_dir = _mode_dir(config)
+    key = (
+        "features",
+        _sha256(mode_dir / "query_graphs.jsonl"),
+        _sha256(mode_dir / "partitions.jsonl"),
+    )
+    rows = []
+    for raw in ctx.reuse(key, lambda: _raw_features(ctx, mode_dir)):
+        # TII ranks every node of the query graph, T and TI only the seeds.
+        if config.mode == "TII":
+            candidates, matrix = raw.order, raw.matrix
+        elif raw.seed_rows:
+            candidates, matrix = [raw.order[i] for i in raw.seed_rows], raw.matrix[raw.seed_rows]
+        else:
+            continue
+        rows.extend(
+            (raw.instance_id, node_id, row, raw.grades.get(node_id))
+            for node_id, row in zip(candidates, normalize_per_query(matrix).tolist())
+        )
     write_feature_rows(mode_dir / "features.tsv", rows)
     _write_manifest(config, "features", ["features.tsv"])
 
@@ -596,23 +673,31 @@ def run_stage(config: PipelineConfig, stage: str) -> Path:
     return mode_dir
 
 
+# ``run_all`` runs each stage for TII first, so that TII does the work TI reuses.
+_RUN_ORDER = ("TII", "TI", "T")
+
+
 def run_all(config: PipelineConfig) -> Path:
-    """Run the full pipeline for modes T, TI, and TII and compare them."""
+    """Run the full pipeline for modes T, TI, and TII and compare them.
+
+    It runs stage by stage, each for TII, TI and T in turn, over one loaded
+    graph, corpus and IDF table. A stage whose inputs equal those another
+    mode's run of it just had reuses that result: TI the link, graph,
+    cluster and feature work of TII. The store is emptied after each stage.
+    """
     config.validate()
-    reports: list[EvalReport] = []
-    for mode in MODES:
-        mode_config = dataclasses.replace(config, mode=mode)
-        mode_dir = _mode_dir(mode_config)
-        mode_dir.mkdir(parents=True, exist_ok=True)
-        ctx = PipelineContext(mode_config)
-        for stage in STAGE_ORDER:
-            _check_inputs(mode_config, stage)
+    base = PipelineContext(config)
+    contexts = [base.for_mode(mode) for mode in _RUN_ORDER]
+    for ctx in contexts:
+        _mode_dir(ctx.config).mkdir(parents=True, exist_ok=True)
+    for stage in STAGE_ORDER:
+        for ctx in contexts:
+            _check_inputs(ctx.config, stage)
             _STAGE_FUNCS[stage](ctx)
-        reports.append(
-            EvalReport.from_json_obj(
-                json.loads((mode_dir / "report.json").read_text(encoding="utf-8"))
-            )
-        )
+        base.shared.results.clear()
+    reports = [
+        read_json(config.out / mode / "report.json", EvalReport.from_json_obj) for mode in MODES
+    ]
     comparison = compare_modes(reports)
     _write_json(config.out / "comparison.json", comparison.to_json_obj())
     (config.out / "comparison.txt").write_text(comparison.table(), encoding="utf-8")

@@ -687,6 +687,16 @@ class TestFeatureIO:
         with pytest.raises(ParseError, match="features.tsv:2"):
             read_feature_rows(path)
 
+    @pytest.mark.parametrize("line", [1, 3])
+    def test_non_utf8_line_is_parse_error(self, tmp_path, line):
+        path = tmp_path / "features.tsv"
+        write_feature_rows(path, [("i1", 3, (0.5,) * 16, 1), ("i1", 4, (0.5,) * 16, None)])
+        lines = path.read_bytes().splitlines(keepends=True)
+        lines[line - 1] = b"\xff" + lines[line - 1]
+        path.write_bytes(b"".join(lines))
+        with pytest.raises(ParseError, match=f"features.tsv:{line}: line is not valid UTF-8"):
+            read_feature_rows(path)
+
     @pytest.mark.parametrize("cell", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_cell_is_integrity_error(self, tmp_path, cell):
         path = tmp_path / "features.tsv"

@@ -6,13 +6,14 @@ from pathlib import Path
 
 import pytest
 
+import gistrank.pipeline as pipeline
 from gistrank.cli import main
 from gistrank.config import load_config
 from gistrank.errors import ConfigError, StageDependencyError
 from gistrank.fixture import gen_fixture
 from gistrank.kg import load_graph
 from gistrank.linking import LinkMode, link_instance, read_corpus
-from gistrank.pipeline import run_stage, split_instances
+from gistrank.pipeline import STAGE_ORDER, PipelineContext, run_all, run_stage, split_instances
 from gistrank.query_graph import build_query_graph
 
 from tests.conftest import kg_adjacency
@@ -23,6 +24,40 @@ def fixture_dir(tmp_path_factory) -> Path:
     out = tmp_path_factory.mktemp("fixture")
     gen_fixture(seed=7, n_instances=30, n_topics=3, out_dir=out)
     return out
+
+
+@pytest.fixture(scope="module")
+def run_all_out(fixture_dir, tmp_path_factory) -> Path:
+    """The output root of one ``run_all`` over ``fixture_dir``."""
+    out = tmp_path_factory.mktemp("run_all")
+    return run_all(load_config(fixture_dir / "pipeline.config", {"out": str(out)}))
+
+
+def _artifacts(mode_dir: Path) -> dict[str, bytes]:
+    """The bytes of every artifact under ``mode_dir`` but the manifests, which
+    hash the config and so the output path."""
+    return {
+        p.relative_to(mode_dir).as_posix(): p.read_bytes()
+        for p in sorted(mode_dir.rglob("*"))
+        if p.is_file() and not p.name.endswith(".manifest.json")
+    }
+
+
+def _count_calls(monkeypatch, names: tuple[str, ...]) -> dict[str, int]:
+    """Count the calls the pipeline makes to each named function from now on."""
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _fn=getattr(pipeline, name), _name=name, **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, name, counted)
+    return counts
+
+
+def _nonempty_graphs(mode_dir: Path) -> int:
+    lines = (mode_dir / "query_graphs.jsonl").read_text().splitlines()
+    return sum(bool(json.loads(line)["seeds"]) for line in lines)
 
 
 class TestConfig:
@@ -66,6 +101,13 @@ class TestConfig:
     def test_bad_mode_rejected(self, fixture_dir):
         with pytest.raises(ConfigError, match="mode"):
             load_config(fixture_dir / "pipeline.config", {"mode": "X"})
+
+    def test_non_utf8_line_is_config_error(self, fixture_dir, tmp_path):
+        path = tmp_path / "bytes.config"
+        path.write_bytes((fixture_dir / "pipeline.config").read_bytes() + b"# \xff\n")
+        lineno = len(path.read_bytes().splitlines())
+        with pytest.raises(ConfigError, match=f"bytes.config:{lineno}: line is not valid UTF-8"):
+            load_config(path)
 
     def test_overrides_apply(self, fixture_dir):
         config = load_config(fixture_dir / "pipeline.config", {"mode": "T", "seed": "11"})
@@ -293,6 +335,68 @@ def _edit_first_seeded_graph(data: bytes, edit) -> bytes:
     return b"".join(lines)
 
 
+class TestRunAll:
+    """``run_all`` shares one graph, corpus and IDF table, and a store of stage
+    results, between its modes; each mode must still write what it alone would."""
+
+    @pytest.mark.parametrize("mode", ["T", "TI", "TII"])
+    def test_each_mode_writes_what_its_staged_run_writes(
+        self, fixture_dir, run_all_out, tmp_path, mode
+    ):
+        features = {m: (run_all_out / m / "features.tsv").read_bytes() for m in ("T", "TI", "TII")}
+        assert len(set(features.values())) == 3  # TI ranks fewer candidates than TII
+        config = load_config(
+            fixture_dir / "pipeline.config", {"out": str(tmp_path / "staged"), "mode": mode}
+        )
+        for stage in STAGE_ORDER:
+            run_stage(config, stage)
+        staged = _artifacts(tmp_path / "staged" / mode)
+        assert "features.tsv" in staged and "report.txt" in staged
+        assert _artifacts(run_all_out / mode) == staged
+
+    def test_shared_work_runs_once_per_run_or_link_mode(self, fixture_dir, tmp_path, monkeypatch):
+        per_run = ("load_graph", "read_corpus", "build_idf_table")
+        per_link_mode = ("link_instance", "build_query_graph", "louvain")
+        counts = _count_calls(
+            monkeypatch, per_run + per_link_mode + ("extract_instance_features",)
+        )
+        out = run_all(load_config(fixture_dir / "pipeline.config", {"out": str(tmp_path / "o")}))
+        n = len(read_corpus(fixture_dir / "corpus.jsonl"))
+        assert {name: counts[name] for name in per_run} == dict.fromkeys(per_run, 1)
+        assert {name: counts[name] for name in per_link_mode} == dict.fromkeys(per_link_mode, 2 * n)
+        # Once per instance with a non-empty query graph, in T and in TII (which TI reuses).
+        graphs = _nonempty_graphs(out / "T") + _nonempty_graphs(out / "TII")
+        assert graphs > n
+        assert counts["extract_instance_features"] == graphs
+
+    def test_store_is_keyed_by_the_inputs_a_stage_reads(
+        self, fixture_dir, run_all_out, tmp_path, monkeypatch
+    ):
+        base = PipelineContext(load_config(fixture_dir / "pipeline.config", {"out": str(tmp_path)}))
+        tii, ti = base.for_mode("TII"), base.for_mode("TI")
+        for ctx in (tii, ti):
+            (tmp_path / ctx.config.mode).mkdir()
+        for stage in ("link", "graph", "cluster"):
+            for ctx in (tii, ti):
+                pipeline._STAGE_FUNCS[stage](ctx)
+        pipeline._STAGE_FUNCS["features"](tii)
+
+        # Put every node of the first graph with two clusters into one cluster.
+        path = tmp_path / "TI" / "partitions.jsonl"
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        record = next(r for r in records if len(set(r["assignment"].values())) > 1)
+        record["assignment"] = dict.fromkeys(record["assignment"], 0)
+        path.write_text("".join(json.dumps(r, sort_keys=True) + "\n" for r in records))
+
+        counts = _count_calls(monkeypatch, ("extract_instance_features",))
+        pipeline._STAGE_FUNCS["features"](ti)
+        assert counts["extract_instance_features"] == _nonempty_graphs(tmp_path / "TI")
+        shared = (tmp_path / "TI" / "features.tsv").read_bytes()
+        assert shared != (run_all_out / "TI" / "features.tsv").read_bytes()
+        run_stage(ti.config, "features")
+        assert (tmp_path / "TI" / "features.tsv").read_bytes() == shared
+
+
 class TestCli:
     def test_gen_fixture_and_stage(self, tmp_path, capsys):
         out = tmp_path / "fx"
@@ -459,6 +563,29 @@ class TestCli:
         assert main(["train1", "--config", config]) == 2
         err = capsys.readouterr().err
         assert "non-finite" in err and "features.tsv:2" in err
+
+    def test_non_utf8_config_line_exit_code(self, tmp_path, capsys):
+        out = tmp_path / "fx"
+        main(["gen-fixture", "--seed", "9", "--instances", "9", "--topics", "3", "--out", str(out)])
+        path = out / "pipeline.config"
+        path.write_bytes(path.read_bytes() + b"# \xff\n")
+        lineno = len(path.read_bytes().splitlines())
+        assert main(["link", "--config", str(path)]) == 1
+        assert f"error: {path}:{lineno}: line is not valid UTF-8" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("upstream, stage", [(4, "train1"), (5, "rank1")])
+    def test_non_utf8_feature_dump_exit_code(self, tmp_path, capsys, upstream, stage):
+        out = tmp_path / "fx"
+        main(["gen-fixture", "--seed", "9", "--instances", "9", "--topics", "3", "--out", str(out)])
+        config = str(out / "pipeline.config")
+        for name in STAGE_ORDER[:upstream]:
+            assert main([name, "--config", config]) == 0
+        path = out / "out" / "TII" / "features.tsv"
+        path.write_bytes(path.read_bytes() + b"\xff")
+        lineno = len(path.read_bytes().splitlines())
+        capsys.readouterr()
+        assert main([stage, "--config", config]) == 2
+        assert f"error: {path}:{lineno}: line is not valid UTF-8" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "rerun, later, stale",
