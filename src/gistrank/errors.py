@@ -1,4 +1,5 @@
-"""Exception types shared across the package, and the shared file readers.
+"""Exception types shared across the package, and the shared artifact formats:
+the JSON and JSON-lines text every writer emits, and the file readers.
 
 The CLI maps these onto exit codes: config problems exit 1, data problems
 (parse, integrity, lookup, missing stage artifacts) exit 2, training
@@ -10,7 +11,7 @@ from __future__ import annotations
 import json
 import re
 from pathlib import Path
-from typing import Any, Callable, TypeVar
+from typing import Any, Callable, Iterable, TypeVar
 
 T = TypeVar("T")
 
@@ -41,6 +42,16 @@ class TrainingError(GistRankError):
 
 class StageDependencyError(GistRankError):
     """A pipeline stage is missing an upstream artifact."""
+
+
+def json_text(obj: Any) -> str:
+    """A JSON artifact's text: indented, keys sorted, ending in a newline."""
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def jsonl_text(objs: Iterable[Any]) -> str:
+    """A JSON-lines artifact's text: one compact object per line, keys sorted."""
+    return "".join(json.dumps(obj, sort_keys=True) + "\n" for obj in objs)
 
 
 def read_json(path: str | Path, parse: Callable[[Any], T]) -> T:

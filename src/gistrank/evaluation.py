@@ -7,7 +7,6 @@ silently dropped; their positive count makes them easy to spot.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -171,10 +170,6 @@ def compare_modes(reports: Sequence[EvalReport]) -> ModeComparison:
         lexicon_sizes={m: r.lexicon_size for m, r in by_mode.items()},
         ordering_holds=ordering,
     )
-
-
-def report_to_json(report: EvalReport) -> str:
-    return json.dumps(report.to_json_obj(), indent=2, sort_keys=True) + "\n"
 
 
 def report_table(report: EvalReport) -> str:

@@ -16,14 +16,13 @@ bit for bit (``tests/test_ltr.py`` keeps that loop as the reference).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 from typing import Mapping, Sequence, overload
 
 import numpy as np
 
-from .errors import IntegrityError, TrainingError, read_json
+from .errors import IntegrityError, TrainingError, json_text, read_json
 
 
 def average_precision(ranked_relevance: Sequence[bool]) -> float:
@@ -550,7 +549,7 @@ def save_model(model: RankModel, path: str | Path) -> None:
         "training_map": model.training_map,
         "config": dict(model.config),
     }
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    Path(path).write_text(json_text(payload), encoding="utf-8")
 
 
 def load_model(path: str | Path) -> RankModel:

@@ -13,7 +13,6 @@ seeds reproduces every file byte for byte.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import json
 import logging
 from concurrent.futures import ThreadPoolExecutor
@@ -25,15 +24,16 @@ import numpy as np
 from . import __version__
 from .clustering import Partition, build_relatedness_graph, louvain
 from .config import PipelineConfig
-from .errors import ConfigError, IntegrityError, ParseError, StageDependencyError, read_json
-from .evaluation import (
-    MODES,
-    EvalReport,
-    compare_modes,
-    evaluate,
-    report_table,
-    report_to_json,
+from .errors import (
+    ConfigError,
+    IntegrityError,
+    ParseError,
+    StageDependencyError,
+    json_text,
+    jsonl_text,
+    read_json,
 )
+from .evaluation import MODES, EvalReport, compare_modes, evaluate, report_table
 from .features import (
     FEATURE_NAMES,
     build_idf_table,
@@ -78,21 +78,18 @@ STAGE_ORDER = (
     "evaluate",
 )
 
-# Artifact file names and the stage producing each one.
-ARTIFACTS = {
-    "seeds.jsonl": "link",
-    "link_report.json": "link",
-    "query_graphs.jsonl": "graph",
-    "partitions.jsonl": "cluster",
-    "features.tsv": "features",
-    "split.json": "train1",
-    "model1.json": "train1",
-    "rankings1.jsonl": "rank1",
-    "lexicon.json": "lexicon",
-    "topic_models/index.json": "train2",
-    "rankings2.json": "rank2",
-    "report.json": "evaluate",
-    "report.txt": "evaluate",
+# The files each stage writes besides its manifest, in the manifest's order.
+STAGE_OUTPUTS = {
+    "link": ("seeds.jsonl", "link_report.json"),
+    "graph": ("query_graphs.jsonl",),
+    "cluster": ("partitions.jsonl",),
+    "features": ("features.tsv",),
+    "train1": ("split.json", "model1.json"),
+    "rank1": ("rankings1.jsonl",),
+    "lexicon": ("lexicon.json",),
+    "train2": ("vectors_train.jsonl", "topic_models/index.json"),
+    "rank2": ("vectors_test.jsonl", "rankings2.json"),
+    "evaluate": ("report.json", "report.txt"),
 }
 
 STAGE_INPUTS = {
@@ -151,12 +148,14 @@ class _Shared:
 
 class PipelineContext:
     """One mode's view of a run: its config, the loaded graph, corpus and IDF
-    table, and a store of stage results.
+    table, and a store of stage results keyed by stage and link mode.
 
     The graph, corpus and IDF table load on first use. ``for_mode`` makes the
     context of another mode that shares them, and the store, with this one;
-    ``run_all`` runs its three modes so. ``run_stage`` makes a fresh context
-    per call, so a single-mode stage loads and computes everything itself.
+    ``run_all`` runs its three modes so, and TI then reuses the link, graph,
+    cluster and feature work of TII, which links the same way. ``run_stage``
+    makes a fresh context per call, so a single-mode stage loads and computes
+    everything itself.
     """
 
     def __init__(self, config: PipelineConfig, shared: _Shared | None = None):
@@ -196,12 +195,10 @@ class PipelineContext:
     def corpus_by_id(self) -> dict[str, Instance]:
         return {inst.instance_id: inst for inst in self.corpus}
 
-    def reuse(self, key: tuple, compute: Callable[[], T]) -> T:
-        """The stored result under ``key``, computed and stored on first use.
-
-        A key names everything the result depends on that can differ between
-        the modes of a run: a link mode, or the hashes of the input files.
-        """
+    def reuse(self, stage: str, compute: Callable[[], T]) -> T:
+        """``stage``'s stored result for this context's link mode, computed
+        and stored on first use."""
+        key = (stage, _link_mode(self.config))
         results = self.shared.results
         if key not in results:
             results[key] = compute()
@@ -220,12 +217,8 @@ def _mode_dir(config: PipelineConfig) -> Path:
     return config.out / config.mode
 
 
-def _json_text(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
-
-
 def _write_json(path: Path, obj) -> None:
-    path.write_text(_json_text(obj), encoding="utf-8")
+    path.write_text(json_text(obj), encoding="utf-8")
 
 
 def _seeds(config: PipelineConfig) -> dict[str, int]:
@@ -236,7 +229,7 @@ def _seeds(config: PipelineConfig) -> dict[str, int]:
     }
 
 
-def _write_manifest(config: PipelineConfig, stage: str, outputs: Sequence[str]) -> None:
+def _write_manifest(config: PipelineConfig, stage: str) -> None:
     manifest = {
         "stage": stage,
         "mode": config.mode,
@@ -244,7 +237,7 @@ def _write_manifest(config: PipelineConfig, stage: str, outputs: Sequence[str]) 
         "seeds": _seeds(config),
         "config_hash": config.config_hash(),
         "inputs": list(STAGE_INPUTS[stage]),
-        "outputs": list(outputs),
+        "outputs": list(STAGE_OUTPUTS[stage]),
         "version": __version__,
     }
     _write_json(_mode_dir(config) / f"{stage}.manifest.json", manifest)
@@ -258,7 +251,7 @@ def _check_inputs(config: PipelineConfig, stage: str) -> None:
     mode_dir = _mode_dir(config)
     seeds = _seeds(config)
     for artifact in STAGE_INPUTS[stage]:
-        producer = ARTIFACTS[artifact]
+        producer = next(s for s, outputs in STAGE_OUTPUTS.items() if artifact in outputs)
         keys = STAGE_SEEDS.get(producer, ())
         manifest = mode_dir / f"{producer}.manifest.json"
         for path in [mode_dir / artifact, manifest] if keys else [mode_dir / artifact]:
@@ -320,9 +313,10 @@ def _read_partitions(path: Path) -> dict[str, Partition]:
 
 
 def _parse_ranking(obj: dict) -> tuple[str, Ranking]:
-    return obj["query_id"], Ranking(
-        query_id=obj["query_id"], items=tuple((str(d), float(s)) for d, s in obj["items"])
-    )
+    items = tuple((str(d), float(s)) for d, s in obj["items"])
+    for doc_id, _ in items:
+        int(doc_id)  # a node id; a ValueError reads as a malformed record
+    return obj["query_id"], Ranking(query_id=obj["query_id"], items=items)
 
 
 def _read_rankings_jsonl(path: Path) -> dict[str, Ranking]:
@@ -331,14 +325,6 @@ def _read_rankings_jsonl(path: Path) -> dict[str, Ranking]:
 
 def _load_split(mode_dir: Path) -> tuple[set[str], set[str]]:
     return read_json(mode_dir / "split.json", lambda obj: (set(obj["train"]), set(obj["test"])))
-
-
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
-def _jsonl_text(objs: Iterable[dict]) -> str:
-    return "".join(json.dumps(obj, sort_keys=True) + "\n" for obj in objs)
 
 
 def _stage_link(ctx: PipelineContext) -> None:
@@ -351,34 +337,29 @@ def _stage_link(ctx: PipelineContext) -> None:
             lambda inst: link_instance(ctx.graph, inst, link_mode), ctx.corpus, config.workers
         )
         report = corpus_link_stats(ctx.graph, ctx.corpus).as_dict()
-        return _jsonl_text(s.to_json_obj() for s in seed_sets), _json_text(report)
+        return jsonl_text(s.to_json_obj() for s in seed_sets), json_text(report)
 
-    seeds, report = ctx.reuse(("link", link_mode), link)
+    seeds, report = ctx.reuse("link", link)
     (mode_dir / "seeds.jsonl").write_text(seeds, encoding="utf-8")
     (mode_dir / "link_report.json").write_text(report, encoding="utf-8")
-    _write_manifest(config, "link", ["seeds.jsonl", "link_report.json"])
 
 
 def _stage_graph(ctx: PipelineContext) -> None:
     config = ctx.config
     mode_dir = _mode_dir(config)
-    seeds_path = mode_dir / "seeds.jsonl"
 
     def expand() -> str:
-        graphs = map_ordered(
-            lambda ss: build_query_graph(ctx.graph, ss), _read_seed_sets(seeds_path), config.workers
-        )
-        return _jsonl_text(qg.to_json_obj() for qg in graphs)
+        seed_sets = _read_seed_sets(mode_dir / "seeds.jsonl")
+        graphs = map_ordered(lambda ss: build_query_graph(ctx.graph, ss), seed_sets, config.workers)
+        return jsonl_text(qg.to_json_obj() for qg in graphs)
 
-    text = ctx.reuse(("graph", _sha256(seeds_path)), expand)
+    text = ctx.reuse("graph", expand)
     (mode_dir / "query_graphs.jsonl").write_text(text, encoding="utf-8")
-    _write_manifest(config, "graph", ["query_graphs.jsonl"])
 
 
 def _stage_cluster(ctx: PipelineContext) -> None:
     config = ctx.config
     mode_dir = _mode_dir(config)
-    graphs_path = mode_dir / "query_graphs.jsonl"
 
     def cluster_one(qg: QueryGraph) -> dict:
         partition = louvain(build_relatedness_graph(qg))
@@ -387,13 +368,11 @@ def _stage_cluster(ctx: PipelineContext) -> None:
         return obj
 
     def cluster() -> str:
-        return _jsonl_text(
-            map_ordered(cluster_one, _read_query_graphs(graphs_path), config.workers)
-        )
+        graphs = _read_query_graphs(mode_dir / "query_graphs.jsonl")
+        return jsonl_text(map_ordered(cluster_one, graphs, config.workers))
 
-    text = ctx.reuse(("cluster", _sha256(graphs_path)), cluster)
+    text = ctx.reuse("cluster", cluster)
     (mode_dir / "partitions.jsonl").write_text(text, encoding="utf-8")
-    _write_manifest(config, "cluster", ["partitions.jsonl"])
 
 
 @dataclasses.dataclass(frozen=True)
@@ -447,13 +426,8 @@ def _raw_features(ctx: PipelineContext, mode_dir: Path) -> list[_RawFeatures]:
 def _stage_features(ctx: PipelineContext) -> None:
     config = ctx.config
     mode_dir = _mode_dir(config)
-    key = (
-        "features",
-        _sha256(mode_dir / "query_graphs.jsonl"),
-        _sha256(mode_dir / "partitions.jsonl"),
-    )
     rows = []
-    for raw in ctx.reuse(key, lambda: _raw_features(ctx, mode_dir)):
+    for raw in ctx.reuse("features", lambda: _raw_features(ctx, mode_dir)):
         # TII ranks every node of the query graph, T and TI only the seeds.
         if config.mode == "TII":
             candidates, matrix = raw.order, raw.matrix
@@ -466,7 +440,6 @@ def _stage_features(ctx: PipelineContext) -> None:
             for node_id, row in zip(candidates, normalize_per_query(matrix).tolist())
         )
     write_feature_rows(mode_dir / "features.tsv", rows)
-    _write_manifest(config, "features", ["features.tsv"])
 
 
 def _stage_train1(ctx: PipelineContext) -> None:
@@ -486,7 +459,6 @@ def _stage_train1(ctx: PipelineContext) -> None:
     model = train_coordinate_ascent(examples, FEATURE_NAMES, config.train1)
     save_model(model, mode_dir / "model1.json")
     logger.info("stage train1: training MAP %.4f over %d examples", model.training_map, len(examples))
-    _write_manifest(config, "train1", ["split.json", "model1.json"])
 
 
 def _stage_rank1(ctx: PipelineContext) -> None:
@@ -504,17 +476,9 @@ def _stage_rank1(ctx: PipelineContext) -> None:
     for iid, nid, values, _ in rows:
         by_instance.setdefault(iid, []).append((str(nid), values))
 
-    with (mode_dir / "rankings1.jsonl").open("w", encoding="utf-8") as fh:
-        for iid in sorted(by_instance):
-            ranking = rank(model, by_instance[iid], query_id=iid)
-            fh.write(
-                json.dumps(
-                    {"query_id": iid, "items": [[d, s] for d, s in ranking.items]},
-                    sort_keys=True,
-                )
-                + "\n"
-            )
-    _write_manifest(config, "rank1", ["rankings1.jsonl"])
+    rankings = (rank(model, by_instance[iid], query_id=iid) for iid in sorted(by_instance))
+    objs = ({"query_id": r.query_id, "items": [[d, s] for d, s in r.items]} for r in rankings)
+    (mode_dir / "rankings1.jsonl").write_text(jsonl_text(objs), encoding="utf-8")
 
 
 def _stage_lexicon(ctx: PipelineContext) -> None:
@@ -527,7 +491,6 @@ def _stage_lexicon(ctx: PipelineContext) -> None:
     lexicon = build_lexicon(train_rankings, top_k=config.top_k)
     save_lexicon(lexicon, mode_dir / "lexicon.json")
     logger.info("stage lexicon: %d concepts (top_k=%d)", len(lexicon), config.top_k)
-    _write_manifest(config, "lexicon", ["lexicon.json"])
 
 
 def _vectors_for(
@@ -561,6 +524,12 @@ def _stage_train2(ctx: PipelineContext) -> None:
     lexicon = load_lexicon(mode_dir / "lexicon.json")
     train_ids, _ = _load_split(mode_dir)
     instances = ctx.corpus_by_id()
+    missing = sorted(train_ids - instances.keys())
+    if missing:
+        raise IntegrityError(
+            f"{config.corpus}: no corpus record for instance {missing[0]!r} "
+            f"of {mode_dir / 'split.json'}"
+        )
 
     vectors = _vectors_for(train_ids, rankings, lexicon)
     write_instance_vectors(vectors, mode_dir / "vectors_train.jsonl")
@@ -577,7 +546,6 @@ def _stage_train2(ctx: PipelineContext) -> None:
         save_model(topic_model.model, models_dir / filename)
         index["files"][topic_model.topic] = filename
     _write_json(models_dir / "index.json", index)
-    _write_manifest(config, "train2", ["vectors_train.jsonl", "topic_models/index.json"])
 
 
 def _stage_rank2(ctx: PipelineContext) -> None:
@@ -609,7 +577,6 @@ def _stage_rank2(ctx: PipelineContext) -> None:
         mode_dir / "rankings2.json",
         {topic: [[d, s] for d, s in r.items] for topic, r in per_topic.items()},
     )
-    _write_manifest(config, "rank2", ["vectors_test.jsonl", "rankings2.json"])
 
 
 def _stage_evaluate(ctx: PipelineContext) -> None:
@@ -627,7 +594,7 @@ def _stage_evaluate(ctx: PipelineContext) -> None:
     report = evaluate(
         rankings, gold, k=config.eval_k, mode=config.mode, lexicon_size=len(lexicon)
     )
-    (mode_dir / "report.json").write_text(report_to_json(report), encoding="utf-8")
+    _write_json(mode_dir / "report.json", report.to_json_obj())
     (mode_dir / "report.txt").write_text(report_table(report), encoding="utf-8")
     logger.info(
         "stage evaluate [%s]: MAP %.4f, P@%d %.4f",
@@ -636,7 +603,6 @@ def _stage_evaluate(ctx: PipelineContext) -> None:
         config.eval_k,
         report.overall_p_at_k,
     )
-    _write_manifest(config, "evaluate", ["report.json", "report.txt"])
 
 
 _STAGE_FUNCS = {
@@ -665,12 +631,16 @@ def run_stage(config: PipelineConfig, stage: str) -> Path:
     if stage not in _STAGE_FUNCS:
         raise ConfigError(f"unknown stage {stage!r}; expected one of {', '.join(STAGE_ORDER)} or all")
     config.validate()
-    mode_dir = _mode_dir(config)
-    mode_dir.mkdir(parents=True, exist_ok=True)
-    _check_inputs(config, stage)
-    ctx = PipelineContext(config)
+    _run(PipelineContext(config), stage)
+    return _mode_dir(config)
+
+
+def _run(ctx: PipelineContext, stage: str) -> None:
+    """Run one stage in one mode: check its inputs, write its outputs, then its manifest."""
+    _mode_dir(ctx.config).mkdir(parents=True, exist_ok=True)
+    _check_inputs(ctx.config, stage)
     _STAGE_FUNCS[stage](ctx)
-    return mode_dir
+    _write_manifest(ctx.config, stage)
 
 
 # ``run_all`` runs each stage for TII first, so that TII does the work TI reuses.
@@ -680,20 +650,18 @@ _RUN_ORDER = ("TII", "TI", "T")
 def run_all(config: PipelineConfig) -> Path:
     """Run the full pipeline for modes T, TI, and TII and compare them.
 
-    It runs stage by stage, each for TII, TI and T in turn, over one loaded
-    graph, corpus and IDF table. A stage whose inputs equal those another
-    mode's run of it just had reuses that result: TI the link, graph,
-    cluster and feature work of TII. The store is emptied after each stage.
+    It runs stage by stage, each for TII, TI and T in turn, through the same
+    runner as ``run_stage`` and over one loaded graph, corpus and IDF table.
+    The modes share a store of stage results keyed by stage and link mode, so
+    TI reuses the link, graph, cluster and feature work of TII, which links
+    the same way; T does its own. The store is emptied after each stage.
     """
     config.validate()
     base = PipelineContext(config)
     contexts = [base.for_mode(mode) for mode in _RUN_ORDER]
-    for ctx in contexts:
-        _mode_dir(ctx.config).mkdir(parents=True, exist_ok=True)
     for stage in STAGE_ORDER:
         for ctx in contexts:
-            _check_inputs(ctx.config, stage)
-            _STAGE_FUNCS[stage](ctx)
+            _run(ctx, stage)
         base.shared.results.clear()
     reports = [
         read_json(config.out / mode / "report.json", EvalReport.from_json_obj) for mode in MODES

@@ -9,12 +9,11 @@ identically for every topic), and images are ranked per topic by score.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .errors import IntegrityError, TrainingError, read_json
+from .errors import IntegrityError, TrainingError, json_text, jsonl_text, read_json
 from .ltr import (
     CoordinateAscentConfig,
     RankModel,
@@ -164,9 +163,7 @@ def rank_images(
 
 
 def save_lexicon(lexicon: Lexicon, path: str | Path) -> None:
-    Path(path).write_text(
-        json.dumps(lexicon.to_json_obj(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    Path(path).write_text(json_text(lexicon.to_json_obj()), encoding="utf-8")
 
 
 def load_lexicon(path: str | Path) -> Lexicon:
@@ -174,16 +171,12 @@ def load_lexicon(path: str | Path) -> Lexicon:
 
 
 def write_instance_vectors(vectors: Sequence[InstanceVector], path: str | Path) -> None:
-    with Path(path).open("w", encoding="utf-8") as fh:
-        for vector in vectors:
-            fh.write(
-                json.dumps(
-                    {
-                        "instance_id": vector.instance_id,
-                        "entries": {str(d): s for d, s in sorted(vector.entries.items())},
-                    },
-                    sort_keys=True,
-                )
-                + "\n"
-            )
+    objs = (
+        {
+            "instance_id": vector.instance_id,
+            "entries": {str(d): s for d, s in sorted(vector.entries.items())},
+        }
+        for vector in vectors
+    )
+    Path(path).write_text(jsonl_text(objs), encoding="utf-8")
 

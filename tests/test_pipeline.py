@@ -13,7 +13,7 @@ from gistrank.errors import ConfigError, StageDependencyError
 from gistrank.fixture import gen_fixture
 from gistrank.kg import load_graph
 from gistrank.linking import LinkMode, link_instance, read_corpus
-from gistrank.pipeline import STAGE_ORDER, PipelineContext, run_all, run_stage, split_instances
+from gistrank.pipeline import STAGE_ORDER, STAGE_OUTPUTS, run_all, run_stage, split_instances
 from gistrank.query_graph import build_query_graph
 
 from tests.conftest import kg_adjacency
@@ -231,6 +231,20 @@ class TestStages:
         assert manifest["mode"] == "TI"
         assert "config_hash" in manifest
 
+    def test_each_manifest_lists_what_its_stage_writes(self, fixture_dir, tmp_path):
+        config = load_config(fixture_dir / "pipeline.config", {"out": str(tmp_path / "out")})
+        for stage in STAGE_ORDER:
+            run_stage(config, stage)
+        mode_dir = tmp_path / "out" / "TII"
+        manifests = sorted(p.name for p in mode_dir.glob("*.manifest.json"))
+        assert manifests == sorted(f"{stage}.manifest.json" for stage in STAGE_ORDER)
+        for stage in STAGE_ORDER:
+            manifest = json.loads((mode_dir / f"{stage}.manifest.json").read_text())
+            assert manifest["stage"] == stage
+            assert manifest["outputs"] == list(STAGE_OUTPUTS[stage])
+            for name in manifest["outputs"]:
+                assert (mode_dir / name).is_file(), name
+
     def test_link_report_written(self, fixture_dir, tmp_path):
         config = load_config(fixture_dir / "pipeline.config", {"out": str(tmp_path / "o")})
         run_stage(config, "link")
@@ -323,6 +337,15 @@ def _prefix_first_node_id(data: bytes, prefix: bytes) -> bytes:
     return b"\n".join([header, b"\t".join(cells), rest])
 
 
+def _prefix_first_doc_ids(data: bytes, prefix: str) -> bytes:
+    """Prefix the first ranked doc id of every stage-1 ranking."""
+    records = [json.loads(line) for line in data.splitlines()]
+    for record in records:
+        if record["items"]:
+            record["items"][0][0] = prefix + record["items"][0][0]
+    return "".join(json.dumps(r, sort_keys=True) + "\n" for r in records).encode()
+
+
 def _edit_first_seeded_graph(data: bytes, edit) -> bytes:
     """Apply ``edit(record, seed_id)`` to the first query-graph line that has a seed."""
     lines = data.splitlines(keepends=True)
@@ -368,33 +391,6 @@ class TestRunAll:
         graphs = _nonempty_graphs(out / "T") + _nonempty_graphs(out / "TII")
         assert graphs > n
         assert counts["extract_instance_features"] == graphs
-
-    def test_store_is_keyed_by_the_inputs_a_stage_reads(
-        self, fixture_dir, run_all_out, tmp_path, monkeypatch
-    ):
-        base = PipelineContext(load_config(fixture_dir / "pipeline.config", {"out": str(tmp_path)}))
-        tii, ti = base.for_mode("TII"), base.for_mode("TI")
-        for ctx in (tii, ti):
-            (tmp_path / ctx.config.mode).mkdir()
-        for stage in ("link", "graph", "cluster"):
-            for ctx in (tii, ti):
-                pipeline._STAGE_FUNCS[stage](ctx)
-        pipeline._STAGE_FUNCS["features"](tii)
-
-        # Put every node of the first graph with two clusters into one cluster.
-        path = tmp_path / "TI" / "partitions.jsonl"
-        records = [json.loads(line) for line in path.read_text().splitlines()]
-        record = next(r for r in records if len(set(r["assignment"].values())) > 1)
-        record["assignment"] = dict.fromkeys(record["assignment"], 0)
-        path.write_text("".join(json.dumps(r, sort_keys=True) + "\n" for r in records))
-
-        counts = _count_calls(monkeypatch, ("extract_instance_features",))
-        pipeline._STAGE_FUNCS["features"](ti)
-        assert counts["extract_instance_features"] == _nonempty_graphs(tmp_path / "TI")
-        shared = (tmp_path / "TI" / "features.tsv").read_bytes()
-        assert shared != (run_all_out / "TI" / "features.tsv").read_bytes()
-        run_stage(ti.config, "features")
-        assert (tmp_path / "TI" / "features.tsv").read_bytes() == shared
 
 
 class TestCli:
@@ -516,6 +512,8 @@ class TestCli:
             ("features.tsv", 4, "train1", lambda data: _prefix_first_node_id(data, b"n")),
             ("model1.json", 5, "rank1", lambda data: data.replace(b'"weights"', b'"weight"')),
             ("rankings1.jsonl", 6, "lexicon", lambda data: data[:-40]),
+            ("rankings1.jsonl", 6, "lexicon", lambda data: _prefix_first_doc_ids(data, "x")),
+            ("rankings1.jsonl", 8, "rank2", lambda data: _prefix_first_doc_ids(data, "x")),
             ("split.json", 6, "lexicon", lambda data: data[:-40]),
             ("lexicon.json", 7, "train2", lambda data: data[:-40]),
             ("topic_models/index.json", 8, "rank2", lambda data: data[:-40]),
@@ -523,7 +521,8 @@ class TestCli:
             (None, 8, "rank2", lambda data: data.replace(b'"weights"', b'"weight"')),
             ("rankings2.json", 9, "evaluate", lambda data: data[:-40]),
         ],
-        ids=["feature-node-id", "model1-no-weights", "truncated-rankings1", "truncated-split",
+        ids=["feature-node-id", "model1-no-weights", "truncated-rankings1",
+             "rankings1-doc-id-for-lexicon", "rankings1-doc-id-for-rank2", "truncated-split",
              "truncated-lexicon", "truncated-topic-index", "topic-index-no-files",
              "topic-model-no-weights", "truncated-rankings2"],
     )
@@ -548,6 +547,23 @@ class TestCli:
         assert main([stage, "--config", config]) == 2
         err = capsys.readouterr().err
         assert "error:" in err and path.name in err
+
+    def test_train2_with_missing_instance_exit_code(self, tmp_path, capsys):
+        out = tmp_path / "fx"
+        main(["gen-fixture", "--seed", "9", "--instances", "9", "--topics", "3", "--out", str(out)])
+        config = str(out / "pipeline.config")
+        for name in STAGE_ORDER[:7]:
+            assert main([name, "--config", config]) == 0
+        split = json.loads((out / "out" / "TII" / "split.json").read_text())
+        dropped = split["train"][0]
+        corpus = out / "corpus.jsonl"
+        lines = corpus.read_bytes().splitlines(keepends=True)
+        corpus.write_bytes(b"".join(line for line in lines if json.loads(line)["id"] != dropped))
+        capsys.readouterr()
+        assert main(["train2", "--config", config]) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "corpus.jsonl" in err and "split.json" in err
+        assert repr(dropped) in err
 
     def test_non_finite_feature_cell_exit_code(self, tmp_path, capsys):
         out = tmp_path / "fx"
