@@ -1,5 +1,6 @@
-"""Exception types shared across the package, and the shared artifact formats:
-the JSON and JSON-lines text every writer emits, and the file readers.
+"""Exception types shared across the package, and the shared artifact I/O:
+the JSON and JSON-lines text every writer emits, the atomic file writer, and
+the file readers.
 
 The CLI maps these onto exit codes: config problems exit 1, data problems
 (parse, integrity, lookup, missing stage artifacts) exit 2, training
@@ -9,9 +10,12 @@ failures exit 3.
 from __future__ import annotations
 
 import json
+import os
 import re
+import secrets
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Callable, Iterable, TypeVar
+from typing import IO, Any, Callable, Iterable, Iterator, TypeVar
 
 T = TypeVar("T")
 
@@ -52,6 +56,32 @@ def json_text(obj: Any) -> str:
 def jsonl_text(objs: Iterable[Any]) -> str:
     """A JSON-lines artifact's text: one compact object per line, keys sorted."""
     return "".join(json.dumps(obj, sort_keys=True) + "\n" for obj in objs)
+
+
+@contextmanager
+def atomic_open(path: str | Path, binary: bool = False) -> Iterator[IO]:
+    """Write ``path`` through a new temp file beside it, which replaces
+    ``path`` when the block ends without an error.
+
+    Readers, and other writers, see the old file or the new one, never a
+    part of either. Each writer gets its own temp name; on an error the temp
+    file is removed and ``path`` is left as it was.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{secrets.token_hex(8)}.tmp")
+    try:
+        with open(tmp, "xb" if binary else "x", encoding=None if binary else "utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def write_atomic(path: str | Path, data: str | bytes) -> None:
+    """Replace ``path`` with ``data`` (text is written as UTF-8) in one step."""
+    with atomic_open(path, binary=isinstance(data, bytes)) as fh:
+        fh.write(data)
 
 
 def read_json(path: str | Path, parse: Callable[[Any], T]) -> T:

@@ -119,7 +119,7 @@ class KnowledgeGraph:
         np.cumsum(np.bincount(pairs // n, minlength=n), out=indptr[1:])
         id_list = node_ids.tolist()
         sorted_titles = [titles[i] for i in picks]
-        graph = cls(
+        return cls(
             ids=node_ids,
             is_category=np.asarray(is_category, dtype=bool)[order],
             titles=sorted_titles,
@@ -132,10 +132,11 @@ class KnowledgeGraph:
             title_index=_title_index(id_list, sorted_titles, redirect_titles, ends[redirect].tolist()),
             positions=dict(zip(id_list, range(n))),
         )
-        for array in (graph.ids, graph.is_category, graph.indptr, graph.indices, graph.edges,
-                      graph.edge_is_redirect):
+
+    def __post_init__(self) -> None:
+        for array in (self.ids, self.is_category, self.indptr, self.indices, self.edges,
+                      self.edge_is_redirect):
             array.flags.writeable = False
-        return graph
 
     @property
     def n_nodes(self) -> int:

@@ -22,7 +22,7 @@ from typing import Mapping, Sequence, overload
 
 import numpy as np
 
-from .errors import IntegrityError, TrainingError, json_text, read_json
+from .errors import IntegrityError, TrainingError, json_text, read_json, write_atomic
 
 
 def average_precision(ranked_relevance: Sequence[bool]) -> float:
@@ -549,7 +549,7 @@ def save_model(model: RankModel, path: str | Path) -> None:
         "training_map": model.training_map,
         "config": dict(model.config),
     }
-    Path(path).write_text(json_text(payload), encoding="utf-8")
+    write_atomic(path, json_text(payload))
 
 
 def load_model(path: str | Path) -> RankModel:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import logging
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Callable, Iterable, Sequence, TypeVar
@@ -32,18 +33,23 @@ from .errors import (
     json_text,
     jsonl_text,
     read_json,
+    write_atomic,
 )
 from .evaluation import MODES, EvalReport, compare_modes, evaluate, report_table
 from .features import (
     FEATURE_NAMES,
+    IdfTable,
     build_idf_table,
     extract_instance_features,
+    kg_snapshot_key,
+    load_kg_snapshot,
     normalize_per_query,
     pagerank_batch,
     read_feature_rows,
+    save_kg_snapshot,
     write_feature_rows,
 )
-from .kg import load_graph
+from .kg import KnowledgeGraph, load_graph
 from .linking import Instance, LinkMode, SeedSet, corpus_link_stats, link_instance, read_corpus
 from .ltr import Ranking, TrainingExample, load_model, rank, save_model, train_coordinate_ascent
 from .query_graph import QueryGraph, build_query_graph
@@ -136,13 +142,34 @@ def split_instances(instance_ids: Iterable[str], ratio: float, seed: int) -> tup
     return train, {i for i in ordered if i not in train}
 
 
+# The graph and IDF snapshot, at the output root; see ``_load_kg``.
+KG_SNAPSHOT = "kg_snapshot.bin"
+
+
+def _load_kg(config: PipelineConfig) -> tuple[KnowledgeGraph, IdfTable]:
+    """The graph and its IDF table, from the snapshot at the output root when
+    that holds these TSV files, else parsed and built, then snapshotted.
+
+    The key is taken before parsing: a TSV edited in between leaves a
+    snapshot under the old bytes' key, which the next stage misses.
+    """
+    path = config.out / KG_SNAPSHOT
+    key = kg_snapshot_key(config.kg_nodes, config.kg_edges)
+    loaded = load_kg_snapshot(path, key)
+    if loaded is None:
+        graph = load_graph(config.kg_nodes, config.kg_edges)
+        loaded = graph, build_idf_table(graph)
+        save_kg_snapshot(path, key, *loaded)
+    return loaded
+
+
 class _Shared:
     """What the contexts of one run share: the loaded inputs and a stage-result store."""
 
     def __init__(self) -> None:
-        self.graph = None
+        self.kg: tuple[KnowledgeGraph, IdfTable] | None = None
+        self.kg_lock = threading.Lock()  # stage workers may ask for the graph at once
         self.corpus: list[Instance] | None = None
-        self.idf = None
         self.results: dict[tuple, object] = {}
 
 
@@ -150,12 +177,13 @@ class PipelineContext:
     """One mode's view of a run: its config, the loaded graph, corpus and IDF
     table, and a store of stage results keyed by stage and link mode.
 
-    The graph, corpus and IDF table load on first use. ``for_mode`` makes the
-    context of another mode that shares them, and the store, with this one;
-    ``run_all`` runs its three modes so, and TI then reuses the link, graph,
-    cluster and feature work of TII, which links the same way. ``run_stage``
-    makes a fresh context per call, so a single-mode stage loads and computes
-    everything itself.
+    The graph, corpus and IDF table load on first use, the graph and IDF
+    table once however many workers ask. ``for_mode`` makes the context of
+    another mode that shares them, and the store, with this one; ``run_all``
+    runs its three modes so, and TI then reuses the link, graph, cluster and
+    feature work of TII, which links the same way. ``run_stage`` makes a
+    fresh context per call, so a single-mode stage computes everything
+    itself and loads the graph from the snapshot an earlier stage wrote.
     """
 
     def __init__(self, config: PipelineConfig, shared: _Shared | None = None):
@@ -165,17 +193,19 @@ class PipelineContext:
     def for_mode(self, mode: str) -> "PipelineContext":
         return PipelineContext(dataclasses.replace(self.config, mode=mode), self.shared)
 
-    @property
-    def graph(self):
-        if self.shared.graph is None:
-            self.shared.graph = load_graph(self.config.kg_nodes, self.config.kg_edges)
-        return self.shared.graph
+    def _kg(self) -> tuple[KnowledgeGraph, IdfTable]:
+        with self.shared.kg_lock:
+            if self.shared.kg is None:
+                self.shared.kg = _load_kg(self.config)
+            return self.shared.kg
 
     @property
-    def idf(self):
-        if self.shared.idf is None:
-            self.shared.idf = build_idf_table(self.graph)
-        return self.shared.idf
+    def graph(self) -> KnowledgeGraph:
+        return self._kg()[0]
+
+    @property
+    def idf(self) -> IdfTable:
+        return self._kg()[1]
 
     @property
     def corpus(self) -> list[Instance]:
@@ -218,7 +248,7 @@ def _mode_dir(config: PipelineConfig) -> Path:
 
 
 def _write_json(path: Path, obj) -> None:
-    path.write_text(json_text(obj), encoding="utf-8")
+    write_atomic(path, json_text(obj))
 
 
 def _seeds(config: PipelineConfig) -> dict[str, int]:
@@ -340,8 +370,8 @@ def _stage_link(ctx: PipelineContext) -> None:
         return jsonl_text(s.to_json_obj() for s in seed_sets), json_text(report)
 
     seeds, report = ctx.reuse("link", link)
-    (mode_dir / "seeds.jsonl").write_text(seeds, encoding="utf-8")
-    (mode_dir / "link_report.json").write_text(report, encoding="utf-8")
+    write_atomic(mode_dir / "seeds.jsonl", seeds)
+    write_atomic(mode_dir / "link_report.json", report)
 
 
 def _stage_graph(ctx: PipelineContext) -> None:
@@ -354,7 +384,7 @@ def _stage_graph(ctx: PipelineContext) -> None:
         return jsonl_text(qg.to_json_obj() for qg in graphs)
 
     text = ctx.reuse("graph", expand)
-    (mode_dir / "query_graphs.jsonl").write_text(text, encoding="utf-8")
+    write_atomic(mode_dir / "query_graphs.jsonl", text)
 
 
 def _stage_cluster(ctx: PipelineContext) -> None:
@@ -372,7 +402,7 @@ def _stage_cluster(ctx: PipelineContext) -> None:
         return jsonl_text(map_ordered(cluster_one, graphs, config.workers))
 
     text = ctx.reuse("cluster", cluster)
-    (mode_dir / "partitions.jsonl").write_text(text, encoding="utf-8")
+    write_atomic(mode_dir / "partitions.jsonl", text)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -478,7 +508,7 @@ def _stage_rank1(ctx: PipelineContext) -> None:
 
     rankings = (rank(model, by_instance[iid], query_id=iid) for iid in sorted(by_instance))
     objs = ({"query_id": r.query_id, "items": [[d, s] for d, s in r.items]} for r in rankings)
-    (mode_dir / "rankings1.jsonl").write_text(jsonl_text(objs), encoding="utf-8")
+    write_atomic(mode_dir / "rankings1.jsonl", jsonl_text(objs))
 
 
 def _stage_lexicon(ctx: PipelineContext) -> None:
@@ -555,14 +585,24 @@ def _stage_rank2(ctx: PipelineContext) -> None:
     lexicon = load_lexicon(mode_dir / "lexicon.json")
     _, test_ids = _load_split(mode_dir)
 
+    index = mode_dir / "topic_models" / "index.json"
     files = read_json(
-        mode_dir / "topic_models" / "index.json",
-        lambda obj: {str(topic): str(obj["files"][topic]) for topic in obj["topics"]},
+        index, lambda obj: {str(topic): str(obj["files"][topic]) for topic in obj["topics"]}
     )
-    models = [
-        TopicModel(topic=topic, model=load_model(mode_dir / "topic_models" / filename))
-        for topic, filename in files.items()
-    ]
+    models = []
+    for topic, filename in files.items():
+        if filename in ("", ".", "..") or {"/", "\\", "\0"} & set(filename):
+            raise IntegrityError(
+                f"{index}: topic {topic!r} names {filename!r}, which is not a plain file name; "
+                "retrain with stage 'train2'"
+            )
+        path = index.parent / filename
+        if not path.is_file():
+            raise IntegrityError(
+                f"{index}: topic {topic!r} names {filename!r}, which does not exist; "
+                "retrain with stage 'train2'"
+            )
+        models.append(TopicModel(topic=topic, model=load_model(path)))
     expected_names = lexicon.feature_names()
     for topic_model in models:
         if topic_model.model.feature_names != expected_names:
@@ -595,7 +635,7 @@ def _stage_evaluate(ctx: PipelineContext) -> None:
         rankings, gold, k=config.eval_k, mode=config.mode, lexicon_size=len(lexicon)
     )
     _write_json(mode_dir / "report.json", report.to_json_obj())
-    (mode_dir / "report.txt").write_text(report_table(report), encoding="utf-8")
+    write_atomic(mode_dir / "report.txt", report_table(report))
     logger.info(
         "stage evaluate [%s]: MAP %.4f, P@%d %.4f",
         config.mode,
@@ -668,6 +708,6 @@ def run_all(config: PipelineConfig) -> Path:
     ]
     comparison = compare_modes(reports)
     _write_json(config.out / "comparison.json", comparison.to_json_obj())
-    (config.out / "comparison.txt").write_text(comparison.table(), encoding="utf-8")
+    write_atomic(config.out / "comparison.txt", comparison.table())
     logger.info("comparison written to %s", config.out / "comparison.txt")
     return config.out

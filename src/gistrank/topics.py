@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .errors import IntegrityError, TrainingError, json_text, jsonl_text, read_json
+from .errors import IntegrityError, TrainingError, json_text, jsonl_text, read_json, write_atomic
 from .ltr import (
     CoordinateAscentConfig,
     RankModel,
@@ -163,7 +163,7 @@ def rank_images(
 
 
 def save_lexicon(lexicon: Lexicon, path: str | Path) -> None:
-    Path(path).write_text(json_text(lexicon.to_json_obj()), encoding="utf-8")
+    write_atomic(path, json_text(lexicon.to_json_obj()))
 
 
 def load_lexicon(path: str | Path) -> Lexicon:
@@ -178,5 +178,5 @@ def write_instance_vectors(vectors: Sequence[InstanceVector], path: str | Path) 
         }
         for vector in vectors
     )
-    Path(path).write_text(jsonl_text(objs), encoding="utf-8")
+    write_atomic(path, jsonl_text(objs))
 

@@ -3,15 +3,31 @@
 from __future__ import annotations
 
 import itertools
+import time
 from collections import deque
 
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+import gistrank.pipeline as pipeline
 from gistrank.kg import KnowledgeGraph, NodeKind
 from gistrank.linking import SeedOrigin
 from gistrank.query_graph import QueryGraph
+
+
+def count_pipeline_calls(monkeypatch, names, delay: float = 0.0) -> dict[str, int]:
+    """Count the calls ``gistrank.pipeline`` makes to each named function from
+    now on; each call first sleeps ``delay`` seconds."""
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _fn=getattr(pipeline, name), _name=name, **kwargs):
+            counts[_name] += 1
+            time.sleep(delay)
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, name, counted)
+    return counts
 
 
 def kg_from_parts(nodes, edges) -> KnowledgeGraph:
@@ -143,6 +159,92 @@ def all_pairs_hops(qg: QueryGraph) -> dict[tuple[int, int], int]:
             reached |= frontier
             d += 1
     return hops
+
+
+# Valid node and edge TSV text, for differential tests of the loader and
+# round trips through the graph snapshot.
+
+_WORDS = ("car", "motor", "vehicle", "red", "café", "x")
+_SPACES = (" ", "  ", "\x85", "\u2028", "\x0c", "\x1c")
+_DIGITS = ("٠١٢٣٤٥٦٧٨٩", "０１２３４５６７８９", "०१२३४५६७८९")
+# Blank (whitespace only) and comment lines; "\x85" and "\u2028" end no line.
+_NOISE = ("", "   ", "\x85", "\u2028", "\x0c", "#", "# comment\twith a tab")
+_TITLES = st.lists(st.sampled_from(_WORDS), min_size=1, max_size=3).map(" ".join)
+_ABSTRACTS = st.text(st.sampled_from("ab Z\x85\u2028\x0c|#"), max_size=8)
+
+
+@st.composite
+def spelled(draw, value: int) -> str:
+    """``value`` as one of the spellings ``int()`` accepts."""
+    text = str(value)
+    style = draw(st.sampled_from(("plain", "plus", "space", "underscore", "digits")))
+    if style == "plus":
+        return "+" + text
+    if style == "space":
+        return draw(st.sampled_from((" ", "  "))) + text + draw(st.sampled_from(("", " ")))
+    if style == "underscore" and len(text) > 1:
+        return text[0] + "_" + text[1:]
+    if style == "digits":
+        digits = draw(st.sampled_from(_DIGITS))
+        return "".join(digits[int(c)] for c in text)
+    return text
+
+
+@st.composite
+def decorated(draw, title: str) -> str:
+    """A raw spelling of ``title`` that normalizes back to it."""
+    words = [w.upper() if draw(st.booleans()) else w for w in title.split(" ")]
+    text = words[0] + "".join(draw(st.sampled_from(_SPACES)) + w for w in words[1:])
+    return draw(st.sampled_from(("", " ", "\x85"))) + text + draw(st.sampled_from(("", "\u2028")))
+
+
+@st.composite
+def graph_rows(draw):
+    """Field rows of a valid node and edge file pair.
+
+    Ids are unsorted with gaps; redirects form chains, and aliases compete
+    with primary titles and with each other.
+    """
+    n = draw(st.integers(0, 9))
+    ids = draw(st.lists(st.integers(0, 60), min_size=n, max_size=n, unique=True))
+    categories = [draw(st.booleans()) for _ in ids]
+    titles = draw(st.lists(_TITLES, min_size=n, max_size=n, unique=True))
+    aliases = st.sampled_from(titles + ["auto", "motor car", ""])
+    node_rows = []
+    for node_id, category, title in zip(ids, categories, titles):
+        redirects = [] if category else draw(st.lists(aliases, max_size=3))
+        node_rows.append([
+            draw(spelled(node_id)),
+            "category" if category else "article",
+            draw(decorated(title)),
+            "|".join(draw(decorated(a)) if a else a for a in redirects),
+            "" if category else draw(_ABSTRACTS),
+        ])
+    cats = [v for v, c in zip(ids, categories) if c]
+    edges = []
+    if cats and n > 1:
+        links = st.tuples(st.sampled_from(ids), st.sampled_from(cats)).filter(lambda e: e[0] != e[1])
+        edges += [(a, b, "category_link") for a, b in draw(st.lists(links, unique=True, max_size=10))]
+    if n > 1:
+        rank = {v: k for k, v in enumerate(draw(st.permutations(ids)))}
+        chain = st.tuples(st.sampled_from(ids), st.sampled_from(ids)).filter(lambda e: rank[e[0]] < rank[e[1]])
+        edges += [(a, b, "redirect") for a, b in draw(st.lists(chain, unique_by=lambda e: e[0], max_size=4))]
+    edge_rows = [[draw(spelled(a)), draw(spelled(b)), kind] for a, b, kind in draw(st.permutations(edges))]
+    return node_rows, edge_rows
+
+
+@st.composite
+def tsv_text(draw, rows) -> str:
+    """The rows as a TSV file, with blank and comment lines between them and
+    each line ended by "\\n", "\\r\\n" or "\\r" (the last one maybe not at all)."""
+    lines = []
+    for row in rows:
+        lines += draw(st.lists(st.sampled_from(_NOISE), max_size=2))
+        lines.append("\t".join(row))
+    ends = [draw(st.sampled_from(("\n", "\r\n", "\r"))) for _ in lines]
+    if lines and draw(st.booleans()):
+        ends[-1] = ""
+    return "".join(line + end for line, end in zip(lines, ends))
 
 
 @pytest.fixture

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from gistrank.errors import IntegrityError, ParseError
 from gistrank.features import (
     BOOLEAN_FEATURES,
     FEATURE_NAMES,
+    IdfTable,
     _cosine,
     betweenness,
     build_idf_table,
@@ -663,6 +665,30 @@ class TestNormalizePerQuery:
             lo, hi = matrix[:, j].min(), matrix[:, j].max()
             expected[:, j] = (matrix[:, j] - lo) / (hi - lo) if hi - lo > 1e-12 else 0.0
         assert normalize_per_query(matrix).tobytes() == expected.tobytes()
+
+
+def loop_idf_table(graph) -> IdfTable:
+    """Reference: the per-abstract loop that the one-pass count replaced."""
+    doc_frequency: Counter[str] = Counter()
+    n_documents = 0
+    for abstract in graph.abstracts:
+        if abstract:
+            n_documents += 1
+            doc_frequency.update(set(tokenize(abstract)))
+    return IdfTable(doc_frequency=dict(doc_frequency), n_documents=n_documents)
+
+
+class TestIdfTable:
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.text(st.sampled_from("aZ9 é_-\x85İ"), max_size=12), max_size=8))
+    def test_one_pass_count_equals_loop(self, abstracts):
+        graph = kg_from_parts(
+            [(i, NodeKind.ARTICLE, f"node {i}", (), text) for i, text in enumerate(abstracts)], []
+        )
+        table = build_idf_table(graph)
+        reference = loop_idf_table(graph)
+        assert table.doc_frequency == reference.doc_frequency
+        assert table.n_documents == reference.n_documents
 
 
 class TestFeatureIO:

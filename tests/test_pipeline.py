@@ -6,17 +6,17 @@ from pathlib import Path
 
 import pytest
 
-import gistrank.pipeline as pipeline
 from gistrank.cli import main
 from gistrank.config import load_config
-from gistrank.errors import ConfigError, StageDependencyError
+from gistrank.errors import ConfigError, StageDependencyError, atomic_open, write_atomic
+from gistrank.features import write_feature_rows
 from gistrank.fixture import gen_fixture
 from gistrank.kg import load_graph
 from gistrank.linking import LinkMode, link_instance, read_corpus
 from gistrank.pipeline import STAGE_ORDER, STAGE_OUTPUTS, run_all, run_stage, split_instances
 from gistrank.query_graph import build_query_graph
 
-from tests.conftest import kg_adjacency
+from tests.conftest import count_pipeline_calls, kg_adjacency
 
 
 @pytest.fixture(scope="module")
@@ -41,18 +41,6 @@ def _artifacts(mode_dir: Path) -> dict[str, bytes]:
         for p in sorted(mode_dir.rglob("*"))
         if p.is_file() and not p.name.endswith(".manifest.json")
     }
-
-
-def _count_calls(monkeypatch, names: tuple[str, ...]) -> dict[str, int]:
-    """Count the calls the pipeline makes to each named function from now on."""
-    counts = dict.fromkeys(names, 0)
-    for name in names:
-        def counted(*args, _fn=getattr(pipeline, name), _name=name, **kwargs):
-            counts[_name] += 1
-            return _fn(*args, **kwargs)
-
-        monkeypatch.setattr(pipeline, name, counted)
-    return counts
 
 
 def _nonempty_graphs(mode_dir: Path) -> int:
@@ -358,6 +346,34 @@ def _edit_first_seeded_graph(data: bytes, edit) -> bytes:
     return b"".join(lines)
 
 
+class TestAtomicWrites:
+    def test_failed_write_leaves_the_old_file_and_no_temp_file(self, tmp_path):
+        path = tmp_path / "features.tsv"
+        write_feature_rows(path, [("i1", 3, (0.5,) * 16, 1)])
+        old = path.read_bytes()
+
+        def rows():
+            yield ("i2", 4, (0.25,) * 16, None)
+            raise OSError("disk full")
+
+        with pytest.raises(OSError, match="disk full"):
+            write_feature_rows(path, rows())
+        assert path.read_bytes() == old
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["features.tsv"]
+
+    def test_writers_replace_the_file_in_one_step(self, tmp_path):
+        path = tmp_path / "a.json"
+        write_atomic(path, "old\n")
+        with pytest.raises(ValueError):
+            with atomic_open(path) as fh:
+                fh.write("partial")
+                raise ValueError("interrupted")
+        assert path.read_text() == "old\n"
+        write_atomic(path, b"new\n")
+        assert path.read_bytes() == b"new\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.json"]
+
+
 class TestRunAll:
     """``run_all`` shares one graph, corpus and IDF table, and a store of stage
     results, between its modes; each mode must still write what it alone would."""
@@ -380,7 +396,7 @@ class TestRunAll:
     def test_shared_work_runs_once_per_run_or_link_mode(self, fixture_dir, tmp_path, monkeypatch):
         per_run = ("load_graph", "read_corpus", "build_idf_table")
         per_link_mode = ("link_instance", "build_query_graph", "louvain")
-        counts = _count_calls(
+        counts = count_pipeline_calls(
             monkeypatch, per_run + per_link_mode + ("extract_instance_features",)
         )
         out = run_all(load_config(fixture_dir / "pipeline.config", {"out": str(tmp_path / "o")}))
@@ -564,6 +580,26 @@ class TestCli:
         err = capsys.readouterr().err
         assert "error:" in err and "corpus.jsonl" in err and "split.json" in err
         assert repr(dropped) in err
+
+    @pytest.mark.parametrize("entry", ["missing", "path"])
+    def test_rank2_with_bad_topic_model_entry_exit_code(self, tmp_path, capsys, entry):
+        out = tmp_path / "fx"
+        main(["gen-fixture", "--seed", "9", "--instances", "9", "--topics", "3", "--out", str(out)])
+        config = str(out / "pipeline.config")
+        for name in STAGE_ORDER[:8]:
+            assert main([name, "--config", config]) == 0
+        index_path = out / "out" / "TII" / "topic_models" / "index.json"
+        index = json.loads(index_path.read_text())
+        topic = index["topics"][0]
+        if entry == "missing":
+            (index_path.parent / index["files"][topic]).unlink()
+        else:  # a path to a valid model, but not a plain file name
+            index["files"][topic] = f"../../TII/topic_models/{index['files'][topic]}"
+            index_path.write_text(json.dumps(index))
+        capsys.readouterr()
+        assert main(["rank2", "--config", config]) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "index.json" in err and "'train2'" in err
 
     def test_non_finite_feature_cell_exit_code(self, tmp_path, capsys):
         out = tmp_path / "fx"
