@@ -8,6 +8,7 @@ key reproduces a whole run; any of them can be overridden individually.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -61,8 +62,11 @@ class PipelineConfig:
                 raise ConfigError(f"{prefix}.restarts: must be >= 1")
             if train.step_levels < 1:
                 raise ConfigError(f"{prefix}.step_levels: must be >= 1")
-            if train.step_base <= 0:
-                raise ConfigError(f"{prefix}.step_base: must be > 0")
+            # Written so that NaN fails too.
+            if not (train.step_base > 0 and math.isfinite(train.step_base)):
+                raise ConfigError(f"{prefix}.step_base: must be finite and > 0, got {train.step_base!r}")
+            if not (train.min_gain >= 0 and math.isfinite(train.min_gain)):
+                raise ConfigError(f"{prefix}.min_gain: must be finite and >= 0, got {train.min_gain!r}")
 
     def config_hash(self) -> str:
         return hashlib.sha256(self.canonical_text().encode("utf-8")).hexdigest()[:16]

@@ -7,6 +7,13 @@ renormalized to unit L1 after every accepted step, which never changes the
 induced rankings. Multiple restarts (uniform, then seeded random inits)
 guard against poor local optima; everything is deterministic given the seed.
 
+A restart stops early once its training MAP reaches the ceiling, the share
+of queries with a relevant document, and the later restarts of the same
+set stop with it. Both stops are exact: AP never exceeds 1.0, so at the
+ceiling no step can gain, and a later restart can at best tie, which goes
+to the earlier one. On separable data, where MAP 1.0 is reachable, this
+skips most of the work.
+
 All restarts (and, in stage 2, all topics) train together: each probe covers
 every active run and every query of one document count as one array, and
 re-places only the documents whose value on the probed coordinate is
@@ -16,6 +23,7 @@ bit for bit (``tests/test_ltr.py`` keeps that loop as the reference).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 from typing import Mapping, Sequence, overload
@@ -404,16 +412,31 @@ def _count_ahead(
     return lo
 
 
+@dataclass
+class AscentStats:
+    """What the early stop saved in training calls: runs that stopped at the
+    training-MAP ceiling, and later restarts skipped because an earlier
+    restart of their problem reached it."""
+
+    runs: int = 0
+    at_ceiling: int = 0
+    skipped: int = 0
+
+
 def _ascend(
     runs: list[tuple[list[_QueryBlock], np.ndarray]],
+    problem: np.ndarray,
     deltas: np.ndarray,
     config: CoordinateAscentConfig,
+    stats: AscentStats,
 ) -> list[tuple[np.ndarray, float]]:
     """Coordinate ascent for independent runs in lockstep; final (weights, MAP) per run.
 
-    A run is a query list and its start weights. Every cycle probes each
+    A run is a query list and its start weights; ``problem`` holds each
+    run's problem index, its restarts in order. Every cycle probes each
     coordinate for all active runs at once; a run stops after a cycle
-    without an accepted step.
+    without an accepted step, or as soon as its MAP reaches its ceiling,
+    which also stops the later restarts of its problem.
     """
     n_runs = len(runs)
     n_dims = len(runs[0][1])
@@ -435,6 +458,13 @@ def _ascend(
         # A running total in query order, as summing one query at a time does.
         return np.cumsum(table[rows], axis=1)[:, -1, :] / n_queries[rows, None]
 
+    # The highest MAP a run can reach: every query with a relevant document
+    # at AP 1.0, summed like the APs, so a run at it compares equal exactly.
+    has_relevant = np.zeros(table.shape[:2])
+    for r, (blocks, _) in enumerate(runs):
+        has_relevant[r, :len(blocks)] = [b.n_relevant > 0 for b in blocks]
+    ceiling = np.cumsum(has_relevant, axis=1)[:, -1] / n_queries
+
     weights = [w for _, w in runs]
     for group in groups:
         for r in range(n_runs):
@@ -442,11 +472,33 @@ def _ascend(
         table[group.run, group.slot, 0] = group.ap
     current = mean_over_queries(np.arange(n_runs))[:, 0]
     active = np.ones(n_runs, dtype=bool)
+    run_ids = np.arange(n_runs)
+
+    def active_pairs() -> tuple[np.ndarray, list[np.ndarray]]:
+        return np.flatnonzero(active), [np.flatnonzero(active[g.run]) for g in groups]
+
+    def stop_at_ceiling(r: int) -> bool:
+        # No step can gain at the ceiling, and a later restart can at best
+        # tie this one, which it then loses.
+        if current[r] < ceiling[r]:
+            return False
+        active[r] = False
+        pruned = active & (problem == problem[r]) & (run_ids > r)
+        active[pruned] = False
+        stats.at_ceiling += 1
+        stats.skipped += int(pruned.sum())
+        return True
+
+    stats.runs += n_runs
+    for r in range(n_runs):
+        if active[r]:
+            stop_at_ceiling(r)
     while active.any():
         improved = np.zeros(n_runs, dtype=bool)
-        rows = np.flatnonzero(active)
-        pairs = [np.flatnonzero(active[g.run]) for g in groups]
+        rows, pairs = active_pairs()
         for dim in range(n_dims):
+            if len(rows) == 0:
+                break
             for group, group_pairs in zip(groups, pairs):
                 table[group.run[group_pairs], group.slot[group_pairs]] = group.probe(
                     group_pairs, dim, deltas
@@ -455,7 +507,10 @@ def _ascend(
             best = np.argmax(candidate_maps, axis=1)
             best_maps = candidate_maps[np.arange(len(rows)), best]
             gains = best_maps > current[rows] + config.min_gain
+            stopped = False
             for r, best_idx, new_map in zip(rows[gains], best[gains], best_maps[gains]):
+                if not active[r]:
+                    continue
                 trial = weights[r].copy()
                 trial[dim] += deltas[best_idx]
                 if np.abs(trial).sum() == 0.0:
@@ -467,8 +522,13 @@ def _ascend(
                     )
                 current[r] = new_map
                 improved[r] = True
+                if stop_at_ceiling(r):
+                    stopped = True
+                    continue
                 for group in groups:
                     group.refresh(r, weights[r])
+            if stopped:
+                rows, pairs = active_pairs()
         active &= improved
     return [(weights[r], float(current[r])) for r in range(n_runs)]
 
@@ -478,6 +538,7 @@ def train_coordinate_ascent(
     examples: Sequence[TrainingExample],
     feature_names: Sequence[str],
     config: CoordinateAscentConfig = ...,
+    stats: AscentStats | None = ...,
 ) -> RankModel: ...
 
 
@@ -486,18 +547,27 @@ def train_coordinate_ascent(
     examples: Mapping[str, Sequence[TrainingExample]],
     feature_names: Sequence[str],
     config: CoordinateAscentConfig = ...,
+    stats: AscentStats | None = ...,
 ) -> dict[str, RankModel]: ...
 
 
-def train_coordinate_ascent(examples, feature_names, config=CoordinateAscentConfig()):
+def train_coordinate_ascent(examples, feature_names, config=CoordinateAscentConfig(), stats=None):
     """Fit a linear ranker by coordinate ascent on training MAP.
 
     Restart 0 starts from uniform weights, later restarts from seeded random
     unit-L1 vectors. Coordinates are cycled in fixed order; for each one the
     best additive step among +/- step_base * 2^i is accepted only when it
-    improves MAP by more than ``min_gain``. Training stops after a full
-    cycle without an accepted move; the best restart wins (ties go to the
-    lowest restart index).
+    improves MAP by more than ``min_gain`` (finite, >= 0). Training stops
+    after a full cycle without an accepted move; the best restart wins (ties
+    go to the lowest restart index).
+
+    A restart also stops as soon as its MAP reaches the ceiling, the share
+    of queries with a relevant document (AP never exceeds 1.0); the later
+    restarts of its set are then not trained further. Both are exact: at the
+    ceiling no step gains more than ``min_gain``, and a later restart could
+    at best tie, which the earlier one wins. The models are those of
+    training every restart to the end. ``stats``, when given, adds up how
+    many restarts stopped at the ceiling and how many were skipped.
 
     Given a mapping of names to example sets, one model is trained per set
     and a dict of models is returned; each equals the model a separate call
@@ -510,6 +580,12 @@ def train_coordinate_ascent(examples, feature_names, config=CoordinateAscentConf
         return {}
     if config.restarts < 1:
         raise TrainingError(f"no model trained: restarts must be >= 1, got {config.restarts}")
+    # Written so that NaN fails: a negative min_gain accepts steps of no
+    # gain forever, a NaN one accepts none.
+    if not (config.min_gain >= 0 and math.isfinite(config.min_gain)):
+        raise TrainingError(f"min_gain must be finite and >= 0, got {config.min_gain!r}")
+    if not (config.step_base > 0 and math.isfinite(config.step_base)):
+        raise TrainingError(f"step_base must be finite and > 0, got {config.step_base!r}")
     deltas = np.array(
         [sign * config.step_base * (2.0**level) for level in range(config.step_levels) for sign in (1.0, -1.0)]
     )
@@ -519,8 +595,10 @@ def train_coordinate_ascent(examples, feature_names, config=CoordinateAscentConf
             for blocks in problems
             for restart in range(config.restarts)
         ],
+        np.repeat(np.arange(len(problems)), config.restarts),
         deltas,
         config,
+        stats if stats is not None else AscentStats(),
     )
 
     models = []

@@ -51,7 +51,7 @@ from .features import (
 )
 from .kg import KnowledgeGraph, load_graph
 from .linking import Instance, LinkMode, SeedSet, corpus_link_stats, link_instance, read_corpus
-from .ltr import Ranking, TrainingExample, load_model, rank, save_model, train_coordinate_ascent
+from .ltr import AscentStats, Ranking, TrainingExample, load_model, rank, save_model, train_coordinate_ascent
 from .query_graph import QueryGraph, build_query_graph
 from .topics import (
     InstanceVector,
@@ -472,6 +472,13 @@ def _stage_features(ctx: PipelineContext) -> None:
     write_feature_rows(mode_dir / "features.tsv", rows)
 
 
+def _log_ascent(stage: str, stats: AscentStats) -> None:
+    logger.info(
+        "stage %s: %d of %d restarts stopped at the training-MAP ceiling, %d later restarts skipped",
+        stage, stats.at_ceiling, stats.runs, stats.skipped,
+    )
+
+
 def _stage_train1(ctx: PipelineContext) -> None:
     config = ctx.config
     mode_dir = _mode_dir(config)
@@ -486,9 +493,11 @@ def _stage_train1(ctx: PipelineContext) -> None:
         for iid, nid, values, grade in rows
         if grade is not None and iid in train_ids
     ]
-    model = train_coordinate_ascent(examples, FEATURE_NAMES, config.train1)
+    stats = AscentStats()
+    model = train_coordinate_ascent(examples, FEATURE_NAMES, config.train1, stats)
     save_model(model, mode_dir / "model1.json")
     logger.info("stage train1: training MAP %.4f over %d examples", model.training_map, len(examples))
+    _log_ascent("train1", stats)
 
 
 def _stage_rank1(ctx: PipelineContext) -> None:
@@ -565,7 +574,14 @@ def _stage_train2(ctx: PipelineContext) -> None:
     write_instance_vectors(vectors, mode_dir / "vectors_train.jsonl")
     gold = {iid: instances[iid].topics for iid in train_ids}
     topics = sorted({t for topic_set in gold.values() for t in topic_set})
-    models = train_topic_models(vectors, gold, topics, lexicon, config.train2)
+    stats = AscentStats()
+    models = train_topic_models(vectors, gold, topics, lexicon, config.train2, stats)
+    training_maps = [m.model.training_map for m in models]
+    logger.info(
+        "stage train2: training MAP %.4f to %.4f over %d topics",
+        min(training_maps, default=0.0), max(training_maps, default=0.0), len(models),
+    )
+    _log_ascent("train2", stats)
 
     models_dir = mode_dir / "topic_models"
     models_dir.mkdir(parents=True, exist_ok=True)

@@ -15,6 +15,7 @@ from typing import Mapping, Sequence
 
 from .errors import IntegrityError, TrainingError, json_text, jsonl_text, read_json, write_atomic
 from .ltr import (
+    AscentStats,
     CoordinateAscentConfig,
     RankModel,
     Ranking,
@@ -113,13 +114,14 @@ def train_topic_models(
     topics: Sequence[str],
     lexicon: Lexicon,
     config: CoordinateAscentConfig = CoordinateAscentConfig(relevance_threshold=1),
+    stats: AscentStats | None = None,
 ) -> list[TopicModel]:
     """Train one ranking model per topic over the lexicon dimensions.
 
     For each topic the topic is the query and the instances are the
     documents, graded 1 when the topic is in the instance's gold set and 0
     otherwise. Topics without both a positive and a negative instance
-    cannot be trained.
+    cannot be trained. ``stats`` is passed on to ``train_coordinate_ascent``.
     """
     size = len(lexicon)
     names = lexicon.feature_names()
@@ -144,7 +146,7 @@ def train_topic_models(
             raise TrainingError(f"topic {topic!r} has no negative training instance")
         example_sets[topic] = examples
     # The topics share one document matrix, so their restarts train together.
-    models = train_coordinate_ascent(example_sets, names, config)
+    models = train_coordinate_ascent(example_sets, names, config, stats)
     return [TopicModel(topic=topic, model=models[topic]) for topic in topics]
 
 

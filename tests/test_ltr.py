@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gistrank import ltr
 from gistrank.errors import IntegrityError, TrainingError
 from gistrank.ltr import (
+    AscentStats,
     CoordinateAscentConfig,
     RankModel,
     Ranking,
@@ -233,6 +235,26 @@ class TestTrainCoordinateAscent:
         assert loaded.weights == model.weights
         assert loaded.feature_names == model.feature_names
         assert loaded.training_map == model.training_map
+
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            {"min_gain": -1e-3},
+            {"min_gain": float("nan")},
+            {"min_gain": float("inf")},
+            {"step_base": 0.0},
+            {"step_base": -0.05},
+            {"step_base": float("nan")},
+            {"step_base": float("inf")},
+        ],
+    )
+    def test_bad_step_settings_are_training_errors(self, changes):
+        # A negative min_gain used to accept steps of no gain forever; a NaN
+        # one accepted no step at all.
+        examples, names = separable_examples(n_queries=3)
+        config = dataclasses.replace(CoordinateAscentConfig(restarts=1), **changes)
+        with pytest.raises(TrainingError, match=next(iter(changes))):
+            train_coordinate_ascent(examples, names, config)
 
     def test_relevance_threshold_configurable(self):
         examples = [
@@ -528,3 +550,145 @@ class TestBatchedTrainerMatchesLoop:
     def test_no_example_sets_no_models(self):
         assert train_coordinate_ascent({}, ["f0"], CoordinateAscentConfig(restarts=0)) == {}
         assert train_topic_models([], {}, [], Lexicon(entries={0: 0}, top_k=10)) == []
+
+
+def probed_runs(monkeypatch):
+    """Record the runs of every probe, one set per call."""
+    calls = []
+    probe = ltr._LengthGroup.probe
+
+    def recording_probe(self, pairs, dim, deltas):
+        calls.append(set(self.run[pairs].tolist()))
+        return probe(self, pairs, dim, deltas)
+
+    monkeypatch.setattr(ltr._LengthGroup, "probe", recording_probe)
+    return calls
+
+
+def mixed_queries(seed):
+    """Three five-document queries, about 40% relevant; some have no
+    relevant document, so the MAP ceiling may be below 1."""
+    rng = np.random.default_rng(seed)
+    examples = []
+    for q in range(3):
+        for d in range(5):
+            relevant = rng.random() < 0.4
+            row = rng.normal(size=3) + (0.8 if relevant else 0.0) * np.array([1.0, -1.0, 0.5])
+            examples.append(
+                TrainingExample(f"q{q}", f"d{d}", tuple(float(x) for x in row), 5 if relevant else 0)
+            )
+    return examples, ["f0", "f1", "f2"]
+
+
+@st.composite
+def relevance_rows(draw):
+    """Ranked relevance rows of one length, each with a relevant document:
+    all relevant first, one relevant swapped out of the top, or random."""
+    n_docs = draw(st.integers(1, 400))
+    rows = []
+    for _ in range(draw(st.integers(1, 4))):
+        n_relevant = draw(st.integers(1, n_docs))
+        row = [True] * n_relevant + [False] * (n_docs - n_relevant)
+        kind = draw(st.sampled_from(["first", "swap", "random"]))
+        if kind == "swap" and n_relevant < n_docs:
+            i = draw(st.integers(0, n_relevant - 1))
+            j = draw(st.integers(n_relevant, n_docs - 1))
+            row[i], row[j] = row[j], row[i]
+        elif kind == "random":
+            row = draw(st.permutations(row))
+        rows.append(row)
+    return np.array(rows)
+
+
+class TestCeilingStop:
+    """The stop at the training-MAP ceiling and the prune of later restarts
+    leave every model equal to the loop's, which trains every restart to
+    the end."""
+
+    def test_run_starting_at_ceiling(self, monkeypatch):
+        # Uniform weights already rank every relevant document first, so
+        # restart 0 stops before any probe and the others are skipped.
+        examples = [
+            TrainingExample(f"q{q}", f"d{d}", (1.0 - d / 4, 0.5 - d / 8), 5 if d < 2 else 1)
+            for q in range(2)
+            for d in range(4)
+        ]
+        config = CoordinateAscentConfig(restarts=5, seed=4)
+        calls = probed_runs(monkeypatch)
+        stats = AscentStats()
+        model = train_coordinate_ascent(examples, ["f0", "f1"], config, stats)
+        assert calls == []
+        assert model == loop_train_coordinate_ascent(examples, ["f0", "f1"], config)
+        assert model.weights == (0.5, 0.5) and model.training_map == 1.0
+        assert stats == AscentStats(runs=5, at_ceiling=1, skipped=4)
+
+    def test_ceiling_below_one(self):
+        # q0 has one document, relevant: AP 1 under any weights. q1 ranks its
+        # relevant document second until a step on f1. q2 has no relevant
+        # document. The ceiling is 2/3, and uniform weights start at 1/2.
+        examples = [
+            TrainingExample("q0", "a", (0.2, 0.7), 5),
+            TrainingExample("q1", "a", (1.0, 0.0), 1),
+            TrainingExample("q1", "b", (0.0, 1.0), 5),
+            TrainingExample("q2", "a", (0.3, 0.2), 1),
+            TrainingExample("q2", "b", (0.1, 0.9), 2),
+        ]
+        config = CoordinateAscentConfig(restarts=2, seed=1)
+        stats = AscentStats()
+        model = train_coordinate_ascent(examples, ["f0", "f1"], config, stats)
+        assert model == loop_train_coordinate_ascent(examples, ["f0", "f1"], config)
+        assert model.training_map == 2 / 3 and model.weights != (0.5, 0.5)
+        assert stats.at_ceiling >= 1
+
+    def test_later_restart_starts_at_ceiling(self):
+        # Restart 1 of seed 0 starts at about (0.10, -0.90) and ranks b
+        # first; uniform weights rank a first, and restart 0 reaches MAP 1
+        # only after a step on f1. Restart 0 must still win.
+        examples = [TrainingExample("q", "a", (1.0, 1.0), 1), TrainingExample("q", "b", (1.0, 0.0), 5)]
+        config = CoordinateAscentConfig(restarts=2, seed=0)
+        stats = AscentStats()
+        model = train_coordinate_ascent(examples, ["f0", "f1"], config, stats)
+        assert model == loop_train_coordinate_ascent(examples, ["f0", "f1"], config)
+        assert model.weights[1] < 0 < model.weights[0]
+        assert stats == AscentStats(runs=2, at_ceiling=2, skipped=0)
+
+    @pytest.mark.parametrize("seed", [9, 12, 47, 100, 108, 191])
+    def test_restarts_reaching_ceiling_out_of_order(self, seed):
+        # On these seeds a later restart reaches the ceiling (below 1 on 47
+        # and 100) before an earlier one, after one or more steps.
+        examples, names = mixed_queries(seed)
+        config = CoordinateAscentConfig(restarts=3, seed=seed % 7, relevance_threshold=1)
+        stats = AscentStats()
+        model = train_coordinate_ascent(examples, names, config, stats)
+        assert model == loop_train_coordinate_ascent(examples, names, config)
+        assert stats.at_ceiling >= 2
+
+    def test_joint_problems_prune_only_their_own_restarts(self):
+        sets = {f"s{seed}": mixed_queries(seed)[0] for seed in (9, 12, 47)}
+        config = CoordinateAscentConfig(restarts=3, seed=2, relevance_threshold=1)
+        joint = train_coordinate_ascent(sets, ["f0", "f1", "f2"], config)
+        for key, examples in sets.items():
+            assert joint[key] == loop_train_coordinate_ascent(examples, ["f0", "f1", "f2"], config)
+
+    def test_later_restarts_not_probed_after_restart_0_reaches_ceiling(self, monkeypatch):
+        examples, names = separable_examples(n_queries=6, n_noise=4, seed=0)
+        config = CoordinateAscentConfig(restarts=5, seed=0)
+        calls = probed_runs(monkeypatch)
+        stats = AscentStats()
+        model = train_coordinate_ascent(examples, names, config, stats)
+        assert model == loop_train_coordinate_ascent(examples, names, config)
+        assert model.training_map == 1.0
+        # Restart 0 needs steps; once it stops, nothing is probed again.
+        assert calls and all(0 in runs for runs in calls)
+        assert stats == AscentStats(runs=5, at_ceiling=1, skipped=4)
+
+    @settings(max_examples=200, deadline=None)
+    @given(relevance_rows())
+    def test_ap_never_exceeds_one(self, relevant):
+        # The stop is exact because AP is at most 1.0 and is exactly 1.0
+        # only when every relevant document ranks first.
+        n_relevant = relevant.sum(axis=1)
+        ap = ltr._ap_rows(relevant, n_relevant)
+        assert (ap <= 1.0).all()
+        first = np.array([row[:n].all() for row, n in zip(relevant, n_relevant)])
+        assert ((ap == 1.0) == first).all()

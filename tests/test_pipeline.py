@@ -2,6 +2,8 @@
 
 import filecmp
 import json
+import logging
+import re
 from pathlib import Path
 
 import pytest
@@ -89,6 +91,21 @@ class TestConfig:
     def test_bad_mode_rejected(self, fixture_dir):
         with pytest.raises(ConfigError, match="mode"):
             load_config(fixture_dir / "pipeline.config", {"mode": "X"})
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("train2.min_gain", "-0.001"),
+            ("train1.min_gain", "nan"),
+            ("train2.min_gain", "inf"),
+            ("train1.step_base", "0"),
+            ("train1.step_base", "inf"),
+            ("train2.step_base", "nan"),
+        ],
+    )
+    def test_bad_training_settings_rejected(self, fixture_dir, key, value):
+        with pytest.raises(ConfigError, match=key):
+            load_config(fixture_dir / "pipeline.config", {key: value})
 
     def test_non_utf8_line_is_config_error(self, fixture_dir, tmp_path):
         path = tmp_path / "bytes.config"
@@ -218,6 +235,20 @@ class TestStages:
         manifest = json.loads((mode_dir / "evaluate.manifest.json").read_text())
         assert manifest["mode"] == "TI"
         assert "config_hash" in manifest
+
+    def test_training_stages_log_the_ceiling_stop(self, fixture_dir, tmp_path, caplog):
+        config = load_config(fixture_dir / "pipeline.config", {"out": str(tmp_path / "out"), "mode": "T"})
+        with caplog.at_level(logging.INFO, logger="gistrank.pipeline"):
+            for stage in STAGE_ORDER[:STAGE_ORDER.index("train2") + 1]:
+                run_stage(config, stage)
+        # Five restarts of one set in stage 1, of each of three topics in stage 2.
+        for stage, runs in (("train1", 5), ("train2", 15)):
+            assert re.search(
+                rf"stage {stage}: \d+ of {runs} restarts stopped at the training-MAP ceiling, "
+                r"\d+ later restarts skipped",
+                caplog.text,
+            )
+        assert re.search(r"stage train2: training MAP \d\.\d{4} to \d\.\d{4} over 3 topics", caplog.text)
 
     def test_each_manifest_lists_what_its_stage_writes(self, fixture_dir, tmp_path):
         config = load_config(fixture_dir / "pipeline.config", {"out": str(tmp_path / "out")})
@@ -615,6 +646,16 @@ class TestCli:
         assert main(["train1", "--config", config]) == 2
         err = capsys.readouterr().err
         assert "non-finite" in err and "features.tsv:2" in err
+
+    def test_negative_min_gain_exit_code(self, tmp_path, capsys):
+        # Steps of zero gain used to be accepted forever, and `all` hung.
+        out = tmp_path / "fx"
+        main(["gen-fixture", "--seed", "1", "--instances", "9", "--topics", "3", "--out", str(out)])
+        path = out / "pipeline.config"
+        path.write_text(path.read_text() + "train2.min_gain=-0.001\n")
+        assert main(["all", "--config", str(path)]) == 1
+        assert "train2.min_gain: must be finite and >= 0" in capsys.readouterr().err
+        assert not (out / "out").exists()
 
     def test_non_utf8_config_line_exit_code(self, tmp_path, capsys):
         out = tmp_path / "fx"
