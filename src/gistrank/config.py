@@ -65,6 +65,8 @@ class PipelineConfig:
             # Written so that NaN fails too.
             if not (train.step_base > 0 and math.isfinite(train.step_base)):
                 raise ConfigError(f"{prefix}.step_base: must be finite and > 0, got {train.step_base!r}")
+            if not math.isfinite(train.largest_step()):
+                raise ConfigError(f"{prefix}.step_base * 2**({prefix}.step_levels - 1): must be finite")
             if not (train.min_gain >= 0 and math.isfinite(train.min_gain)):
                 raise ConfigError(f"{prefix}.min_gain: must be finite and >= 0, got {train.min_gain!r}")
 
@@ -72,18 +74,18 @@ class PipelineConfig:
         return hashlib.sha256(self.canonical_text().encode("utf-8")).hexdigest()[:16]
 
     def canonical_text(self) -> str:
+        # Neither the output directory nor the worker count changes an
+        # artifact byte, so neither is part of the text.
         items = {
             "kg.nodes": str(self.kg_nodes),
             "kg.edges": str(self.kg_edges),
             "corpus": str(self.corpus),
-            "out": str(self.out),
             "mode": self.mode,
             "top_k": str(self.top_k),
             "eval.k": str(self.eval_k),
             "seed": str(self.seed),
             "split.ratio": repr(self.split_ratio),
             "split.seed": str(self.resolved_split_seed()),
-            "workers": str(self.workers),
             "image_labels": str(self.image_labels) if self.image_labels else "",
         }
         for prefix, train in (("train1", self.train1), ("train2", self.train2)):

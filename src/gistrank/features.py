@@ -504,8 +504,10 @@ def write_feature_rows(
             fh.write("\t".join(cells) + "\n")
 
 
-def read_feature_rows(path: str | Path) -> list[tuple[str, int, tuple[float, ...], int | None]]:
-    """Read a feature dump; fails when the header names do not match.
+def read_feature_rows(path: str | Path) -> dict[str, tuple[list[str], np.ndarray, list[int | None]]]:
+    """Read a feature dump into its doc ids (node ids as decimal strings),
+    float64 feature matrix and grades per instance, each in file order;
+    fails when the header names do not match.
 
     A line that is not UTF-8, has the wrong field count or a malformed
     number raises ``ParseError``, a non-finite feature value ``IntegrityError``.
@@ -519,7 +521,11 @@ def read_feature_rows(path: str | Path) -> list[tuple[str, int, tuple[float, ...
     names = header.split("\t")
     if names != expected:
         raise IntegrityError(f"{path}: feature header mismatch: {names!r}")
-    rows: list[tuple[str, int, tuple[float, ...], int | None]] = []
+    # One array for all rows: a row of Python floats takes five times the memory.
+    values = np.empty((max(len(lines) - 1, 0), len(FEATURE_NAMES)))
+    rows_of: dict[str, list[int]] = {}
+    doc_ids: list[str] = []
+    grades: list[int | None] = []
     for lineno, line in enumerate(lines[1:], start=2):
         if line is None:
             raise ParseError(f"{path}:{lineno}: line is not valid UTF-8")
@@ -530,11 +536,17 @@ def read_feature_rows(path: str | Path) -> list[tuple[str, int, tuple[float, ...
             raise ParseError(f"{path}:{lineno}: expected {len(expected)} fields")
         try:
             node_id = int(cells[1])
-            values = tuple(float(c) for c in cells[2:-1])
+            row = [float(c) for c in cells[2:-1]]
             grade = int(cells[-1]) if cells[-1] else None
         except ValueError:
             raise ParseError(f"{path}:{lineno}: malformed numeric field") from None
-        if not all(map(math.isfinite, values)):
+        if not all(map(math.isfinite, row)):
             raise IntegrityError(f"{path}:{lineno}: non-finite feature value")
-        rows.append((cells[0], node_id, values, grade))
-    return rows
+        rows_of.setdefault(cells[0], []).append(len(doc_ids))
+        values[len(doc_ids)] = row
+        doc_ids.append(str(node_id))
+        grades.append(grade)
+    return {
+        iid: ([doc_ids[i] for i in rows], values[rows], [grades[i] for i in rows])
+        for iid, rows in rows_of.items()
+    }

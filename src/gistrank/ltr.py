@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
-from typing import Mapping, Sequence, overload
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -62,14 +62,6 @@ def mean_metric(per_query: Sequence[float]) -> float:
     if not per_query:
         raise ValueError("mean_metric requires at least one query value")
     return float(sum(per_query)) / len(per_query)
-
-
-@dataclass(frozen=True)
-class TrainingExample:
-    query_id: str
-    doc_id: str
-    features: tuple[float, ...]
-    grade: int
 
 
 @dataclass(frozen=True)
@@ -110,6 +102,13 @@ class CoordinateAscentConfig:
     def as_dict(self) -> dict:
         return asdict(self)
 
+    def largest_step(self) -> float:
+        """The largest step, ``step_base * 2**(step_levels - 1)``, or inf when it overflows."""
+        try:
+            return self.step_base * 2.0 ** (self.step_levels - 1)
+        except OverflowError:
+            return math.inf
+
 
 @dataclass(frozen=True)
 class RankModel:
@@ -127,53 +126,41 @@ class RankModel:
             )
 
 
-def rank(model: RankModel, candidates: Sequence[tuple[str, Sequence[float]]], query_id: str = "") -> Ranking:
-    """Score candidates and sort them best-first (ties by ascending doc id)."""
-    if not candidates:
-        return Ranking(query_id=query_id, items=())
-    matrix = np.asarray([vec for _, vec in candidates], dtype=np.float64)
-    if matrix.shape[1] != len(model.weights):
+def rank(model: RankModel, doc_ids: Sequence[str], matrix: np.ndarray, query_id: str = "") -> Ranking:
+    """Score the rows of ``matrix``, one per doc id, and sort them best-first
+    (ties by ascending doc id). The rows are scored in the order given, as
+    BLAS may round a product of permuted rows differently."""
+    if matrix.shape != (len(doc_ids), len(model.weights)):
         raise IntegrityError(
-            f"candidate vectors have {matrix.shape[1]} dims, model expects {len(model.weights)}"
+            f"query {query_id!r}: candidate matrix has shape {matrix.shape}, "
+            f"expected ({len(doc_ids)}, {len(model.weights)})"
         )
     scores = matrix @ np.asarray(model.weights)
-    order = sorted(range(len(candidates)), key=lambda i: (-scores[i], candidates[i][0]))
-    return Ranking(
-        query_id=query_id,
-        items=tuple((candidates[i][0], float(scores[i])) for i in order),
-    )
+    # A stable sort on negated scores over the documents in doc-id order.
+    by_id = np.array(sorted(range(len(doc_ids)), key=doc_ids.__getitem__), dtype=np.intp)
+    order = by_id[np.argsort(-scores[by_id], kind="stable")]
+    values = scores.tolist()
+    return Ranking(query_id=query_id, items=tuple((doc_ids[i], values[i]) for i in order.tolist()))
 
 
-class _QueryBlock:
-    """Training documents of one query, pre-sorted by doc id for tie-breaks."""
-
-    def __init__(self, examples: list[TrainingExample], threshold: int):
-        examples = sorted(examples, key=lambda e: e.doc_id)
-        self.rows = tuple(e.features for e in examples)
-        self.relevant = np.asarray([e.grade >= threshold for e in examples], dtype=bool)
-        self.n_relevant = int(self.relevant.sum())
-
-
-def _query_blocks(
-    examples: Sequence[TrainingExample], n_dims: int, threshold: int
-) -> list[_QueryBlock]:
-    grouped: dict[str, list[TrainingExample]] = {}
-    for example in examples:
-        if len(example.features) != n_dims:
+def _training_queries(queries, n_dims: int, threshold: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """One problem's queries as checked (matrix, relevance) pairs."""
+    checked = []
+    for matrix, grades in queries:
+        matrix, grades = np.asarray(matrix, dtype=np.float64), np.asarray(grades)
+        if matrix.ndim != 2 or matrix.shape[1] != n_dims or grades.shape != matrix.shape[:1]:
             raise IntegrityError(
-                f"example {example.query_id}/{example.doc_id} has "
-                f"{len(example.features)} features, expected {n_dims}"
+                f"query {len(checked)} has a {matrix.shape} document matrix and "
+                f"{grades.shape} grades; expected {n_dims} features and one grade per document"
             )
-        grouped.setdefault(example.query_id, []).append(example)
-    if not grouped:
+        checked.append((matrix, grades >= threshold))
+    if not checked:
         raise TrainingError("no training examples")
-
-    blocks = [_QueryBlock(grouped[query_id], threshold) for query_id in sorted(grouped)]
-    if not any(b.n_relevant > 0 for b in blocks):
+    if not any(relevant.any() for _, relevant in checked):
         raise TrainingError("no query has a relevant document at the configured threshold")
-    if not any(len(b.relevant) >= 2 and b.n_relevant > 0 for b in blocks):
+    if not any(len(relevant) >= 2 and relevant.any() for _, relevant in checked):
         raise TrainingError("need at least one query with >= 2 documents and a relevant one")
-    return blocks
+    return checked
 
 
 def _ap_rows(relevant: np.ndarray, n_relevant) -> np.ndarray:
@@ -213,24 +200,24 @@ _SPARSE_RATIO = 8
 class _LengthGroup:
     """The (run, query) pairs whose queries have one document count.
 
-    Each pair caches what a probe starts from: its scores under the run's
-    weights, their stable best-first order (and each document's place in
-    it), the relevance in that order and its AP. Queries without a relevant
-    document never enter a group: their AP is 0 under any weights.
+    A block is one query's (document matrix, relevance) pair. Each pair
+    caches what a probe starts from: its scores under the run's weights,
+    their stable best-first order (and each document's place in it), the
+    relevance in that order and its AP. Queries without a relevant document
+    never enter a group: their AP is 0 under any weights.
     """
 
-    def __init__(self, blocks: list[_QueryBlock], pairs: list[tuple[int, int, int]]):
-        # Queries with equal feature rows share one matrix (in stage 2 every
-        # topic ranks the same training instances).
-        matrix_index: dict[tuple, int] = {}
-        self.block_matrix = np.array(
-            [matrix_index.setdefault(b.rows, len(matrix_index)) for b in blocks]
-        )
-        self.matrices = [np.asarray(rows, dtype=np.float64) for rows in matrix_index]
+    def __init__(self, blocks: list[tuple[np.ndarray, np.ndarray]], pairs: list[tuple[int, int, int]]):
+        # Queries on one matrix object share it (in stage 2 every topic ranks
+        # the same training instances).
+        matrices = {id(matrix): matrix for matrix, _ in blocks}
+        matrix_index = {key: i for i, key in enumerate(matrices)}
+        self.block_matrix = np.array([matrix_index[id(matrix)] for matrix, _ in blocks])
+        self.matrices = list(matrices.values())
         # A single matrix (the stage-2 topics) is used as it is, not copied.
         self.stack = self.matrices[0][None] if len(self.matrices) == 1 else np.stack(self.matrices)
-        self.relevant = np.stack([b.relevant for b in blocks])
-        self.n_relevant = np.array([b.n_relevant for b in blocks])
+        self.relevant = np.stack([relevant for _, relevant in blocks])
+        self.n_relevant = self.relevant.sum(axis=1)
         self.run, self.slot, self.block = (np.array(column) for column in zip(*pairs))
         n_pairs, n_docs = len(pairs), self.relevant.shape[1]
         self.scores = np.empty((n_pairs, n_docs))
@@ -424,7 +411,7 @@ class AscentStats:
 
 
 def _ascend(
-    runs: list[tuple[list[_QueryBlock], np.ndarray]],
+    runs: list[tuple[list[tuple[np.ndarray, np.ndarray]], np.ndarray]],
     problem: np.ndarray,
     deltas: np.ndarray,
     config: CoordinateAscentConfig,
@@ -440,12 +427,13 @@ def _ascend(
     """
     n_runs = len(runs)
     n_dims = len(runs[0][1])
-    grouped: dict[int, tuple[dict[int, int], list[_QueryBlock], list[tuple[int, int, int]]]] = {}
+    grouped: dict[int, tuple[dict[int, int], list, list[tuple[int, int, int]]]] = {}
     for r, (blocks, _) in enumerate(runs):
         for slot, block in enumerate(blocks):
-            if block.n_relevant == 0:
+            relevant = block[1]
+            if not relevant.any():
                 continue
-            index, members, pairs = grouped.setdefault(len(block.relevant), ({}, [], []))
+            index, members, pairs = grouped.setdefault(len(relevant), ({}, [], []))
             if id(block) not in index:
                 index[id(block)] = len(members)
                 members.append(block)
@@ -462,7 +450,7 @@ def _ascend(
     # at AP 1.0, summed like the APs, so a run at it compares equal exactly.
     has_relevant = np.zeros(table.shape[:2])
     for r, (blocks, _) in enumerate(runs):
-        has_relevant[r, :len(blocks)] = [b.n_relevant > 0 for b in blocks]
+        has_relevant[r, :len(blocks)] = [relevant.any() for _, relevant in blocks]
     ceiling = np.cumsum(has_relevant, axis=1)[:, -1] / n_queries
 
     weights = [w for _, w in runs]
@@ -533,26 +521,20 @@ def _ascend(
     return [(weights[r], float(current[r])) for r in range(n_runs)]
 
 
-@overload
 def train_coordinate_ascent(
-    examples: Sequence[TrainingExample],
+    problems: Sequence[Sequence[tuple[np.ndarray, np.ndarray]]],
     feature_names: Sequence[str],
-    config: CoordinateAscentConfig = ...,
-    stats: AscentStats | None = ...,
-) -> RankModel: ...
+    config: CoordinateAscentConfig = CoordinateAscentConfig(),
+    stats: AscentStats | None = None,
+) -> list[RankModel]:
+    """Fit one linear ranker per problem by coordinate ascent on training MAP.
 
-
-@overload
-def train_coordinate_ascent(
-    examples: Mapping[str, Sequence[TrainingExample]],
-    feature_names: Sequence[str],
-    config: CoordinateAscentConfig = ...,
-    stats: AscentStats | None = ...,
-) -> dict[str, RankModel]: ...
-
-
-def train_coordinate_ascent(examples, feature_names, config=CoordinateAscentConfig(), stats=None):
-    """Fit a linear ranker by coordinate ascent on training MAP.
+    A problem is a list of queries in query order, and a query a pair of a
+    float64 document matrix (one row per document, in ascending doc-id
+    order, which breaks score ties) and an int grade per document; a
+    document is relevant when its grade is at least
+    ``relevance_threshold``. Queries that share one matrix object are
+    stored once.
 
     Restart 0 starts from uniform weights, later restarts from seeded random
     unit-L1 vectors. Coordinates are cycled in fixed order; for each one the
@@ -563,21 +545,19 @@ def train_coordinate_ascent(examples, feature_names, config=CoordinateAscentConf
 
     A restart also stops as soon as its MAP reaches the ceiling, the share
     of queries with a relevant document (AP never exceeds 1.0); the later
-    restarts of its set are then not trained further. Both are exact: at the
-    ceiling no step gains more than ``min_gain``, and a later restart could
-    at best tie, which the earlier one wins. The models are those of
+    restarts of its problem are then not trained further. Both are exact: at
+    the ceiling no step gains more than ``min_gain``, and a later restart
+    could at best tie, which the earlier one wins. The models are those of
     training every restart to the end. ``stats``, when given, adds up how
     many restarts stopped at the ceiling and how many were skipped.
 
-    Given a mapping of names to example sets, one model is trained per set
-    and a dict of models is returned; each equals the model a separate call
-    would train. The restarts of all sets are trained together.
+    The restarts of all problems train together; each model equals the
+    model a call with its problem alone would train.
     """
-    sets = list(examples.values()) if isinstance(examples, Mapping) else [examples]
     n_dims = len(feature_names)
-    problems = [_query_blocks(s, n_dims, config.relevance_threshold) for s in sets]
+    problems = [_training_queries(p, n_dims, config.relevance_threshold) for p in problems]
     if not problems:
-        return {}
+        return []
     if config.restarts < 1:
         raise TrainingError(f"no model trained: restarts must be >= 1, got {config.restarts}")
     # Written so that NaN fails: a negative min_gain accepts steps of no
@@ -586,13 +566,17 @@ def train_coordinate_ascent(examples, feature_names, config=CoordinateAscentConf
         raise TrainingError(f"min_gain must be finite and >= 0, got {config.min_gain!r}")
     if not (config.step_base > 0 and math.isfinite(config.step_base)):
         raise TrainingError(f"step_base must be finite and > 0, got {config.step_base!r}")
+    if not (config.step_levels >= 1 and math.isfinite(config.largest_step())):
+        raise TrainingError(
+            f"step_levels must be >= 1 and step_base * 2**(step_levels - 1) finite, got {config.step_levels}"
+        )
     deltas = np.array(
         [sign * config.step_base * (2.0**level) for level in range(config.step_levels) for sign in (1.0, -1.0)]
     )
     finals = _ascend(
         [
-            (blocks, _initial_weights(n_dims, config.seed, restart))
-            for blocks in problems
+            (queries, _initial_weights(n_dims, config.seed, restart))
+            for queries in problems
             for restart in range(config.restarts)
         ],
         np.repeat(np.arange(len(problems)), config.restarts),
@@ -615,9 +599,7 @@ def train_coordinate_ascent(examples, feature_names, config=CoordinateAscentConf
                 config=config.as_dict(),
             )
         )
-    if isinstance(examples, Mapping):
-        return dict(zip(examples, models))
-    return models[0]
+    return models
 
 
 def save_model(model: RankModel, path: str | Path) -> None:

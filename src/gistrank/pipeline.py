@@ -51,7 +51,7 @@ from .features import (
 )
 from .kg import KnowledgeGraph, load_graph
 from .linking import Instance, LinkMode, SeedSet, corpus_link_stats, link_instance, read_corpus
-from .ltr import AscentStats, Ranking, TrainingExample, load_model, rank, save_model, train_coordinate_ascent
+from .ltr import AscentStats, Ranking, load_model, rank, save_model, train_coordinate_ascent
 from .query_graph import QueryGraph, build_query_graph
 from .topics import (
     InstanceVector,
@@ -482,21 +482,25 @@ def _log_ascent(stage: str, stats: AscentStats) -> None:
 def _stage_train1(ctx: PipelineContext) -> None:
     config = ctx.config
     mode_dir = _mode_dir(config)
-    rows = read_feature_rows(mode_dir / "features.tsv")
+    instances = read_feature_rows(mode_dir / "features.tsv")
     train_ids, test_ids = split_instances(
         (inst.instance_id for inst in ctx.corpus), config.split_ratio, config.resolved_split_seed()
     )
     _write_json(mode_dir / "split.json", {"train": sorted(train_ids), "test": sorted(test_ids)})
 
-    examples = [
-        TrainingExample(query_id=iid, doc_id=str(nid), features=values, grade=grade)
-        for iid, nid, values, grade in rows
-        if grade is not None and iid in train_ids
-    ]
+    # A query per training instance with graded rows, in instance-id order;
+    # its rows in doc-id order, which breaks score ties.
+    queries = []
+    for iid in sorted(train_ids & instances.keys()):
+        doc_ids, matrix, grades = instances[iid]
+        graded = sorted((i for i, grade in enumerate(grades) if grade is not None), key=doc_ids.__getitem__)
+        if graded:
+            queries.append((matrix[graded], np.array([grades[i] for i in graded])))
     stats = AscentStats()
-    model = train_coordinate_ascent(examples, FEATURE_NAMES, config.train1, stats)
+    (model,) = train_coordinate_ascent([queries], FEATURE_NAMES, config.train1, stats)
     save_model(model, mode_dir / "model1.json")
-    logger.info("stage train1: training MAP %.4f over %d examples", model.training_map, len(examples))
+    n_examples = sum(len(grades) for _, grades in queries)
+    logger.info("stage train1: training MAP %.4f over %d examples", model.training_map, n_examples)
     _log_ascent("train1", stats)
 
 
@@ -509,13 +513,11 @@ def _stage_rank1(ctx: PipelineContext) -> None:
             f"{mode_dir / 'model1.json'}: model feature names do not match the "
             "feature extractor; retrain with stage 'train1'"
         )
-    rows = read_feature_rows(mode_dir / "features.tsv")
-
-    by_instance: dict[str, list[tuple[str, tuple[float, ...]]]] = {}
-    for iid, nid, values, _ in rows:
-        by_instance.setdefault(iid, []).append((str(nid), values))
-
-    rankings = (rank(model, by_instance[iid], query_id=iid) for iid in sorted(by_instance))
+    instances = read_feature_rows(mode_dir / "features.tsv")
+    rankings = (
+        rank(model, doc_ids, matrix, query_id=iid)
+        for iid, (doc_ids, matrix, _) in sorted(instances.items())
+    )
     objs = ({"query_id": r.query_id, "items": [[d, s] for d, s in r.items]} for r in rankings)
     write_atomic(mode_dir / "rankings1.jsonl", jsonl_text(objs))
 

@@ -13,13 +13,14 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from .errors import IntegrityError, TrainingError, json_text, jsonl_text, read_json, write_atomic
 from .ltr import (
     AscentStats,
     CoordinateAscentConfig,
     RankModel,
     Ranking,
-    TrainingExample,
     rank,
     train_coordinate_ascent,
 )
@@ -60,15 +61,18 @@ class InstanceVector:
     instance_id: str
     entries: Mapping[int, float]
 
-    def dense(self, size: int) -> tuple[float, ...]:
-        values = [0.0] * size
-        for dim, score in self.entries.items():
-            if dim >= size:
-                raise IntegrityError(
-                    f"instance {self.instance_id!r}: dimension {dim} exceeds lexicon size {size}"
-                )
-            values[dim] = score
-        return tuple(values)
+
+def stack_vectors(vectors: Sequence[InstanceVector], size: int) -> np.ndarray:
+    """The dense (vectors x size) float64 matrix of ``vectors``, a row each in order."""
+    matrix = np.zeros((len(vectors), size))
+    for row, vector in zip(matrix, vectors):
+        dims = list(vector.entries)
+        if dims and max(dims) >= size:
+            raise IntegrityError(
+                f"instance {vector.instance_id!r}: dimension {max(dims)} exceeds lexicon size {size}"
+            )
+        row[dims] = list(vector.entries.values())
+    return matrix
 
 
 @dataclass(frozen=True)
@@ -123,45 +127,36 @@ def train_topic_models(
     otherwise. Topics without both a positive and a negative instance
     cannot be trained. ``stats`` is passed on to ``train_coordinate_ascent``.
     """
-    size = len(lexicon)
-    names = lexicon.feature_names()
-    dense = {v.instance_id: v.dense(size) for v in vectors}
-    example_sets: dict[str, list[TrainingExample]] = {}
+    ordered = sorted(vectors, key=lambda v: v.instance_id)
+    matrix = stack_vectors(ordered, len(lexicon))
+    problems = []
     for topic in topics:
-        examples = []
-        for vector in vectors:
-            labels = gold.get(vector.instance_id, frozenset())
-            examples.append(
-                TrainingExample(
-                    query_id=topic,
-                    doc_id=vector.instance_id,
-                    features=dense[vector.instance_id],
-                    grade=1 if topic in labels else 0,
-                )
-            )
-        positives = sum(e.grade for e in examples)
+        grades = np.array([topic in gold.get(v.instance_id, ()) for v in ordered], dtype=int)
+        positives = int(grades.sum())
         if positives == 0:
             raise TrainingError(f"topic {topic!r} has no positive training instance")
-        if positives == len(examples):
+        if positives == len(grades):
             raise TrainingError(f"topic {topic!r} has no negative training instance")
-        example_sets[topic] = examples
-    # The topics share one document matrix, so their restarts train together.
-    models = train_coordinate_ascent(example_sets, names, config, stats)
-    return [TopicModel(topic=topic, model=models[topic]) for topic in topics]
+        # Every topic ranks the one matrix object, so the trainer holds it once.
+        problems.append([(matrix, grades)])
+    models = train_coordinate_ascent(problems, lexicon.feature_names(), config, stats)
+    return [TopicModel(topic=topic, model=model) for topic, model in zip(topics, models)]
 
 
 def rank_images(
     models: Sequence[TopicModel], vectors: Sequence[InstanceVector]
 ) -> dict[str, Ranking]:
-    """Rank every instance under each topic model (ties by ascending id)."""
-    rankings: dict[str, Ranking] = {}
-    for topic_model in models:
-        size = len(topic_model.model.weights)
-        candidates = [(v.instance_id, v.dense(size)) for v in vectors]
-        rankings[topic_model.topic] = rank(
-            topic_model.model, candidates, query_id=topic_model.topic
-        )
-    return rankings
+    """Rank every instance under each topic model (ties by ascending id).
+
+    The vectors are stacked once, in the given order, and each topic scores
+    that matrix with its own product: one product for all topics rounds
+    some scores differently.
+    """
+    if not models:
+        return {}
+    matrix = stack_vectors(vectors, len(models[0].model.weights))
+    ids = [v.instance_id for v in vectors]
+    return {m.topic: rank(m.model, ids, matrix, query_id=m.topic) for m in models}
 
 
 def save_lexicon(lexicon: Lexicon, path: str | Path) -> None:

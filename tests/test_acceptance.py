@@ -29,7 +29,6 @@ from gistrank.ltr import (
     average_precision,
     precision_at_k,
     save_model,
-    train_coordinate_ascent,
 )
 from gistrank.pipeline import _read_rankings_jsonl, run_all
 from gistrank.query_graph import build_query_graph
@@ -38,7 +37,7 @@ from gistrank.topics import TopicModel, load_lexicon, rank_images
 from tests.conftest import random_kg, random_query_graph
 from tests.test_clustering import all_partitions, modularity_oracle
 from tests.test_features import dense_pagerank, naive_betweenness
-from tests.test_ltr import separable_examples
+from tests.test_ltr import separable_examples, train_examples
 from tests.test_query_graph import enumerate_intermediates, seedset
 
 
@@ -159,7 +158,7 @@ def test_criterion_5_coordinate_ascent():
         examples, names = separable_examples(n_queries=20, n_noise=15, seed=55)
         config = CoordinateAscentConfig(restarts=5, seed=505)
         # Monotonicity is asserted inside the training loop on every accepted step.
-        model = train_coordinate_ascent(examples, names, config)
+        model = train_examples(examples, names, config)
         assert model.training_map == 1.0
 
         import tempfile
@@ -167,8 +166,8 @@ def test_criterion_5_coordinate_ascent():
 
         with tempfile.TemporaryDirectory() as tmp:
             path_a, path_b = Path(tmp) / "a.json", Path(tmp) / "b.json"
-            save_model(train_coordinate_ascent(examples, names, config), path_a)
-            save_model(train_coordinate_ascent(examples, names, config), path_b)
+            save_model(train_examples(examples, names, config), path_a)
+            save_model(train_examples(examples, names, config), path_b)
             assert path_a.read_bytes() == path_b.read_bytes()
 
 

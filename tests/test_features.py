@@ -695,11 +695,16 @@ class TestFeatureIO:
     def test_round_trip(self, tmp_path):
         rows = [
             ("i1", 3, tuple(float(x) / 7 for x in range(16)), 5),
+            ("i2", 10, (-0.0,) + (1.0,) * 15, 1),
             ("i1", 4, (0.0,) * 16, None),
         ]
         path = tmp_path / "features.tsv"
         write_feature_rows(path, rows)
-        assert read_feature_rows(path) == rows
+        read = {iid: (ids, repr(m.tolist()), grades) for iid, (ids, m, grades) in read_feature_rows(path).items()}
+        assert read == {
+            "i1": (["3", "4"], repr([list(rows[0][2]), list(rows[2][2])]), [5, None]),
+            "i2": (["10"], repr([list(rows[1][2])]), [1]),
+        }
 
     def test_header_mismatch_fails(self, tmp_path):
         path = tmp_path / "features.tsv"

@@ -15,7 +15,6 @@ from gistrank.ltr import (
     CoordinateAscentConfig,
     RankModel,
     Ranking,
-    TrainingExample,
     average_precision,
     load_model,
     mean_metric,
@@ -24,7 +23,36 @@ from gistrank.ltr import (
     save_model,
     train_coordinate_ascent,
 )
-from gistrank.topics import InstanceVector, Lexicon, train_topic_models
+from gistrank.topics import InstanceVector, Lexicon, stack_vectors, train_topic_models
+
+
+@dataclasses.dataclass(frozen=True)
+class TrainingExample:
+    """One graded document of one query, the form the reference loop takes."""
+
+    query_id: str
+    doc_id: str
+    features: tuple[float, ...]
+    grade: int
+
+
+def as_queries(examples):
+    """Examples as the trainer's queries: in query-id order, rows in doc-id order."""
+    grouped = {}
+    for example in examples:
+        grouped.setdefault(example.query_id, []).append(example)
+    queries = []
+    for query_id in sorted(grouped):
+        docs = sorted(grouped[query_id], key=lambda e: e.doc_id)
+        matrix = np.array([e.features for e in docs], dtype=np.float64)
+        queries.append((matrix, np.array([e.grade for e in docs])))
+    return queries
+
+
+def train_examples(examples, feature_names, config=CoordinateAscentConfig(), stats=None):
+    """``train_coordinate_ascent`` on one example set."""
+    (model,) = train_coordinate_ascent([as_queries(examples)], feature_names, config, stats)
+    return model
 
 
 def ap_oracle(bools):
@@ -107,6 +135,32 @@ class TestRanking:
             Ranking(query_id="q", items=(("a", 0.9), ("a", 0.1)))
 
 
+def rank_oracle(model, doc_ids, matrix):
+    """The sort ``rank`` replaced: Python's ``sorted`` on (-score, doc id)."""
+    scores = matrix @ np.asarray(model.weights)
+    order = sorted(range(len(doc_ids)), key=lambda i: (-scores[i], doc_ids[i]))
+    return tuple((doc_ids[i], float(scores[i])) for i in order)
+
+
+# Few distinct values make exact score ties likely, -0.0 among them.
+TIE_VALUES = (0.0, -0.0, 0.5, -0.5, 1.0, 2.0)
+
+
+@st.composite
+def rank_inputs(draw):
+    """Weights, distinct doc ids and a document matrix; the ids include ones
+    whose string and numeric orders differ ("2" and "10")."""
+    n_dims = draw(st.integers(1, 3))
+    value = st.sampled_from(TIE_VALUES) | st.floats(-3, 3, allow_nan=False)
+    weights = draw(st.lists(value, min_size=n_dims, max_size=n_dims))
+    doc_id = st.sampled_from(["2", "10", "1", "01", "-3", " 7", "a", "B", "é"]) | st.text(max_size=3)
+    doc_ids = draw(st.lists(doc_id, unique=True, max_size=12))
+    rows = draw(st.lists(
+        st.lists(value, min_size=n_dims, max_size=n_dims), min_size=len(doc_ids), max_size=len(doc_ids)
+    ))
+    return weights, doc_ids, np.array(rows, dtype=np.float64).reshape(len(doc_ids), n_dims)
+
+
 class TestRank:
     def model(self, weights):
         return RankModel(
@@ -116,19 +170,21 @@ class TestRank:
         )
 
     def test_orders_by_score(self):
-        ranking = rank(self.model([1.0, 0.0]), [("a", (0.9, 0.0)), ("b", (0.1, 0.0))])
+        ranking = rank(self.model([1.0, 0.0]), ["b", "a"], np.array([[0.1, 0.0], [0.9, 0.0]]))
         assert ranking.doc_ids == ("a", "b")
 
     def test_ties_break_by_doc_id(self):
-        ranking = rank(self.model([1.0]), [("b", (0.5,)), ("a", (0.5,)), ("c", (0.5,))])
-        assert ranking.doc_ids == ("a", "b", "c")
+        ranking = rank(self.model([1.0]), ["b", "2", "a", "10"], np.full((4, 1), 0.5))
+        assert ranking.doc_ids == ("10", "2", "a", "b")
 
     def test_dimension_mismatch(self):
         with pytest.raises(IntegrityError):
-            rank(self.model([1.0, 0.0]), [("a", (0.9,))])
+            rank(self.model([1.0, 0.0]), ["a"], np.array([[0.9]]))
+        with pytest.raises(IntegrityError):
+            rank(self.model([1.0]), ["a", "b"], np.array([[0.9]]))
 
     def test_empty_candidates(self):
-        assert rank(self.model([1.0]), []).items == ()
+        assert rank(self.model([1.0]), [], np.zeros((0, 1))).items == ()
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -143,10 +199,19 @@ class TestRank:
         ),
     )
     def test_positive_scaling_invariance(self, scale, rows):
-        candidates = [(f"d{i}", row) for i, row in enumerate(rows)]
+        doc_ids, matrix = [f"d{i}" for i in range(len(rows))], np.array(rows)
         base = self.model([0.7, -0.3])
         scaled = self.model([0.7 * scale, -0.3 * scale])
-        assert rank(base, candidates).doc_ids == rank(scaled, candidates).doc_ids
+        assert rank(base, doc_ids, matrix).doc_ids == rank(scaled, doc_ids, matrix).doc_ids
+
+    @settings(max_examples=300, deadline=None)
+    @given(rank_inputs())
+    def test_equals_python_sort(self, data):
+        weights, doc_ids, matrix = data
+        model = self.model(weights)
+        # repr tells -0.0 from 0.0 apart.
+        assert repr(rank(model, doc_ids, matrix).items) == repr(rank_oracle(model, doc_ids, matrix))
+
 
 
 def separable_examples(n_queries=20, n_noise=15, seed=0):
@@ -175,7 +240,7 @@ class TestTrainCoordinateAscent:
             TrainingExample("q", "a", (0.9,), 5),
             TrainingExample("q", "b", (0.1,), 1),
         ]
-        model = train_coordinate_ascent(examples, ["f0"], CoordinateAscentConfig(restarts=1))
+        model = train_examples(examples, ["f0"], CoordinateAscentConfig(restarts=1))
         assert model.training_map == 1.0
 
     def test_constant_features_return_uniform_weights(self):
@@ -183,19 +248,19 @@ class TestTrainCoordinateAscent:
             TrainingExample("q", "a", (0.5, 0.5), 1),
             TrainingExample("q", "b", (0.5, 0.5), 5),
         ]
-        model = train_coordinate_ascent(examples, ["f0", "f1"], CoordinateAscentConfig())
+        model = train_examples(examples, ["f0", "f1"], CoordinateAscentConfig())
         assert model.weights == (0.5, 0.5)
         # tie-broken ranking is (a, b): the relevant doc sits second -> AP 1/2
         assert model.training_map == pytest.approx(0.5)
 
     def test_separable_set_reaches_map_one(self):
         examples, names = separable_examples()
-        model = train_coordinate_ascent(examples, names, CoordinateAscentConfig(seed=11))
+        model = train_examples(examples, names, CoordinateAscentConfig(seed=11))
         assert model.training_map == 1.0
 
     def test_unit_l1_norm(self):
         examples, names = separable_examples(n_queries=5)
-        model = train_coordinate_ascent(examples, names, CoordinateAscentConfig(restarts=2))
+        model = train_examples(examples, names, CoordinateAscentConfig(restarts=2))
         assert sum(abs(w) for w in model.weights) == pytest.approx(1.0, abs=1e-9)
 
     def test_no_relevant_documents_is_training_error(self):
@@ -204,23 +269,23 @@ class TestTrainCoordinateAscent:
             TrainingExample("q", "b", (0.1,), 2),
         ]
         with pytest.raises(TrainingError, match="relevant"):
-            train_coordinate_ascent(examples, ["f0"], CoordinateAscentConfig())
+            train_examples(examples, ["f0"], CoordinateAscentConfig())
 
     def test_zero_restarts_is_training_error(self):
         examples, names = separable_examples(n_queries=2)
         with pytest.raises(TrainingError, match="restarts"):
-            train_coordinate_ascent(examples, names, CoordinateAscentConfig(restarts=0))
+            train_examples(examples, names, CoordinateAscentConfig(restarts=0))
 
     def test_dimension_mismatch_is_integrity_error(self):
         examples = [TrainingExample("q", "a", (0.9, 0.2), 5)]
         with pytest.raises(IntegrityError):
-            train_coordinate_ascent(examples, ["f0"], CoordinateAscentConfig())
+            train_examples(examples, ["f0"], CoordinateAscentConfig())
 
     def test_reproducible_model_files(self, tmp_path):
         examples, names = separable_examples(seed=3)
         config = CoordinateAscentConfig(seed=42)
-        model_a = train_coordinate_ascent(examples, names, config)
-        model_b = train_coordinate_ascent(examples, names, config)
+        model_a = train_examples(examples, names, config)
+        model_b = train_examples(examples, names, config)
         path_a, path_b = tmp_path / "a.json", tmp_path / "b.json"
         save_model(model_a, path_a)
         save_model(model_b, path_b)
@@ -228,7 +293,7 @@ class TestTrainCoordinateAscent:
 
     def test_model_round_trip(self, tmp_path):
         examples, names = separable_examples(n_queries=3)
-        model = train_coordinate_ascent(examples, names, CoordinateAscentConfig(restarts=1))
+        model = train_examples(examples, names, CoordinateAscentConfig(restarts=1))
         path = tmp_path / "model.json"
         save_model(model, path)
         loaded = load_model(path)
@@ -246,15 +311,20 @@ class TestTrainCoordinateAscent:
             {"step_base": -0.05},
             {"step_base": float("nan")},
             {"step_base": float("inf")},
+            {"step_levels": 1100},
+            {"step_base": 1e307},
+            {"step_levels": 0},
         ],
     )
     def test_bad_step_settings_are_training_errors(self, changes):
         # A negative min_gain used to accept steps of no gain forever; a NaN
-        # one accepted no step at all.
+        # one accepted no step at all. 2.0**1099 overflowed with a raw
+        # OverflowError, 1e307 * 2**9 trained on with infinite steps, and no
+        # step level at all failed with a raw IndexError.
         examples, names = separable_examples(n_queries=3)
         config = dataclasses.replace(CoordinateAscentConfig(restarts=1), **changes)
         with pytest.raises(TrainingError, match=next(iter(changes))):
-            train_coordinate_ascent(examples, names, config)
+            train_examples(examples, names, config)
 
     def test_relevance_threshold_configurable(self):
         examples = [
@@ -262,10 +332,8 @@ class TestTrainCoordinateAscent:
             TrainingExample("q", "b", (0.1,), 1),
         ]
         with pytest.raises(TrainingError):
-            train_coordinate_ascent(examples, ["f0"], CoordinateAscentConfig())
-        model = train_coordinate_ascent(
-            examples, ["f0"], CoordinateAscentConfig(relevance_threshold=3)
-        )
+            train_examples(examples, ["f0"], CoordinateAscentConfig())
+        model = train_examples(examples, ["f0"], CoordinateAscentConfig(relevance_threshold=3))
         assert model.training_map == 1.0
 
 
@@ -425,8 +493,8 @@ def topic_data(rng, n_instances, n_dims, topics, density):
 
 def topic_examples(vectors, gold, topic, n_dims):
     return [
-        TrainingExample(topic, v.instance_id, v.dense(n_dims), 1 if topic in gold[v.instance_id] else 0)
-        for v in vectors
+        TrainingExample(topic, v.instance_id, tuple(row), 1 if topic in gold[v.instance_id] else 0)
+        for v, row in zip(vectors, stack_vectors(vectors, n_dims).tolist())
     ]
 
 
@@ -435,7 +503,7 @@ class TestBatchedTrainerMatchesLoop:
     @given(training_sets())
     def test_models_equal_loop(self, data):
         examples, names, config = data
-        assert train_coordinate_ascent(examples, names, config) == loop_train_coordinate_ascent(
+        assert train_examples(examples, names, config) == loop_train_coordinate_ascent(
             examples, names, config
         )
 
@@ -468,17 +536,17 @@ class TestBatchedTrainerMatchesLoop:
         n_dims = max(len(names) for _, names, _ in sets)
         names = [f"f{i}" for i in range(n_dims)]
         config = dataclasses.replace(sets[0][2], restarts=restarts)
-        padded = {
-            f"set{k}": [
+        padded = [
+            [
                 dataclasses.replace(e, features=e.features + (0.0,) * (n_dims - len(e.features)))
                 for e in examples
             ]
-            for k, (examples, _, _) in enumerate(sets)
-        }
-        joint = train_coordinate_ascent(padded, names, config)
-        assert list(joint) == list(padded)
-        for key, examples in padded.items():
-            assert joint[key] == train_coordinate_ascent(examples, names, config)
+            for examples, _, _ in sets
+        ]
+        joint = train_coordinate_ascent([as_queries(examples) for examples in padded], names, config)
+        assert len(joint) == len(padded)
+        for model, examples in zip(joint, padded):
+            assert model == train_examples(examples, names, config)
 
     def test_topics_jointly_equal_each_topic_alone(self):
         rng = np.random.default_rng(12)
@@ -506,7 +574,7 @@ class TestBatchedTrainerMatchesLoop:
                 examples.append(TrainingExample(f"q{q}", f"d{d:02d}", tuple(row), int(rng.integers(0, 6))))
         config = CoordinateAscentConfig(restarts=1, step_levels=3, min_gain=0.0)
         names = [f"f{i}" for i in range(5)]
-        assert train_coordinate_ascent(examples, names, config) == loop_train_coordinate_ascent(
+        assert train_examples(examples, names, config) == loop_train_coordinate_ascent(
             examples, names, config
         )
 
@@ -525,7 +593,7 @@ class TestBatchedTrainerMatchesLoop:
             ]
         names = [f"f{i}" for i in range(4)]
         config = CoordinateAscentConfig(restarts=2, step_levels=4, relevance_threshold=3)
-        assert train_coordinate_ascent(examples, names, config) == loop_train_coordinate_ascent(
+        assert train_examples(examples, names, config) == loop_train_coordinate_ascent(
             examples, names, config
         )
 
@@ -543,12 +611,12 @@ class TestBatchedTrainerMatchesLoop:
             ]
         names = [f"f{i}" for i in range(4)]
         config = CoordinateAscentConfig(restarts=2, step_levels=4)
-        assert train_coordinate_ascent(examples, names, config) == loop_train_coordinate_ascent(
+        assert train_examples(examples, names, config) == loop_train_coordinate_ascent(
             examples, names, config
         )
 
     def test_no_example_sets_no_models(self):
-        assert train_coordinate_ascent({}, ["f0"], CoordinateAscentConfig(restarts=0)) == {}
+        assert train_coordinate_ascent([], ["f0"], CoordinateAscentConfig(restarts=0)) == []
         assert train_topic_models([], {}, [], Lexicon(entries={0: 0}, top_k=10)) == []
 
 
@@ -616,7 +684,7 @@ class TestCeilingStop:
         config = CoordinateAscentConfig(restarts=5, seed=4)
         calls = probed_runs(monkeypatch)
         stats = AscentStats()
-        model = train_coordinate_ascent(examples, ["f0", "f1"], config, stats)
+        model = train_examples(examples, ["f0", "f1"], config, stats)
         assert calls == []
         assert model == loop_train_coordinate_ascent(examples, ["f0", "f1"], config)
         assert model.weights == (0.5, 0.5) and model.training_map == 1.0
@@ -635,7 +703,7 @@ class TestCeilingStop:
         ]
         config = CoordinateAscentConfig(restarts=2, seed=1)
         stats = AscentStats()
-        model = train_coordinate_ascent(examples, ["f0", "f1"], config, stats)
+        model = train_examples(examples, ["f0", "f1"], config, stats)
         assert model == loop_train_coordinate_ascent(examples, ["f0", "f1"], config)
         assert model.training_map == 2 / 3 and model.weights != (0.5, 0.5)
         assert stats.at_ceiling >= 1
@@ -647,7 +715,7 @@ class TestCeilingStop:
         examples = [TrainingExample("q", "a", (1.0, 1.0), 1), TrainingExample("q", "b", (1.0, 0.0), 5)]
         config = CoordinateAscentConfig(restarts=2, seed=0)
         stats = AscentStats()
-        model = train_coordinate_ascent(examples, ["f0", "f1"], config, stats)
+        model = train_examples(examples, ["f0", "f1"], config, stats)
         assert model == loop_train_coordinate_ascent(examples, ["f0", "f1"], config)
         assert model.weights[1] < 0 < model.weights[0]
         assert stats == AscentStats(runs=2, at_ceiling=2, skipped=0)
@@ -659,23 +727,23 @@ class TestCeilingStop:
         examples, names = mixed_queries(seed)
         config = CoordinateAscentConfig(restarts=3, seed=seed % 7, relevance_threshold=1)
         stats = AscentStats()
-        model = train_coordinate_ascent(examples, names, config, stats)
+        model = train_examples(examples, names, config, stats)
         assert model == loop_train_coordinate_ascent(examples, names, config)
         assert stats.at_ceiling >= 2
 
     def test_joint_problems_prune_only_their_own_restarts(self):
-        sets = {f"s{seed}": mixed_queries(seed)[0] for seed in (9, 12, 47)}
+        sets = [mixed_queries(seed)[0] for seed in (9, 12, 47)]
         config = CoordinateAscentConfig(restarts=3, seed=2, relevance_threshold=1)
-        joint = train_coordinate_ascent(sets, ["f0", "f1", "f2"], config)
-        for key, examples in sets.items():
-            assert joint[key] == loop_train_coordinate_ascent(examples, ["f0", "f1", "f2"], config)
+        joint = train_coordinate_ascent([as_queries(e) for e in sets], ["f0", "f1", "f2"], config)
+        for model, examples in zip(joint, sets):
+            assert model == loop_train_coordinate_ascent(examples, ["f0", "f1", "f2"], config)
 
     def test_later_restarts_not_probed_after_restart_0_reaches_ceiling(self, monkeypatch):
         examples, names = separable_examples(n_queries=6, n_noise=4, seed=0)
         config = CoordinateAscentConfig(restarts=5, seed=0)
         calls = probed_runs(monkeypatch)
         stats = AscentStats()
-        model = train_coordinate_ascent(examples, names, config, stats)
+        model = train_examples(examples, names, config, stats)
         assert model == loop_train_coordinate_ascent(examples, names, config)
         assert model.training_map == 1.0
         # Restart 0 needs steps; once it stops, nothing is probed again.

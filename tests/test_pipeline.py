@@ -35,14 +35,9 @@ def run_all_out(fixture_dir, tmp_path_factory) -> Path:
     return run_all(load_config(fixture_dir / "pipeline.config", {"out": str(out)}))
 
 
-def _artifacts(mode_dir: Path) -> dict[str, bytes]:
-    """The bytes of every artifact under ``mode_dir`` but the manifests, which
-    hash the config and so the output path."""
-    return {
-        p.relative_to(mode_dir).as_posix(): p.read_bytes()
-        for p in sorted(mode_dir.rglob("*"))
-        if p.is_file() and not p.name.endswith(".manifest.json")
-    }
+def _artifacts(root: Path) -> dict[str, bytes]:
+    """The bytes of every file under ``root``, manifests included."""
+    return {p.relative_to(root).as_posix(): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
 
 
 def _nonempty_graphs(mode_dir: Path) -> int:
@@ -101,6 +96,8 @@ class TestConfig:
             ("train1.step_base", "0"),
             ("train1.step_base", "inf"),
             ("train2.step_base", "nan"),
+            ("train1.step_levels", "1100"),
+            ("train2.step_base", "1e307"),
         ],
     )
     def test_bad_training_settings_rejected(self, fixture_dir, key, value):
@@ -273,23 +270,17 @@ class TestStages:
         assert report["total_seeds_tags"] <= report["total_candidates_tags"]
 
     def test_reruns_byte_identical(self, fixture_dir, tmp_path):
+        # Runs into two output directories write the same trees, manifests
+        # included: the config hash covers no output path.
         from gistrank.pipeline import run_all
 
-        outputs = []
-        for name in ("first", "second"):
-            config = load_config(
-                fixture_dir / "pipeline.config", {"out": str(tmp_path / name)}
-            )
-            outputs.append(run_all(config))
-        first, second = outputs
-        compared = 0
-        for file_a in sorted(first.rglob("*")):
-            if not file_a.is_file() or file_a.name.endswith("manifest.json"):
-                continue  # manifests embed the config hash, which covers the out path
-            file_b = second / file_a.relative_to(first)
-            assert file_a.read_bytes() == file_b.read_bytes(), file_a.name
-            compared += 1
-        assert compared > 30
+        first, second = (
+            _artifacts(run_all(load_config(fixture_dir / "pipeline.config", {"out": str(tmp_path / name)})))
+            for name in ("first", "second")
+        )
+        assert sum(name.endswith(".manifest.json") for name in first) == 30
+        assert len(first) > 60
+        assert first == second
 
     def test_image_label_override(self, fixture_dir, tmp_path):
         override = tmp_path / "labels.jsonl"

@@ -14,6 +14,7 @@ from gistrank.topics import (
     load_lexicon,
     rank_images,
     save_lexicon,
+    stack_vectors,
     train_topic_models,
     vectorize,
 )
@@ -83,12 +84,12 @@ class TestVectorize:
         lexicon = Lexicon(entries={1: 0}, top_k=10)
         vector = vectorize(ranking("a", []), lexicon)
         assert vector.entries == {}
-        assert vector.dense(1) == (0.0,)
+        assert stack_vectors([vector], 1).tolist() == [[0.0]]
 
     def test_dense_rejects_out_of_range(self):
-        vector = InstanceVector(instance_id="a", entries={5: 1.0})
-        with pytest.raises(IntegrityError):
-            vector.dense(2)
+        vectors = [InstanceVector(instance_id="a", entries={1: 1.0}), InstanceVector("b", {5: 1.0})]
+        with pytest.raises(IntegrityError, match="'b': dimension 5 exceeds lexicon size 2"):
+            stack_vectors(vectors, 2)
 
 
 def make_vectors(rng, n, dims, informative_dim, positives):
@@ -112,6 +113,28 @@ class TestTrainTopicModels:
         gold = {v.instance_id: ({"sky"} if v.instance_id in positives else set()) for v in vectors}
         (model,) = train_topic_models(vectors, gold, ["sky"], self.lexicon(4))
         assert model.model.training_map == 1.0
+
+    def test_topics_rank_one_matrix_in_instance_id_order(self, monkeypatch):
+        import gistrank.topics as topics_mod
+
+        rng = np.random.default_rng(3)
+        vectors = make_vectors(rng, 8, 3, 0, set())
+        gold = {v.instance_id: {"a"} if i % 2 else {"b"} for i, v in enumerate(vectors)}
+        calls = []
+        train = topics_mod.train_coordinate_ascent
+
+        def recording_train(problems, *args):
+            calls.append(problems)
+            return train(problems, *args)
+
+        monkeypatch.setattr(topics_mod, "train_coordinate_ascent", recording_train)
+        models = train_topic_models(vectors[::-1], gold, ["a", "b"], self.lexicon(3))
+        ((query_a,), (query_b,)) = calls[0]
+        # One matrix object serves every topic, its rows in instance-id order.
+        assert query_a[0] is query_b[0]
+        assert query_a[0].tolist() == stack_vectors(vectors, 3).tolist()
+        assert query_a[1].tolist() == [0, 1] * 4
+        assert models == train_topic_models(vectors, gold, ["a", "b"], self.lexicon(3))
 
     def test_identical_positive_sets_identical_models(self):
         rng = np.random.default_rng(5)
@@ -197,7 +220,7 @@ class TestRankImages:
         rankings = rank_images([model], vectors)
         expected = sorted(
             vectors,
-            key=lambda v: (-float(np.dot(weights, v.dense(dims))), v.instance_id),
+            key=lambda v: (-float(np.dot(weights, stack_vectors([v], dims)[0])), v.instance_id),
         )
         assert rankings["t"].doc_ids == tuple(v.instance_id for v in expected)
 
