@@ -6,26 +6,20 @@ cluster and relatedness signals, origin booleans, and text overlap between
 the concept's title/abstract and the instance's tags and image labels. An
 instance's candidates form one matrix, a row per candidate and a column per
 entry of ``FEATURE_NAMES``.
-
-The module also owns the snapshot format that stores a parsed knowledge
-graph together with its IDF table, so that later processes skip the parse.
 """
 
 from __future__ import annotations
 
-import hashlib
-import io
 import math
 import re
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from . import __version__
 from .clustering import Partition, relatedness_matrix
 from .errors import IntegrityError, ParseError, atomic_open, read_lines
 from .kg import KnowledgeGraph
@@ -220,159 +214,6 @@ def build_idf_table(graph: KnowledgeGraph) -> IdfTable:
     docs = list(filter(None, graph.abstracts))  # only articles carry an abstract
     tokens = chain.from_iterable(map(set, map(_TOKEN_RE.findall, map(str.lower, docs))))
     return IdfTable(doc_frequency=dict(Counter(tokens)), n_documents=len(docs))
-
-
-# Bump when the records written by ``save_kg_snapshot`` change; it is part of
-# the snapshot key, so snapshots in an older format read as misses.
-KG_SNAPSHOT_FORMAT = 1
-_DIGEST_SIZE = hashlib.sha256().digest_size
-
-
-def _check_record(key: bytes, digest: bytes) -> bytes:
-    """The last record of a snapshot: its key and the sha256 of the records before it."""
-    buffer = io.BytesIO()
-    np.save(buffer, np.frombuffer(key + digest, dtype=np.uint8), allow_pickle=False)
-    return buffer.getvalue()
-
-
-_CHECK_SIZE = len(_check_record(bytes(_DIGEST_SIZE), bytes(_DIGEST_SIZE)))
-
-
-class _HashingSink:
-    """Passes what is written on to ``fh`` and hashes it."""
-
-    def __init__(self, fh) -> None:
-        self.fh = fh
-        self.sha256 = hashlib.sha256()
-
-    def write(self, data) -> int:
-        self.sha256.update(data)
-        return self.fh.write(data)
-
-
-def _save_strings(sink: _HashingSink, strings: Sequence[str]) -> None:
-    """Write ``strings`` as one uint8 record of their UTF-8 bytes, each
-    string ended by a newline.
-
-    The bytes equal ``np.save`` of that array, but are encoded a few
-    thousand strings at a time, twice (once to size the record), so no copy
-    of all the text is ever held.
-    """
-    chunks = [strings[i : i + 4096] for i in range(0, len(strings), 4096)]
-
-    def encoded():
-        return (("\n".join(chunk) + "\n").encode("utf-8") for chunk in chunks)
-
-    size = sum(map(len, encoded()))
-    header = {"descr": np.dtype(np.uint8).str, "fortran_order": False, "shape": (size,)}
-    np.lib.format.write_array_header_1_0(sink, header)
-    for data in encoded():
-        sink.write(data)
-
-
-def kg_snapshot_key(nodes_path: str | Path, edges_path: str | Path) -> bytes:
-    """The key of the snapshot of a graph: a sha256 over the snapshot format,
-    the package version and the bytes of both TSV files."""
-    digest = hashlib.sha256(f"gistrank kg snapshot {KG_SNAPSHOT_FORMAT} {__version__}".encode())
-    for path in (nodes_path, edges_path):
-        data = Path(path).read_bytes()
-        digest.update(len(data).to_bytes(8, "little"))
-        digest.update(data)
-    return digest.digest()
-
-
-def save_kg_snapshot(path: str | Path, key: bytes, graph: KnowledgeGraph, idf: IdfTable) -> None:
-    """Write ``graph`` and ``idf`` to ``path`` under ``key``, atomically.
-
-    The file is a run of ``np.save`` records: the graph's arrays, the
-    redirect carriers and their alias counts, the ``title_index`` keys and
-    targets, the IDF counts and document count, then every string as UTF-8,
-    each ended by a newline (no TSV field holds one): the titles, the
-    abstracts, the aliases and the IDF tokens. A ``title_index`` key is a
-    title or an alias, stored as the place of its first copy among those
-    strings. The last record holds the key and the sha256 of the records
-    before it. Mappings keep their order, IDF tokens are sorted and nothing
-    records a time, so the bytes are a function of the graph alone.
-    """
-    aliases = [sorted(titles) for titles in graph.redirect_titles.values()]
-    tokens = sorted(idf.doc_frequency)
-    strings = [*graph.titles, *graph.abstracts, *chain.from_iterable(aliases), *tokens]
-    n, n_aliases = graph.n_nodes, sum(map(len, aliases))
-    place: dict[str, int] = {}
-    for i in chain(range(n), range(2 * n, 2 * n + n_aliases)):
-        place.setdefault(strings[i], i)
-    records = (
-        graph.ids,
-        graph.is_category,
-        graph.indptr,
-        graph.indices,
-        graph.edges,
-        graph.edge_is_redirect,
-        np.array(list(graph.redirect_titles), dtype=np.int64),
-        np.array(list(map(len, aliases)), dtype=np.int64),
-        np.array([place[title] for title in graph.title_index], dtype=np.int64),
-        np.array(list(graph.title_index.values()), dtype=np.int64),
-        np.array([idf.doc_frequency[t] for t in tokens], dtype=np.int64),
-        np.array(idf.n_documents, dtype=np.int64),
-    )
-    with atomic_open(path, binary=True) as fh:
-        sink = _HashingSink(fh)
-        for record in records:
-            np.save(sink, record, allow_pickle=False)
-        _save_strings(sink, strings)
-        fh.write(_check_record(key, sink.sha256.digest()))
-
-
-def load_kg_snapshot(path: str | Path, key: bytes) -> tuple[KnowledgeGraph, IdfTable] | None:
-    """The graph and IDF table stored at ``path`` under ``key``, or None.
-
-    A missing, truncated or damaged file, one that is not a snapshot, and a
-    snapshot stored under another key (other TSV bytes, format or package
-    version) all read as None. The graph equals the parsed one in every
-    field, mapping order included.
-    """
-    try:
-        data = Path(path).read_bytes()
-    except OSError:
-        return None
-    if len(data) < _CHECK_SIZE or data[-_CHECK_SIZE:] != _check_record(
-        key, hashlib.sha256(memoryview(data)[:-_CHECK_SIZE]).digest()
-    ):
-        return None
-    # The records are the ones this module wrote under this key. The strings
-    # are decoded from ``data`` in place, which is let go before the split.
-    fh = io.BytesIO(data)
-    records = [np.lib.format.read_array(fh, allow_pickle=False) for _ in range(12)]
-    np.lib.format.read_magic(fh)
-    (size,), _, _ = np.lib.format.read_array_header_1_0(fh)
-    with memoryview(data) as view:
-        text = str(view[fh.tell() : fh.tell() + size], "utf-8")
-    del data, fh
-    strings = text.split("\n")
-    del text
-    strings.pop()  # the empty rest after the last newline
-    ids, is_category, indptr, indices, edges, edge_is_redirect = records[:6]
-    carriers, alias_counts, title_keys, targets, frequencies, n_documents = records[6:]
-    n = len(ids)
-    rest = iter(strings[2 * n :])
-    graph = KnowledgeGraph(
-        ids=ids,
-        is_category=is_category,
-        titles=strings[:n],
-        abstracts=strings[n : 2 * n],
-        redirect_titles={
-            carrier: frozenset(islice(rest, k))
-            for carrier, k in zip(carriers.tolist(), alias_counts.tolist())
-        },
-        indptr=indptr,
-        indices=indices,
-        edges=edges,
-        edge_is_redirect=edge_is_redirect,
-        title_index=dict(zip(map(strings.__getitem__, title_keys.tolist()), targets.tolist())),
-        positions=dict(zip(ids.tolist(), range(n))),
-    )
-    idf = IdfTable(doc_frequency=dict(zip(rest, frequencies.tolist())), n_documents=int(n_documents))
-    return graph, idf
 
 
 def _cosine(a: Mapping[str, float], b: Mapping[str, float]) -> float:

@@ -9,16 +9,18 @@ guard against poor local optima; everything is deterministic given the seed.
 
 A restart stops early once its training MAP reaches the ceiling, the share
 of queries with a relevant document, and the later restarts of the same
-set stop with it. Both stops are exact: AP never exceeds 1.0, so at the
-ceiling no step can gain, and a later restart can at best tie, which goes
-to the earlier one. On separable data, where MAP 1.0 is reachable, this
-skips most of the work.
+set are then never trained. Both stops are exact: AP never exceeds 1.0, so
+at the ceiling no step can gain, and a later restart can at best tie, which
+goes to the earlier one. Restart 0 of every set trains first; the other
+restarts train only for the sets it left below the ceiling. On separable
+data, where MAP 1.0 is reachable, this skips most of the work.
 
-All restarts (and, in stage 2, all topics) train together: each probe covers
-every active run and every query of one document count as one array, and
-re-places only the documents whose value on the probed coordinate is
-non-zero. The models equal those of probing one run and one query at a time
-bit for bit (``tests/test_ltr.py`` keeps that loop as the reference).
+The runs of one round (and, in stage 2, all topics) train together: each
+probe covers every active run and every query of one document count as one
+array, and re-places only the documents whose value on the probed
+coordinate is non-zero. The models equal those of probing one run and one
+query at a time bit for bit (``tests/test_ltr.py`` keeps that loop as the
+reference).
 """
 
 from __future__ import annotations
@@ -401,9 +403,10 @@ def _count_ahead(
 
 @dataclass
 class AscentStats:
-    """What the early stop saved in training calls: runs that stopped at the
-    training-MAP ceiling, and later restarts skipped because an earlier
-    restart of their problem reached it."""
+    """What the early stop saved in training calls: restarts trained, those
+    that stopped at the training-MAP ceiling, and later restarts never
+    trained or cut short because an earlier restart of their problem
+    reached it."""
 
     runs: int = 0
     at_ceiling: int = 0
@@ -416,8 +419,9 @@ def _ascend(
     deltas: np.ndarray,
     config: CoordinateAscentConfig,
     stats: AscentStats,
-) -> list[tuple[np.ndarray, float]]:
-    """Coordinate ascent for independent runs in lockstep; final (weights, MAP) per run.
+) -> list[tuple[np.ndarray, float, bool]]:
+    """Coordinate ascent for independent runs in lockstep; final (weights,
+    MAP, whether at the ceiling) per run.
 
     A run is a query list and its start weights; ``problem`` holds each
     run's problem index, its restarts in order. Every cycle probes each
@@ -518,7 +522,7 @@ def _ascend(
             if stopped:
                 rows, pairs = active_pairs()
         active &= improved
-    return [(weights[r], float(current[r])) for r in range(n_runs)]
+    return [(weights[r], float(current[r]), bool(current[r] >= ceiling[r])) for r in range(n_runs)]
 
 
 def train_coordinate_ascent(
@@ -545,14 +549,16 @@ def train_coordinate_ascent(
 
     A restart also stops as soon as its MAP reaches the ceiling, the share
     of queries with a relevant document (AP never exceeds 1.0); the later
-    restarts of its problem are then not trained further. Both are exact: at
-    the ceiling no step gains more than ``min_gain``, and a later restart
-    could at best tie, which the earlier one wins. The models are those of
-    training every restart to the end. ``stats``, when given, adds up how
-    many restarts stopped at the ceiling and how many were skipped.
+    restarts of its problem are then not trained further. Restart 0 of every
+    problem trains first, and restarts 1.. only for the problems it left
+    below the ceiling. Both are exact: at the ceiling no step gains more
+    than ``min_gain``, and a later restart could at best tie, which the
+    earlier one wins. The models are those of training every restart to the
+    end. ``stats``, when given, adds up how many restarts were trained, how
+    many stopped at the ceiling and how many were skipped.
 
-    The restarts of all problems train together; each model equals the
-    model a call with its problem alone would train.
+    The runs of each round train together, across problems; each model
+    equals the model a call with its problem alone would train.
     """
     n_dims = len(feature_names)
     problems = [_training_queries(p, n_dims, config.relevance_threshold) for p in problems]
@@ -573,22 +579,28 @@ def train_coordinate_ascent(
     deltas = np.array(
         [sign * config.step_base * (2.0**level) for level in range(config.step_levels) for sign in (1.0, -1.0)]
     )
-    finals = _ascend(
-        [
-            (queries, _initial_weights(n_dims, config.seed, restart))
-            for queries in problems
-            for restart in range(config.restarts)
-        ],
-        np.repeat(np.arange(len(problems)), config.restarts),
-        deltas,
-        config,
-        stats if stats is not None else AscentStats(),
-    )
+    stats = stats if stats is not None else AscentStats()
+
+    def train(restarts: range, problem_ids: list[int]) -> list[tuple[np.ndarray, float, bool]]:
+        if not problem_ids or not restarts:
+            return []
+        runs = [(problems[p], _initial_weights(n_dims, config.seed, r)) for p in problem_ids for r in restarts]
+        return _ascend(runs, np.repeat(problem_ids, len(restarts)), deltas, config, stats)
+
+    # Restart 0 of every problem first; the other restarts only where it
+    # ended below the ceiling, as a later restart can at best tie it there.
+    firsts = train(range(1), list(range(len(problems))))
+    below = [p for p, (_, _, at_ceiling) in enumerate(firsts) if not at_ceiling]
+    later = train(range(1, config.restarts), below)
+    stats.skipped += (len(problems) - len(below)) * (config.restarts - 1)
+    finals = [[first] for first in firsts]
+    for i, p in enumerate(below):
+        finals[p] += later[i * (config.restarts - 1):(i + 1) * (config.restarts - 1)]
 
     models = []
-    for p in range(len(problems)):
+    for restarts in finals:
         best_weights, best_map = None, -1.0
-        for weights, final_map in finals[p * config.restarts:(p + 1) * config.restarts]:
+        for weights, final_map, _ in restarts:
             if final_map > best_map:
                 best_weights, best_map = weights, final_map
         models.append(

@@ -41,18 +41,16 @@ from .features import (
     IdfTable,
     build_idf_table,
     extract_instance_features,
-    kg_snapshot_key,
-    load_kg_snapshot,
     normalize_per_query,
     pagerank_batch,
     read_feature_rows,
-    save_kg_snapshot,
     write_feature_rows,
 )
 from .kg import KnowledgeGraph, load_graph
 from .linking import Instance, LinkMode, SeedSet, corpus_link_stats, link_instance, read_corpus
 from .ltr import AscentStats, Ranking, load_model, rank, save_model, train_coordinate_ascent
 from .query_graph import QueryGraph, build_query_graph
+from .snapshot import kg_snapshot_key, load_kg_snapshot, save_kg_snapshot
 from .topics import (
     InstanceVector,
     Lexicon,
@@ -474,8 +472,9 @@ def _stage_features(ctx: PipelineContext) -> None:
 
 def _log_ascent(stage: str, stats: AscentStats) -> None:
     logger.info(
-        "stage %s: %d of %d restarts stopped at the training-MAP ceiling, %d later restarts skipped",
-        stage, stats.at_ceiling, stats.runs, stats.skipped,
+        "stage %s: trained %d restart(s), %d stopped at the training-MAP ceiling; "
+        "%d later restart(s) could not win and were cut short or never trained",
+        stage, stats.runs, stats.at_ceiling, stats.skipped,
     )
 
 

@@ -48,10 +48,15 @@ class Lexicon:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "Lexicon":
-        return cls(
-            entries={int(node_id): int(dim) for node_id, dim in obj["entries"].items()},
-            top_k=int(obj["top_k"]),
-        )
+        """Raises ``ValueError`` unless the dimensions are the integers
+        0..n-1, each once, and ``top_k`` is at least 1."""
+        entries, n = {int(node_id): dim for node_id, dim in obj["entries"].items()}, len(obj["entries"])
+        if any(type(dim) is not int for dim in entries.values()) or sorted(entries.values()) != list(range(n)):
+            raise ValueError(f"lexicon dimensions must be the integers 0..{n - 1}, each once")
+        top_k = int(obj["top_k"])
+        if top_k < 1:
+            raise ValueError(f"lexicon top_k must be >= 1, got {top_k}")
+        return cls(entries=entries, top_k=top_k)
 
 
 @dataclass(frozen=True)

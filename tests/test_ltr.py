@@ -530,7 +530,7 @@ class TestBatchedTrainerMatchesLoop:
             )
 
     @settings(max_examples=20, deadline=None)
-    @given(st.lists(training_sets(), min_size=1, max_size=3), st.integers(1, 3))
+    @given(st.lists(training_sets(), min_size=1, max_size=3), st.integers(1, 5))
     def test_joint_training_equals_training_alone(self, sets, restarts):
         # Sets of different queries, lengths and widths, one shared config.
         n_dims = max(len(names) for _, names, _ in sets)
@@ -620,15 +620,26 @@ class TestBatchedTrainerMatchesLoop:
         assert train_topic_models([], {}, [], Lexicon(entries={0: 0}, top_k=10)) == []
 
 
-def probed_runs(monkeypatch):
-    """Record the runs of every probe, one set per call."""
-    calls = []
-    probe = ltr._LengthGroup.probe
+def probed_restarts(monkeypatch, config, n_dims):
+    """Record the (problem, restart) of the runs of every probe, one set per call.
+
+    A run's restart is found from its start weights."""
+    calls, labels = [], []
+    starts = [ltr._initial_weights(n_dims, config.seed, k) for k in range(config.restarts)]
+    ascend, probe = ltr._ascend, ltr._LengthGroup.probe
+
+    def recording_ascend(runs, problem, *args):
+        labels[:] = [
+            (int(p), next(k for k, w in enumerate(starts) if np.array_equal(w, start)))
+            for (_, start), p in zip(runs, problem)
+        ]
+        return ascend(runs, problem, *args)
 
     def recording_probe(self, pairs, dim, deltas):
-        calls.append(set(self.run[pairs].tolist()))
+        calls.append({labels[r] for r in self.run[pairs].tolist()})
         return probe(self, pairs, dim, deltas)
 
+    monkeypatch.setattr(ltr, "_ascend", recording_ascend)
     monkeypatch.setattr(ltr._LengthGroup, "probe", recording_probe)
     return calls
 
@@ -682,13 +693,13 @@ class TestCeilingStop:
             for d in range(4)
         ]
         config = CoordinateAscentConfig(restarts=5, seed=4)
-        calls = probed_runs(monkeypatch)
+        calls = probed_restarts(monkeypatch, config, 2)
         stats = AscentStats()
         model = train_examples(examples, ["f0", "f1"], config, stats)
         assert calls == []
         assert model == loop_train_coordinate_ascent(examples, ["f0", "f1"], config)
         assert model.weights == (0.5, 0.5) and model.training_map == 1.0
-        assert stats == AscentStats(runs=5, at_ceiling=1, skipped=4)
+        assert stats == AscentStats(runs=1, at_ceiling=1, skipped=4)
 
     def test_ceiling_below_one(self):
         # q0 has one document, relevant: AP 1 under any weights. q1 ranks its
@@ -711,25 +722,44 @@ class TestCeilingStop:
     def test_later_restart_starts_at_ceiling(self):
         # Restart 1 of seed 0 starts at about (0.10, -0.90) and ranks b
         # first; uniform weights rank a first, and restart 0 reaches MAP 1
-        # only after a step on f1. Restart 0 must still win.
+        # only after a step on f1. Restart 0 must still win, and restart 1,
+        # which could at best tie it, is never trained.
         examples = [TrainingExample("q", "a", (1.0, 1.0), 1), TrainingExample("q", "b", (1.0, 0.0), 5)]
         config = CoordinateAscentConfig(restarts=2, seed=0)
         stats = AscentStats()
         model = train_examples(examples, ["f0", "f1"], config, stats)
         assert model == loop_train_coordinate_ascent(examples, ["f0", "f1"], config)
         assert model.weights[1] < 0 < model.weights[0]
-        assert stats == AscentStats(runs=2, at_ceiling=2, skipped=0)
+        assert stats == AscentStats(runs=1, at_ceiling=1, skipped=1)
 
-    @pytest.mark.parametrize("seed", [9, 12, 47, 100, 108, 191])
+    # Trained alone, restart 0 reaches the ceiling (below 1 on 47 and 100)
+    # on 9, 47, 100, 108 and 191, and restarts 1 and 2 are never trained.
+    # On 12, 203 and 346 it ends below, and restart 2 reaches the ceiling
+    # before restart 1, after one or more steps.
+    OUT_OF_ORDER_STATS = {
+        **dict.fromkeys([9, 47, 100, 108, 191], AscentStats(runs=1, at_ceiling=1, skipped=2)),
+        **dict.fromkeys([12, 203, 346], AscentStats(runs=3, at_ceiling=2, skipped=0)),
+    }
+
+    @pytest.mark.parametrize("seed", [9, 12, 47, 100, 108, 191, 203, 346])
     def test_restarts_reaching_ceiling_out_of_order(self, seed):
-        # On these seeds a later restart reaches the ceiling (below 1 on 47
-        # and 100) before an earlier one, after one or more steps.
         examples, names = mixed_queries(seed)
         config = CoordinateAscentConfig(restarts=3, seed=seed % 7, relevance_threshold=1)
         stats = AscentStats()
         model = train_examples(examples, names, config, stats)
         assert model == loop_train_coordinate_ascent(examples, names, config)
-        assert stats.at_ceiling >= 2
+        assert stats == self.OUT_OF_ORDER_STATS[seed]
+
+    @pytest.mark.parametrize("seed", [0, 42])
+    def test_later_restart_at_ceiling_cuts_short_the_next(self, seed):
+        # Restart 0 ends below the ceiling (2/3 on 0, 1 on 42); restart 1
+        # then reaches it while restart 2 still trains, and stops it.
+        examples, names = mixed_queries(seed)
+        config = CoordinateAscentConfig(restarts=3, seed=seed % 7, relevance_threshold=1)
+        stats = AscentStats()
+        model = train_examples(examples, names, config, stats)
+        assert model == loop_train_coordinate_ascent(examples, names, config)
+        assert stats == AscentStats(runs=3, at_ceiling=1, skipped=1)
 
     def test_joint_problems_prune_only_their_own_restarts(self):
         sets = [mixed_queries(seed)[0] for seed in (9, 12, 47)]
@@ -741,14 +771,41 @@ class TestCeilingStop:
     def test_later_restarts_not_probed_after_restart_0_reaches_ceiling(self, monkeypatch):
         examples, names = separable_examples(n_queries=6, n_noise=4, seed=0)
         config = CoordinateAscentConfig(restarts=5, seed=0)
-        calls = probed_runs(monkeypatch)
+        calls = probed_restarts(monkeypatch, config, len(names))
         stats = AscentStats()
         model = train_examples(examples, names, config, stats)
         assert model == loop_train_coordinate_ascent(examples, names, config)
         assert model.training_map == 1.0
-        # Restart 0 needs steps; once it stops, nothing is probed again.
-        assert calls and all(0 in runs for runs in calls)
-        assert stats == AscentStats(runs=5, at_ceiling=1, skipped=4)
+        # Restart 0 needs steps and reaches the ceiling; no other restart
+        # is ever probed.
+        assert calls and all(runs == {(0, 0)} for runs in calls)
+        assert stats == AscentStats(runs=1, at_ceiling=1, skipped=4)
+
+    def test_later_restarts_probed_only_below_the_ceiling(self, monkeypatch):
+        # Four problems trained jointly: restarts 1 and 2 of a problem are
+        # probed only when its restart 0, trained alone, ends below the
+        # ceiling, and only after every restart 0 has stopped.
+        sets = [as_queries(mixed_queries(seed)[0]) for seed in (9, 12, 47, 0)]
+        names = ["f0", "f1", "f2"]
+        config = CoordinateAscentConfig(restarts=3, seed=2, relevance_threshold=1)
+        first_only = dataclasses.replace(config, restarts=1)
+        below = []
+        for queries in sets:
+            ceiling = sum(1.0 if (grades >= 1).any() else 0.0 for _, grades in queries) / len(queries)
+            (first,) = train_coordinate_ascent([queries], names, first_only)
+            below.append(first.training_map < ceiling)
+        assert any(below) and not all(below)
+        alone = [train_coordinate_ascent([queries], names, config)[0] for queries in sets]
+
+        calls = probed_restarts(monkeypatch, config, len(names))
+        assert train_coordinate_ascent(sets, names, config) == alone
+        probed = set().union(*calls)
+        for p, is_below in enumerate(below):
+            assert (p, 0) in probed
+            assert ({(p, 1), (p, 2)} <= probed) == is_below
+            assert ({(p, 1), (p, 2)} & probed == set()) == (not is_below)
+        later_round = [max(restart for _, restart in runs) > 0 for runs in calls]
+        assert later_round == sorted(later_round)
 
     @settings(max_examples=200, deadline=None)
     @given(relevance_rows())

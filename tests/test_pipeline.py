@@ -238,11 +238,14 @@ class TestStages:
         with caplog.at_level(logging.INFO, logger="gistrank.pipeline"):
             for stage in STAGE_ORDER[:STAGE_ORDER.index("train2") + 1]:
                 run_stage(config, stage)
-        # Five restarts of one set in stage 1, of each of three topics in stage 2.
-        for stage, runs in (("train1", 5), ("train2", 15)):
+        # Five restarts of one set in stage 1, of each of three topics in
+        # stage 2. Every restart 0 reaches the ceiling, so no later restart
+        # is trained.
+        for stage, trained, skipped in (("train1", 1, 4), ("train2", 3, 12)):
             assert re.search(
-                rf"stage {stage}: \d+ of {runs} restarts stopped at the training-MAP ceiling, "
-                r"\d+ later restarts skipped",
+                rf"stage {stage}: trained {trained} restart\(s\), {trained} stopped at the "
+                rf"training-MAP ceiling; {skipped} later restart\(s\) could not win and were "
+                r"cut short or never trained",
                 caplog.text,
             )
         assert re.search(r"stage train2: training MAP \d\.\d{4} to \d\.\d{4} over 3 topics", caplog.text)
@@ -494,6 +497,23 @@ class TestCli:
         path.write_bytes(corrupt(path.read_bytes()))
         assert main([stage, "--config", config]) == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit", [{"dim": -1}, {"dim": 0}], ids=["negative-dim", "repeated-dim"])
+    def test_damaged_lexicon_exit_code(self, tmp_path, capsys, edit):
+        # Once, train2 wrote a concept with dimension -1 into the last
+        # column, and one of two concepts sharing a dimension was lost.
+        out = tmp_path / "fx"
+        main(["gen-fixture", "--seed", "9", "--instances", "9", "--topics", "3", "--out", str(out)])
+        config = str(out / "pipeline.config")
+        for name in STAGE_ORDER:
+            assert main([name, "--config", config]) == 0
+        path = out / "out" / "TII" / "lexicon.json"
+        lexicon = json.loads(path.read_text())
+        lexicon["entries"][max(lexicon["entries"], key=lexicon["entries"].get)] = edit["dim"]
+        path.write_text(json.dumps(lexicon))
+        for stage in ("train2", "rank2", "evaluate"):
+            assert main([stage, "--config", config]) == 2
+            assert "lexicon dimensions must be" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "name, edit, where",

@@ -10,14 +10,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import gistrank.features as features
 import gistrank.pipeline as pipeline
+import gistrank.snapshot as snapshot
 from gistrank.cli import main
 from gistrank.config import load_config
-from gistrank.features import build_idf_table, kg_snapshot_key, load_kg_snapshot, save_kg_snapshot
+from gistrank.features import build_idf_table
 from gistrank.fixture import gen_fixture
 from gistrank.kg import KnowledgeGraph, load_graph
 from gistrank.pipeline import KG_SNAPSHOT, PipelineContext, run_stage
+from gistrank.snapshot import kg_snapshot_key, load_kg_snapshot, save_kg_snapshot
 
 from tests.conftest import count_pipeline_calls, graph_rows, random_kg, tsv_text
 
@@ -117,10 +118,10 @@ class TestDamagedSnapshot:
         (moved / "nodes.tsv").write_bytes(text[:-1])
         (moved / "edges.tsv").write_bytes(text[-1:] + edges.read_bytes())
         assert kg_snapshot_key(moved / "nodes.tsv", moved / "edges.tsv") != key
-        monkeypatch.setattr(features, "KG_SNAPSHOT_FORMAT", features.KG_SNAPSHOT_FORMAT + 1)
+        monkeypatch.setattr(snapshot, "KG_SNAPSHOT_FORMAT", snapshot.KG_SNAPSHOT_FORMAT + 1)
         assert kg_snapshot_key(nodes, edges) != key
         monkeypatch.undo()
-        monkeypatch.setattr(features, "__version__", "0.0.0+other")
+        monkeypatch.setattr(snapshot, "__version__", "0.0.0+other")
         assert kg_snapshot_key(nodes, edges) != key
 
 
@@ -162,7 +163,7 @@ def _damage_other_key(config, path: Path) -> None:
 def _damage_other_version(config, path: Path) -> None:
     graph = load_graph(config.kg_nodes, config.kg_edges)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(features, "__version__", "0.0.0+other")
+        patch.setattr(snapshot, "__version__", "0.0.0+other")
         key = kg_snapshot_key(config.kg_nodes, config.kg_edges)
     save_kg_snapshot(path, key, graph, build_idf_table(graph))
 

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from gistrank.errors import IntegrityError, TrainingError
+from gistrank.errors import IntegrityError, ParseError, TrainingError
 from gistrank.ltr import CoordinateAscentConfig, RankModel, Ranking
 from gistrank.topics import (
     InstanceVector,
@@ -254,6 +254,34 @@ def test_lexicon_io_round_trip(tmp_path):
     loaded = load_lexicon(path)
     assert loaded.entries == lexicon.entries
     assert loaded.top_k == 10
+
+
+@pytest.mark.parametrize(
+    "entries, top_k",
+    [
+        ({"5": 0, "9": -1}, 10),  # a negative dimension
+        ({"5": 0, "9": 0}, 10),  # one dimension twice
+        ({"5": 0, "9": 2}, 10),  # a gap
+        ({"5": 0, "05": 1}, 10),  # two keys of one node id
+        ({"5": 0, "9": 1.5}, 10),  # int() would read 1
+        ({"5": 0, "9": True}, 10),
+        ({"5": 0, "9": 1}, 0),
+    ],
+    ids=["negative-dim", "repeated-dim", "dim-gap", "repeated-node", "float-dim", "bool-dim", "top-k-zero"],
+)
+def test_damaged_lexicon_is_parse_error(tmp_path, entries, top_k):
+    with pytest.raises(ValueError):
+        Lexicon.from_json_obj({"entries": entries, "top_k": top_k})
+    path = tmp_path / "lexicon.json"
+    path.write_text(json.dumps({"entries": entries, "top_k": top_k}))
+    with pytest.raises(ParseError, match="lexicon"):
+        load_lexicon(path)
+
+
+def test_empty_lexicon_loads(tmp_path):
+    path = tmp_path / "lexicon.json"
+    save_lexicon(Lexicon(entries={}, top_k=1), path)
+    assert load_lexicon(path) == Lexicon(entries={}, top_k=1)
 
 
 def test_lexicon_feature_names_ordered():
