@@ -31,7 +31,6 @@ class PipelineConfig:
     seed: int = 7
     split_ratio: float = 0.6
     split_seed: int | None = None
-    workers: int = 1
     image_labels: Path | None = None
     train1: CoordinateAscentConfig = field(default_factory=CoordinateAscentConfig)
     train2: CoordinateAscentConfig = field(
@@ -55,8 +54,6 @@ class PipelineConfig:
             raise ConfigError("top_k: must be >= 1")
         if self.eval_k < 1:
             raise ConfigError("eval.k: must be >= 1")
-        if self.workers < 1:
-            raise ConfigError("workers: must be >= 1")
         for prefix, train in (("train1", self.train1), ("train2", self.train2)):
             if train.restarts < 1:
                 raise ConfigError(f"{prefix}.restarts: must be >= 1")
@@ -74,8 +71,8 @@ class PipelineConfig:
         return hashlib.sha256(self.canonical_text().encode("utf-8")).hexdigest()[:16]
 
     def canonical_text(self) -> str:
-        # Neither the output directory nor the worker count changes an
-        # artifact byte, so neither is part of the text.
+        # The output directory changes no artifact byte, so it is not part
+        # of the text.
         items = {
             "kg.nodes": str(self.kg_nodes),
             "kg.edges": str(self.kg_edges),
@@ -96,8 +93,6 @@ class PipelineConfig:
 
 def _parse_scalar(key: str, raw: str, kind: type):
     try:
-        if kind is bool:
-            return raw.lower() in ("1", "true", "yes")
         return kind(raw)
     except ValueError:
         raise ConfigError(f"{key}: expected {kind.__name__}, got {raw!r}") from None
@@ -150,6 +145,11 @@ def load_config(path: str | Path, overrides: dict[str, str] | None = None) -> Pi
     out = path_of("out", "out")
     image_labels = path_of("image_labels") if "image_labels" in values else None
 
+    # The worker pool is gone; the benchmark harness still passes
+    # workers=1, so that value alone is accepted until it stops.
+    if scalar("workers", int, 1) != 1:
+        raise ConfigError("workers: the worker pool was removed; the pipeline runs sequentially")
+
     seed = scalar("seed", int, 7)
     train1 = train_config("train1", 4, seed + 2)
     train2 = train_config("train2", 1, seed + 3)
@@ -165,7 +165,6 @@ def load_config(path: str | Path, overrides: dict[str, str] | None = None) -> Pi
         seed=seed,
         split_ratio=scalar("split.ratio", float, 0.6),
         split_seed=scalar("split.seed", int, None),
-        workers=scalar("workers", int, 1),
         image_labels=image_labels,
         train1=train1,
         train2=train2,

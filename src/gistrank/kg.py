@@ -74,7 +74,7 @@ class KnowledgeGraph:
     in file order, ``edge_is_redirect`` marks the redirects. ``title_index``
     maps every normalized title and redirect title to a node id, with
     redirect edges already resolved to their target. Every array is
-    read-only, so the graph is safe to share across threads.
+    read-only, so the stages and modes of a run share one graph unchanged.
     """
 
     ids: np.ndarray

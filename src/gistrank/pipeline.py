@@ -15,10 +15,8 @@ from __future__ import annotations
 import dataclasses
 import json
 import logging
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Callable, Iterable, TypeVar
 
 import numpy as np
 
@@ -67,7 +65,6 @@ from .topics import (
 logger = logging.getLogger(__name__)
 
 T = TypeVar("T")
-R = TypeVar("R")
 
 STAGE_ORDER = (
     "link",
@@ -119,14 +116,6 @@ STAGE_SEEDS = {
 }
 
 
-def map_ordered(fn: Callable[[T], R], items: Sequence[T], workers: int = 1) -> list[R]:
-    """Apply ``fn`` over items, preserving input order regardless of workers."""
-    if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 def split_instances(instance_ids: Iterable[str], ratio: float, seed: int) -> tuple[set[str], set[str]]:
     """Deterministic train/test split: a pure function of ids, ratio, seed."""
     ordered = sorted(instance_ids)
@@ -166,7 +155,6 @@ class _Shared:
 
     def __init__(self) -> None:
         self.kg: tuple[KnowledgeGraph, IdfTable] | None = None
-        self.kg_lock = threading.Lock()  # stage workers may ask for the graph at once
         self.corpus: list[Instance] | None = None
         self.results: dict[tuple, object] = {}
 
@@ -175,13 +163,13 @@ class PipelineContext:
     """One mode's view of a run: its config, the loaded graph, corpus and IDF
     table, and a store of stage results keyed by stage and link mode.
 
-    The graph, corpus and IDF table load on first use, the graph and IDF
-    table once however many workers ask. ``for_mode`` makes the context of
-    another mode that shares them, and the store, with this one; ``run_all``
-    runs its three modes so, and TI then reuses the link, graph, cluster and
-    feature work of TII, which links the same way. ``run_stage`` makes a
-    fresh context per call, so a single-mode stage computes everything
-    itself and loads the graph from the snapshot an earlier stage wrote.
+    The graph, corpus and IDF table load once, on first use. ``for_mode``
+    makes the context of another mode that shares them, and the store, with
+    this one; ``run_all`` runs its three modes so, and TI then reuses the
+    link, graph, cluster and feature work of TII, which links the same way.
+    ``run_stage`` makes a fresh context per call, so a single-mode stage
+    computes everything itself and loads the graph from the snapshot an
+    earlier stage wrote.
     """
 
     def __init__(self, config: PipelineConfig, shared: _Shared | None = None):
@@ -192,10 +180,9 @@ class PipelineContext:
         return PipelineContext(dataclasses.replace(self.config, mode=mode), self.shared)
 
     def _kg(self) -> tuple[KnowledgeGraph, IdfTable]:
-        with self.shared.kg_lock:
-            if self.shared.kg is None:
-                self.shared.kg = _load_kg(self.config)
-            return self.shared.kg
+        if self.shared.kg is None:
+            self.shared.kg = _load_kg(self.config)
+        return self.shared.kg
 
     @property
     def graph(self) -> KnowledgeGraph:
@@ -361,9 +348,7 @@ def _stage_link(ctx: PipelineContext) -> None:
     link_mode = _link_mode(config)
 
     def link() -> tuple[str, str]:
-        seed_sets = map_ordered(
-            lambda inst: link_instance(ctx.graph, inst, link_mode), ctx.corpus, config.workers
-        )
+        seed_sets = [link_instance(ctx.graph, inst, link_mode) for inst in ctx.corpus]
         report = corpus_link_stats(ctx.graph, ctx.corpus).as_dict()
         return jsonl_text(s.to_json_obj() for s in seed_sets), json_text(report)
 
@@ -378,8 +363,7 @@ def _stage_graph(ctx: PipelineContext) -> None:
 
     def expand() -> str:
         seed_sets = _read_seed_sets(mode_dir / "seeds.jsonl")
-        graphs = map_ordered(lambda ss: build_query_graph(ctx.graph, ss), seed_sets, config.workers)
-        return jsonl_text(qg.to_json_obj() for qg in graphs)
+        return jsonl_text(build_query_graph(ctx.graph, ss).to_json_obj() for ss in seed_sets)
 
     text = ctx.reuse("graph", expand)
     write_atomic(mode_dir / "query_graphs.jsonl", text)
@@ -397,7 +381,7 @@ def _stage_cluster(ctx: PipelineContext) -> None:
 
     def cluster() -> str:
         graphs = _read_query_graphs(mode_dir / "query_graphs.jsonl")
-        return jsonl_text(map_ordered(cluster_one, graphs, config.workers))
+        return jsonl_text(cluster_one(qg) for qg in graphs)
 
     text = ctx.reuse("cluster", cluster)
     write_atomic(mode_dir / "partitions.jsonl", text)
@@ -435,8 +419,7 @@ def _raw_features(ctx: PipelineContext, mode_dir: Path) -> list[_RawFeatures]:
                 f"of {mode_dir / 'query_graphs.jsonl'}"
             )
 
-    def extract_one(job: tuple[QueryGraph, dict[int, float]]) -> _RawFeatures:
-        qg, pagerank_scores = job
+    def extract_one(qg: QueryGraph, pagerank_scores: dict[int, float]) -> _RawFeatures:
         instance = instances[qg.instance_id]
         matrix = extract_instance_features(
             qg, partitions[qg.instance_id], instance, ctx.graph, ctx.idf, qg.order,
@@ -447,8 +430,11 @@ def _raw_features(ctx: PipelineContext, mode_dir: Path) -> list[_RawFeatures]:
             instance.concept_grades or {}, matrix,
         )
 
-    jobs = [job for job in zip(graphs, pagerank_batch(graphs)) if job[0].order]
-    return map_ordered(extract_one, jobs, ctx.config.workers)
+    return [
+        extract_one(qg, pagerank_scores)
+        for qg, pagerank_scores in zip(graphs, pagerank_batch(graphs))
+        if qg.order
+    ]
 
 
 def _stage_features(ctx: PipelineContext) -> None:
@@ -694,7 +680,11 @@ def run_stage(config: PipelineConfig, stage: str) -> Path:
 
 def _run(ctx: PipelineContext, stage: str) -> None:
     """Run one stage in one mode: check its inputs, write its outputs, then its manifest."""
-    _mode_dir(ctx.config).mkdir(parents=True, exist_ok=True)
+    mode_dir = _mode_dir(ctx.config)
+    try:
+        mode_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"out: cannot make the output directory {mode_dir}: {exc.strerror}") from None
     _check_inputs(ctx.config, stage)
     _STAGE_FUNCS[stage](ctx)
     _write_manifest(ctx.config, stage)

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import itertools
-import time
 from collections import deque
 
 import numpy as np
@@ -16,14 +15,13 @@ from gistrank.linking import SeedOrigin
 from gistrank.query_graph import QueryGraph
 
 
-def count_pipeline_calls(monkeypatch, names, delay: float = 0.0) -> dict[str, int]:
+def count_pipeline_calls(monkeypatch, names) -> dict[str, int]:
     """Count the calls ``gistrank.pipeline`` makes to each named function from
-    now on; each call first sleeps ``delay`` seconds."""
+    now on."""
     counts = dict.fromkeys(names, 0)
     for name in names:
         def counted(*args, _fn=getattr(pipeline, name), _name=name, **kwargs):
             counts[_name] += 1
-            time.sleep(delay)
             return _fn(*args, **kwargs)
 
         monkeypatch.setattr(pipeline, name, counted)

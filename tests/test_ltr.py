@@ -186,17 +186,20 @@ class TestRank:
     def test_empty_candidates(self):
         assert rank(self.model([1.0]), [], np.zeros((0, 1))).items == ()
 
+    # Rounding breaks exact invariance under an arbitrary positive scale: two
+    # scores 1 ulp apart can round to one value once the weights are tripled.
+    # A power-of-two scale multiplies every product and sum exactly as long as
+    # nothing underflows, so the values are 0 or at least 1e-300 in size.
+    _value = st.one_of(
+        st.just(0.0),
+        st.floats(min_value=1e-300, max_value=5, allow_subnormal=False),
+        st.floats(min_value=-5, max_value=-1e-300, allow_subnormal=False),
+    )
+
     @settings(max_examples=40, deadline=None)
     @given(
-        st.floats(min_value=0.01, max_value=100.0),
-        st.lists(
-            st.tuples(
-                st.floats(min_value=-5, max_value=5, allow_nan=False),
-                st.floats(min_value=-5, max_value=5, allow_nan=False),
-            ),
-            min_size=1,
-            max_size=8,
-        ),
+        st.integers(min_value=-6, max_value=6).map(lambda k: 2.0**k),
+        st.lists(st.tuples(_value, _value), min_size=1, max_size=8),
     )
     def test_positive_scaling_invariance(self, scale, rows):
         doc_ids, matrix = [f"d{i}" for i in range(len(rows))], np.array(rows)

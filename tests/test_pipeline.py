@@ -104,6 +104,15 @@ class TestConfig:
         with pytest.raises(ConfigError, match=key):
             load_config(fixture_dir / "pipeline.config", {key: value})
 
+    def test_workers_key_accepts_only_1(self, fixture_dir):
+        # The benchmark harness still passes workers=1; the pool is gone.
+        assert load_config(fixture_dir / "pipeline.config", {"workers": "1"}) == load_config(
+            fixture_dir / "pipeline.config"
+        )
+        for value in ("2", "0"):
+            with pytest.raises(ConfigError, match="workers: the worker pool was removed"):
+                load_config(fixture_dir / "pipeline.config", {"workers": value})
+
     def test_non_utf8_line_is_config_error(self, fixture_dir, tmp_path):
         path = tmp_path / "bytes.config"
         path.write_bytes((fixture_dir / "pipeline.config").read_bytes() + b"# \xff\n")
@@ -317,18 +326,6 @@ class TestStages:
         )
         with pytest.raises(ParseError, match="labels.jsonl:1"):
             run_stage(config, "link")
-
-    def test_worker_count_does_not_change_outputs(self, fixture_dir, tmp_path):
-        files = {}
-        for workers in ("1", "4"):
-            config = load_config(
-                fixture_dir / "pipeline.config",
-                {"out": str(tmp_path / f"w{workers}"), "workers": workers},
-            )
-            for stage in ("link", "graph", "cluster", "features"):
-                run_stage(config, stage)
-            files[workers] = (tmp_path / f"w{workers}" / "TII" / "features.tsv").read_bytes()
-        assert files["1"] == files["4"]
 
     def test_stale_stage1_model_rejected(self, fixture_dir, tmp_path):
         from gistrank.errors import IntegrityError
@@ -667,6 +664,28 @@ class TestCli:
         assert main(["all", "--config", str(path)]) == 1
         assert "train2.min_gain: must be finite and >= 0" in capsys.readouterr().err
         assert not (out / "out").exists()
+
+    def test_removed_workers_key_exit_code(self, tmp_path, capsys):
+        out = tmp_path / "fx"
+        main(["gen-fixture", "--seed", "9", "--instances", "9", "--topics", "3", "--out", str(out)])
+        path = out / "pipeline.config"
+        path.write_text(path.read_text() + "workers=4\n")
+        assert main(["all", "--config", str(path)]) == 1
+        assert "workers: the worker pool was removed" in capsys.readouterr().err
+        assert not (out / "out").exists()
+
+    @pytest.mark.parametrize("stage", ["link", "all"])
+    @pytest.mark.parametrize("below", [False, True], ids=["file", "below-file"])
+    def test_output_path_through_a_file_exit_code(self, tmp_path, capsys, stage, below):
+        out = tmp_path / "fx"
+        main(["gen-fixture", "--seed", "9", "--instances", "9", "--topics", "3", "--out", str(out)])
+        target = tmp_path / "outfile"
+        target.write_bytes(b"kept")
+        out_arg = target / "sub" if below else target
+        capsys.readouterr()
+        assert main([stage, "--config", str(out / "pipeline.config"), "--out", str(out_arg)]) == 1
+        assert f"error: out: cannot make the output directory {out_arg / 'TII'}" in capsys.readouterr().err
+        assert target.read_bytes() == b"kept"
 
     def test_non_utf8_config_line_exit_code(self, tmp_path, capsys):
         out = tmp_path / "fx"

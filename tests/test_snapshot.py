@@ -2,7 +2,6 @@
 stages that load it."""
 
 import dataclasses
-import sys
 import tempfile
 from pathlib import Path
 
@@ -136,9 +135,9 @@ def _config(fixture: Path, out: Path, **overrides):
     return load_config(fixture / "pipeline.config", {"out": str(out), **overrides})
 
 
-def _count_loads(monkeypatch, delay: float = 0.0) -> dict[str, int]:
+def _count_loads(monkeypatch) -> dict[str, int]:
     """Count the pipeline's parses and IDF builds from now on."""
-    return count_pipeline_calls(monkeypatch, ("load_graph", "build_idf_table"), delay)
+    return count_pipeline_calls(monkeypatch, ("load_graph", "build_idf_table"))
 
 
 _GRAPH_STAGES = ("link", "graph", "cluster", "features")
@@ -267,16 +266,11 @@ class TestStagesUseTheSnapshot:
         assert len(records) == 14
         assert records[12].tobytes().decode("utf-8").startswith("\n".join(graph.titles) + "\n")
 
-    def test_workers_parse_once_and_leave_no_temp_file(self, fixture_9x3, tmp_path, monkeypatch):
-        # A slow parse and a short switch interval give each of the eight
-        # link workers the chance to ask for the graph while it loads.
-        counts = _count_loads(monkeypatch, delay=0.05)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            run_stage(_config(fixture_9x3, tmp_path / "o", workers="8"), "link")
-        finally:
-            sys.setswitchinterval(interval)
+    def test_stages_parse_once_and_leave_no_temp_file(self, fixture_9x3, tmp_path, monkeypatch):
+        counts = _count_loads(monkeypatch)
+        # link, graph and features each ask for the graph; cluster does not.
+        for stage in _GRAPH_STAGES:
+            run_stage(_config(fixture_9x3, tmp_path / "o"), stage)
         assert counts == {"load_graph": 1, "build_idf_table": 1}
         assert not list((tmp_path / "o").rglob("*.tmp"))
         assert PipelineContext(_config(fixture_9x3, tmp_path / "o")).graph.n_nodes > 0
