@@ -14,7 +14,6 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import IntegrityError, NotFoundError
 from .query_graph import QueryGraph
 
 RELATEDNESS_DECAY = 0.5
@@ -24,20 +23,29 @@ RELATEDNESS_HORIZON = 4
 MIN_GAIN = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeightedGraph:
-    """Undirected weighted graph with weights keyed by sorted node pairs.
+    """Undirected weighted graph held as one dense weight matrix.
 
-    Zero-weight pairs are omitted; there are no self-pairs, so symmetry
-    holds by construction.
+    ``nodes`` ascend; ``matrix`` is symmetric with a zero diagonal, its rows
+    and columns following ``nodes``. A zero entry means no edge.
     """
 
     nodes: tuple[int, ...]
-    weights: Mapping[tuple[int, int], float]
+    matrix: np.ndarray
 
     @property
-    def total_weight(self) -> float:
-        return sum(self.weights.values())
+    def weights(self) -> dict[tuple[int, int], float]:
+        """The nonzero upper-triangle pairs, keyed by node ids, in row-major order.
+
+        Derived from ``matrix`` afresh on each call.
+        """
+        rows, cols = np.nonzero(np.triu(self.matrix, k=1))
+        nodes = self.nodes
+        return {
+            (nodes[i], nodes[j]): w
+            for i, j, w in zip(rows.tolist(), cols.tolist(), self.matrix[rows, cols].tolist())
+        }
 
 
 @dataclass(frozen=True)
@@ -78,91 +86,56 @@ def relatedness_matrix(qg: QueryGraph) -> np.ndarray:
     return np.where(within, RELATEDNESS_DECAY**hops, 0.0)
 
 
-def relatedness(qg: QueryGraph, a: int, b: int) -> float:
-    """Relatedness of two query-graph nodes: one entry of :func:`relatedness_matrix`."""
-    for node in (a, b):
-        if node not in qg.index:
-            raise NotFoundError(f"node {node} is not in the query graph")
-    return float(relatedness_matrix(qg)[qg.index[a], qg.index[b]])
-
-
 def build_relatedness_graph(qg: QueryGraph) -> WeightedGraph:
-    """Weighted graph over all query-graph nodes with relatedness weights.
-
-    Pairs are listed in row-major order of the upper triangle, which is the
-    order of ``itertools.combinations(qg.order, 2)``.
-    """
+    """Weighted graph over all query-graph nodes: the relatedness matrix with
+    its diagonal zeroed."""
     matrix = relatedness_matrix(qg)
-    rows, cols = np.nonzero(np.triu(matrix, k=1))
-    order = qg.order
-    weights = {
-        (order[i], order[j]): w
-        for i, j, w in zip(rows.tolist(), cols.tolist(), matrix[rows, cols].tolist())
-    }
-    return WeightedGraph(nodes=order, weights=weights)
+    np.fill_diagonal(matrix, 0.0)
+    return WeightedGraph(nodes=qg.order, matrix=matrix)
 
 
-def modularity(wg: WeightedGraph, assignment: Mapping[int, int]) -> float:
-    """Weighted modularity of a partition.
+def _modularity(level: np.ndarray, m: float) -> float:
+    """Weighted modularity of the partition whose clusters are the nodes of
+    ``level``, the weight matrix aggregated by cluster.
 
-    Q = (1/2m) * sum_ij [w_ij - k_i*k_j/(2m)] * delta(c_i, c_j), summed over
-    ordered pairs. An empty or edgeless graph has modularity 0.
+    A cluster's internal weight is half its diagonal entry (self-loop mass is
+    counted twice) and its degree is its row sum. The per-cluster terms are
+    added one by one in cluster order, so the rounding follows that order.
     """
-    for node in wg.nodes:
-        if node not in assignment:
-            raise IntegrityError(f"node {node} is missing from the assignment")
-    m = wg.total_weight
-    if m <= 0.0:
-        return 0.0
-    degree = {node: 0.0 for node in wg.nodes}
-    internal = {}
-    for (a, b), w in wg.weights.items():
-        degree[a] += w
-        degree[b] += w
-        if assignment[a] == assignment[b]:
-            internal[assignment[a]] = internal.get(assignment[a], 0.0) + w
-    cluster_degree: dict[int, float] = {}
-    for node in wg.nodes:
-        c = assignment[node]
-        cluster_degree[c] = cluster_degree.get(c, 0.0) + degree[node]
     q = 0.0
-    for cluster, k_c in cluster_degree.items():
-        q += internal.get(cluster, 0.0) / m - (k_c / (2.0 * m)) ** 2
+    for internal, k_c in zip((np.diag(level) / 2.0).tolist(), level.sum(axis=1).tolist()):
+        q += internal / m - (k_c / (2.0 * m)) ** 2
     return q
 
 
-def _local_moving(
-    order: list[int],
-    neighbors: dict[int, dict[int, float]],
-    loops: dict[int, float],
-    two_m: float,
-) -> tuple[dict[int, int], bool]:
+def _local_moving(level: np.ndarray, m: float) -> tuple[list[int], bool]:
     """One Louvain phase: greedy node moves until a full sweep changes nothing.
 
-    ``loops[i]`` holds self-loop mass already counted twice (adjacency-matrix
-    convention), so degrees and gains stay consistent across aggregation
-    levels. Returns the node-to-community map and whether any move happened.
+    Nodes are the rows of ``level``, whose diagonal holds self-loop mass
+    counted twice (adjacency-matrix convention), so degrees and gains stay
+    consistent across aggregation levels. Returns each node's community (a
+    node index) and whether any move happened.
     """
-    degree = {
-        node: loops[node] + sum(neighbors[node].values()) for node in order
-    }
-    community = {node: node for node in order}
-    sigma_tot = {node: degree[node] for node in order}
-    m = two_m / 2.0
+    rows = level.tolist()
+    neighbors = [
+        [(j, w) for j, w in enumerate(row) if w > 0.0 and j != i] for i, row in enumerate(rows)
+    ]
+    degree = [sum(row) for row in rows]
+    community = list(range(len(rows)))
+    sigma_tot = degree[:]
     moved_any = False
 
     improved = True
     while improved:
         improved = False
-        for node in order:
+        for node, k_i in enumerate(degree):
             home = community[node]
-            k_i = degree[node]
             sigma_tot[home] -= k_i
             community[node] = -1  # temporarily removed
 
             # Weight from node into each neighboring community.
             k_in: dict[int, float] = {home: 0.0}
-            for neighbor, w in neighbors[node].items():
+            for neighbor, w in neighbors[node]:
                 c = community[neighbor]
                 if c != -1:
                     k_in[c] = k_in.get(c, 0.0) + w
@@ -184,79 +157,39 @@ def _local_moving(
     return community, moved_any
 
 
-def _aggregate(
-    community: dict[int, int],
-    neighbors: dict[int, dict[int, float]],
-    loops: dict[int, float],
-    members: dict[int, list[int]],
-) -> tuple[dict[int, dict[int, float]], dict[int, float], dict[int, list[int]]]:
-    """Collapse communities into super-nodes, folding intra weight into loops."""
-    # Relabel communities by their smallest original member for determinism.
-    old_labels = sorted(set(community.values()), key=lambda c: min(
-        min(members[n]) for n in community if community[n] == c
-    ))
-    relabel = {old: new for new, old in enumerate(old_labels)}
-
-    new_members: dict[int, list[int]] = {relabel[c]: [] for c in old_labels}
-    for node in community:
-        new_members[relabel[community[node]]].extend(members[node])
-
-    new_neighbors: dict[int, dict[int, float]] = {c: {} for c in new_members}
-    new_loops: dict[int, float] = {c: 0.0 for c in new_members}
-    for node, nbrs in neighbors.items():
-        c_a = relabel[community[node]]
-        new_loops[c_a] += loops[node]
-        for neighbor, w in nbrs.items():
-            c_b = relabel[community[neighbor]]
-            if c_a == c_b:
-                new_loops[c_a] += w  # both directions visited: counts twice
-            else:
-                new_neighbors[c_a][c_b] = new_neighbors[c_a].get(c_b, 0.0) + w
-    return new_neighbors, new_loops, new_members
-
-
 def louvain(wg: WeightedGraph) -> Partition:
     """Two-phase Louvain clustering maximizing weighted modularity.
 
     Node visit order is ascending id and ties never move, so the result is
-    fully determined by the graph. Isolated nodes end up as singleton
-    clusters; the empty graph yields an empty partition.
+    fully determined by the graph. After each phase the communities become
+    the nodes of the next level: one ``bincount`` sums the level matrix into
+    their cells, and each is numbered by its smallest member, so index order
+    stays node-id order. Isolated nodes end up as singleton clusters; the
+    empty graph yields an empty partition.
     """
     if not wg.nodes:
         return Partition(assignment={}, modularity=0.0, phase_modularity=())
 
-    neighbors: dict[int, dict[int, float]] = {node: {} for node in wg.nodes}
-    for (a, b), w in wg.weights.items():
-        if w <= 0.0:
-            continue
-        neighbors[a][b] = neighbors[a].get(b, 0.0) + w
-        neighbors[b][a] = neighbors[b].get(a, 0.0) + w
-    loops = {node: 0.0 for node in wg.nodes}
-    members = {node: [node] for node in wg.nodes}
-    two_m = sum(sum(ns.values()) for ns in neighbors.values())
-
-    assignment = {node: node for node in wg.nodes}
+    level = wg.matrix
+    m = float(level.sum()) / 2.0
+    labels = np.arange(len(wg.nodes))  # each node's index at the current level
     phase_q: list[float] = []
-    if two_m > 0.0:
+    if m > 0.0:
         while True:
-            order = sorted(neighbors)
-            community, moved = _local_moving(order, neighbors, loops, two_m)
+            community, moved = _local_moving(level, m)
             if not moved:
                 break
-            for super_node, original in members.items():
-                for node in original:
-                    assignment[node] = community[super_node]
-            phase_q.append(modularity(wg, assignment))
-            neighbors, loops, members = _aggregate(community, neighbors, loops, members)
+            # Communities in order of first member, which is smallest member.
+            relabel = {c: i for i, c in enumerate(dict.fromkeys(community))}
+            new = np.array([relabel[c] for c in community])
+            k = len(relabel)
+            cells = (new[:, None] * k + new[None, :]).ravel()
+            level = np.bincount(cells, weights=level.ravel(), minlength=k * k).reshape(k, k)
+            labels = new[labels]
+            phase_q.append(_modularity(level, m))
 
-    # Contiguous cluster ids 0..k-1, ordered by smallest member node id.
-    clusters = sorted(set(assignment.values()), key=lambda c: min(
-        n for n in assignment if assignment[n] == c
-    ))
-    relabel = {c: i for i, c in enumerate(clusters)}
-    final = {node: relabel[c] for node, c in assignment.items()}
     return Partition(
-        assignment=final,
-        modularity=modularity(wg, final),
+        assignment=dict(zip(wg.nodes, labels.tolist())),
+        modularity=_modularity(level, m) if m > 0.0 else 0.0,
         phase_modularity=tuple(phase_q),
     )

@@ -244,9 +244,13 @@ def extract_instance_features(
     computed per candidate. ``pagerank_scores`` are the PageRank scores of
     ``qg``, as computed by :func:`pagerank_batch` over many instances at once.
     """
-    for node_id in qg.order:
-        if node_id not in partition.assignment:
-            raise IntegrityError(f"node {node_id} is not assigned to a cluster")
+    if partition.assignment.keys() != qg.index.keys():
+        where = f"instance {qg.instance_id!r}"
+        missing = qg.index.keys() - partition.assignment.keys()
+        if missing:
+            raise IntegrityError(f"{where}: node {min(missing)} is not assigned to a cluster")
+        foreign = min(partition.assignment.keys() - qg.index.keys())
+        raise IntegrityError(f"{where}: partition assigns node {foreign}, outside the query graph")
     node_ids = sorted(candidates)
     for node_id in node_ids:
         if node_id not in qg.index:

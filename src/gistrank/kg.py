@@ -428,26 +428,3 @@ def load_graph(nodes_path: str | Path, edges_path: str | Path) -> KnowledgeGraph
     return KnowledgeGraph.from_columns(
         ids, is_category, titles, abstracts, redirect_titles, edges, is_redirect
     )
-
-
-def save_graph(graph: KnowledgeGraph, nodes_path: str | Path, edges_path: str | Path) -> None:
-    """Write a graph back to the TSV file format (round-trips with load_graph)."""
-    with Path(nodes_path).open("w", encoding="utf-8") as fh:
-        for node_id in graph.ids.tolist():
-            node = graph.node(node_id)
-            fh.write(
-                "\t".join(
-                    (
-                        str(node.node_id),
-                        node.kind.value,
-                        node.title,
-                        "|".join(sorted(node.redirect_titles)),
-                        node.abstract_text,
-                    )
-                )
-                + "\n"
-            )
-    kinds = {False: EdgeKind.CATEGORY_LINK.value, True: EdgeKind.REDIRECT.value}
-    with Path(edges_path).open("w", encoding="utf-8") as fh:
-        for (src, dst), redirect in zip(graph.edges.tolist(), graph.edge_is_redirect.tolist()):
-            fh.write(f"{src}\t{dst}\t{kinds[redirect]}\n")

@@ -146,17 +146,6 @@ class QueryGraph:
     def n_nodes(self) -> int:
         return len(self.order)
 
-    def distance(self, a: int, b: int) -> int | None:
-        """Hop distance within the subgraph, or None when unreachable.
-
-        Raises ``NotFoundError`` for a node outside the subgraph.
-        """
-        for node in (a, b):
-            if node not in self.index:
-                raise NotFoundError(f"node {node} is not in the query graph")
-        d = int(self.hops[self.index[a], self.index[b]])
-        return None if d < 0 else d
-
     def to_json_obj(self) -> dict:
         return {
             "instance_id": self.instance_id,

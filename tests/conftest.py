@@ -4,13 +4,14 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
 import gistrank.pipeline as pipeline
-from gistrank.kg import KnowledgeGraph, NodeKind
+from gistrank.kg import EdgeKind, KnowledgeGraph, NodeKind
 from gistrank.linking import SeedOrigin
 from gistrank.query_graph import QueryGraph
 
@@ -42,6 +43,29 @@ def kg_from_parts(nodes, edges) -> KnowledgeGraph:
         edges=edges,
         edge_is_redirect=[False] * len(edges),
     )
+
+
+def save_graph(graph: KnowledgeGraph, nodes_path: str | Path, edges_path: str | Path) -> None:
+    """Write a graph back to the TSV file format (round-trips with load_graph)."""
+    with Path(nodes_path).open("w", encoding="utf-8") as fh:
+        for node_id in graph.ids.tolist():
+            node = graph.node(node_id)
+            fh.write(
+                "\t".join(
+                    (
+                        str(node.node_id),
+                        node.kind.value,
+                        node.title,
+                        "|".join(sorted(node.redirect_titles)),
+                        node.abstract_text,
+                    )
+                )
+                + "\n"
+            )
+    kinds = {False: EdgeKind.CATEGORY_LINK.value, True: EdgeKind.REDIRECT.value}
+    with Path(edges_path).open("w", encoding="utf-8") as fh:
+        for (src, dst), redirect in zip(graph.edges.tolist(), graph.edge_is_redirect.tolist()):
+            fh.write(f"{src}\t{dst}\t{kinds[redirect]}\n")
 
 
 def kg_adjacency(graph: KnowledgeGraph) -> dict[int, tuple[int, ...]]:

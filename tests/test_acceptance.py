@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from gistrank.clustering import WeightedGraph, louvain
+from gistrank.clustering import louvain
 from gistrank.config import load_config
 from gistrank.evaluation import evaluate
 from gistrank.features import betweenness, pagerank
@@ -35,7 +35,7 @@ from gistrank.query_graph import build_query_graph
 from gistrank.topics import TopicModel, load_lexicon, rank_images
 
 from tests.conftest import random_kg, random_query_graph
-from tests.test_clustering import all_partitions, modularity_oracle
+from tests.test_clustering import all_partitions, modularity_oracle, wgraph
 from tests.test_features import dense_pagerank, naive_betweenness
 from tests.test_ltr import separable_examples, train_examples
 from tests.test_query_graph import enumerate_intermediates, seedset
@@ -99,13 +99,13 @@ def test_criterion_2_centrality_oracles():
 
 
 def _random_weighted_graph(rng, n):
-    weights = {
-        (a, b): float(rng.uniform(0.05, 1.0))
+    edges = [
+        (a, b, float(rng.uniform(0.05, 1.0)))
         for a in range(n)
         for b in range(a + 1, n)
         if rng.random() < 0.35
-    }
-    return WeightedGraph(nodes=tuple(range(n)), weights=weights)
+    ]
+    return wgraph(n, edges)
 
 
 def test_criterion_3_louvain():
@@ -117,12 +117,10 @@ def test_criterion_3_louvain():
             for earlier, later in zip(part.phase_modularity, part.phase_modularity[1:]):
                 assert later >= earlier - 1e-9
 
-        barbell_weights = {}
+        barbell_edges = [(3, 4, 1.0)]
         for block in (range(0, 4), range(4, 8)):
-            for a, b in itertools.combinations(block, 2):
-                barbell_weights[(a, b)] = 1.0
-        barbell_weights[(3, 4)] = 1.0
-        part = louvain(WeightedGraph(nodes=tuple(range(8)), weights=barbell_weights))
+            barbell_edges.extend((a, b, 1.0) for a, b in itertools.combinations(block, 2))
+        part = louvain(wgraph(8, barbell_edges))
         assert len({part.assignment[i] for i in range(4)}) == 1
         assert len({part.assignment[i] for i in range(4, 8)}) == 1
         assert part.assignment[0] != part.assignment[7]

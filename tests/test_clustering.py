@@ -1,4 +1,8 @@
-"""Relatedness weights, modularity, and deterministic Louvain clustering."""
+"""Relatedness weights, modularity, and deterministic Louvain clustering.
+
+``tests/loop_louvain.py`` keeps the dict-based Louvain that the matrix form
+replaced; on relatedness graphs the two must agree bit for bit.
+"""
 
 import itertools
 
@@ -11,12 +15,11 @@ from gistrank.clustering import (
     WeightedGraph,
     build_relatedness_graph,
     louvain,
-    modularity,
-    relatedness,
     relatedness_matrix,
 )
-from gistrank.errors import IntegrityError, NotFoundError
+from gistrank.errors import IntegrityError
 
+from tests import loop_louvain
 from tests.conftest import (
     all_pairs_hops,
     query_graph_from_edges,
@@ -26,10 +29,23 @@ from tests.conftest import (
 
 
 def wgraph(n, weighted_edges):
-    return WeightedGraph(
+    """Weighted graph over nodes 0..n-1 from (a, b, weight) edges."""
+    matrix = np.zeros((n, n))
+    for a, b, w in weighted_edges:
+        matrix[a, b] = matrix[b, a] = w
+    return WeightedGraph(nodes=tuple(range(n)), matrix=matrix)
+
+
+def pairs_graph(n, weighted_edges):
+    """The same graph in the reference's pairs-dict form."""
+    return loop_louvain.WeightedGraph(
         nodes=tuple(range(n)),
         weights={(min(a, b), max(a, b)): w for a, b, w in weighted_edges},
     )
+
+
+def relatedness(qg, a, b):
+    return float(relatedness_matrix(qg)[qg.index[a], qg.index[b]])
 
 
 def all_partitions(n):
@@ -47,20 +63,13 @@ def all_partitions(n):
 
 def modularity_oracle(wg, assignment):
     """Independent matrix-form modularity: (1/2m) sum_ij (w_ij - k_i k_j / 2m) delta."""
-    nodes = sorted(wg.nodes)
-    index = {n: i for i, n in enumerate(nodes)}
-    n = len(nodes)
-    w = np.zeros((n, n))
-    for (a, b), weight in wg.weights.items():
-        w[index[a], index[b]] = weight
-        w[index[b], index[a]] = weight
+    w = wg.matrix
     two_m = w.sum()
     if two_m == 0:
         return 0.0
     k = w.sum(axis=1)
-    same = np.equal.outer(
-        [assignment[n] for n in nodes], [assignment[n] for n in nodes]
-    )
+    labels = [assignment[n] for n in wg.nodes]
+    same = np.equal.outer(labels, labels)
     return float(((w - np.outer(k, k) / two_m) * same).sum() / two_m)
 
 
@@ -82,11 +91,6 @@ class TestRelatedness:
         assert relatedness(qg, 0, 4) == 0.5**4
         assert relatedness(qg, 0, 5) == 0.0
 
-    def test_unknown_node(self):
-        qg = query_graph_from_edges(2, [(0, 1)])
-        with pytest.raises(NotFoundError):
-            relatedness(qg, 0, 9)
-
     def test_symmetry_exhaustive(self):
         rng = np.random.default_rng(3)
         qg = random_query_graph(rng, 12, 0.25)
@@ -107,7 +111,10 @@ class TestRelatednessMatrix:
                 d = hops.get((a, b))
                 expected = 0.5**d if d is not None and d <= 4 else 0.0
                 assert matrix[qg.index[a], qg.index[b]] == expected
-                assert relatedness(qg, a, b) == expected
+        wg = build_relatedness_graph(qg)
+        np.fill_diagonal(matrix, 0.0)
+        assert wg.nodes == qg.order
+        assert np.array_equal(wg.matrix, matrix)
 
 
 class TestBuildRelatednessGraph:
@@ -115,11 +122,13 @@ class TestBuildRelatednessGraph:
         qg = query_graph_from_edges(0, [])
         wg = build_relatedness_graph(qg)
         assert wg.nodes == () and wg.weights == {}
+        assert wg.matrix.shape == (0, 0)
 
     def test_triangle(self):
         qg = query_graph_from_edges(3, [(0, 1), (1, 2), (0, 2)])
         wg = build_relatedness_graph(qg)
         assert wg.weights == {(0, 1): 0.5, (1, 2): 0.5, (0, 2): 0.5}
+        assert wg.matrix.tolist() == [[0.0, 0.5, 0.5], [0.5, 0.0, 0.5], [0.5, 0.5, 0.0]]
 
     def test_matches_per_pair_calls(self):
         rng = np.random.default_rng(9)
@@ -130,27 +139,30 @@ class TestBuildRelatednessGraph:
             for a, b in itertools.combinations(qg.order, 2)
             if relatedness(qg, a, b) > 0.0
         ]
-        # Insertion order too: Louvain sums weights in this order.
+        # Insertion order too: the reference Louvain sums weights in this order.
         assert list(wg.weights.items()) == expected
+        assert list(loop_louvain.build_relatedness_graph(qg).weights.items()) == expected
 
 
 class TestModularity:
+    """The reference's pairs-dict modularity, which the equality tests trust."""
+
     def test_single_edge_one_cluster(self):
-        wg = wgraph(2, [(0, 1, 1.0)])
-        assert modularity(wg, {0: 0, 1: 0}) == pytest.approx(0.0)
+        wg = pairs_graph(2, [(0, 1, 1.0)])
+        assert loop_louvain.modularity(wg, {0: 0, 1: 0}) == pytest.approx(0.0)
 
     def test_two_disconnected_edges_two_clusters(self):
-        wg = wgraph(4, [(0, 1, 1.0), (2, 3, 1.0)])
-        assert modularity(wg, {0: 0, 1: 0, 2: 1, 3: 1}) == pytest.approx(0.5)
+        wg = pairs_graph(4, [(0, 1, 1.0), (2, 3, 1.0)])
+        assert loop_louvain.modularity(wg, {0: 0, 1: 0, 2: 1, 3: 1}) == pytest.approx(0.5)
 
     def test_singletons_on_single_edge(self):
-        wg = wgraph(2, [(0, 1, 1.0)])
-        assert modularity(wg, {0: 0, 1: 1}) == pytest.approx(-0.5)
+        wg = pairs_graph(2, [(0, 1, 1.0)])
+        assert loop_louvain.modularity(wg, {0: 0, 1: 1}) == pytest.approx(-0.5)
 
     def test_unassigned_node_is_integrity_error(self):
-        wg = wgraph(2, [(0, 1, 1.0)])
+        wg = pairs_graph(2, [(0, 1, 1.0)])
         with pytest.raises(IntegrityError):
-            modularity(wg, {0: 0})
+            loop_louvain.modularity(wg, {0: 0})
 
     def test_matches_matrix_oracle(self):
         rng = np.random.default_rng(31)
@@ -162,10 +174,9 @@ class TestModularity:
                 for b in range(a + 1, n)
                 if rng.random() < 0.5
             ]
-            wg = wgraph(n, edges)
             assignment = {i: int(rng.integers(0, 3)) for i in range(n)}
-            assert modularity(wg, assignment) == pytest.approx(
-                modularity_oracle(wg, assignment), abs=1e-12
+            assert loop_louvain.modularity(pairs_graph(n, edges), assignment) == pytest.approx(
+                modularity_oracle(wgraph(n, edges), assignment), abs=1e-12
             )
 
 
@@ -180,13 +191,13 @@ def barbell_graph():
 
 class TestLouvain:
     def test_single_node(self):
-        wg = WeightedGraph(nodes=(7,), weights={})
+        wg = WeightedGraph(nodes=(7,), matrix=np.zeros((1, 1)))
         part = louvain(wg)
         assert part.assignment == {7: 0}
         assert part.modularity == 0.0
 
     def test_empty_graph(self):
-        part = louvain(WeightedGraph(nodes=(), weights={}))
+        part = louvain(WeightedGraph(nodes=(), matrix=np.zeros((0, 0))))
         assert part.assignment == {}
         assert part.modularity == 0.0
 
@@ -213,7 +224,7 @@ class TestLouvain:
         assert part.assignment[0] != part.assignment[2]
 
     def test_isolated_nodes_are_singletons(self):
-        wg = WeightedGraph(nodes=(0, 1, 2), weights={(0, 1): 1.0})
+        wg = wgraph(3, [(0, 1, 1.0)])
         part = louvain(wg)
         assert part.assignment[2] not in (part.assignment[0], part.assignment[1])
 
@@ -237,7 +248,7 @@ class TestLouvain:
             ]
             wg = wgraph(n, edges)
             part = louvain(wg)
-            singleton = modularity(wg, {i: i for i in range(n)})
+            singleton = modularity_oracle(wg, {i: i for i in range(n)})
             assert part.modularity >= singleton - 1e-12
 
     def test_phase_modularity_non_decreasing(self):
@@ -268,6 +279,50 @@ class TestLouvain:
             part = louvain(wg)
             best = max(modularity_oracle(wg, a) for a in all_partitions(n))
             assert part.modularity >= best - 0.05
+
+
+def assert_matches_reference(qg):
+    got = louvain(build_relatedness_graph(qg))
+    expected = loop_louvain.louvain(loop_louvain.build_relatedness_graph(qg))
+    assert got.assignment == expected.assignment
+    # Exact float equality: every relatedness weight is a power of two, so
+    # degrees and community sums are exact in any order, and the gain and
+    # modularity arithmetic keeps the reference's operation order.
+    assert got.modularity == expected.modularity
+    assert got.phase_modularity == expected.phase_modularity
+
+
+class TestMatchesReference:
+    @settings(max_examples=150, deadline=None)
+    @given(seeded_query_graphs(max_linked=24))
+    def test_seeded_query_graphs(self, qg):
+        assert_matches_reference(qg)
+
+    def test_random_query_graphs(self):
+        rng = np.random.default_rng(61)
+        multi_phase = 0
+        for _ in range(200):
+            n = int(rng.integers(0, 41))
+            qg = random_query_graph(rng, n, float(rng.uniform(0.02, 0.4)))
+            assert_matches_reference(qg)
+            multi_phase += len(louvain(build_relatedness_graph(qg)).phase_modularity) > 1
+        assert multi_phase >= 20  # aggregation levels beyond the first are exercised
+
+    def test_modularity_matches_matrix_oracle(self):
+        rng = np.random.default_rng(67)
+        for _ in range(30):
+            n = int(rng.integers(2, 16))
+            edges = [
+                (a, b, float(rng.uniform(0.05, 1.0)))
+                for a in range(n)
+                for b in range(a + 1, n)
+                if rng.random() < 0.35
+            ]
+            wg = wgraph(n, edges)
+            part = louvain(wg)
+            assert part.modularity == pytest.approx(
+                modularity_oracle(wg, part.assignment), abs=1e-12
+            )
 
 
 def test_partition_json():

@@ -43,10 +43,11 @@ def naive_betweenness(qg):
     """Oracle: enumerate every shortest path explicitly and count pass-throughs."""
     nodes = qg.order
     adjacency = neighbor_tuples(qg)
+    hops = all_pairs_hops(qg)
     scores = {v: 0.0 for v in nodes}
 
     def shortest_paths(s, t):
-        d_target = qg.distance(s, t)
+        d_target = hops.get((s, t))
         if d_target is None or s == t:
             return []
         paths = []
@@ -59,9 +60,9 @@ def naive_betweenness(qg):
             for nb in adjacency[node]:
                 # extend only along shortest-path structure
                 if (
-                    qg.distance(s, nb) == len(path)
-                    and (qg.distance(nb, t) or 0) == d_target - len(path)
-                    and qg.distance(nb, t) is not None
+                    hops.get((s, nb)) == len(path)
+                    and (hops.get((nb, t)) or 0) == d_target - len(path)
+                    and hops.get((nb, t)) is not None
                 ):
                     stack.append((nb, path + [nb]))
         return paths
@@ -524,6 +525,18 @@ class TestExtractFeatures:
         kg, qg, partition, instance, idf = extraction_setup
         with pytest.raises(IntegrityError):
             features_of(qg, Partition(assignment={}, modularity=0.0), instance, kg, 0, idf)
+
+    def test_foreign_partition_node_rejected(self, extraction_setup):
+        # A partition naming a node outside the query graph once passed, and
+        # cluster_size_ratio counted the foreign node in its cluster's size.
+        kg, qg, partition, instance, idf = extraction_setup
+        foreign = max(qg.order) + 1
+        padded = Partition(
+            assignment={**partition.assignment, foreign: partition.assignment[qg.order[0]]},
+            modularity=partition.modularity,
+        )
+        with pytest.raises(IntegrityError, match=f"partition assigns node {foreign}"):
+            features_of(qg, padded, instance, kg, 0, idf)
 
     def test_non_finite_value_rejected(self, extraction_setup):
         kg, qg, partition, instance, idf = extraction_setup

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gistrank.errors import GistRankError, IntegrityError, NotFoundError, ParseError
-from gistrank.kg import NodeKind, load_graph, normalize_title, save_graph
+from gistrank.kg import NodeKind, load_graph, normalize_title
 
-from tests.conftest import graph_rows, tsv_text
+from tests.conftest import graph_rows, save_graph, tsv_text
 from tests.loop_kg import loop_load_graph
 
 

@@ -1,6 +1,7 @@
 """Config parsing, stage orchestration, fixture generation, CLI surface."""
 
 import filecmp
+import hashlib
 import json
 import logging
 import re
@@ -368,6 +369,19 @@ def _edit_first_seeded_graph(data: bytes, edit) -> bytes:
     return b"".join(lines)
 
 
+def _add_foreign_partition_node(data: bytes) -> bytes:
+    """Assign one node that is not in the query graph in the first non-empty partition."""
+    lines = data.splitlines(keepends=True)
+    for i, line in enumerate(lines):
+        record = json.loads(line)
+        if record["assignment"]:
+            foreign = max(map(int, record["assignment"])) + 1
+            record["assignment"][str(foreign)] = 0
+            lines[i] = json.dumps(record).encode() + b"\n"
+            break
+    return b"".join(lines)
+
+
 class TestAtomicWrites:
     def test_failed_write_leaves_the_old_file_and_no_temp_file(self, tmp_path):
         path = tmp_path / "features.tsv"
@@ -430,6 +444,26 @@ class TestRunAll:
         assert graphs > n
         assert counts["extract_instance_features"] == graphs
 
+    def test_graph_layer_bytes_are_pinned(self, tmp_path):
+        # Recorded by running these commands at commit 7128ac1, whose Louvain
+        # ran on a pairs dict (now tests/loop_louvain.py). The files hold
+        # only node ids, cluster ids and modularity values built from exact
+        # sums, so the digests do not depend on the Python or numpy version.
+        expected = {
+            "T/query_graphs.jsonl": "5cf260522374085775f2a7cec59733c41faefaed57d440185cbebe467d219ab2",
+            "T/partitions.jsonl": "d82b73e4a1b5d8cea842a21c1f952cbf2b35a3bdab2119ba1b280212afcfd7cd",
+            "TII/query_graphs.jsonl": "0b8a21250e9be5ad938a4f13958d3c90a7815823923c79df419be785860d9ef4",
+            "TII/partitions.jsonl": "2d29becb7382b6ba0806b33145a7c120b8035ae165bed21355af3b3828b103f2",
+        }
+        out = tmp_path / "fx"
+        assert main(["gen-fixture", "--seed", "1", "--instances", "30", "--topics", "3",
+                     "--out", str(out)]) == 0
+        assert main(["all", "--config", str(out / "pipeline.config")]) == 0
+        got = {
+            name: hashlib.sha256((out / "out" / name).read_bytes()).hexdigest() for name in expected
+        }
+        assert got == expected
+
 
 class TestCli:
     def test_gen_fixture_and_stage(self, tmp_path, capsys):
@@ -477,10 +511,14 @@ class TestCli:
                     data, lambda record, seed: record["edges"].append([seed, seed])
                 ),
             ),
+            (
+                "partitions.jsonl", ["link", "graph", "cluster"], "features",
+                _add_foreign_partition_node,
+            ),
         ],
         ids=["truncated-seeds", "truncated-graphs", "truncated-partitions", "non-utf8-seeds",
              "partition-type", "graph-stray-edge", "graph-seed-as-intermediate",
-             "graph-self-loop"],
+             "graph-self-loop", "partition-foreign-node"],
     )
     def test_malformed_graph_layer_artifact_exit_code(
         self, tmp_path, capsys, artifact, upstream, stage, corrupt

@@ -243,11 +243,11 @@ class TestBuildQueryGraph:
 class TestQueryGraphType:
     def test_distances_within_subgraph(self, tiny_kg):
         qg = build_query_graph(tiny_kg, seedset([0, 1]))
-        assert qg.distance(0, 1) == 2
-        assert qg.distance(0, 2) == 1
-        assert qg.distance(0, 0) == 0
-        with pytest.raises(NotFoundError):
-            qg.distance(0, 9)
+        i = qg.index
+        assert qg.hops[i[0], i[1]] == 2
+        assert qg.hops[i[0], i[2]] == 1
+        assert qg.hops[i[0], i[0]] == 0
+        assert 9 not in i
 
     @settings(max_examples=60, deadline=None)
     @given(seeded_query_graphs())
@@ -260,7 +260,6 @@ class TestQueryGraphType:
         for a in qg.order:
             for b in qg.order:
                 assert qg.hops[qg.index[a], qg.index[b]] == expected.get((a, b), -1)
-                assert qg.distance(a, b) == expected.get((a, b))
 
     def test_edge_outside_nodes_is_integrity_error(self):
         with pytest.raises(IntegrityError, match="edge"):
