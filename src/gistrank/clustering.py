@@ -60,12 +60,6 @@ class Partition:
     modularity: float
     phase_modularity: tuple[float, ...] = ()
 
-    def cluster_sizes(self) -> dict[int, int]:
-        sizes: dict[int, int] = {}
-        for cluster in self.assignment.values():
-            sizes[cluster] = sizes.get(cluster, 0) + 1
-        return sizes
-
     def to_json_obj(self) -> dict:
         return {
             "assignment": {str(n): c for n, c in sorted(self.assignment.items())},

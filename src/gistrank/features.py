@@ -4,8 +4,8 @@ Sixteen features describe one candidate concept for one instance: graph
 connectivity (degree, betweenness, closeness, pagerank, seed proximity),
 cluster and relatedness signals, origin booleans, and text overlap between
 the concept's title/abstract and the instance's tags and image labels. An
-instance's candidates form one matrix, a row per candidate and a column per
-entry of ``FEATURE_NAMES``.
+instance's query-graph nodes form one matrix, a row per node in the graph's
+``order`` and a column per entry of ``FEATURE_NAMES``.
 """
 
 from __future__ import annotations
@@ -58,8 +58,8 @@ def tokenize(text: str) -> list[str]:
     return _TOKEN_RE.findall(text.lower())
 
 
-def betweenness(qg: QueryGraph) -> dict[int, float]:
-    """Exact shortest-path betweenness (Brandes), normalized to [0, 1].
+def betweenness(qg: QueryGraph) -> np.ndarray:
+    """Exact shortest-path betweenness (Brandes), normalized to [0, 1], in ``qg.order``.
 
     Each unordered node pair counts once; scores are divided by
     (n-1)(n-2)/2. Graphs with fewer than three nodes score all zeros.
@@ -96,13 +96,13 @@ def betweenness(qg: QueryGraph) -> dict[int, float]:
                 raw[w] += delta[w]
 
     if n < 3:
-        return {v: 0.0 for v in qg.order}
+        return np.zeros(n)
     scale = (n - 1) * (n - 2)  # raw counts each pair twice (both endpoints)
-    return dict(zip(qg.order, (r / scale for r in raw)))
+    return np.array(raw) / scale
 
 
-def pagerank(qg: QueryGraph, damping: float = 0.85, tol: float = 1e-9) -> dict[int, float]:
-    """PageRank by power iteration with uniform teleport.
+def pagerank(qg: QueryGraph, damping: float = 0.85, tol: float = 1e-9) -> np.ndarray:
+    """PageRank by power iteration with uniform teleport, in ``qg.order``.
 
     Mass of isolated (dangling) nodes is redistributed uniformly; iteration
     stops once the largest per-node change drops below ``tol``. Scores sum
@@ -132,8 +132,8 @@ def _segments_by_length(
 
 def pagerank_batch(
     graphs: Sequence[QueryGraph], damping: float = 0.85, tol: float = 1e-9
-) -> list[dict[int, float]]:
-    """PageRank of each query graph, in one power iteration over their union.
+) -> list[np.ndarray]:
+    """PageRank of each query graph in its ``order``, in one power iteration over their union.
 
     The graphs form one block-diagonal system, but every graph keeps its own
     node count, dangling mass and stopping point: a graph is frozen from the
@@ -185,11 +185,7 @@ def pagerank_batch(
         change = np.maximum.reduceat(np.abs(updated - scores), starts)
         scores = np.where(active[graph_of], updated, scores)
         active[nonempty[change < tol]] = False
-    values = scores.tolist()
-    return [
-        dict(zip(qg.order, values[start : start + len(qg.order)]))
-        for qg, start in zip(graphs, offsets.tolist())
-    ]
+    return [scores[start : start + size] for start, size in zip(offsets, sizes)]
 
 
 @dataclass(frozen=True)
@@ -233,16 +229,15 @@ def extract_instance_features(
     instance: Instance,
     graph: KnowledgeGraph,
     idf: IdfTable,
-    candidates: Iterable[int],
-    pagerank_scores: Mapping[int, float],
+    pagerank_scores: np.ndarray,
 ) -> np.ndarray:
-    """Feature matrix of one instance: a row per candidate, a column per feature.
+    """Feature matrix of one instance: a row per node, a column per feature.
 
-    Rows follow the candidates in ascending order and columns follow
-    ``FEATURE_NAMES``. The graph columns are read for all nodes at once from
-    the rows of ``qg.hops`` and its relatedness matrix; the text columns are
-    computed per candidate. ``pagerank_scores`` are the PageRank scores of
-    ``qg``, as computed by :func:`pagerank_batch` over many instances at once.
+    Rows follow ``qg.order`` and columns follow ``FEATURE_NAMES``. The graph
+    columns are read for all nodes at once from the rows of ``qg.hops`` and
+    its relatedness matrix; the text columns are computed per node.
+    ``pagerank_scores`` are the PageRank scores of ``qg`` in ``qg.order``, as
+    computed by :func:`pagerank_batch` over many instances at once.
     """
     if partition.assignment.keys() != qg.index.keys():
         where = f"instance {qg.instance_id!r}"
@@ -251,11 +246,6 @@ def extract_instance_features(
             raise IntegrityError(f"{where}: node {min(missing)} is not assigned to a cluster")
         foreign = min(partition.assignment.keys() - qg.index.keys())
         raise IntegrityError(f"{where}: partition assigns node {foreign}, outside the query graph")
-    node_ids = sorted(candidates)
-    for node_id in node_ids:
-        if node_id not in qg.index:
-            raise IntegrityError(f"node {node_id} is not in the query graph")
-    rows = [qg.index[v] for v in node_ids]
     n = qg.n_nodes
 
     hops = qg.hops
@@ -279,11 +269,11 @@ def extract_instance_features(
     intra = (related * peers).sum(axis=1) / np.maximum(peers.sum(axis=1), 1)
     other_seeds = n_seeds - np.isin(np.arange(n), seed_cols)
     seed_rel = related[:, seed_cols].sum(axis=1) / np.maximum(other_seeds, 1)
+    # Cluster ids are read from a file and may be negative, so not bincount.
+    _, cluster_of, cluster_sizes = np.unique(labels, return_inverse=True, return_counts=True)
 
-    between = betweenness(qg)
-    cluster_sizes = partition.cluster_sizes()
-    origins = [qg.seeds.get(v) for v in node_ids]
-    positions = [graph.position(v) for v in node_ids]
+    origins = [qg.seeds.get(v) for v in qg.order]
+    positions = [graph.position(v) for v in qg.order]
     mention_text = " ".join(list(instance.tags) + list(instance.image_labels))
     instance_tokens = set(tokenize(mention_text))
     instance_tfidf = idf.tfidf(tokenize(mention_text))
@@ -297,15 +287,15 @@ def extract_instance_features(
         log_length.append(math.log(1.0 + len(abstract_tokens)))
 
     columns = {
-        "degree_centrality": ((hops == 1).sum(axis=1) / max(n - 1, 1))[rows],
-        "betweenness": [between[v] for v in node_ids],
-        "closeness": closeness[rows],
-        "pagerank": [pagerank_scores[v] for v in node_ids],
-        "seeds_within_2hops": (near / max(n_seeds, 1))[rows],
-        "is_intermediate": [v in qg.intermediates for v in node_ids],
-        "cluster_size_ratio": [cluster_sizes[partition.assignment[v]] / n for v in node_ids],
-        "mean_intra_cluster_relatedness": intra[rows],
-        "mean_seed_relatedness": seed_rel[rows],
+        "degree_centrality": (hops == 1).sum(axis=1) / max(n - 1, 1),
+        "betweenness": betweenness(qg),
+        "closeness": closeness,
+        "pagerank": pagerank_scores,
+        "seeds_within_2hops": near / max(n_seeds, 1),
+        "is_intermediate": [v in qg.intermediates for v in qg.order],
+        "cluster_size_ratio": cluster_sizes[cluster_of] / n,
+        "mean_intra_cluster_relatedness": intra,
+        "mean_seed_relatedness": seed_rel,
         "origin_tag": [bool(o and o.from_tags) for o in origins],
         "origin_image": [bool(o and o.from_image) for o in origins],
         "origin_both": [bool(o and o.from_tags and o.from_image) for o in origins],

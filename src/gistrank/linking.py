@@ -42,6 +42,24 @@ class SeedOrigin:
         )
 
 
+def seeds_to_json(seeds: Mapping[int, SeedOrigin]) -> list[dict]:
+    """The JSON form of a seed map: one object per seed, in ascending node id."""
+    return [
+        {"id": nid, "from_tags": o.from_tags, "from_image": o.from_image}
+        for nid, o in sorted(seeds.items())
+    ]
+
+
+# Parsed seeds share the four possible origins: the features stage holds every
+# query graph it reads, and an object per seed would be a quarter of their memory.
+_ORIGINS = {(t, i): SeedOrigin(t, i) for t in (False, True) for i in (False, True)}
+
+
+def seeds_from_json(items: Sequence[dict]) -> dict[int, SeedOrigin]:
+    """The seed map written by :func:`seeds_to_json`."""
+    return {int(s["id"]): _ORIGINS[bool(s["from_tags"]), bool(s["from_image"])] for s in items}
+
+
 @dataclass(frozen=True)
 class Instance:
     """One image-text pair: tags, detected object labels, and gold data."""
@@ -69,21 +87,11 @@ class SeedSet:
     seeds: dict[int, SeedOrigin] = field(default_factory=dict)
 
     def to_json_obj(self) -> dict:
-        return {
-            "instance_id": self.instance_id,
-            "seeds": [
-                {"id": nid, "from_tags": o.from_tags, "from_image": o.from_image}
-                for nid, o in sorted(self.seeds.items())
-            ],
-        }
+        return {"instance_id": self.instance_id, "seeds": seeds_to_json(self.seeds)}
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "SeedSet":
-        seeds = {
-            int(s["id"]): SeedOrigin(bool(s["from_tags"]), bool(s["from_image"]))
-            for s in obj["seeds"]
-        }
-        return cls(instance_id=obj["instance_id"], seeds=seeds)
+        return cls(instance_id=obj["instance_id"], seeds=seeds_from_json(obj["seeds"]))
 
 
 @dataclass(frozen=True)

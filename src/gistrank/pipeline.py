@@ -197,7 +197,7 @@ class PipelineContext:
         if self.shared.corpus is None:
             instances = read_corpus(self.config.corpus)
             if self.config.image_labels is not None:
-                overrides = _read_label_overrides(self.config.image_labels)
+                overrides = _read_jsonl(self.config.image_labels, _parse_label_override)
                 instances = [
                     dataclasses.replace(inst, image_labels=overrides[inst.instance_id])
                     if inst.instance_id in overrides
@@ -222,10 +222,6 @@ class PipelineContext:
 
 def _parse_label_override(obj: dict) -> tuple[str, tuple[str, ...]]:
     return str(obj["id"]), tuple(str(t) for t in obj.get("image_labels", ()))
-
-
-def _read_label_overrides(path: Path) -> dict[str, tuple[str, ...]]:
-    return dict(_read_jsonl(path, _parse_label_override))
 
 
 def _mode_dir(config: PipelineConfig) -> Path:
@@ -290,30 +286,36 @@ def _link_mode(config: PipelineConfig) -> LinkMode:
     return LinkMode.TAGS_ONLY if config.mode == "T" else LinkMode.TAGS_AND_IMAGE
 
 
-def _read_jsonl(path: Path, parse: Callable[[dict], T]) -> list[T]:
-    """Parse each non-blank line of a JSON-lines artifact with ``parse``.
+def _read_jsonl(path: Path, parse: Callable[[dict], tuple[str, T]]) -> dict[str, T]:
+    """Parse each non-blank line of a JSON-lines artifact with ``parse`` into
+    an (instance id, record) pair, and return the records by id in file order.
 
     A line that is not UTF-8 JSON, or that ``parse`` cannot read, raises
-    ``ParseError`` naming the file and line.
+    ``ParseError`` naming the file and line; a second record with the same
+    id raises ``IntegrityError`` naming the file, the line and the id.
     """
-    records: list[T] = []
+    records: dict[str, T] = {}
     with path.open("rb") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
-                records.append(parse(json.loads(line.decode("utf-8"))))
+                record_id, record = parse(json.loads(line.decode("utf-8")))
+                duplicate = record_id in records  # an unhashable id is malformed too
             except (AttributeError, KeyError, TypeError, ValueError) as exc:
                 raise ParseError(f"{path}:{lineno}: malformed record ({exc!r})") from None
+            if duplicate:
+                raise IntegrityError(f"{path}:{lineno}: duplicate record for instance {record_id!r}")
+            records[record_id] = record
     return records
 
 
-def _read_seed_sets(path: Path) -> list[SeedSet]:
-    return _read_jsonl(path, SeedSet.from_json_obj)
+def _by_instance_id(parse: Callable[[dict], T]) -> Callable[[dict], tuple[str, T]]:
+    return lambda obj: (obj["instance_id"], parse(obj))
 
 
 def _read_query_graphs(path: Path) -> list[QueryGraph]:
-    return _read_jsonl(path, QueryGraph.from_json_obj)
+    return list(_read_jsonl(path, _by_instance_id(QueryGraph.from_json_obj)).values())
 
 
 def _parse_partition(obj: dict) -> tuple[str, Partition]:
@@ -321,10 +323,6 @@ def _parse_partition(obj: dict) -> tuple[str, Partition]:
         assignment={int(n): int(c) for n, c in obj["assignment"].items()},
         modularity=float(obj["modularity"]),
     )
-
-
-def _read_partitions(path: Path) -> dict[str, Partition]:
-    return dict(_read_jsonl(path, _parse_partition))
 
 
 def _parse_ranking(obj: dict) -> tuple[str, Ranking]:
@@ -335,7 +333,7 @@ def _parse_ranking(obj: dict) -> tuple[str, Ranking]:
 
 
 def _read_rankings_jsonl(path: Path) -> dict[str, Ranking]:
-    return dict(_read_jsonl(path, _parse_ranking))
+    return _read_jsonl(path, _parse_ranking)
 
 
 def _load_split(mode_dir: Path) -> tuple[set[str], set[str]]:
@@ -362,8 +360,8 @@ def _stage_graph(ctx: PipelineContext) -> None:
     mode_dir = _mode_dir(config)
 
     def expand() -> str:
-        seed_sets = _read_seed_sets(mode_dir / "seeds.jsonl")
-        return jsonl_text(build_query_graph(ctx.graph, ss).to_json_obj() for ss in seed_sets)
+        seed_sets = _read_jsonl(mode_dir / "seeds.jsonl", _by_instance_id(SeedSet.from_json_obj))
+        return jsonl_text(build_query_graph(ctx.graph, ss).to_json_obj() for ss in seed_sets.values())
 
     text = ctx.reuse("graph", expand)
     write_atomic(mode_dir / "query_graphs.jsonl", text)
@@ -387,25 +385,17 @@ def _stage_cluster(ctx: PipelineContext) -> None:
     write_atomic(mode_dir / "partitions.jsonl", text)
 
 
-@dataclasses.dataclass(frozen=True)
-class _RawFeatures:
-    """One instance's features before normalisation, a row per node of its query graph."""
-
-    instance_id: str
-    order: tuple[int, ...]
-    seed_rows: list[int]  # rows of the seeds, in ascending node id
-    grades: dict[int, int]
-    matrix: np.ndarray
-
-
-def _raw_features(ctx: PipelineContext, mode_dir: Path) -> list[_RawFeatures]:
-    """The raw feature matrix of every instance with a non-empty query graph.
+def _raw_features(
+    ctx: PipelineContext, mode_dir: Path
+) -> list[tuple[QueryGraph, dict[int, int], np.ndarray]]:
+    """The query graph, concept grades and raw feature matrix (a row per node
+    of the graph's ``order``) of every instance with a non-empty query graph.
 
     A raw row depends on its node, not on the candidate set, so computing
     every node once serves every mode's candidates.
     """
     graphs = _read_query_graphs(mode_dir / "query_graphs.jsonl")
-    partitions = _read_partitions(mode_dir / "partitions.jsonl")
+    partitions = _read_jsonl(mode_dir / "partitions.jsonl", _parse_partition)
     instances = ctx.corpus_by_id()
     for qg in graphs:
         if qg.instance_id not in partitions:
@@ -418,41 +408,28 @@ def _raw_features(ctx: PipelineContext, mode_dir: Path) -> list[_RawFeatures]:
                 f"{ctx.config.corpus}: no corpus record for instance {qg.instance_id!r} "
                 f"of {mode_dir / 'query_graphs.jsonl'}"
             )
-
-    def extract_one(qg: QueryGraph, pagerank_scores: dict[int, float]) -> _RawFeatures:
-        instance = instances[qg.instance_id]
-        matrix = extract_instance_features(
-            qg, partitions[qg.instance_id], instance, ctx.graph, ctx.idf, qg.order,
-            pagerank_scores,
-        )
-        return _RawFeatures(
-            qg.instance_id, qg.order, [qg.index[s] for s in sorted(qg.seeds)],
-            instance.concept_grades or {}, matrix,
-        )
-
-    return [
-        extract_one(qg, pagerank_scores)
-        for qg, pagerank_scores in zip(graphs, pagerank_batch(graphs))
-        if qg.order
-    ]
+    features = []
+    for qg, pagerank_scores in zip(graphs, pagerank_batch(graphs)):
+        if qg.order:
+            instance = instances[qg.instance_id]
+            matrix = extract_instance_features(
+                qg, partitions[qg.instance_id], instance, ctx.graph, ctx.idf, pagerank_scores
+            )
+            features.append((qg, instance.concept_grades or {}, matrix))
+    return features
 
 
 def _stage_features(ctx: PipelineContext) -> None:
     config = ctx.config
     mode_dir = _mode_dir(config)
     rows = []
-    for raw in ctx.reuse("features", lambda: _raw_features(ctx, mode_dir)):
+    for qg, grades, matrix in ctx.reuse("features", lambda: _raw_features(ctx, mode_dir)):
         # TII ranks every node of the query graph, T and TI only the seeds.
-        if config.mode == "TII":
-            candidates, matrix = raw.order, raw.matrix
-        elif raw.seed_rows:
-            candidates, matrix = [raw.order[i] for i in raw.seed_rows], raw.matrix[raw.seed_rows]
-        else:
+        candidates = qg.order if config.mode == "TII" else sorted(qg.seeds)
+        if not candidates:
             continue
-        rows.extend(
-            (raw.instance_id, node_id, row, raw.grades.get(node_id))
-            for node_id, row in zip(candidates, normalize_per_query(matrix).tolist())
-        )
+        normalized = normalize_per_query(matrix[[qg.index[v] for v in candidates]]).tolist()
+        rows.extend((qg.instance_id, v, row, grades.get(v)) for v, row in zip(candidates, normalized))
     write_feature_rows(mode_dir / "features.tsv", rows)
 
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import IntegrityError, NotFoundError
 from .kg import KnowledgeGraph
-from .linking import SeedOrigin, SeedSet
+from .linking import SeedOrigin, SeedSet, seeds_from_json, seeds_to_json
 
 MAX_PATH_LENGTH = 4
 
@@ -149,20 +149,14 @@ class QueryGraph:
     def to_json_obj(self) -> dict:
         return {
             "instance_id": self.instance_id,
-            "seeds": [
-                {"id": nid, "from_tags": o.from_tags, "from_image": o.from_image}
-                for nid, o in sorted(self.seeds.items())
-            ],
+            "seeds": seeds_to_json(self.seeds),
             "intermediates": sorted(self.intermediates),
             "edges": [list(e) for e in sorted(self.edges)],
         }
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "QueryGraph":
-        seeds = {
-            int(s["id"]): SeedOrigin(bool(s["from_tags"]), bool(s["from_image"]))
-            for s in obj["seeds"]
-        }
+        seeds = seeds_from_json(obj["seeds"])
         edges = frozenset((int(a), int(b)) if a < b else (int(b), int(a)) for a, b in obj["edges"])
         return cls.from_parts(
             instance_id=obj["instance_id"],

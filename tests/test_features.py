@@ -203,13 +203,14 @@ def loop_graph_features(qg, partition, node_id):
 def loop_instance_features(qg, partition, instance, graph, idf, candidates, pagerank_scores):
     """Reference: the per-candidate assembly that the feature matrix replaced.
 
-    The graph features come from per-node lists indexed like ``qg.order``;
-    each candidate's 16 values are then gathered one by one.
+    The graph features come from per-node lists indexed like ``qg.order``,
+    ``pagerank_scores`` among them; each candidate's 16 values are then
+    gathered one by one, in ascending node id.
     """
     n = qg.n_nodes
     adjacency = neighbor_tuples(qg)
-    between = betweenness(qg)
-    cluster_sizes = partition.cluster_sizes()
+    between = betweenness(qg).tolist()
+    cluster_sizes = Counter(partition.assignment.values())
 
     hops = qg.hops
     reachable = hops > 0
@@ -247,9 +248,9 @@ def loop_instance_features(qg, partition, instance, graph, idf, candidates, page
         rows.append(
             (
                 len(adjacency[node_id]) / (n - 1) if n > 1 else 0.0,
-                between[node_id],
+                between[i],
                 closeness[i],
-                pagerank_scores[node_id],
+                pagerank_scores[i],
                 seeds_within[i],
                 1.0 if node_id in qg.intermediates else 0.0,
                 cluster_sizes[partition.assignment[node_id]] / n,
@@ -353,58 +354,62 @@ def dense_query_graphs(draw):
     return query_graph_from_edges(n, [pair for pair, k in zip(pairs, keep) if k])
 
 
+def in_order(qg, scores):
+    """A node-keyed reference's scores as a list in ``qg.order``."""
+    return [scores[v] for v in qg.order]
+
+
 class TestBetweenness:
     def test_path_graph(self):
         qg = query_graph_from_edges(3, [(0, 1), (1, 2)])
-        assert betweenness(qg) == {0: 0.0, 1: 1.0, 2: 0.0}
+        assert betweenness(qg).tolist() == [0.0, 1.0, 0.0]
 
     def test_triangle_all_zero(self):
         qg = query_graph_from_edges(3, [(0, 1), (1, 2), (0, 2)])
-        assert betweenness(qg) == {0: 0.0, 1: 0.0, 2: 0.0}
+        assert betweenness(qg).tolist() == [0.0, 0.0, 0.0]
+
+    def test_empty_graph(self):
+        scores = betweenness(query_graph_from_edges(0, []))
+        assert scores.dtype == np.float64 and scores.shape == (0,)
 
     def test_matches_naive_oracle(self):
         rng = np.random.default_rng(61)
         for _ in range(12):
             qg = random_query_graph(rng, int(rng.integers(2, 30)), 0.15)
-            got = betweenness(qg)
-            expected = naive_betweenness(qg)
-            for node in got:
-                assert got[node] == pytest.approx(expected[node], abs=1e-9)
+            got = betweenness(qg).tolist()
+            assert got == pytest.approx(in_order(qg, naive_betweenness(qg)), abs=1e-9)
 
     @settings(max_examples=100, deadline=None)
     @given(st.one_of(dense_query_graphs(), seeded_query_graphs()))
     def test_matches_loop_reference_bit_for_bit(self, qg):
-        assert betweenness(qg) == loop_betweenness(qg)
+        assert betweenness(qg).tolist() == in_order(qg, loop_betweenness(qg))
 
 
 class TestPagerank:
     def test_single_node(self):
         qg = query_graph_from_edges(1, [])
-        assert pagerank(qg) == {0: pytest.approx(1.0)}
+        assert pagerank(qg).tolist() == [pytest.approx(1.0)]
 
     def test_symmetric_pair(self):
         qg = query_graph_from_edges(2, [(0, 1)])
-        scores = pagerank(qg)
-        assert scores[0] == pytest.approx(0.5, abs=1e-9)
-        assert scores[1] == pytest.approx(0.5, abs=1e-9)
+        assert pagerank(qg).tolist() == pytest.approx([0.5, 0.5], abs=1e-9)
 
     def test_empty_graph(self):
-        assert pagerank(query_graph_from_edges(0, [])) == {}
+        scores = pagerank(query_graph_from_edges(0, []))
+        assert scores.dtype == np.float64 and scores.shape == (0,)
 
     def test_scores_sum_to_one(self):
         rng = np.random.default_rng(67)
         for _ in range(10):
             qg = random_query_graph(rng, int(rng.integers(1, 25)), 0.2)
-            assert sum(pagerank(qg).values()) == pytest.approx(1.0, abs=1e-6)
+            assert sum(pagerank(qg).tolist()) == pytest.approx(1.0, abs=1e-6)
 
     def test_matches_dense_solve(self):
         rng = np.random.default_rng(71)
         for _ in range(10):
             qg = random_query_graph(rng, int(rng.integers(2, 20)), 0.25)
-            got = pagerank(qg)
-            expected = dense_pagerank(qg)
-            for node in got:
-                assert got[node] == pytest.approx(expected[node], abs=1e-6)
+            got = pagerank(qg).tolist()
+            assert got == pytest.approx(in_order(qg, dense_pagerank(qg)), abs=1e-6)
 
     def test_invalid_damping(self):
         with pytest.raises(ValueError):
@@ -417,18 +422,29 @@ class TestPagerankBatch:
     @settings(max_examples=30, deadline=None)
     @given(pagerank_batches())
     def test_matches_loop_reference_bit_for_bit(self, batch):
-        assert pagerank_batch(batch) == [loop_pagerank(qg) for qg in batch]
+        got = [scores.tolist() for scores in pagerank_batch(batch)]
+        assert got == [in_order(qg, loop_pagerank(qg)) for qg in batch]
 
     @settings(max_examples=30, deadline=None)
     @given(pagerank_batches())
     def test_scores_do_not_depend_on_the_batch(self, batch):
-        alone = [pagerank(qg) for qg in batch]
-        assert pagerank_batch(batch) == alone
-        assert pagerank_batch(batch[::-1]) == alone[::-1]
-        assert pagerank_batch(batch[1::2]) == alone[1::2]
+        def lists(graphs):
+            return [scores.tolist() for scores in pagerank_batch(graphs)]
+
+        alone = [pagerank(qg).tolist() for qg in batch]
+        assert lists(batch) == alone
+        assert lists(batch[::-1]) == alone[::-1]
+        assert lists(batch[1::2]) == alone[1::2]
 
     def test_empty_batch(self):
+        # np.split would return one empty array for no graphs.
         assert pagerank_batch([]) == []
+
+    def test_zero_node_graph(self):
+        batch = [query_graph_from_edges(0, []), query_graph_from_edges(2, [(0, 1)])]
+        empty, pair = pagerank_batch(batch)
+        assert empty.dtype == np.float64 and empty.shape == (0,)
+        assert pair.tolist() == pagerank(batch[1]).tolist()
 
 
 @pytest.fixture
@@ -450,12 +466,10 @@ def extraction_setup(tiny_kg):
 
 
 def features_of(qg, partition, instance, kg, node, idf=None):
-    """The one-row feature matrix of ``node`` as a candidate of ``instance``."""
+    """The feature row of ``node`` as a candidate of ``instance``."""
     idf = build_idf_table(kg) if idf is None else idf
-    (row,) = extract_instance_features(
-        qg, partition, instance, kg, idf, candidates=[node], pagerank_scores=pagerank(qg)
-    )
-    return row
+    matrix = extract_instance_features(qg, partition, instance, kg, idf, pagerank(qg))
+    return matrix[qg.index[node]]
 
 
 class TestExtractFeatures:
@@ -516,11 +530,6 @@ class TestExtractFeatures:
         row = features_of(qg, partition, Instance(instance_id="q"), kg, 0)
         assert row[column("log_abstract_length")] == math.log(9170.0)
 
-    def test_node_outside_graph_rejected(self, extraction_setup):
-        kg, qg, partition, instance, idf = extraction_setup
-        with pytest.raises(IntegrityError):
-            features_of(qg, partition, instance, kg, 99, idf)
-
     def test_unassigned_node_rejected(self, extraction_setup):
         kg, qg, partition, instance, idf = extraction_setup
         with pytest.raises(IntegrityError):
@@ -540,9 +549,10 @@ class TestExtractFeatures:
 
     def test_non_finite_value_rejected(self, extraction_setup):
         kg, qg, partition, instance, idf = extraction_setup
-        scores = {**pagerank(qg), 1: float("nan")}
+        scores = pagerank(qg).copy()
+        scores[qg.index[1]] = float("nan")
         with pytest.raises(IntegrityError, match="non-finite"):
-            extract_instance_features(qg, partition, instance, kg, idf, [0, 1, 2], scores)
+            extract_instance_features(qg, partition, instance, kg, idf, scores)
 
     @settings(max_examples=80, deadline=None)
     @given(featured_instances())
@@ -550,7 +560,9 @@ class TestExtractFeatures:
         qg, partition, kg, instance, candidates = case
         idf = build_idf_table(kg)
         scores = pagerank(qg)
-        got = extract_instance_features(qg, partition, instance, kg, idf, candidates, scores)
+        matrix = extract_instance_features(qg, partition, instance, kg, idf, scores)
+        assert matrix.shape == (qg.n_nodes, len(FEATURE_NAMES))
+        got = matrix[[qg.index[v] for v in sorted(candidates)]]
         expected = np.array(
             loop_instance_features(qg, partition, instance, kg, idf, candidates, scores),
             dtype=np.float64,
@@ -567,7 +579,7 @@ class TestExtractFeatures:
         kg = kg_from_parts([(v, NodeKind.CATEGORY, f"node {v}") for v in qg.order], [])
         instance = Instance(instance_id="q", tags=("node",))
         matrix = extract_instance_features(
-            qg, partition, instance, kg, build_idf_table(kg), qg.order, pagerank(qg)
+            qg, partition, instance, kg, build_idf_table(kg), pagerank(qg)
         )
         for node_id, row in zip(qg.order, matrix):
             expected = loop_graph_features(qg, partition, node_id)
@@ -599,9 +611,7 @@ class TestExtractFeatures:
             partition = louvain(build_relatedness_graph(qg))
             instance = Instance(instance_id="r", tags=("node 1", "node 2"))
             idf = build_idf_table(kg)
-            matrix = extract_instance_features(
-                qg, partition, instance, kg, idf, qg.order, pagerank(qg)
-            )
+            matrix = extract_instance_features(qg, partition, instance, kg, idf, pagerank(qg))
             for name in bounded:
                 values = matrix[:, column(name)]
                 assert ((0.0 <= values) & (values <= 1.0 + 1e-12)).all(), name

@@ -533,6 +533,36 @@ class TestCli:
         assert main([stage, "--config", config]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "artifact, upstream, stage, id_key",
+        [
+            ("labels.jsonl", 0, "link", "id"),
+            ("out/TII/seeds.jsonl", 1, "graph", "instance_id"),
+            ("out/TII/query_graphs.jsonl", 2, "cluster", "instance_id"),
+            ("out/TII/partitions.jsonl", 3, "features", "instance_id"),
+            ("out/TII/rankings1.jsonl", 6, "lexicon", "query_id"),
+        ],
+        ids=["label-override", "seeds", "query-graphs", "partitions", "rankings1"],
+    )
+    def test_duplicate_record_exit_code(self, tmp_path, capsys, artifact, upstream, stage, id_key):
+        # A second record for an instance once replaced the first one silently.
+        out = tmp_path / "fx"
+        main(["gen-fixture", "--seed", "9", "--instances", "9", "--topics", "3", "--out", str(out)])
+        (out / "labels.jsonl").write_text(json.dumps({"id": "inst000", "image_labels": []}) + "\n")
+        config = out / "pipeline.config"
+        config.write_text(config.read_text() + "image_labels=labels.jsonl\n")
+        for name in STAGE_ORDER[:upstream]:
+            assert main([name, "--config", str(config)]) == 0
+        path = out / artifact
+        lines = path.read_text().splitlines()
+        record = json.loads(lines[0])
+        if "assignment" in record:  # a different partition of the same nodes
+            record["assignment"] = dict.fromkeys(record["assignment"], 0)
+        path.write_text("\n".join(lines + [json.dumps(record)]) + "\n")
+        assert main([stage, "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert f"{path}:{len(lines) + 1}: duplicate record for instance {record[id_key]!r}" in err
+
     @pytest.mark.parametrize("edit", [{"dim": -1}, {"dim": 0}], ids=["negative-dim", "repeated-dim"])
     def test_damaged_lexicon_exit_code(self, tmp_path, capsys, edit):
         # Once, train2 wrote a concept with dimension -1 into the last
