@@ -239,12 +239,12 @@ def extract_instance_features(
     ``pagerank_scores`` are the PageRank scores of ``qg`` in ``qg.order``, as
     computed by :func:`pagerank_batch` over many instances at once.
     """
-    if partition.assignment.keys() != qg.index.keys():
+    if partition.assignment.keys() != set(qg.order):
         where = f"instance {qg.instance_id!r}"
-        missing = qg.index.keys() - partition.assignment.keys()
+        missing = set(qg.order) - partition.assignment.keys()
         if missing:
             raise IntegrityError(f"{where}: node {min(missing)} is not assigned to a cluster")
-        foreign = min(partition.assignment.keys() - qg.index.keys())
+        foreign = min(partition.assignment.keys() - set(qg.order))
         raise IntegrityError(f"{where}: partition assigns node {foreign}, outside the query graph")
     n = qg.n_nodes
 
@@ -256,7 +256,7 @@ def extract_instance_features(
     # a row with nothing reachable has r = total = 0 and scores 0.
     closeness = (r / max(n - 1, 1)) * (r / np.maximum(total, 1))
 
-    seed_cols = [qg.index[s] for s in sorted(qg.seeds)]
+    seed_cols = [i for i, o in enumerate(qg.origins) if o is not None]
     n_seeds = len(seed_cols)
     to_seeds = hops[:, seed_cols]
     near = ((to_seeds > 0) & (to_seeds <= 2)).sum(axis=1)
@@ -272,13 +272,12 @@ def extract_instance_features(
     # Cluster ids are read from a file and may be negative, so not bincount.
     _, cluster_of, cluster_sizes = np.unique(labels, return_inverse=True, return_counts=True)
 
-    origins = [qg.seeds.get(v) for v in qg.order]
-    positions = [graph.position(v) for v in qg.order]
+    positions = graph.positions_of(qg.order)
     mention_text = " ".join(list(instance.tags) + list(instance.image_labels))
     instance_tokens = set(tokenize(mention_text))
     instance_tfidf = idf.tfidf(tokenize(mention_text))
     jaccard, cosine, log_length = [], [], []
-    for p in positions:
+    for p in positions.tolist():
         title_tokens = set(tokenize(graph.titles[p]))
         union = title_tokens | instance_tokens
         jaccard.append(len(title_tokens & instance_tokens) / len(union) if union else 0.0)
@@ -292,13 +291,13 @@ def extract_instance_features(
         "closeness": closeness,
         "pagerank": pagerank_scores,
         "seeds_within_2hops": near / max(n_seeds, 1),
-        "is_intermediate": [v in qg.intermediates for v in qg.order],
+        "is_intermediate": [o is None for o in qg.origins],
         "cluster_size_ratio": cluster_sizes[cluster_of] / n,
         "mean_intra_cluster_relatedness": intra,
         "mean_seed_relatedness": seed_rel,
-        "origin_tag": [bool(o and o.from_tags) for o in origins],
-        "origin_image": [bool(o and o.from_image) for o in origins],
-        "origin_both": [bool(o and o.from_tags and o.from_image) for o in origins],
+        "origin_tag": [bool(o and o.from_tags) for o in qg.origins],
+        "origin_image": [bool(o and o.from_image) for o in qg.origins],
+        "origin_both": [bool(o and o.from_tags and o.from_image) for o in qg.origins],
         "title_token_jaccard": jaccard,
         "abstract_tfidf_cosine": cosine,
         "log_abstract_length": log_length,

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from itertools import compress, count, repeat
+from itertools import compress, count, repeat, zip_longest
 from operator import eq, ge, is_not, le, ne, not_, or_
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import GistRankError, IntegrityError, NotFoundError, ParseError, read_lines
 
+_INT64_MIN = int(np.iinfo(np.int64).min)
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
 
@@ -65,7 +66,7 @@ class KnowledgeGraph:
     """Immutable concept graph held as arrays, indexed by node position.
 
     ``ids`` holds the node ids ascending (not necessarily dense); a node's
-    position is its index there, ``positions`` maps id to position, and
+    position is its index there, found by binary search, and
     ``is_category``, ``titles`` and ``abstracts`` follow the same order.
     ``redirect_titles`` holds the normalized redirect titles of only the
     nodes that carry any, by id. ``indptr``/``indices`` is the CSR adjacency
@@ -87,7 +88,6 @@ class KnowledgeGraph:
     edges: np.ndarray = field(repr=False)
     edge_is_redirect: np.ndarray = field(repr=False)
     title_index: Mapping[str, int] = field(repr=False)
-    positions: Mapping[int, int] = field(repr=False)
 
     @classmethod
     def from_columns(
@@ -130,7 +130,6 @@ class KnowledgeGraph:
             edges=ends,
             edge_is_redirect=redirect,
             title_index=_title_index(id_list, sorted_titles, redirect_titles, ends[redirect].tolist()),
-            positions=dict(zip(id_list, range(n))),
         )
 
     def __post_init__(self) -> None:
@@ -148,10 +147,18 @@ class KnowledgeGraph:
         return _NodeView(self)
 
     def position(self, node_id: int) -> int:
-        try:
-            return self.positions[node_id]
-        except KeyError:
-            raise NotFoundError(f"unknown node id {node_id}") from None
+        return int(self.positions_of([node_id])[0])
+
+    def positions_of(self, node_ids: Sequence[int]) -> np.ndarray:
+        """The positions of ``node_ids``, by binary search in ``ids``; raises
+        NotFoundError naming the first of them that is no node's id."""
+        # Clipped into int64 for the search only: each id found must equal the one asked for.
+        at = np.searchsorted(self.ids, [min(max(v, _INT64_MIN), _INT64_MAX) for v in node_ids])
+        held = self.ids[np.minimum(at, self.n_nodes - 1)].tolist() if self.n_nodes else []
+        for node_id, got in zip_longest(node_ids, held):
+            if got != node_id:
+                raise NotFoundError(f"unknown node id {node_id}")
+        return at
 
     def node(self, node_id: int) -> ConceptNode:
         p = self.position(node_id)
@@ -171,28 +178,22 @@ class KnowledgeGraph:
         """
         return self.title_index.get(normalize_title(mention))
 
-    def neighbors(self, node_id: int) -> tuple[int, ...]:
-        p = self.position(node_id)
-        return tuple(self.ids[self.indices[self.indptr[p] : self.indptr[p + 1]]].tolist())
-
 
 class _NodeView(Mapping[int, ConceptNode]):
     def __init__(self, graph: KnowledgeGraph) -> None:
         self._graph = graph
 
     def __getitem__(self, node_id: int) -> ConceptNode:
-        if node_id not in self._graph.positions:
-            raise KeyError(node_id)
-        return self._graph.node(node_id)
-
-    def __contains__(self, node_id: object) -> bool:
-        return node_id in self._graph.positions
+        try:
+            return self._graph.node(node_id)
+        except NotFoundError:
+            raise KeyError(node_id) from None
 
     def __iter__(self) -> Iterator[int]:
-        return iter(self._graph.positions)
+        return iter(self._graph.ids.tolist())
 
     def __len__(self) -> int:
-        return len(self._graph.positions)
+        return self._graph.n_nodes
 
 
 def _title_index(

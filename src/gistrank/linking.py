@@ -56,8 +56,12 @@ _ORIGINS = {(t, i): SeedOrigin(t, i) for t in (False, True) for i in (False, Tru
 
 
 def seeds_from_json(items: Sequence[dict]) -> dict[int, SeedOrigin]:
-    """The seed map written by :func:`seeds_to_json`."""
-    return {int(s["id"]): _ORIGINS[bool(s["from_tags"]), bool(s["from_image"])] for s in items}
+    """The seed map written by :func:`seeds_to_json`; raises ``ValueError``
+    when two of ``items`` name one node id."""
+    seeds = {int(s["id"]): _ORIGINS[bool(s["from_tags"]), bool(s["from_image"])] for s in items}
+    if len(seeds) != len(items):
+        raise ValueError("two seeds name one node id")
+    return seeds
 
 
 @dataclass(frozen=True)

@@ -319,10 +319,10 @@ def _read_query_graphs(path: Path) -> list[QueryGraph]:
 
 
 def _parse_partition(obj: dict) -> tuple[str, Partition]:
-    return obj["instance_id"], Partition(
-        assignment={int(n): int(c) for n, c in obj["assignment"].items()},
-        modularity=float(obj["modularity"]),
-    )
+    assignment = {int(n): int(c) for n, c in obj["assignment"].items()}
+    if len(assignment) != len(obj["assignment"]):
+        raise ValueError("two keys of the assignment name one node id")
+    return obj["instance_id"], Partition(assignment=assignment, modularity=float(obj["modularity"]))
 
 
 def _parse_ranking(obj: dict) -> tuple[str, Ranking]:
@@ -425,10 +425,11 @@ def _stage_features(ctx: PipelineContext) -> None:
     rows = []
     for qg, grades, matrix in ctx.reuse("features", lambda: _raw_features(ctx, mode_dir)):
         # TII ranks every node of the query graph, T and TI only the seeds.
-        candidates = qg.order if config.mode == "TII" else sorted(qg.seeds)
-        if not candidates:
+        picked = [i for i, o in enumerate(qg.origins) if config.mode == "TII" or o is not None]
+        if not picked:
             continue
-        normalized = normalize_per_query(matrix[[qg.index[v] for v in candidates]]).tolist()
+        normalized = normalize_per_query(matrix[picked]).tolist()
+        candidates = [qg.order[i] for i in picked]
         rows.extend((qg.instance_id, v, row, grades.get(v)) for v, row in zip(candidates, normalized))
     write_feature_rows(mode_dir / "features.tsv", rows)
 

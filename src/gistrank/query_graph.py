@@ -9,7 +9,7 @@ category-link edges induced among the retained nodes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -60,34 +60,30 @@ def bfs_distances(graph: KnowledgeGraph, source: int, cutoff: int) -> dict[int, 
     than the cutoff are omitted from the result, which is keyed by node id
     in ascending order.
     """
-    if source not in graph.positions:
-        raise NotFoundError(f"unknown source node {source}")
     if cutoff < 0:
         raise ValueError("cutoff must be >= 0")
     cutoff = min(cutoff, graph.n_nodes)
-    dist = _hop_counts(graph, np.array([graph.positions[source]]), cutoff)[0]
+    dist = _hop_counts(graph, np.array([graph.position(source)]), cutoff)[0]
     hit = np.flatnonzero(dist <= cutoff)
     return dict(zip(graph.ids[hit].tolist(), dist[hit].tolist()))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QueryGraph:
-    """Per-instance subgraph of seeds, intermediate categories, and edges.
+    """Per-instance subgraph of seeds and intermediate categories, held as rows.
 
-    ``order`` lists the node ids of seeds and intermediates ascending and
-    ``index`` maps each id to its position there.
-    ``hops`` is the read-only n×n matrix of hop counts inside the subgraph,
-    rows and columns in ``order``, with -1 where a pair is unreachable; it
-    is the graph's only adjacency, a node's neighbours being ``hops[i] == 1``.
+    ``order`` lists the node ids ascending, one row per node. ``origins[i]``
+    is the ``SeedOrigin`` of the seed ``order[i]``, or None when that node is
+    an intermediate. ``hops`` is the read-only n×n matrix of hop counts inside
+    the subgraph, rows and columns in ``order``, with -1 where a pair is
+    unreachable; it is the graph's only adjacency, a node's neighbours being
+    ``hops[i] == 1``.
     """
 
     instance_id: str
-    seeds: Mapping[int, SeedOrigin]
-    intermediates: frozenset[int]
-    edges: frozenset[tuple[int, int]]
-    order: tuple[int, ...] = field(repr=False)
-    index: Mapping[int, int] = field(repr=False)
-    hops: np.ndarray = field(repr=False, compare=False)
+    order: tuple[int, ...]
+    origins: tuple[SeedOrigin | None, ...] = field(repr=False)
+    hops: np.ndarray = field(repr=False)
 
     @classmethod
     def from_parts(
@@ -95,7 +91,7 @@ class QueryGraph:
         instance_id: str,
         seeds: Mapping[int, SeedOrigin],
         intermediates: frozenset[int],
-        edges: frozenset[tuple[int, int]],
+        edges: Iterable[Sequence[int]],
     ) -> "QueryGraph":
         both = intermediates.intersection(seeds)
         if both:
@@ -132,37 +128,36 @@ class QueryGraph:
             rows.append(row)
         hops = np.array(rows, dtype=np.int64).reshape(len(order), len(order))
         hops.flags.writeable = False
-        return cls(
-            instance_id=instance_id,
-            seeds=dict(seeds),
-            intermediates=intermediates,
-            edges=edges,
-            order=order,
-            index=index,
-            hops=hops,
-        )
+        return cls(instance_id, order, tuple(map(seeds.get, order)), hops)
 
     @property
     def n_nodes(self) -> int:
         return len(self.order)
 
+    @property
+    def intermediates(self) -> frozenset[int]:
+        """The ids of the nodes that are not seeds, derived from ``origins``."""
+        return frozenset(v for v, o in zip(self.order, self.origins) if o is None)
+
     def to_json_obj(self) -> dict:
+        order = self.order
+        # Each edge once, as an ascending id pair, in ascending pair order: the
+        # upper triangle of ``hops == 1`` in row-major order, as ``order`` ascends.
+        a, b = np.nonzero(self.hops == 1)
         return {
             "instance_id": self.instance_id,
-            "seeds": seeds_to_json(self.seeds),
+            "seeds": seeds_to_json({v: o for v, o in zip(order, self.origins) if o is not None}),
             "intermediates": sorted(self.intermediates),
-            "edges": [list(e) for e in sorted(self.edges)],
+            "edges": [[order[i], order[j]] for i, j in zip(a.tolist(), b.tolist()) if i < j],
         }
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "QueryGraph":
-        seeds = seeds_from_json(obj["seeds"])
-        edges = frozenset((int(a), int(b)) if a < b else (int(b), int(a)) for a, b in obj["edges"])
         return cls.from_parts(
             instance_id=obj["instance_id"],
-            seeds=seeds,
+            seeds=seeds_from_json(obj["seeds"]),
             intermediates=frozenset(int(n) for n in obj["intermediates"]),
-            edges=edges,
+            edges=obj["edges"],
         )
 
 
@@ -176,14 +171,14 @@ def build_query_graph(graph: KnowledgeGraph, seedset: SeedSet) -> QueryGraph:
     set, and article nodes are never collected. An empty seed set yields an
     empty subgraph.
     """
-    for seed_id in seedset.seeds:
-        if seed_id not in graph.positions:
-            raise IntegrityError(
-                f"instance {seedset.instance_id!r}: seed {seed_id} is not in the graph"
-            )
-
     seeds = dict(seedset.seeds)
-    sources = np.array([graph.positions[s] for s in sorted(seeds)], dtype=np.int64)
+    try:
+        sources = graph.positions_of(sorted(seeds))
+    except NotFoundError:
+        missing = next(s for s in seeds if s not in graph.nodes)
+        raise IntegrityError(
+            f"instance {seedset.instance_id!r}: seed {missing} is not in the graph"
+        ) from None
     dist = _hop_counts(graph, sources, MAX_PATH_LENGTH)
     candidate = (dist <= MAX_PATH_LENGTH).any(axis=0) & graph.is_category
     candidate[sources] = False

@@ -168,7 +168,6 @@ def load_kg_snapshot(path: str | Path, key: bytes) -> tuple[KnowledgeGraph, IdfT
         edges=edges,
         edge_is_redirect=edge_is_redirect,
         title_index=dict(zip(map(strings.__getitem__, title_keys.tolist()), targets.tolist())),
-        positions=dict(zip(ids.tolist(), range(n))),
     )
     idf = IdfTable(doc_frequency=dict(zip(rest, frequencies.tolist())), n_documents=int(n_documents))
     return graph, idf

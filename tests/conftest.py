@@ -68,6 +68,12 @@ def save_graph(graph: KnowledgeGraph, nodes_path: str | Path, edges_path: str | 
             fh.write(f"{src}\t{dst}\t{kinds[redirect]}\n")
 
 
+def neighbors(graph: KnowledgeGraph, node_id: int) -> tuple[int, ...]:
+    """A node's category-link neighbours, ascending, read from the CSR rows."""
+    p = graph.position(node_id)
+    return tuple(graph.ids[graph.indices[graph.indptr[p] : graph.indptr[p + 1]]].tolist())
+
+
 def kg_adjacency(graph: KnowledgeGraph) -> dict[int, tuple[int, ...]]:
     """Each node's category-link neighbours, ascending, read from ``graph.edges``."""
     neighbors: dict[int, set[int]] = {v: set() for v in graph.ids.tolist()}
@@ -125,14 +131,18 @@ def query_graph_from_edges(n_nodes: int, edges, seeds=None, instance_id="q") -> 
     )
 
 
-def random_query_graph(rng: np.random.Generator, n_nodes: int, edge_prob: float) -> QueryGraph:
-    edges = [
+def random_edges(rng: np.random.Generator, n_nodes: int, edge_prob: float) -> list[tuple[int, int]]:
+    """Each pair of nodes 0..n_nodes-1, ascending, kept with probability ``edge_prob``."""
+    return [
         (a, b)
         for a in range(n_nodes)
         for b in range(a + 1, n_nodes)
         if rng.random() < edge_prob
     ]
-    return query_graph_from_edges(n_nodes, edges)
+
+
+def random_query_graph(rng: np.random.Generator, n_nodes: int, edge_prob: float) -> QueryGraph:
+    return query_graph_from_edges(n_nodes, random_edges(rng, n_nodes, edge_prob))
 
 
 @st.composite
@@ -141,7 +151,8 @@ def seeded_query_graphs(draw, max_linked=12):
 
     At most two random edges per linked node give paths of several hops and
     disconnected parts; up to three extra nodes have no edge at all; the seed
-    subset may be empty.
+    subset may be empty. Returns the graph and the edges drawn for it, each
+    as drawn: the oracles that check ``hops`` read these.
     """
     n_linked, n_isolated = draw(st.integers(0, max_linked)), draw(st.integers(0, 3))
     ids = draw(st.lists(st.integers(0, 999), min_size=n_linked + n_isolated,
@@ -152,28 +163,31 @@ def seeded_query_graphs(draw, max_linked=12):
         n_edges = draw(st.integers(0, 2 * n_linked))
         edges = draw(st.lists(st.sampled_from(pairs), min_size=n_edges, max_size=n_edges))
     seeds = draw(st.sets(st.sampled_from(ids))) if ids else set()
-    return QueryGraph.from_parts(
+    qg = QueryGraph.from_parts(
         instance_id="q",
         seeds={s: SeedOrigin(from_tags=True) for s in seeds},
         intermediates=frozenset(ids) - seeds,
-        edges=frozenset((min(a, b), max(a, b)) for a, b in edges),
+        edges=edges,
     )
+    return qg, edges
 
 
-def neighbor_tuples(qg: QueryGraph) -> dict[int, tuple[int, ...]]:
-    """Each node's neighbours in ``qg.edges``, as an ascending tuple."""
-    neighbors: dict[int, set[int]] = {v: set() for v in qg.order}
-    for a, b in qg.edges:
+def neighbor_tuples(nodes, edges) -> dict[int, tuple[int, ...]]:
+    """Each of ``nodes``' neighbours along ``edges`` (id pairs, either way
+    round), as an ascending tuple."""
+    neighbors: dict[int, set[int]] = {v: set() for v in nodes}
+    for a, b in edges:
         neighbors[a].add(b)
         neighbors[b].add(a)
     return {v: tuple(sorted(ns)) for v, ns in neighbors.items()}
 
 
-def all_pairs_hops(qg: QueryGraph) -> dict[tuple[int, int], int]:
-    """Oracle: hop counts of every reachable ordered pair, by BFS over ``qg.edges``."""
-    neighbors = neighbor_tuples(qg)
+def all_pairs_hops(nodes, edges) -> dict[tuple[int, int], int]:
+    """Oracle: hop counts of every reachable ordered pair of ``nodes``, by BFS
+    along ``edges``."""
+    neighbors = neighbor_tuples(nodes, edges)
     hops = {}
-    for source in qg.order:
+    for source in nodes:
         reached, frontier, d = {source}, {source}, 0
         while frontier:
             hops.update(((source, v), d) for v in frontier)

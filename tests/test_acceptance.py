@@ -34,7 +34,7 @@ from gistrank.pipeline import _read_rankings_jsonl, run_all
 from gistrank.query_graph import build_query_graph
 from gistrank.topics import TopicModel, load_lexicon, rank_images
 
-from tests.conftest import random_kg, random_query_graph
+from tests.conftest import query_graph_from_edges, random_edges, random_kg
 from tests.test_clustering import all_partitions, modularity_oracle, wgraph
 from tests.test_features import dense_pagerank, naive_betweenness
 from tests.test_ltr import separable_examples, train_examples
@@ -85,15 +85,19 @@ def test_criterion_2_centrality_oracles():
     with criterion(2, "betweenness/pagerank match brute-force oracles", 10.0):
         rng = np.random.default_rng(102)
         for _ in range(25):
-            qg = random_query_graph(rng, int(rng.integers(2, 31)), 0.15)
+            n = int(rng.integers(2, 31))
+            edges = random_edges(rng, n, 0.15)
+            qg = query_graph_from_edges(n, edges)
             got = betweenness(qg)
-            expected = naive_betweenness(qg)
+            expected = naive_betweenness(qg, edges)
             for i, node in enumerate(qg.order):
                 assert abs(got[i] - expected[node]) <= 1e-9
         for _ in range(25):
-            qg = random_query_graph(rng, int(rng.integers(2, 21)), 0.25)
+            n = int(rng.integers(2, 21))
+            edges = random_edges(rng, n, 0.25)
+            qg = query_graph_from_edges(n, edges)
             got = pagerank(qg)
-            expected = dense_pagerank(qg)
+            expected = dense_pagerank(qg, edges)
             for i, node in enumerate(qg.order):
                 assert abs(got[i] - expected[node]) <= 1e-6
 

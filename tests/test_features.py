@@ -34,16 +34,18 @@ from tests.conftest import (
     kg_from_parts,
     neighbor_tuples,
     query_graph_from_edges,
+    random_edges,
     random_query_graph,
     seeded_query_graphs,
 )
 
 
-def naive_betweenness(qg):
-    """Oracle: enumerate every shortest path explicitly and count pass-throughs."""
+def naive_betweenness(qg, edges):
+    """Oracle: enumerate every shortest path along ``edges`` explicitly and
+    count pass-throughs."""
     nodes = qg.order
-    adjacency = neighbor_tuples(qg)
-    hops = all_pairs_hops(qg)
+    adjacency = neighbor_tuples(nodes, edges)
+    hops = all_pairs_hops(nodes, edges)
     scores = {v: 0.0 for v in nodes}
 
     def shortest_paths(s, t):
@@ -83,10 +85,11 @@ def naive_betweenness(qg):
     return {v: scores[v] / ((n - 1) * (n - 2) / 2) for v in nodes}
 
 
-def loop_betweenness(qg):
-    """Reference: the node-keyed Brandes loop that the index-space one replaced."""
+def loop_betweenness(qg, edges):
+    """Reference: the node-keyed Brandes loop that the index-space one
+    replaced, along ``edges``."""
     nodes = qg.order
-    adjacency = neighbor_tuples(qg)
+    adjacency = neighbor_tuples(nodes, edges)
     raw = {v: 0.0 for v in nodes}
     for source in nodes:
         stack = []
@@ -120,12 +123,12 @@ def loop_betweenness(qg):
     return {v: raw[v] / ((n - 1) * (n - 2)) for v in nodes}
 
 
-def dense_pagerank(qg, damping=0.85):
-    """Oracle: solve the stationary linear system directly."""
+def dense_pagerank(qg, edges, damping=0.85):
+    """Oracle: solve the stationary linear system along ``edges`` directly."""
     nodes = qg.order
     index = {v: i for i, v in enumerate(nodes)}
     n = len(nodes)
-    adjacency = neighbor_tuples(qg)
+    adjacency = neighbor_tuples(nodes, edges)
     transition = np.zeros((n, n))
     for v in nodes:
         neighbors = adjacency[v]
@@ -140,14 +143,15 @@ def dense_pagerank(qg, damping=0.85):
     return {v: float(solution[index[v]]) for v in nodes}
 
 
-def loop_pagerank(qg, damping=0.85, tol=1e-9):
-    """Reference: the per-node power iteration the batched PageRank replaced."""
+def loop_pagerank(qg, edges, damping=0.85, tol=1e-9):
+    """Reference: the per-node power iteration the batched PageRank replaced,
+    along ``edges``."""
     nodes = qg.order
     n = len(nodes)
     if n == 0:
         return {}
     index = {v: i for i, v in enumerate(nodes)}
-    adjacency = neighbor_tuples(qg)
+    adjacency = neighbor_tuples(nodes, edges)
     neighbors = [np.array([index[w] for w in adjacency[v]], dtype=np.intp) for v in nodes]
     degree = np.array([len(nb) for nb in neighbors], dtype=np.float64)
     dangling = degree == 0
@@ -168,9 +172,10 @@ def loop_pagerank(qg, damping=0.85, tol=1e-9):
     return {v: float(scores[index[v]]) for v in nodes}
 
 
-def loop_graph_features(qg, partition, node_id):
-    """Reference: the per-candidate loops that the matrix-row graph features replaced."""
-    hops = all_pairs_hops(qg)
+def loop_graph_features(qg, edges, partition, node_id):
+    """Reference: the per-candidate loops that the matrix-row graph features
+    replaced, with hop counts along ``edges``."""
+    hops = all_pairs_hops(qg.order, edges)
 
     def rel(a, b):
         d = hops.get((a, b))
@@ -183,7 +188,7 @@ def loop_graph_features(qg, partition, node_id):
         closeness = (r / (n - 1)) * (r / sum(finite))
     else:
         closeness = 0.0
-    seed_ids = sorted(qg.seeds)
+    seed_ids = [v for v, o in zip(qg.order, qg.origins) if o is not None]
     near = sum(1 for s in seed_ids if s != node_id and hops.get((node_id, s), 3) <= 2)
     cluster = partition.assignment[node_id]
     peers = [m for m, c in partition.assignment.items() if c == cluster and m != node_id]
@@ -200,15 +205,15 @@ def loop_graph_features(qg, partition, node_id):
     }
 
 
-def loop_instance_features(qg, partition, instance, graph, idf, candidates, pagerank_scores):
+def loop_instance_features(qg, edges, partition, instance, graph, idf, candidates, pagerank_scores):
     """Reference: the per-candidate assembly that the feature matrix replaced.
 
     The graph features come from per-node lists indexed like ``qg.order``,
-    ``pagerank_scores`` among them; each candidate's 16 values are then
-    gathered one by one, in ascending node id.
+    ``pagerank_scores`` among them, and the degrees from ``edges``; each
+    candidate's 16 values are then gathered one by one, in ascending node id.
     """
     n = qg.n_nodes
-    adjacency = neighbor_tuples(qg)
+    adjacency = neighbor_tuples(qg.order, edges)
     between = betweenness(qg).tolist()
     cluster_sizes = Counter(partition.assignment.values())
 
@@ -218,7 +223,7 @@ def loop_instance_features(qg, partition, instance, graph, idf, candidates, page
     total = np.where(reachable, hops, 0).sum(axis=1)
     closeness = ((r / max(n - 1, 1)) * (r / np.maximum(total, 1))).tolist()
 
-    seed_cols = [qg.index[s] for s in sorted(qg.seeds)]
+    seed_cols = [i for i, o in enumerate(qg.origins) if o is not None]
     n_seeds = len(seed_cols)
     to_seeds = hops[:, seed_cols]
     near = ((to_seeds > 0) & (to_seeds <= 2)).sum(axis=1)
@@ -239,9 +244,9 @@ def loop_instance_features(qg, partition, instance, graph, idf, candidates, page
 
     rows = []
     for node_id in sorted(candidates):
-        i = qg.index[node_id]
+        i = qg.order.index(node_id)
         node = graph.node(node_id)
-        origin = qg.seeds.get(node_id)
+        origin = qg.origins[i]
         title_tokens = set(tokenize(node.title))
         union = title_tokens | instance_tokens
         abstract_tokens = tokenize(node.abstract_text)
@@ -275,16 +280,19 @@ _WORDS = ("car", "volvo", "motor", "vehicle", "road", "sky", "sea", "red")
 def featured_instances(draw):
     """A random query graph with mixed seed origins over a graph with titles and abstracts.
 
-    Returns the query graph, a random partition of its nodes, the knowledge
-    graph, an instance whose tags and image labels share words with the
-    titles and abstracts, and a random subset of the nodes as candidates.
+    Returns the query graph and its drawn edges, a random partition of its
+    nodes, the knowledge graph, an instance whose tags and image labels share
+    words with the titles and abstracts, and a random subset of the nodes as
+    candidates.
     """
-    shape = draw(seeded_query_graphs())
+    shape, edges = draw(seeded_query_graphs())
     seeds = {
         s: SeedOrigin(from_tags=draw(st.booleans()), from_image=draw(st.booleans()))
-        for s in sorted(shape.seeds)
+        for s, o in zip(shape.order, shape.origins)
+        if o is not None
     }
-    qg = QueryGraph.from_parts("q", seeds, shape.intermediates, shape.edges)
+    qg = QueryGraph.from_parts("q", seeds, shape.intermediates, edges)
+    assert qg.origins == tuple(map(seeds.get, qg.order))
     words = st.lists(st.sampled_from(_WORDS), max_size=6).map(" ".join)
     specs = []
     for v in qg.order:
@@ -300,7 +308,7 @@ def featured_instances(draw):
         image_labels=tuple(draw(st.lists(words, max_size=3))),
     )
     candidates = draw(st.lists(st.sampled_from(qg.order), unique=True)) if qg.order else []
-    return qg, partition, kg, instance, candidates
+    return qg, edges, partition, kg, instance, candidates
 
 
 def column(name):
@@ -313,6 +321,7 @@ def pagerank_graphs(draw, hub_leaves=st.just(0), isolated=st.integers(0, 2)):
 
     Nodes are ``[0, core)`` random, then the hub and its leaves, then the
     isolated nodes. Random edges may join any two non-isolated nodes.
+    Returns the graph and its edges.
     """
     core, leaves, n_isolated = draw(st.integers(0, 10)), draw(hub_leaves), draw(isolated)
     hub = core
@@ -321,18 +330,19 @@ def pagerank_graphs(draw, hub_leaves=st.just(0), isolated=st.integers(0, 2)):
     pairs = list(itertools.combinations(range(connected), 2))
     if pairs:
         edges |= set(draw(st.lists(st.sampled_from(pairs), max_size=40)))
-    return query_graph_from_edges(connected + n_isolated, sorted(edges))
+    return query_graph_from_edges(connected + n_isolated, edges), edges
 
 
 @st.composite
 def pagerank_batches(draw):
-    """A shuffled batch mixing every shape whose segment sums take a distinct path.
+    """A shuffled batch mixing every shape whose segment sums take a distinct
+    path, as (graph, edges) pairs.
 
     Degree >= 8 and >= 8 dangling nodes hit numpy's pairwise summation.
     """
     batch = [
-        query_graph_from_edges(0, []),
-        query_graph_from_edges(1, []),
+        (query_graph_from_edges(0, []), []),
+        (query_graph_from_edges(1, []), []),
         draw(pagerank_graphs(isolated=st.integers(1, 3))),
         draw(pagerank_graphs(hub_leaves=st.integers(8, 20))),
         draw(pagerank_graphs(isolated=st.integers(8, 20))),
@@ -346,12 +356,14 @@ def dense_query_graphs(draw):
     """Random graph of 10 to 16 nodes, each pair joined with probability about 1/2.
 
     Many nodes have three or more successors in a breadth-first DAG, with
-    fractional dependencies, so the order of a dependency sum shows in its bits.
+    fractional dependencies, so the order of a dependency sum shows in its
+    bits. Returns the graph and its edges.
     """
     n = draw(st.integers(10, 16))
     pairs = list(itertools.combinations(range(n), 2))
     keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
-    return query_graph_from_edges(n, [pair for pair, k in zip(pairs, keep) if k])
+    edges = [pair for pair, k in zip(pairs, keep) if k]
+    return query_graph_from_edges(n, edges), edges
 
 
 def in_order(qg, scores):
@@ -375,14 +387,17 @@ class TestBetweenness:
     def test_matches_naive_oracle(self):
         rng = np.random.default_rng(61)
         for _ in range(12):
-            qg = random_query_graph(rng, int(rng.integers(2, 30)), 0.15)
+            n = int(rng.integers(2, 30))
+            edges = random_edges(rng, n, 0.15)
+            qg = query_graph_from_edges(n, edges)
             got = betweenness(qg).tolist()
-            assert got == pytest.approx(in_order(qg, naive_betweenness(qg)), abs=1e-9)
+            assert got == pytest.approx(in_order(qg, naive_betweenness(qg, edges)), abs=1e-9)
 
     @settings(max_examples=100, deadline=None)
     @given(st.one_of(dense_query_graphs(), seeded_query_graphs()))
-    def test_matches_loop_reference_bit_for_bit(self, qg):
-        assert betweenness(qg).tolist() == in_order(qg, loop_betweenness(qg))
+    def test_matches_loop_reference_bit_for_bit(self, drawn):
+        qg, edges = drawn
+        assert betweenness(qg).tolist() == in_order(qg, loop_betweenness(qg, edges))
 
 
 class TestPagerank:
@@ -407,9 +422,11 @@ class TestPagerank:
     def test_matches_dense_solve(self):
         rng = np.random.default_rng(71)
         for _ in range(10):
-            qg = random_query_graph(rng, int(rng.integers(2, 20)), 0.25)
+            n = int(rng.integers(2, 20))
+            edges = random_edges(rng, n, 0.25)
+            qg = query_graph_from_edges(n, edges)
             got = pagerank(qg).tolist()
-            assert got == pytest.approx(in_order(qg, dense_pagerank(qg)), abs=1e-6)
+            assert got == pytest.approx(in_order(qg, dense_pagerank(qg, edges)), abs=1e-6)
 
     def test_invalid_damping(self):
         with pytest.raises(ValueError):
@@ -422,15 +439,16 @@ class TestPagerankBatch:
     @settings(max_examples=30, deadline=None)
     @given(pagerank_batches())
     def test_matches_loop_reference_bit_for_bit(self, batch):
-        got = [scores.tolist() for scores in pagerank_batch(batch)]
-        assert got == [in_order(qg, loop_pagerank(qg)) for qg in batch]
+        got = [scores.tolist() for scores in pagerank_batch([qg for qg, _ in batch])]
+        assert got == [in_order(qg, loop_pagerank(qg, edges)) for qg, edges in batch]
 
     @settings(max_examples=30, deadline=None)
     @given(pagerank_batches())
-    def test_scores_do_not_depend_on_the_batch(self, batch):
+    def test_scores_do_not_depend_on_the_batch(self, drawn):
         def lists(graphs):
             return [scores.tolist() for scores in pagerank_batch(graphs)]
 
+        batch = [qg for qg, _ in drawn]
         alone = [pagerank(qg).tolist() for qg in batch]
         assert lists(batch) == alone
         assert lists(batch[::-1]) == alone[::-1]
@@ -469,7 +487,7 @@ def features_of(qg, partition, instance, kg, node, idf=None):
     """The feature row of ``node`` as a candidate of ``instance``."""
     idf = build_idf_table(kg) if idf is None else idf
     matrix = extract_instance_features(qg, partition, instance, kg, idf, pagerank(qg))
-    return matrix[qg.index[node]]
+    return matrix[qg.order.index(node)]
 
 
 class TestExtractFeatures:
@@ -550,21 +568,21 @@ class TestExtractFeatures:
     def test_non_finite_value_rejected(self, extraction_setup):
         kg, qg, partition, instance, idf = extraction_setup
         scores = pagerank(qg).copy()
-        scores[qg.index[1]] = float("nan")
+        scores[qg.order.index(1)] = float("nan")
         with pytest.raises(IntegrityError, match="non-finite"):
             extract_instance_features(qg, partition, instance, kg, idf, scores)
 
     @settings(max_examples=80, deadline=None)
     @given(featured_instances())
     def test_matches_loop_reference_bit_for_bit(self, case):
-        qg, partition, kg, instance, candidates = case
+        qg, edges, partition, kg, instance, candidates = case
         idf = build_idf_table(kg)
         scores = pagerank(qg)
         matrix = extract_instance_features(qg, partition, instance, kg, idf, scores)
         assert matrix.shape == (qg.n_nodes, len(FEATURE_NAMES))
-        got = matrix[[qg.index[v] for v in sorted(candidates)]]
+        got = matrix[[qg.order.index(v) for v in sorted(candidates)]]
         expected = np.array(
-            loop_instance_features(qg, partition, instance, kg, idf, candidates, scores),
+            loop_instance_features(qg, edges, partition, instance, kg, idf, candidates, scores),
             dtype=np.float64,
         ).reshape(len(candidates), len(FEATURE_NAMES))
         assert got.shape == expected.shape
@@ -573,7 +591,8 @@ class TestExtractFeatures:
 
     @settings(max_examples=60, deadline=None)
     @given(seeded_query_graphs(), st.data())
-    def test_graph_features_match_loop_reference(self, qg, data):
+    def test_graph_features_match_loop_reference(self, drawn, data):
+        qg, edges = drawn
         labels = data.draw(st.lists(st.integers(0, 3), min_size=qg.n_nodes, max_size=qg.n_nodes))
         partition = Partition(assignment=dict(zip(qg.order, labels)), modularity=0.0)
         kg = kg_from_parts([(v, NodeKind.CATEGORY, f"node {v}") for v in qg.order], [])
@@ -582,7 +601,7 @@ class TestExtractFeatures:
             qg, partition, instance, kg, build_idf_table(kg), pagerank(qg)
         )
         for node_id, row in zip(qg.order, matrix):
-            expected = loop_graph_features(qg, partition, node_id)
+            expected = loop_graph_features(qg, edges, partition, node_id)
             assert {name: row[column(name)] for name in expected} == expected
 
     def test_invariants_on_random_fixtures(self):

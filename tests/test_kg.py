@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from gistrank.errors import GistRankError, IntegrityError, NotFoundError, ParseError
 from gistrank.kg import NodeKind, load_graph, normalize_title
 
-from tests.conftest import graph_rows, save_graph, tsv_text
+from tests.conftest import graph_rows, kg_from_parts, neighbors, save_graph, tsv_text
 from tests.loop_kg import loop_load_graph
 
 
@@ -141,9 +141,9 @@ class TestInvariants:
             graph = random_kg(rng, int(rng.integers(2, 40)), 0.15)
             adjacency = kg_adjacency(graph)
             for a in graph.ids.tolist():
-                assert graph.neighbors(a) == adjacency[a]
+                assert neighbors(graph, a) == adjacency[a]
                 for b in adjacency[a]:
-                    assert a in graph.neighbors(b)
+                    assert a in neighbors(graph, b)
 
     def test_round_trip(self, tmp_path, tiny_kg):
         nodes2, edges2 = tmp_path / "n2.tsv", tmp_path / "e2.tsv"
@@ -177,7 +177,44 @@ class TestInvariants:
 
     def test_neighbors_unknown_node(self, tiny_kg):
         with pytest.raises(NotFoundError):
-            tiny_kg.neighbors(99)
+            neighbors(tiny_kg, 99)
+
+
+# Ids at and beyond the ends of int64, which a lookup must neither find nor overflow on.
+_EDGE_IDS = (-(2**70), -(2**63) - 1, -(2**63), -1, 2**63 - 1, 2**63, 2**64, 2**70)
+
+
+@st.composite
+def id_lookups(draw):
+    """Gapped node ids (possibly none, possibly the largest int64) and a query
+    (possibly empty) mixing them with unknown, negative and huge ids."""
+    ids = draw(st.sets(st.one_of(st.integers(0, 40), st.just(2**63 - 1)), max_size=10))
+    known = st.sampled_from(sorted(ids)) if ids else st.nothing()
+    query = draw(st.lists(st.one_of(known, st.integers(-3, 45), st.sampled_from(_EDGE_IDS)), max_size=6))
+    return ids, query
+
+
+class TestPositions:
+    @settings(max_examples=200, deadline=None)
+    @given(id_lookups())
+    def test_matches_a_dict_of_ids(self, case):
+        ids, query = case
+        graph = kg_from_parts([(v, NodeKind.CATEGORY, f"n{v}") for v in ids], [])
+        index = {v: i for i, v in enumerate(graph.ids.tolist())}
+        assert sorted(index) == sorted(ids)
+        missing = [v for v in query if v not in index]
+        if missing:
+            with pytest.raises(NotFoundError, match=f"unknown node id {missing[0]}$"):
+                graph.positions_of(query)
+        else:
+            assert graph.positions_of(query).tolist() == [index[v] for v in query]
+        for v in query:
+            assert (v in graph.nodes) == (v in index)
+            if v in index:
+                assert graph.position(v) == index[v]
+            else:
+                with pytest.raises(NotFoundError):
+                    graph.position(v)
 
 
 def test_normalize_title():
@@ -237,7 +274,7 @@ def _load_both(nodes_text: str, edges_text: str):
 def _assert_same_graph(graph, ref):
     assert graph.ids.tolist() == list(ref.nodes)
     assert [graph.node(v) for v in ref.nodes] == list(ref.nodes.values())
-    assert {v: graph.neighbors(v) for v in ref.nodes} == ref.adjacency
+    assert {v: neighbors(graph, v) for v in ref.nodes} == ref.adjacency
     assert list(graph.title_index.items()) == list(ref.title_index.items())
     assert len(graph.edges) == len(ref.edges)
 

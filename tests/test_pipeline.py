@@ -19,7 +19,7 @@ from gistrank.linking import LinkMode, link_instance, read_corpus
 from gistrank.pipeline import STAGE_ORDER, STAGE_OUTPUTS, run_all, run_stage, split_instances
 from gistrank.query_graph import build_query_graph
 
-from tests.conftest import count_pipeline_calls, kg_adjacency
+from tests.conftest import count_pipeline_calls, kg_adjacency, neighbors
 
 
 @pytest.fixture(scope="module")
@@ -152,9 +152,9 @@ class TestGenFixture:
         # mid-size fixture
         adjacency = kg_adjacency(graph)
         for a in graph.ids.tolist():
-            assert graph.neighbors(a) == adjacency[a]
+            assert neighbors(graph, a) == adjacency[a]
             for b in adjacency[a]:
-                assert a in graph.neighbors(b)
+                assert a in neighbors(graph, b)
 
     def test_deterministic(self, tmp_path, fixture_dir):
         other = tmp_path / "again"
@@ -185,7 +185,7 @@ class TestGenFixture:
             hub = graph.lookup_title(f"{topic} hub")
             assert hub is not None
             for qg in graphs:
-                assert hub in qg.index, (topic, qg.instance_id)
+                assert hub in qg.order, (topic, qg.instance_id)
 
 
 class TestStages:
@@ -369,6 +369,17 @@ def _edit_first_seeded_graph(data: bytes, edit) -> bytes:
     return b"".join(lines)
 
 
+def _respell_first_partition_key(record: dict) -> None:
+    """Add a second key for the first assigned node: its digits and a space."""
+    record["assignment"][next(iter(record["assignment"])) + " "] = 99
+
+
+def _flip_first_seed(record: dict) -> None:
+    """Add a second seed entry for the first seed, with its tag origin flipped."""
+    first = record["seeds"][0]
+    record["seeds"].append({**first, "from_tags": not first["from_tags"]})
+
+
 def _add_foreign_partition_node(data: bytes) -> bytes:
     """Assign one node that is not in the query graph in the first non-empty partition."""
     lines = data.splitlines(keepends=True)
@@ -532,6 +543,33 @@ class TestCli:
         path.write_bytes(corrupt(path.read_bytes()))
         assert main([stage, "--config", config]) == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "artifact, stage, edit",
+        [
+            ("partitions.jsonl", "features", _respell_first_partition_key),
+            ("seeds.jsonl", "graph", _flip_first_seed),
+            ("query_graphs.jsonl", "cluster", _flip_first_seed),
+        ],
+        ids=["partition-key", "seeds", "query-graph-seeds"],
+    )
+    def test_node_named_twice_in_a_record_exit_code(self, tmp_path, capsys, artifact, stage, edit):
+        # A record naming one node twice (two seed entries, or partition keys
+        # such as "7" and "7 " that int() reads as one id) once kept the last.
+        out = tmp_path / "fx"
+        main(["gen-fixture", "--seed", "9", "--instances", "9", "--topics", "3", "--out", str(out)])
+        config = str(out / "pipeline.config")
+        for name in STAGE_ORDER[: STAGE_ORDER.index(stage)]:
+            assert main([name, "--config", config]) == 0
+        path = out / "out" / "TII" / artifact
+        lines = path.read_text().splitlines()
+        first = next(i for i, line in enumerate(lines) if json.loads(line).get("seeds", True))
+        record = json.loads(lines[first])
+        edit(record)
+        lines[first] = json.dumps(record)
+        path.write_text("\n".join(lines) + "\n")
+        assert main([stage, "--config", config]) == 2
+        assert f"{path}:{first + 1}: malformed record" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "artifact, upstream, stage, id_key",

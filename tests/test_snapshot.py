@@ -23,7 +23,7 @@ from tests.conftest import count_pipeline_calls, graph_rows, random_kg, tsv_text
 
 _ARRAYS = ("ids", "is_category", "indptr", "indices", "edges", "edge_is_redirect")
 _LISTS = ("titles", "abstracts")
-_MAPPINGS = ("redirect_titles", "title_index", "positions")
+_MAPPINGS = ("redirect_titles", "title_index")
 
 
 def assert_same_kg(got: KnowledgeGraph, want: KnowledgeGraph) -> None:
