@@ -157,7 +157,7 @@ class QueryGraph:
             instance_id=obj["instance_id"],
             seeds=seeds_from_json(obj["seeds"]),
             intermediates=frozenset(int(n) for n in obj["intermediates"]),
-            edges=obj["edges"],
+            edges=((int(a), int(b)) for a, b in obj["edges"]),
         )
 
 

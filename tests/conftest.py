@@ -146,13 +146,14 @@ def random_query_graph(rng: np.random.Generator, n_nodes: int, edge_prob: float)
 
 
 @st.composite
-def seeded_query_graphs(draw, max_linked=12):
-    """Random query graph over scattered node ids with a random seed subset.
+def query_graph_parts(draw, max_linked=12):
+    """Random parts of a query graph: scattered node ids, a seed map over a
+    random subset of them with mixed origins, and edges among the ids.
 
     At most two random edges per linked node give paths of several hops and
     disconnected parts; up to three extra nodes have no edge at all; the seed
-    subset may be empty. Returns the graph and the edges drawn for it, each
-    as drawn: the oracles that check ``hops`` read these.
+    subset may be empty. Returns ``(ids, seeds, edges)``, each as drawn: the
+    edges unnormalised and possibly repeated.
     """
     n_linked, n_isolated = draw(st.integers(0, max_linked)), draw(st.integers(0, 3))
     ids = draw(st.lists(st.integers(0, 999), min_size=n_linked + n_isolated,
@@ -162,14 +163,24 @@ def seeded_query_graphs(draw, max_linked=12):
     if pairs:
         n_edges = draw(st.integers(0, 2 * n_linked))
         edges = draw(st.lists(st.sampled_from(pairs), min_size=n_edges, max_size=n_edges))
-    seeds = draw(st.sets(st.sampled_from(ids))) if ids else set()
-    qg = QueryGraph.from_parts(
-        instance_id="q",
-        seeds={s: SeedOrigin(from_tags=True) for s in seeds},
-        intermediates=frozenset(ids) - seeds,
-        edges=edges,
+    seeds = {
+        s: SeedOrigin(from_tags=draw(st.booleans()), from_image=draw(st.booleans()))
+        for s in sorted(draw(st.sets(st.sampled_from(ids))) if ids else ())
+    }
+    return ids, seeds, edges
+
+
+def seeded_query_graphs(max_linked=12):
+    """``query_graph_parts`` built into a query graph. Returns the graph and
+    the edges drawn for it: the oracles that check ``hops`` read these."""
+    return query_graph_parts(max_linked).map(
+        lambda parts: (query_graph_from_parts(*parts), parts[2])
     )
-    return qg, edges
+
+
+def query_graph_from_parts(ids, seeds, edges) -> QueryGraph:
+    """The query graph "q" over ``ids``: ``seeds`` and, as intermediates, the rest."""
+    return QueryGraph.from_parts("q", seeds, frozenset(ids) - seeds.keys(), edges)
 
 
 def neighbor_tuples(nodes, edges) -> dict[int, tuple[int, ...]]:

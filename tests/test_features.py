@@ -27,7 +27,7 @@ from gistrank.features import (
 )
 from gistrank.kg import NodeKind
 from gistrank.linking import Instance, SeedOrigin, SeedSet
-from gistrank.query_graph import QueryGraph, build_query_graph
+from gistrank.query_graph import build_query_graph
 
 from tests.conftest import (
     all_pairs_hops,
@@ -285,14 +285,7 @@ def featured_instances(draw):
     words with the titles and abstracts, and a random subset of the nodes as
     candidates.
     """
-    shape, edges = draw(seeded_query_graphs())
-    seeds = {
-        s: SeedOrigin(from_tags=draw(st.booleans()), from_image=draw(st.booleans()))
-        for s, o in zip(shape.order, shape.origins)
-        if o is not None
-    }
-    qg = QueryGraph.from_parts("q", seeds, shape.intermediates, edges)
-    assert qg.origins == tuple(map(seeds.get, qg.order))
+    qg, edges = draw(seeded_query_graphs())
     words = st.lists(st.sampled_from(_WORDS), max_size=6).map(" ".join)
     specs = []
     for v in qg.order:

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from gistrank.errors import IntegrityError, NotFoundError
 from gistrank.kg import NodeKind
-from gistrank.linking import SeedOrigin, SeedSet
+from gistrank.linking import SeedOrigin, SeedSet, seeds_to_json
 from gistrank.query_graph import MAX_PATH_LENGTH, QueryGraph, bfs_distances, build_query_graph
 
 from tests.conftest import (
@@ -17,8 +17,9 @@ from tests.conftest import (
     dict_bfs,
     kg_adjacency,
     kg_from_parts,
+    query_graph_from_parts,
+    query_graph_parts,
     random_kg,
-    seeded_query_graphs,
 )
 
 
@@ -255,27 +256,41 @@ class TestQueryGraphType:
         assert qg.hops.tolist() == [[0, 2, 1], [2, 0, 1], [1, 1, 0]]
 
     @settings(max_examples=60, deadline=None)
-    @given(seeded_query_graphs())
-    def test_hops_match_all_pairs_bfs(self, drawn):
-        qg, edges = drawn
-        expected = all_pairs_hops(qg.order, edges)
-        assert list(qg.order) == sorted(set(qg.order))
-        assert qg.hops.shape == (len(qg.order),) * 2
+    @given(query_graph_parts())
+    def test_hops_match_all_pairs_bfs(self, parts):
+        ids, seeds, edges = parts
+        qg = query_graph_from_parts(ids, seeds, edges)
+        expected = all_pairs_hops(ids, edges)
+        assert qg.order == tuple(sorted(ids))
+        assert qg.origins == tuple(map(seeds.get, qg.order))
+        assert qg.hops.shape == (len(ids),) * 2
         assert not qg.hops.flags.writeable
         assert qg.hops.tolist() == [[expected.get((a, b), -1) for b in qg.order] for a in qg.order]
 
     @settings(max_examples=60, deadline=None)
-    @given(seeded_query_graphs())
-    def test_json_edges_are_the_drawn_edges(self, drawn):
-        qg, edges = drawn
+    @given(query_graph_parts())
+    def test_json_edges_are_the_drawn_edges(self, parts):
+        ids, seeds, edges = parts
+        qg = query_graph_from_parts(ids, seeds, edges)
         obj = qg.to_json_obj()
         assert obj["edges"] == [list(e) for e in sorted({(min(a, b), max(a, b)) for a, b in edges})]
-        assert obj["intermediates"] == [v for v, o in zip(qg.order, qg.origins) if o is None]
-        assert [s["id"] for s in obj["seeds"]] == [v for v, o in zip(qg.order, qg.origins) if o is not None]
+        assert obj["intermediates"] == sorted(set(ids) - seeds.keys())
+        assert obj["seeds"] == seeds_to_json(seeds)
+
         clone = QueryGraph.from_json_obj(json.loads(json.dumps(obj)))
         assert clone.order == qg.order
         assert clone.origins == qg.origins
         assert clone.hops.tolist() == qg.hops.tolist()
+
+    def test_json_edge_endpoints_are_read_as_ints(self, tiny_kg):
+        # Edge endpoints are read like seed and intermediate ids: int() of
+        # each, so a null endpoint is a malformed record, not a stray one.
+        obj = build_query_graph(tiny_kg, seedset([0, 1])).to_json_obj()
+        assert obj["edges"]
+        respelled = {**obj, "edges": [[str(a), float(b)] for a, b in obj["edges"]]}
+        assert QueryGraph.from_json_obj(respelled).to_json_obj() == obj
+        with pytest.raises(TypeError):
+            QueryGraph.from_json_obj({**obj, "edges": [[None, b] for _, b in obj["edges"]]})
 
     def test_edge_outside_nodes_is_integrity_error(self):
         with pytest.raises(IntegrityError, match="edge"):
