@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from itertools import compress, count, repeat, zip_longest
+from itertools import compress, count, repeat
 from operator import eq, ge, is_not, le, ne, not_, or_
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
@@ -152,12 +152,9 @@ class KnowledgeGraph:
     def positions_of(self, node_ids: Sequence[int]) -> np.ndarray:
         """The positions of ``node_ids``, by binary search in ``ids``; raises
         NotFoundError naming the first of them that is no node's id."""
-        # Clipped into int64 for the search only: each id found must equal the one asked for.
-        at = np.searchsorted(self.ids, [min(max(v, _INT64_MIN), _INT64_MAX) for v in node_ids])
-        held = self.ids[np.minimum(at, self.n_nodes - 1)].tolist() if self.n_nodes else []
-        for node_id, got in zip_longest(node_ids, held):
-            if got != node_id:
-                raise NotFoundError(f"unknown node id {node_id}")
+        at, found = _search(self.ids, node_ids)
+        if not all(found):
+            raise NotFoundError(f"unknown node id {node_ids[found.index(False)]}")
         return at
 
     def node(self, node_id: int) -> ConceptNode:
@@ -177,6 +174,19 @@ class KnowledgeGraph:
         insensitive to case and surrounding/internal whitespace.
         """
         return self.title_index.get(normalize_title(mention))
+
+
+def _search(ids: np.ndarray, node_ids: Sequence[int]) -> tuple[np.ndarray, list[bool]]:
+    """Binary search of ``node_ids`` in the ascending ``ids``: where each
+    one is or would go, and whether it is there."""
+    keys = np.asarray(node_ids)
+    if keys.dtype == np.int64 and len(ids):
+        at = np.searchsorted(ids, keys)
+        return at, (ids[np.minimum(at, len(ids) - 1)] == keys).tolist()
+    # Other ids are clipped into int64 for the search only: a found id must equal the one asked.
+    at = np.searchsorted(ids, [min(max(v, _INT64_MIN), _INT64_MAX) for v in node_ids])
+    held = ids[np.minimum(at, len(ids) - 1)].tolist() if len(ids) else [None] * len(at)
+    return at, list(map(eq, held, node_ids))
 
 
 class _NodeView(Mapping[int, ConceptNode]):
@@ -366,11 +376,11 @@ def _read_nodes(
 
 
 def _read_edges(
-    path: Path, row_of: Mapping[int, int], is_category: Sequence[bool]
+    path: Path, ids: Sequence[int], is_category: Sequence[bool]
 ) -> tuple[np.ndarray, list[bool]]:
     """An edge file's checked edges, as (src, dst) id rows in file order,
-    and which of them are redirects; ``row_of`` maps a node id to its row in
-    ``is_category``."""
+    and which of them are redirects; ``ids`` and ``is_category`` are the
+    node file's columns."""
     rows = _Rows(path, 3)
     raw_src, raw_dst, edge_kinds = rows.columns
     src, dst = _ints(raw_src), _ints(raw_dst)
@@ -383,30 +393,32 @@ def _read_edges(
         map(_EDGE_KINDS.__contains__, edge_kinds[: rows.limit]),
         lambda r: ParseError(f"{rows.where(r)}: unknown edge kind {edge_kinds[r]!r}"),
     )
-    src_rows = list(map(row_of.get, src[: rows.limit]))
-    dst_rows = list(map(row_of.get, dst[: rows.limit]))
-    for ends, end_rows in ((src, src_rows), (dst, dst_rows)):
+    node_ids = np.asarray(ids, dtype=np.int64)
+    order = np.argsort(node_ids)
+    src_at, src_found = _search(node_ids[order], src[: rows.limit])
+    dst_at, dst_found = _search(node_ids[order], dst[: rows.limit])
+    for ends, found in ((src, src_found), (dst, dst_found)):
         rows.check(
-            map(is_not, end_rows, repeat(None)),
+            found,
             lambda r: IntegrityError(f"{rows.where(r)}: edge references unknown node {ends[r]}"),
         )
     rows.check(
-        map(ne, src_rows, dst_rows),
+        map(ne, src, dst),
         lambda r: IntegrityError(f"{rows.where(r)}: self-loop on node {src[r]}"),
     )
     m = rows.limit
     is_redirect = list(map(EdgeKind.REDIRECT.value.__eq__, edge_kinds[:m]))
-    # One integer per (src, dst, kind) triple, from the endpoints' rows.
-    ends = np.array([src_rows[:m], dst_rows[:m]], dtype=np.int64)
-    keys = (ends[0] * len(is_category) + ends[1]) * 2 + np.asarray(is_redirect, dtype=np.int64)
+    # One integer per (src, dst, kind) triple, from the endpoints' positions in the ascending ids.
+    keys = (src_at[:m] * len(ids) + dst_at[:m]) * 2 + np.asarray(is_redirect, dtype=np.int64)
     rows.first_repeat(
         keys.tolist(),
         lambda r, _: IntegrityError(
             f"{rows.where(r)}: duplicate edge {src[r]}->{dst[r]} ({edge_kinds[r]})"
         ),
     )
+    dst_is_category = np.asarray(is_category)[order][dst_at[: rows.limit]].tolist()
     rows.check(
-        map(or_, is_redirect, map(is_category.__getitem__, dst_rows[: rows.limit])),
+        map(or_, is_redirect, dst_is_category),
         lambda r: IntegrityError(
             f"{rows.where(r)}: category link {src[r]}->{dst[r]} must point at a category"
         ),
@@ -425,7 +437,7 @@ def load_graph(nodes_path: str | Path, edges_path: str | Path) -> KnowledgeGraph
     reference unknown nodes.
     """
     ids, is_category, titles, abstracts, redirect_titles = _read_nodes(Path(nodes_path))
-    edges, is_redirect = _read_edges(Path(edges_path), dict(zip(ids, range(len(ids)))), is_category)
+    edges, is_redirect = _read_edges(Path(edges_path), ids, is_category)
     return KnowledgeGraph.from_columns(
         ids, is_category, titles, abstracts, redirect_titles, edges, is_redirect
     )

@@ -127,6 +127,23 @@ class RankModel:
                 f"model has {len(self.weights)} weights for {len(self.feature_names)} features"
             )
 
+    def to_json_obj(self) -> dict:
+        return {
+            "feature_names": list(self.feature_names),
+            "weights": list(self.weights),
+            "training_map": self.training_map,
+            "config": dict(self.config),
+        }
+
+    @classmethod
+    def from_json_obj(cls, obj: dict) -> "RankModel":
+        return cls(
+            weights=tuple(float(w) for w in obj["weights"]),
+            feature_names=tuple(obj["feature_names"]),
+            training_map=float(obj["training_map"]),
+            config=obj.get("config", {}),
+        )
+
 
 def rank(model: RankModel, doc_ids: Sequence[str], matrix: np.ndarray, query_id: str = "") -> Ranking:
     """Score the rows of ``matrix``, one per doc id, and sort them best-first
@@ -615,22 +632,8 @@ def train_coordinate_ascent(
 
 
 def save_model(model: RankModel, path: str | Path) -> None:
-    payload = {
-        "feature_names": list(model.feature_names),
-        "weights": list(model.weights),
-        "training_map": model.training_map,
-        "config": dict(model.config),
-    }
-    write_atomic(path, json_text(payload))
+    write_atomic(path, json_text(model.to_json_obj()))
 
 
 def load_model(path: str | Path) -> RankModel:
-    return read_json(
-        path,
-        lambda payload: RankModel(
-            weights=tuple(float(w) for w in payload["weights"]),
-            feature_names=tuple(payload["feature_names"]),
-            training_map=float(payload["training_map"]),
-            config=payload.get("config", {}),
-        ),
-    )
+    return read_json(path, RankModel.from_json_obj)

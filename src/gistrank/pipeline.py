@@ -46,13 +46,12 @@ from .features import (
 )
 from .kg import KnowledgeGraph, load_graph
 from .linking import Instance, LinkMode, SeedSet, corpus_link_stats, link_instance, read_corpus
-from .ltr import AscentStats, Ranking, load_model, rank, save_model, train_coordinate_ascent
+from .ltr import AscentStats, RankModel, Ranking, load_model, rank, save_model, train_coordinate_ascent
 from .query_graph import QueryGraph, build_query_graph
 from .snapshot import kg_snapshot_key, load_kg_snapshot, save_kg_snapshot
 from .topics import (
     InstanceVector,
     Lexicon,
-    TopicModel,
     build_lexicon,
     load_lexicon,
     rank_images,
@@ -88,7 +87,7 @@ STAGE_OUTPUTS = {
     "train1": ("split.json", "model1.json"),
     "rank1": ("rankings1.jsonl",),
     "lexicon": ("lexicon.json",),
-    "train2": ("vectors_train.jsonl", "topic_models/index.json"),
+    "train2": ("vectors_train.jsonl", "topic_models.json"),
     "rank2": ("vectors_test.jsonl", "rankings2.json"),
     "evaluate": ("report.json", "report.txt"),
 }
@@ -102,7 +101,7 @@ STAGE_INPUTS = {
     "rank1": ("features.tsv", "model1.json"),
     "lexicon": ("rankings1.jsonl", "split.json"),
     "train2": ("rankings1.jsonl", "lexicon.json", "split.json"),
-    "rank2": ("rankings1.jsonl", "lexicon.json", "split.json", "topic_models/index.json"),
+    "rank2": ("rankings1.jsonl", "lexicon.json", "split.json", "topic_models.json"),
     "evaluate": ("rankings2.json", "lexicon.json"),
 }
 
@@ -510,17 +509,6 @@ def _vectors_for(
     return vectors
 
 
-def _topic_file(topic: str, used: set[str]) -> str:
-    safe = "".join(c if c.isalnum() or c in "-_" else "_" for c in topic) or "topic"
-    name = f"{safe}.json"
-    suffix = 1
-    while name in used:  # distinct topics may sanitize identically
-        name = f"{safe}_{suffix}.json"
-        suffix += 1
-    used.add(name)
-    return name
-
-
 def _stage_train2(ctx: PipelineContext) -> None:
     config = ctx.config
     mode_dir = _mode_dir(config)
@@ -541,22 +529,13 @@ def _stage_train2(ctx: PipelineContext) -> None:
     topics = sorted({t for topic_set in gold.values() for t in topic_set})
     stats = AscentStats()
     models = train_topic_models(vectors, gold, topics, lexicon, config.train2, stats)
-    training_maps = [m.model.training_map for m in models]
+    training_maps = [m.training_map for m in models.values()]
     logger.info(
         "stage train2: training MAP %.4f to %.4f over %d topics",
         min(training_maps, default=0.0), max(training_maps, default=0.0), len(models),
     )
     _log_ascent("train2", stats)
-
-    models_dir = mode_dir / "topic_models"
-    models_dir.mkdir(parents=True, exist_ok=True)
-    index = {"topics": topics, "files": {}}
-    used_names: set[str] = set()
-    for topic_model in models:
-        filename = _topic_file(topic_model.topic, used_names)
-        save_model(topic_model.model, models_dir / filename)
-        index["files"][topic_model.topic] = filename
-    _write_json(models_dir / "index.json", index)
+    _write_json(mode_dir / "topic_models.json", {t: m.to_json_obj() for t, m in models.items()})
 
 
 def _stage_rank2(ctx: PipelineContext) -> None:
@@ -566,29 +545,15 @@ def _stage_rank2(ctx: PipelineContext) -> None:
     lexicon = load_lexicon(mode_dir / "lexicon.json")
     _, test_ids = _load_split(mode_dir)
 
-    index = mode_dir / "topic_models" / "index.json"
-    files = read_json(
-        index, lambda obj: {str(topic): str(obj["files"][topic]) for topic in obj["topics"]}
+    path = mode_dir / "topic_models.json"
+    models = read_json(
+        path, lambda obj: {topic: RankModel.from_json_obj(m) for topic, m in obj.items()}
     )
-    models = []
-    for topic, filename in files.items():
-        if filename in ("", ".", "..") or {"/", "\\", "\0"} & set(filename):
-            raise IntegrityError(
-                f"{index}: topic {topic!r} names {filename!r}, which is not a plain file name; "
-                "retrain with stage 'train2'"
-            )
-        path = index.parent / filename
-        if not path.is_file():
-            raise IntegrityError(
-                f"{index}: topic {topic!r} names {filename!r}, which does not exist; "
-                "retrain with stage 'train2'"
-            )
-        models.append(TopicModel(topic=topic, model=load_model(path)))
     expected_names = lexicon.feature_names()
-    for topic_model in models:
-        if topic_model.model.feature_names != expected_names:
+    for topic, model in models.items():
+        if model.feature_names != expected_names:
             raise IntegrityError(
-                f"topic model {topic_model.topic!r} does not match the lexicon; "
+                f"{path}: topic model {topic!r} does not match the lexicon; "
                 "retrain with stage 'train2'"
             )
     vectors = _vectors_for(test_ids, rankings, lexicon)

@@ -80,12 +80,6 @@ def stack_vectors(vectors: Sequence[InstanceVector], size: int) -> np.ndarray:
     return matrix
 
 
-@dataclass(frozen=True)
-class TopicModel:
-    topic: str
-    model: RankModel
-
-
 def build_lexicon(stage1_rankings: Mapping[str, Ranking], top_k: int = 10) -> Lexicon:
     """Union of the top-k ranked concepts across instances.
 
@@ -124,8 +118,9 @@ def train_topic_models(
     lexicon: Lexicon,
     config: CoordinateAscentConfig = CoordinateAscentConfig(relevance_threshold=1),
     stats: AscentStats | None = None,
-) -> list[TopicModel]:
-    """Train one ranking model per topic over the lexicon dimensions.
+) -> dict[str, RankModel]:
+    """Train one ranking model per topic over the lexicon dimensions, by
+    topic in the order of ``topics``.
 
     For each topic the topic is the query and the instances are the
     documents, graded 1 when the topic is in the instance's gold set and 0
@@ -145,11 +140,11 @@ def train_topic_models(
         # Every topic ranks the one matrix object, so the trainer holds it once.
         problems.append([(matrix, grades)])
     models = train_coordinate_ascent(problems, lexicon.feature_names(), config, stats)
-    return [TopicModel(topic=topic, model=model) for topic, model in zip(topics, models)]
+    return dict(zip(topics, models))
 
 
 def rank_images(
-    models: Sequence[TopicModel], vectors: Sequence[InstanceVector]
+    models: Mapping[str, RankModel], vectors: Sequence[InstanceVector]
 ) -> dict[str, Ranking]:
     """Rank every instance under each topic model (ties by ascending id).
 
@@ -159,9 +154,9 @@ def rank_images(
     """
     if not models:
         return {}
-    matrix = stack_vectors(vectors, len(models[0].model.weights))
+    matrix = stack_vectors(vectors, len(next(iter(models.values())).weights))
     ids = [v.instance_id for v in vectors]
-    return {m.topic: rank(m.model, ids, matrix, query_id=m.topic) for m in models}
+    return {topic: rank(model, ids, matrix, query_id=topic) for topic, model in models.items()}
 
 
 def save_lexicon(lexicon: Lexicon, path: str | Path) -> None:

@@ -32,7 +32,7 @@ from gistrank.ltr import (
 )
 from gistrank.pipeline import _read_rankings_jsonl, run_all
 from gistrank.query_graph import build_query_graph
-from gistrank.topics import TopicModel, load_lexicon, rank_images
+from gistrank.topics import load_lexicon, rank_images
 
 from tests.conftest import query_graph_from_edges, random_edges, random_kg
 from tests.test_clustering import all_partitions, modularity_oracle, wgraph
@@ -231,16 +231,11 @@ def test_criterion_8_random_model_sanity(pipeline_run):
         maps = []
         for seed in range(20):
             rng = np.random.default_rng(seed)
-            models = []
+            models = {}
             for topic in topics:
                 weights = rng.standard_normal(len(names))
                 weights /= np.abs(weights).sum()
-                models.append(
-                    TopicModel(
-                        topic=topic,
-                        model=RankModel(tuple(float(w) for w in weights), names, 0.0),
-                    )
-                )
+                models[topic] = RankModel(tuple(float(w) for w in weights), names, 0.0)
             report = evaluate(rank_images(models, vectors), gold, k=50)
             maps.append(report.overall_map)
         mean_map = float(np.mean(maps))

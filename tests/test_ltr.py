@@ -525,10 +525,10 @@ class TestBatchedTrainerMatchesLoop:
         lexicon = Lexicon(entries={d: d for d in range(n_dims)}, top_k=10)
         config = CoordinateAscentConfig(restarts=2, step_levels=3, seed=seed % 50, relevance_threshold=1)
         models = train_topic_models(vectors, gold, topics, lexicon, config)
-        assert [m.topic for m in models] == topics
-        for topic_model in models:
-            examples = topic_examples(vectors, gold, topic_model.topic, n_dims)
-            assert topic_model.model == loop_train_coordinate_ascent(
+        assert list(models) == topics
+        for topic, model in models.items():
+            examples = topic_examples(vectors, gold, topic, n_dims)
+            assert model == loop_train_coordinate_ascent(
                 examples, lexicon.feature_names(), config
             )
 
@@ -558,9 +558,8 @@ class TestBatchedTrainerMatchesLoop:
         lexicon = Lexicon(entries={d: d for d in range(12)}, top_k=10)
         config = CoordinateAscentConfig(restarts=3, relevance_threshold=1)
         models = train_topic_models(vectors, gold, topics, lexicon, config)
-        for topic_model in models:
-            (alone,) = train_topic_models(vectors, gold, [topic_model.topic], lexicon, config)
-            assert topic_model == alone
+        for topic, model in models.items():
+            assert train_topic_models(vectors, gold, [topic], lexicon, config) == {topic: model}
 
     def test_moved_document_ties_an_unmoved_one(self):
         # Uniform start weights 0.2; the step -0.2 on a dimension sends each
@@ -620,7 +619,7 @@ class TestBatchedTrainerMatchesLoop:
 
     def test_no_example_sets_no_models(self):
         assert train_coordinate_ascent([], ["f0"], CoordinateAscentConfig(restarts=0)) == []
-        assert train_topic_models([], {}, [], Lexicon(entries={0: 0}, top_k=10)) == []
+        assert train_topic_models([], {}, [], Lexicon(entries={0: 0}, top_k=10)) == {}
 
 
 def probed_restarts(monkeypatch, config, n_dims):

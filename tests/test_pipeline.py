@@ -230,7 +230,7 @@ class TestStages:
             "model1.json",
             "rankings1.jsonl",
             "lexicon.json",
-            "topic_models/index.json",
+            "topic_models.json",
             "rankings2.json",
             "report.json",
             "report.txt",
@@ -273,6 +273,10 @@ class TestStages:
             assert manifest["outputs"] == list(STAGE_OUTPUTS[stage])
             for name in manifest["outputs"]:
                 assert (mode_dir / name).is_file(), name
+        # Nothing else: every file a stage writes is declared.
+        written = {p.relative_to(mode_dir).as_posix() for p in mode_dir.rglob("*") if p.is_file()}
+        declared = {name for outputs in STAGE_OUTPUTS.values() for name in outputs}
+        assert written == declared | set(manifests)
 
     def test_link_report_written(self, fixture_dir, tmp_path):
         config = load_config(fixture_dir / "pipeline.config", {"out": str(tmp_path / "o")})
@@ -307,14 +311,6 @@ class TestStages:
         first = json.loads(seeds_lines[0])
         assert first["instance_id"] == "inst000"
         assert all(not s["from_image"] for s in first["seeds"])
-
-    def test_topic_filenames_disambiguated(self):
-        from gistrank.pipeline import _topic_file
-
-        used: set[str] = set()
-        assert _topic_file("sea/sky", used) == "sea_sky.json"
-        assert _topic_file("sea sky", used) == "sea_sky_1.json"
-        assert _topic_file("", used) == "topic.json"
 
     def test_malformed_label_override_is_parse_error(self, fixture_dir, tmp_path):
         from gistrank.errors import ParseError
@@ -677,15 +673,16 @@ class TestCli:
             ("rankings1.jsonl", 8, "rank2", lambda data: _prefix_first_doc_ids(data, "x")),
             ("split.json", 6, "lexicon", lambda data: data[:-40]),
             ("lexicon.json", 7, "train2", lambda data: data[:-40]),
-            ("topic_models/index.json", 8, "rank2", lambda data: data[:-40]),
-            ("topic_models/index.json", 8, "rank2", lambda data: data.replace(b'"files"', b'"file"')),
-            (None, 8, "rank2", lambda data: data.replace(b'"weights"', b'"weight"')),
+            ("topic_models.json", 8, "rank2", lambda data: data[:-40]),
+            # The first topic's entry loses its weights, or one feature name.
+            ("topic_models.json", 8, "rank2", lambda data: data.replace(b'"weights"', b'"weight"', 1)),
+            ("topic_models.json", 8, "rank2", lambda data: data.replace(b'"concept:', b'"concept:x', 1)),
             ("rankings2.json", 9, "evaluate", lambda data: data[:-40]),
         ],
         ids=["feature-node-id", "model1-no-weights", "truncated-rankings1",
              "rankings1-doc-id-for-lexicon", "rankings1-doc-id-for-rank2", "truncated-split",
-             "truncated-lexicon", "truncated-topic-index", "topic-index-no-files",
-             "topic-model-no-weights", "truncated-rankings2"],
+             "truncated-lexicon", "truncated-topic-models", "topic-model-no-weights",
+             "topic-model-not-the-lexicon", "truncated-rankings2"],
     )
     def test_malformed_training_artifact_exit_code(
         self, tmp_path, capsys, artifact, upstream, stage, corrupt
@@ -696,12 +693,7 @@ class TestCli:
         stages = ["link", "graph", "cluster", "features", "train1", "rank1", "lexicon", "train2", "rank2"]
         for name in stages[:upstream]:
             assert main([name, "--config", config]) == 0
-        mode_dir = out / "out" / "TII"
-        if artifact is None:  # the first topic model
-            index = json.loads((mode_dir / "topic_models" / "index.json").read_text())
-            path = mode_dir / "topic_models" / index["files"][index["topics"][0]]
-        else:
-            path = mode_dir / artifact
+        path = out / "out" / "TII" / artifact
         data = path.read_bytes()
         assert corrupt(data) != data
         path.write_bytes(corrupt(data))
@@ -725,26 +717,6 @@ class TestCli:
         err = capsys.readouterr().err
         assert "error:" in err and "corpus.jsonl" in err and "split.json" in err
         assert repr(dropped) in err
-
-    @pytest.mark.parametrize("entry", ["missing", "path"])
-    def test_rank2_with_bad_topic_model_entry_exit_code(self, tmp_path, capsys, entry):
-        out = tmp_path / "fx"
-        main(["gen-fixture", "--seed", "9", "--instances", "9", "--topics", "3", "--out", str(out)])
-        config = str(out / "pipeline.config")
-        for name in STAGE_ORDER[:8]:
-            assert main([name, "--config", config]) == 0
-        index_path = out / "out" / "TII" / "topic_models" / "index.json"
-        index = json.loads(index_path.read_text())
-        topic = index["topics"][0]
-        if entry == "missing":
-            (index_path.parent / index["files"][topic]).unlink()
-        else:  # a path to a valid model, but not a plain file name
-            index["files"][topic] = f"../../TII/topic_models/{index['files'][topic]}"
-            index_path.write_text(json.dumps(index))
-        capsys.readouterr()
-        assert main(["rank2", "--config", config]) == 2
-        err = capsys.readouterr().err
-        assert "error:" in err and "index.json" in err and "'train2'" in err
 
     def test_non_finite_feature_cell_exit_code(self, tmp_path, capsys):
         out = tmp_path / "fx"

@@ -111,8 +111,8 @@ class TestTrainTopicModels:
         positives = {"i00", "i01", "i02"}
         vectors = make_vectors(rng, 8, 4, 2, positives)
         gold = {v.instance_id: ({"sky"} if v.instance_id in positives else set()) for v in vectors}
-        (model,) = train_topic_models(vectors, gold, ["sky"], self.lexicon(4))
-        assert model.model.training_map == 1.0
+        models = train_topic_models(vectors, gold, ["sky"], self.lexicon(4))
+        assert models["sky"].training_map == 1.0
 
     def test_topics_rank_one_matrix_in_instance_id_order(self, monkeypatch):
         import gistrank.topics as topics_mod
@@ -145,7 +145,7 @@ class TestTrainTopicModels:
             for v in vectors
         }
         models = train_topic_models(vectors, gold, ["a", "b"], self.lexicon(3))
-        assert models[0].model.weights == models[1].model.weights
+        assert models["a"].weights == models["b"].weights
         rankings = rank_images(models, vectors)
         assert rankings["a"].doc_ids == rankings["b"].doc_ids
 
@@ -183,13 +183,11 @@ class TestTrainTopicModels:
 
 
 class TestRankImages:
-    def single_dim_model(self, topic, dim, dims):
+    def single_dim_models(self, topic, dim, dims):
         weights = [0.0] * dims
         weights[dim] = 1.0
         names = tuple(f"concept:{d}" for d in range(dims))
-        from gistrank.topics import TopicModel
-
-        return TopicModel(topic=topic, model=RankModel(tuple(weights), names, 1.0))
+        return {topic: RankModel(tuple(weights), names, 1.0)}
 
     def test_orders_by_selected_dimension(self):
         vectors = [
@@ -197,12 +195,12 @@ class TestRankImages:
             InstanceVector("b", {0: 0.9}),
             InstanceVector("c", {0: 0.5}),
         ]
-        rankings = rank_images([self.single_dim_model("t", 0, 2)], vectors)
+        rankings = rank_images(self.single_dim_models("t", 0, 2), vectors)
         assert rankings["t"].doc_ids == ("b", "c", "a")
 
     def test_all_zero_vectors_tie_break_by_id(self):
         vectors = [InstanceVector(i, {}) for i in ("c", "a", "b")]
-        rankings = rank_images([self.single_dim_model("t", 0, 1)], vectors)
+        rankings = rank_images(self.single_dim_models("t", 0, 1), vectors)
         assert rankings["t"].doc_ids == ("a", "b", "c")
 
     def test_matches_brute_force_dot_product(self):
@@ -214,10 +212,8 @@ class TestRankImages:
         ]
         weights = rng.normal(size=dims)
         names = tuple(f"concept:{d}" for d in range(dims))
-        from gistrank.topics import TopicModel
-
-        model = TopicModel("t", RankModel(tuple(float(w) for w in weights), names, 0.0))
-        rankings = rank_images([model], vectors)
+        model = RankModel(tuple(float(w) for w in weights), names, 0.0)
+        rankings = rank_images({"t": model}, vectors)
         expected = sorted(
             vectors,
             key=lambda v: (-float(np.dot(weights, stack_vectors([v], dims)[0])), v.instance_id),
@@ -226,7 +222,7 @@ class TestRankImages:
 
     def test_every_instance_ranked_once(self):
         vectors = [InstanceVector(f"i{i}", {0: float(i)}) for i in range(5)]
-        rankings = rank_images([self.single_dim_model("t", 0, 1)], vectors)
+        rankings = rank_images(self.single_dim_models("t", 0, 1), vectors)
         assert sorted(rankings["t"].doc_ids) == [f"i{i}" for i in range(5)]
 
 
