@@ -97,39 +97,36 @@ class KnowledgeGraph:
         titles: Sequence[str],
         abstracts: Sequence[str],
         redirect_titles: Mapping[int, frozenset[str]],
-        edges: np.ndarray | Sequence[tuple[int, int]],
+        ends: np.ndarray | Sequence[tuple[int, int]],
         edge_is_redirect: Sequence[bool],
     ) -> "KnowledgeGraph":
-        """Index checked node columns (in any id order) and edges between them.
+        """Index checked node columns, in ascending id order, and the edges
+        between them, as (src, dst) rows of node positions.
 
         Raises IntegrityError on a node with two redirect targets or a
         redirect cycle.
         """
         node_ids = np.asarray(ids, dtype=np.int64)
-        order = np.argsort(node_ids, kind="stable")
-        picks = order.tolist()
-        node_ids = node_ids[order]
-        ends = np.ascontiguousarray(edges, dtype=np.int64).reshape(-1, 2)
+        ends = np.asarray(ends, dtype=np.int64).reshape(-1, 2)
         redirect = np.asarray(edge_is_redirect, dtype=bool)
         n = len(node_ids)
-        a, b = np.searchsorted(node_ids, ends[~redirect].T)
+        a, b = ends[~redirect].T
         pairs = np.sort(np.concatenate([a * n + b, b * n + a]))
         pairs = pairs[np.diff(pairs, prepend=-1) != 0]  # a link listed both ways counts once
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(pairs // n, minlength=n), out=indptr[1:])
-        id_list = node_ids.tolist()
-        sorted_titles = [titles[i] for i in picks]
+        edges = node_ids[ends]
         return cls(
             ids=node_ids,
-            is_category=np.asarray(is_category, dtype=bool)[order],
-            titles=sorted_titles,
-            abstracts=[abstracts[i] for i in picks],
+            is_category=np.asarray(is_category, dtype=bool),
+            titles=list(titles),
+            abstracts=list(abstracts),
             redirect_titles=dict(redirect_titles),
             indptr=indptr,
             indices=pairs % n,
-            edges=ends,
+            edges=edges,
             edge_is_redirect=redirect,
-            title_index=_title_index(id_list, sorted_titles, redirect_titles, ends[redirect].tolist()),
+            title_index=_title_index(node_ids.tolist(), titles, redirect_titles, edges[redirect].tolist()),
         )
 
     def __post_init__(self) -> None:
@@ -321,10 +318,10 @@ def _int_or_none(text: str) -> int | None:
 
 def _read_nodes(
     path: Path,
-) -> tuple[list[int], list[bool], list[str], list[str], dict[int, frozenset[str]]]:
-    """A node file's checked columns in file order: ids, category flags,
-    normalized titles, abstracts, and the redirect titles of the nodes that
-    carry any."""
+) -> tuple[np.ndarray, np.ndarray, list[str], list[str], dict[int, frozenset[str]]]:
+    """A node file's checked columns in ascending id order: ids, category
+    flags, normalized titles and abstracts; and the redirect titles of the
+    nodes that carry any, in file order."""
     rows = _Rows(path, 5)
     raw_ids, kinds, raw_titles, raw_redirects, abstracts = rows.columns
     parsed = _ints(raw_ids)
@@ -372,15 +369,24 @@ def _read_nodes(
         ),
     )
     rows.raise_first()
-    return ids, is_category, titles, abstracts, redirect_titles
+    node_ids = np.asarray(ids, dtype=np.int64)
+    order = np.argsort(node_ids, kind="stable")
+    picks = order.tolist()
+    return (
+        node_ids[order],
+        np.asarray(is_category, dtype=bool)[order],
+        [titles[i] for i in picks],
+        [abstracts[i] for i in picks],
+        redirect_titles,
+    )
 
 
 def _read_edges(
-    path: Path, ids: Sequence[int], is_category: Sequence[bool]
+    path: Path, ids: np.ndarray, is_category: np.ndarray
 ) -> tuple[np.ndarray, list[bool]]:
-    """An edge file's checked edges, as (src, dst) id rows in file order,
-    and which of them are redirects; ``ids`` and ``is_category`` are the
-    node file's columns."""
+    """An edge file's checked edges, as (src, dst) rows of node positions in
+    file order, and which of them are redirects; ``ids`` and ``is_category``
+    are the node columns in ascending id order."""
     rows = _Rows(path, 3)
     raw_src, raw_dst, edge_kinds = rows.columns
     src, dst = _ints(raw_src), _ints(raw_dst)
@@ -393,10 +399,8 @@ def _read_edges(
         map(_EDGE_KINDS.__contains__, edge_kinds[: rows.limit]),
         lambda r: ParseError(f"{rows.where(r)}: unknown edge kind {edge_kinds[r]!r}"),
     )
-    node_ids = np.asarray(ids, dtype=np.int64)
-    order = np.argsort(node_ids)
-    src_at, src_found = _search(node_ids[order], src[: rows.limit])
-    dst_at, dst_found = _search(node_ids[order], dst[: rows.limit])
+    src_at, src_found = _search(ids, src[: rows.limit])
+    dst_at, dst_found = _search(ids, dst[: rows.limit])
     for ends, found in ((src, src_found), (dst, dst_found)):
         rows.check(
             found,
@@ -416,7 +420,7 @@ def _read_edges(
             f"{rows.where(r)}: duplicate edge {src[r]}->{dst[r]} ({edge_kinds[r]})"
         ),
     )
-    dst_is_category = np.asarray(is_category)[order][dst_at[: rows.limit]].tolist()
+    dst_is_category = is_category[dst_at[: rows.limit]].tolist()
     rows.check(
         map(or_, is_redirect, dst_is_category),
         lambda r: IntegrityError(
@@ -424,7 +428,7 @@ def _read_edges(
         ),
     )
     rows.raise_first()
-    return np.array([src, dst], dtype=np.int64).T, is_redirect
+    return np.stack([src_at, dst_at], axis=1), is_redirect
 
 
 def load_graph(nodes_path: str | Path, edges_path: str | Path) -> KnowledgeGraph:
@@ -437,7 +441,7 @@ def load_graph(nodes_path: str | Path, edges_path: str | Path) -> KnowledgeGraph
     reference unknown nodes.
     """
     ids, is_category, titles, abstracts, redirect_titles = _read_nodes(Path(nodes_path))
-    edges, is_redirect = _read_edges(Path(edges_path), ids, is_category)
+    ends, is_redirect = _read_edges(Path(edges_path), ids, is_category)
     return KnowledgeGraph.from_columns(
-        ids, is_category, titles, abstracts, redirect_titles, edges, is_redirect
+        ids, is_category, titles, abstracts, redirect_titles, ends, is_redirect
     )

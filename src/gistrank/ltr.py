@@ -27,12 +27,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, asdict
-from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import IntegrityError, TrainingError, json_text, read_json, write_atomic
+from .errors import IntegrityError, TrainingError
 
 
 def average_precision(ranked_relevance: Sequence[bool]) -> float:
@@ -630,10 +629,3 @@ def train_coordinate_ascent(
         )
     return models
 
-
-def save_model(model: RankModel, path: str | Path) -> None:
-    write_atomic(path, json_text(model.to_json_obj()))
-
-
-def load_model(path: str | Path) -> RankModel:
-    return read_json(path, RankModel.from_json_obj)

@@ -6,17 +6,21 @@ stage 1 depends on the mode: tags-only seeds (T), tag and image seeds (TI),
 or seeds plus intermediate categories (TII). The query graph itself is
 always built so connectivity features see the expanded context.
 
-Stage outputs carry no timestamps, so re-running with the same config and
-seeds reproduces every file byte for byte.
+Each stage is a transform: it takes its parsed inputs and returns its
+outputs as objects, and opens no file. ``ARTIFACTS`` holds each artifact's
+reader and writer, and ``_step`` does every stage's file work around its
+transform. Stage outputs carry no timestamps, so re-running with the same
+config and seeds reproduces every file byte for byte.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import logging
 from pathlib import Path
-from typing import Callable, Iterable, TypeVar
+from typing import Any, Callable, Iterable, NamedTuple, TypeVar
 
 import numpy as np
 
@@ -46,20 +50,10 @@ from .features import (
 )
 from .kg import KnowledgeGraph, load_graph
 from .linking import Instance, LinkMode, SeedSet, corpus_link_stats, link_instance, read_corpus
-from .ltr import AscentStats, RankModel, Ranking, load_model, rank, save_model, train_coordinate_ascent
+from .ltr import AscentStats, RankModel, Ranking, rank, train_coordinate_ascent
 from .query_graph import QueryGraph, build_query_graph
 from .snapshot import kg_snapshot_key, load_kg_snapshot, save_kg_snapshot
-from .topics import (
-    InstanceVector,
-    Lexicon,
-    build_lexicon,
-    load_lexicon,
-    rank_images,
-    save_lexicon,
-    train_topic_models,
-    vectorize,
-    write_instance_vectors,
-)
+from .topics import InstanceVector, Lexicon, build_lexicon, rank_images, train_topic_models, vectorize
 
 logger = logging.getLogger(__name__)
 
@@ -150,25 +144,23 @@ def _load_kg(config: PipelineConfig) -> tuple[KnowledgeGraph, IdfTable]:
 
 
 class _Shared:
-    """What the contexts of one run share: the loaded inputs and a stage-result store."""
+    """What the contexts of one run share: the loaded inputs and the artifact store."""
 
     def __init__(self) -> None:
         self.kg: tuple[KnowledgeGraph, IdfTable] | None = None
         self.corpus: list[Instance] | None = None
-        self.results: dict[tuple, object] = {}
+        self.store: dict[tuple[str, object], object] = {}
 
 
 class PipelineContext:
     """One mode's view of a run: its config, the loaded graph, corpus and IDF
-    table, and a store of stage results keyed by stage and link mode.
+    table, and the store of the artifacts this run has made.
 
     The graph, corpus and IDF table load once, on first use. ``for_mode``
     makes the context of another mode that shares them, and the store, with
-    this one; ``run_all`` runs its three modes so, and TI then reuses the
-    link, graph, cluster and feature work of TII, which links the same way.
-    ``run_stage`` makes a fresh context per call, so a single-mode stage
-    computes everything itself and loads the graph from the snapshot an
-    earlier stage wrote.
+    this one; ``run_all`` runs its three modes so. ``run_stage`` makes a
+    fresh context per call, so a single-mode stage reads its inputs from
+    disk and loads the graph from the snapshot an earlier stage wrote.
     """
 
     def __init__(self, config: PipelineConfig, shared: _Shared | None = None):
@@ -209,14 +201,12 @@ class PipelineContext:
     def corpus_by_id(self) -> dict[str, Instance]:
         return {inst.instance_id: inst for inst in self.corpus}
 
-    def reuse(self, stage: str, compute: Callable[[], T]) -> T:
-        """``stage``'s stored result for this context's link mode, computed
-        and stored on first use."""
-        key = (stage, _link_mode(self.config))
-        results = self.shared.results
-        if key not in results:
-            results[key] = compute()
-        return results[key]
+    def key(self, name: str) -> tuple[str, object]:
+        """The store key of ``name`` in this context: its link mode for what
+        depends only on the link mode, else its mode."""
+        if name in _BY_LINK_MODE:
+            return name, _link_mode(self.config)
+        return name, self.config.mode
 
 
 def _parse_label_override(obj: dict) -> tuple[str, tuple[str, ...]]:
@@ -253,32 +243,31 @@ def _write_manifest(config: PipelineConfig, stage: str) -> None:
     _write_json(_mode_dir(config) / f"{stage}.manifest.json", manifest)
 
 
-def _check_inputs(config: PipelineConfig, stage: str) -> None:
-    """Check that each input exists and, when seed-dependent, was made with this run's seeds.
+_PRODUCER = {name: stage for stage, outputs in STAGE_OUTPUTS.items() for name in outputs}
 
-    The seeds an input was made with are read from its producer's manifest.
-    """
+
+def _check_input(config: PipelineConfig, stage: str, name: str) -> None:
+    """Check that input ``name`` of ``stage`` and its producer's manifest
+    exist and, when the producer's outputs are seed-dependent, that the
+    manifest records this run's seeds."""
     mode_dir = _mode_dir(config)
-    seeds = _seeds(config)
-    for artifact in STAGE_INPUTS[stage]:
-        producer = next(s for s, outputs in STAGE_OUTPUTS.items() if artifact in outputs)
-        keys = STAGE_SEEDS.get(producer, ())
-        manifest = mode_dir / f"{producer}.manifest.json"
-        for path in [mode_dir / artifact, manifest] if keys else [mode_dir / artifact]:
-            if not path.is_file():
-                raise StageDependencyError(
-                    f"stage {stage!r} needs {path} which does not exist; "
-                    f"run stage {producer!r} first"
-                )
-        if not keys:
-            continue
-        made_with = read_json(manifest, lambda obj: {k: int(obj["seeds"][k]) for k in keys})
-        expected = {k: seeds[k] for k in keys}
-        if made_with != expected:
+    producer = _PRODUCER[name]
+    manifest = mode_dir / f"{producer}.manifest.json"
+    for path in (mode_dir / name, manifest):
+        if not path.is_file():
             raise StageDependencyError(
-                f"stage {stage!r} needs {mode_dir / artifact} made with seeds {expected}, "
-                f"but stage {producer!r} made it with {made_with}; re-run stage {producer!r}"
+                f"stage {stage!r} needs {path} which does not exist; run stage {producer!r} first"
             )
+    keys = STAGE_SEEDS.get(producer, ())
+    if not keys:
+        return
+    made_with = read_json(manifest, lambda obj: {k: int(obj["seeds"][k]) for k in keys})
+    expected = {k: _seeds(config)[k] for k in keys}
+    if made_with != expected:
+        raise StageDependencyError(
+            f"stage {stage!r} needs {mode_dir / name} made with seeds {expected}, "
+            f"but stage {producer!r} made it with {made_with}; re-run stage {producer!r}"
+        )
 
 
 def _link_mode(config: PipelineConfig) -> LinkMode:
@@ -313,10 +302,6 @@ def _by_instance_id(parse: Callable[[dict], T]) -> Callable[[dict], tuple[str, T
     return lambda obj: (obj["instance_id"], parse(obj))
 
 
-def _read_query_graphs(path: Path) -> list[QueryGraph]:
-    return list(_read_jsonl(path, _by_instance_id(QueryGraph.from_json_obj)).values())
-
-
 def _parse_partition(obj: dict) -> tuple[str, Partition]:
     assignment = {int(n): int(c) for n, c in obj["assignment"].items()}
     if len(assignment) != len(obj["assignment"]):
@@ -324,68 +309,125 @@ def _parse_partition(obj: dict) -> tuple[str, Partition]:
     return obj["instance_id"], Partition(assignment=assignment, modularity=float(obj["modularity"]))
 
 
+def _parse_items(items: list) -> tuple[tuple[str, float], ...]:
+    return tuple((str(d), float(s)) for d, s in items)
+
+
 def _parse_ranking(obj: dict) -> tuple[str, Ranking]:
-    items = tuple((str(d), float(s)) for d, s in obj["items"])
+    items = _parse_items(obj["items"])
     for doc_id, _ in items:
         int(doc_id)  # a node id; a ValueError reads as a malformed record
     return obj["query_id"], Ranking(query_id=obj["query_id"], items=items)
 
 
-def _read_rankings_jsonl(path: Path) -> dict[str, Ranking]:
-    return _read_jsonl(path, _parse_ranking)
+def _items(ranking: Ranking) -> list[list]:
+    return [[d, s] for d, s in ranking.items]
 
 
-def _load_split(mode_dir: Path) -> tuple[set[str], set[str]]:
-    return read_json(mode_dir / "split.json", lambda obj: (set(obj["train"]), set(obj["test"])))
+# An instance's rows of the feature dump: doc ids (node ids as decimal
+# strings), the float64 matrix with a row per doc id, and the grades.
+FeatureRows = tuple[list[str], np.ndarray, list[int | None]]
+Split = tuple[set[str], set[str]]
 
 
-def _stage_link(ctx: PipelineContext) -> None:
-    config = ctx.config
-    mode_dir = _mode_dir(config)
-    link_mode = _link_mode(config)
-
-    def link() -> tuple[str, str]:
-        seed_sets = [link_instance(ctx.graph, inst, link_mode) for inst in ctx.corpus]
-        report = corpus_link_stats(ctx.graph, ctx.corpus).as_dict()
-        return jsonl_text(s.to_json_obj() for s in seed_sets), json_text(report)
-
-    seeds, report = ctx.reuse("link", link)
-    write_atomic(mode_dir / "seeds.jsonl", seeds)
-    write_atomic(mode_dir / "link_report.json", report)
+def _write_features(path: Path, features: dict[str, FeatureRows]) -> None:
+    rows = [
+        (iid, doc_id, values, grade)
+        for iid, (doc_ids, matrix, grades) in features.items()
+        for doc_id, values, grade in zip(doc_ids, matrix.tolist(), grades)
+    ]
+    write_feature_rows(path, rows)
 
 
-def _stage_graph(ctx: PipelineContext) -> None:
-    config = ctx.config
-    mode_dir = _mode_dir(config)
-
-    def expand() -> str:
-        seed_sets = _read_jsonl(mode_dir / "seeds.jsonl", _by_instance_id(SeedSet.from_json_obj))
-        return jsonl_text(build_query_graph(ctx.graph, ss).to_json_obj() for ss in seed_sets.values())
-
-    text = ctx.reuse("graph", expand)
-    write_atomic(mode_dir / "query_graphs.jsonl", text)
+def _write_vectors(path: Path, vectors: list[InstanceVector]) -> None:
+    write_atomic(path, jsonl_text(
+        {"instance_id": v.instance_id, "entries": {str(d): s for d, s in sorted(v.entries.items())}}
+        for v in vectors
+    ))
 
 
-def _stage_cluster(ctx: PipelineContext) -> None:
-    config = ctx.config
-    mode_dir = _mode_dir(config)
+class _Artifact(NamedTuple):
+    """How one artifact is read from its file and written to it; ``read`` is
+    None where nothing reads the file back."""
 
-    def cluster_one(qg: QueryGraph) -> dict:
-        partition = louvain(build_relatedness_graph(qg))
-        obj = partition.to_json_obj()
-        obj["instance_id"] = qg.instance_id
-        return obj
+    read: Callable[[Path], Any] | None
+    write: Callable[[Path, Any], None]
 
-    def cluster() -> str:
-        graphs = _read_query_graphs(mode_dir / "query_graphs.jsonl")
-        return jsonl_text(cluster_one(qg) for qg in graphs)
 
-    text = ctx.reuse("cluster", cluster)
-    write_atomic(mode_dir / "partitions.jsonl", text)
+def _jsonl(parse: Callable[[dict], tuple[str, Any]], to_obj: Callable[[str, Any], dict]) -> _Artifact:
+    """A JSON-lines artifact, held as a mapping from instance id to record."""
+    return _Artifact(
+        lambda path: _read_jsonl(path, parse),
+        lambda path, records: write_atomic(path, jsonl_text(to_obj(k, r) for k, r in records.items())),
+    )
+
+
+def _json(parse: Callable[[Any], Any], to_obj: Callable[[Any], Any]) -> _Artifact:
+    return _Artifact(lambda path: read_json(path, parse), lambda path, obj: _write_json(path, to_obj(obj)))
+
+
+# Every artifact's reader and writer: the one place that knows the file
+# formats. Reading what a writer wrote returns an object equal to the one
+# written, so ``run_all`` hands the written object to the consumers. Names
+# that the benchmark's tracer patches are looked up when called.
+ARTIFACTS = {
+    "seeds.jsonl": _jsonl(_by_instance_id(SeedSet.from_json_obj), lambda _, seeds: seeds.to_json_obj()),
+    "link_report.json": _Artifact(None, _write_json),
+    "query_graphs.jsonl": _jsonl(
+        _by_instance_id(lambda obj: QueryGraph.from_json_obj(obj)), lambda _, qg: qg.to_json_obj()
+    ),
+    "partitions.jsonl": _jsonl(_parse_partition, lambda iid, p: {**p.to_json_obj(), "instance_id": iid}),
+    "features.tsv": _Artifact(lambda path: read_feature_rows(path), _write_features),
+    "split.json": _json(
+        lambda obj: (set(obj["train"]), set(obj["test"])),
+        lambda split: {"train": sorted(split[0]), "test": sorted(split[1])},
+    ),
+    "model1.json": _json(RankModel.from_json_obj, RankModel.to_json_obj),
+    "rankings1.jsonl": _jsonl(_parse_ranking, lambda iid, r: {"query_id": iid, "items": _items(r)}),
+    "lexicon.json": _json(Lexicon.from_json_obj, Lexicon.to_json_obj),
+    "vectors_train.jsonl": _Artifact(None, _write_vectors),
+    "topic_models.json": _json(
+        lambda obj: {topic: RankModel.from_json_obj(m) for topic, m in obj.items()},
+        lambda models: {topic: m.to_json_obj() for topic, m in models.items()},
+    ),
+    "vectors_test.jsonl": _Artifact(None, _write_vectors),
+    "rankings2.json": _json(
+        lambda obj: {topic: Ranking(topic, _parse_items(items)) for topic, items in obj.items()},
+        lambda rankings: {topic: _items(r) for topic, r in rankings.items()},
+    ),
+    "report.json": _json(EvalReport.from_json_obj, EvalReport.to_json_obj),
+    "report.txt": _Artifact(None, write_atomic),
+}
+
+# The raw feature matrices of every query-graph node, from which each mode
+# takes its candidate rows; stored, not written.
+_RAW_FEATURES = "raw features"
+
+# What depends only on the link mode: ``run_all``'s TI takes it from TII,
+# which links the same way, and computes none of it again.
+_BY_LINK_MODE = frozenset(
+    (*STAGE_OUTPUTS["link"], *STAGE_OUTPUTS["graph"], *STAGE_OUTPUTS["cluster"], _RAW_FEATURES)
+)
+
+
+def _link(ctx: PipelineContext) -> tuple[dict[str, SeedSet], dict]:
+    link_mode = _link_mode(ctx.config)
+    seeds = {inst.instance_id: link_instance(ctx.graph, inst, link_mode) for inst in ctx.corpus}
+    return seeds, corpus_link_stats(ctx.graph, ctx.corpus).as_dict()
+
+
+def _graph(ctx: PipelineContext, seeds: dict[str, SeedSet]) -> tuple[dict[str, QueryGraph]]:
+    return ({iid: build_query_graph(ctx.graph, ss) for iid, ss in seeds.items()},)
+
+
+def _cluster(ctx: PipelineContext, graphs: dict[str, QueryGraph]) -> tuple[dict[str, Partition]]:
+    # Without the phase modularity, which the file does not hold.
+    partitions = (louvain(build_relatedness_graph(qg)) for qg in graphs.values())
+    return ({iid: dataclasses.replace(p, phase_modularity=()) for iid, p in zip(graphs, partitions)},)
 
 
 def _raw_features(
-    ctx: PipelineContext, mode_dir: Path
+    ctx: PipelineContext, graphs: dict[str, QueryGraph], partitions: dict[str, Partition]
 ) -> list[tuple[QueryGraph, dict[int, int], np.ndarray]]:
     """The query graph, concept grades and raw feature matrix (a row per node
     of the graph's ``order``) of every instance with a non-empty query graph.
@@ -393,22 +435,20 @@ def _raw_features(
     A raw row depends on its node, not on the candidate set, so computing
     every node once serves every mode's candidates.
     """
-    graphs = _read_query_graphs(mode_dir / "query_graphs.jsonl")
-    partitions = _read_jsonl(mode_dir / "partitions.jsonl", _parse_partition)
+    mode_dir = _mode_dir(ctx.config)
     instances = ctx.corpus_by_id()
-    for qg in graphs:
-        if qg.instance_id not in partitions:
+    for iid in graphs:
+        if iid not in partitions:
             raise IntegrityError(
-                f"{mode_dir / 'partitions.jsonl'}: no partition for instance "
-                f"{qg.instance_id!r}; rerun stage 'cluster'"
+                f"{mode_dir / 'partitions.jsonl'}: no partition for instance {iid!r}; rerun stage 'cluster'"
             )
-        if qg.instance_id not in instances:
+        if iid not in instances:
             raise IntegrityError(
-                f"{ctx.config.corpus}: no corpus record for instance {qg.instance_id!r} "
+                f"{ctx.config.corpus}: no corpus record for instance {iid!r} "
                 f"of {mode_dir / 'query_graphs.jsonl'}"
             )
     features = []
-    for qg, pagerank_scores in zip(graphs, pagerank_batch(graphs)):
+    for qg, pagerank_scores in zip(graphs.values(), pagerank_batch(list(graphs.values()))):
         if qg.order:
             instance = instances[qg.instance_id]
             matrix = extract_instance_features(
@@ -418,19 +458,22 @@ def _raw_features(
     return features
 
 
-def _stage_features(ctx: PipelineContext) -> None:
-    config = ctx.config
-    mode_dir = _mode_dir(config)
-    rows = []
-    for qg, grades, matrix in ctx.reuse("features", lambda: _raw_features(ctx, mode_dir)):
+def _features(
+    ctx: PipelineContext, graphs: dict[str, QueryGraph], partitions: dict[str, Partition]
+) -> tuple[dict[str, FeatureRows]]:
+    store, key = ctx.shared.store, ctx.key(_RAW_FEATURES)
+    if key not in store:
+        store[key] = _raw_features(ctx, graphs, partitions)
+    features = {}
+    for qg, grades, matrix in store[key]:
         # TII ranks every node of the query graph, T and TI only the seeds.
-        picked = [i for i, o in enumerate(qg.origins) if config.mode == "TII" or o is not None]
-        if not picked:
-            continue
-        normalized = normalize_per_query(matrix[picked]).tolist()
-        candidates = [qg.order[i] for i in picked]
-        rows.extend((qg.instance_id, v, row, grades.get(v)) for v, row in zip(candidates, normalized))
-    write_feature_rows(mode_dir / "features.tsv", rows)
+        picked = [i for i, o in enumerate(qg.origins) if ctx.config.mode == "TII" or o is not None]
+        if picked:
+            nodes = [qg.order[i] for i in picked]
+            features[qg.instance_id] = (
+                list(map(str, nodes)), normalize_per_query(matrix[picked]), list(map(grades.get, nodes))
+            )
+    return (features,)
 
 
 def _log_ascent(stage: str, stats: AscentStats) -> None:
@@ -441,59 +484,45 @@ def _log_ascent(stage: str, stats: AscentStats) -> None:
     )
 
 
-def _stage_train1(ctx: PipelineContext) -> None:
+def _train1(ctx: PipelineContext, features: dict[str, FeatureRows]) -> tuple[Split, RankModel]:
     config = ctx.config
-    mode_dir = _mode_dir(config)
-    instances = read_feature_rows(mode_dir / "features.tsv")
     train_ids, test_ids = split_instances(
         (inst.instance_id for inst in ctx.corpus), config.split_ratio, config.resolved_split_seed()
     )
-    _write_json(mode_dir / "split.json", {"train": sorted(train_ids), "test": sorted(test_ids)})
-
     # A query per training instance with graded rows, in instance-id order;
     # its rows in doc-id order, which breaks score ties.
     queries = []
-    for iid in sorted(train_ids & instances.keys()):
-        doc_ids, matrix, grades = instances[iid]
+    for iid in sorted(train_ids & features.keys()):
+        doc_ids, matrix, grades = features[iid]
         graded = sorted((i for i, grade in enumerate(grades) if grade is not None), key=doc_ids.__getitem__)
         if graded:
             queries.append((matrix[graded], np.array([grades[i] for i in graded])))
     stats = AscentStats()
     (model,) = train_coordinate_ascent([queries], FEATURE_NAMES, config.train1, stats)
-    save_model(model, mode_dir / "model1.json")
     n_examples = sum(len(grades) for _, grades in queries)
     logger.info("stage train1: training MAP %.4f over %d examples", model.training_map, n_examples)
     _log_ascent("train1", stats)
+    return (train_ids, test_ids), model
 
 
-def _stage_rank1(ctx: PipelineContext) -> None:
-    config = ctx.config
-    mode_dir = _mode_dir(config)
-    model = load_model(mode_dir / "model1.json")
+def _rank1(
+    ctx: PipelineContext, features: dict[str, FeatureRows], model: RankModel
+) -> tuple[dict[str, Ranking]]:
     if model.feature_names != FEATURE_NAMES:
         raise IntegrityError(
-            f"{mode_dir / 'model1.json'}: model feature names do not match the "
+            f"{_mode_dir(ctx.config) / 'model1.json'}: model feature names do not match the "
             "feature extractor; retrain with stage 'train1'"
         )
-    instances = read_feature_rows(mode_dir / "features.tsv")
-    rankings = (
-        rank(model, doc_ids, matrix, query_id=iid)
-        for iid, (doc_ids, matrix, _) in sorted(instances.items())
-    )
-    objs = ({"query_id": r.query_id, "items": [[d, s] for d, s in r.items]} for r in rankings)
-    write_atomic(mode_dir / "rankings1.jsonl", jsonl_text(objs))
+    ordered = sorted(features.items())
+    return ({iid: rank(model, doc_ids, matrix, query_id=iid) for iid, (doc_ids, matrix, _) in ordered},)
 
 
-def _stage_lexicon(ctx: PipelineContext) -> None:
-    config = ctx.config
-    mode_dir = _mode_dir(config)
-    rankings = _read_rankings_jsonl(mode_dir / "rankings1.jsonl")
-    train_ids, _ = _load_split(mode_dir)
+def _lexicon(ctx: PipelineContext, rankings: dict[str, Ranking], split: Split) -> tuple[Lexicon]:
     # Built from the training split only, so evaluation stays leak-free.
-    train_rankings = {iid: r for iid, r in rankings.items() if iid in train_ids}
-    lexicon = build_lexicon(train_rankings, top_k=config.top_k)
-    save_lexicon(lexicon, mode_dir / "lexicon.json")
-    logger.info("stage lexicon: %d concepts (top_k=%d)", len(lexicon), config.top_k)
+    train_rankings = {iid: r for iid, r in rankings.items() if iid in split[0]}
+    lexicon = build_lexicon(train_rankings, top_k=ctx.config.top_k)
+    logger.info("stage lexicon: %d concepts (top_k=%d)", len(lexicon), ctx.config.top_k)
+    return (lexicon,)
 
 
 def _vectors_for(
@@ -509,99 +538,92 @@ def _vectors_for(
     return vectors
 
 
-def _stage_train2(ctx: PipelineContext) -> None:
-    config = ctx.config
-    mode_dir = _mode_dir(config)
-    rankings = _read_rankings_jsonl(mode_dir / "rankings1.jsonl")
-    lexicon = load_lexicon(mode_dir / "lexicon.json")
-    train_ids, _ = _load_split(mode_dir)
+def _train2(
+    ctx: PipelineContext, rankings: dict[str, Ranking], lexicon: Lexicon, split: Split
+) -> tuple[list[InstanceVector], dict[str, RankModel]]:
+    train_ids, _ = split
     instances = ctx.corpus_by_id()
     missing = sorted(train_ids - instances.keys())
     if missing:
         raise IntegrityError(
-            f"{config.corpus}: no corpus record for instance {missing[0]!r} "
-            f"of {mode_dir / 'split.json'}"
+            f"{ctx.config.corpus}: no corpus record for instance {missing[0]!r} "
+            f"of {_mode_dir(ctx.config) / 'split.json'}"
         )
-
     vectors = _vectors_for(train_ids, rankings, lexicon)
-    write_instance_vectors(vectors, mode_dir / "vectors_train.jsonl")
     gold = {iid: instances[iid].topics for iid in train_ids}
     topics = sorted({t for topic_set in gold.values() for t in topic_set})
     stats = AscentStats()
-    models = train_topic_models(vectors, gold, topics, lexicon, config.train2, stats)
+    models = train_topic_models(vectors, gold, topics, lexicon, ctx.config.train2, stats)
     training_maps = [m.training_map for m in models.values()]
     logger.info(
         "stage train2: training MAP %.4f to %.4f over %d topics",
         min(training_maps, default=0.0), max(training_maps, default=0.0), len(models),
     )
     _log_ascent("train2", stats)
-    _write_json(mode_dir / "topic_models.json", {t: m.to_json_obj() for t, m in models.items()})
+    return vectors, models
 
 
-def _stage_rank2(ctx: PipelineContext) -> None:
-    config = ctx.config
-    mode_dir = _mode_dir(config)
-    rankings = _read_rankings_jsonl(mode_dir / "rankings1.jsonl")
-    lexicon = load_lexicon(mode_dir / "lexicon.json")
-    _, test_ids = _load_split(mode_dir)
-
-    path = mode_dir / "topic_models.json"
-    models = read_json(
-        path, lambda obj: {topic: RankModel.from_json_obj(m) for topic, m in obj.items()}
-    )
+def _rank2(
+    ctx: PipelineContext, rankings: dict[str, Ranking], lexicon: Lexicon, split: Split,
+    models: dict[str, RankModel],
+) -> tuple[list[InstanceVector], dict[str, Ranking]]:
     expected_names = lexicon.feature_names()
     for topic, model in models.items():
         if model.feature_names != expected_names:
             raise IntegrityError(
-                f"{path}: topic model {topic!r} does not match the lexicon; "
-                "retrain with stage 'train2'"
+                f"{_mode_dir(ctx.config) / 'topic_models.json'}: topic model {topic!r} does not "
+                "match the lexicon; retrain with stage 'train2'"
             )
-    vectors = _vectors_for(test_ids, rankings, lexicon)
-    write_instance_vectors(vectors, mode_dir / "vectors_test.jsonl")
-    per_topic = rank_images(models, vectors)
-    _write_json(
-        mode_dir / "rankings2.json",
-        {topic: [[d, s] for d, s in r.items] for topic, r in per_topic.items()},
-    )
+    vectors = _vectors_for(split[1], rankings, lexicon)
+    return vectors, rank_images(models, vectors)
 
 
-def _stage_evaluate(ctx: PipelineContext) -> None:
+def _evaluate(ctx: PipelineContext, rankings: dict[str, Ranking], lexicon: Lexicon) -> tuple[EvalReport, str]:
     config = ctx.config
-    mode_dir = _mode_dir(config)
-    rankings = read_json(
-        mode_dir / "rankings2.json",
-        lambda obj: {
-            topic: Ranking(query_id=topic, items=tuple((str(d), float(s)) for d, s in items))
-            for topic, items in obj.items()
-        },
-    )
-    lexicon = load_lexicon(mode_dir / "lexicon.json")
     gold = {inst.instance_id: inst.topics for inst in ctx.corpus}
-    report = evaluate(
-        rankings, gold, k=config.eval_k, mode=config.mode, lexicon_size=len(lexicon)
-    )
-    _write_json(mode_dir / "report.json", report.to_json_obj())
-    write_atomic(mode_dir / "report.txt", report_table(report))
+    report = evaluate(rankings, gold, k=config.eval_k, mode=config.mode, lexicon_size=len(lexicon))
     logger.info(
         "stage evaluate [%s]: MAP %.4f, P@%d %.4f",
-        config.mode,
-        report.overall_map,
-        config.eval_k,
-        report.overall_p_at_k,
+        config.mode, report.overall_map, config.eval_k, report.overall_p_at_k,
     )
+    return report, report_table(report)
 
 
+def _step(stage: str, transform: Callable[..., tuple], ctx: PipelineContext) -> None:
+    """Run ``stage`` in ``ctx``'s mode: all of its file work around ``transform``.
+
+    Each input comes from the store when this run made it; otherwise it is
+    checked (``_check_input``) and read through its reader. ``transform``
+    takes the inputs in ``STAGE_INPUTS`` order and returns the outputs in
+    ``STAGE_OUTPUTS`` order, each of which is written through its writer and
+    stored. When every output is stored already, as for TI after TII in the
+    link-mode stages, those are written and the transform is not called.
+    """
+    store, mode_dir = ctx.shared.store, _mode_dir(ctx.config)
+    keys = {name: ctx.key(name) for name in STAGE_OUTPUTS[stage]}
+    if all(key in store for key in keys.values()):
+        outputs = [store[key] for key in keys.values()]
+    else:
+        inputs = {name: ctx.key(name) for name in STAGE_INPUTS[stage]}
+        for name, key in inputs.items():
+            if key not in store:
+                _check_input(ctx.config, stage, name)
+        outputs = transform(ctx, *(
+            store[key] if key in store else ARTIFACTS[name].read(mode_dir / name)
+            for name, key in inputs.items()
+        ))
+    for (name, key), obj in zip(keys.items(), outputs):
+        ARTIFACTS[name].write(mode_dir / name, obj)
+        store[key] = obj
+
+
+# Each stage is its transform bound into ``_step``, called with the context alone.
 _STAGE_FUNCS = {
-    "link": _stage_link,
-    "graph": _stage_graph,
-    "cluster": _stage_cluster,
-    "features": _stage_features,
-    "train1": _stage_train1,
-    "rank1": _stage_rank1,
-    "lexicon": _stage_lexicon,
-    "train2": _stage_train2,
-    "rank2": _stage_rank2,
-    "evaluate": _stage_evaluate,
+    stage: functools.partial(_step, stage, transform)
+    for stage, transform in zip(
+        STAGE_ORDER,
+        (_link, _graph, _cluster, _features, _train1, _rank1, _lexicon, _train2, _rank2, _evaluate),
+    )
 }
 
 
@@ -622,13 +644,12 @@ def run_stage(config: PipelineConfig, stage: str) -> Path:
 
 
 def _run(ctx: PipelineContext, stage: str) -> None:
-    """Run one stage in one mode: check its inputs, write its outputs, then its manifest."""
+    """Run one stage in one mode, then write its manifest."""
     mode_dir = _mode_dir(ctx.config)
     try:
         mode_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"out: cannot make the output directory {mode_dir}: {exc.strerror}") from None
-    _check_inputs(ctx.config, stage)
     _STAGE_FUNCS[stage](ctx)
     _write_manifest(ctx.config, stage)
 
@@ -642,21 +663,21 @@ def run_all(config: PipelineConfig) -> Path:
 
     It runs stage by stage, each for TII, TI and T in turn, through the same
     runner as ``run_stage`` and over one loaded graph, corpus and IDF table.
-    The modes share a store of stage results keyed by stage and link mode, so
-    TI reuses the link, graph, cluster and feature work of TII, which links
-    the same way; T does its own. The store is emptied after each stage.
+    Every output goes to disk and into one store, from which its consumers
+    take it: nothing is read back. Before each stage the store drops what no
+    stage from there on reads; the comparison takes the reports from it.
     """
     config.validate()
     base = PipelineContext(config)
     contexts = [base.for_mode(mode) for mode in _RUN_ORDER]
-    for stage in STAGE_ORDER:
+    store = base.shared.store
+    for i, stage in enumerate(STAGE_ORDER):
+        wanted = {name for later in STAGE_ORDER[i:] for name in STAGE_INPUTS[later]}
+        for key in [key for key in store if key[0] not in wanted]:
+            del store[key]
         for ctx in contexts:
             _run(ctx, stage)
-        base.shared.results.clear()
-    reports = [
-        read_json(config.out / mode / "report.json", EvalReport.from_json_obj) for mode in MODES
-    ]
-    comparison = compare_modes(reports)
+    comparison = compare_modes([store["report.json", mode] for mode in MODES])
     _write_json(config.out / "comparison.json", comparison.to_json_obj())
     write_atomic(config.out / "comparison.txt", comparison.table())
     logger.info("comparison written to %s", config.out / "comparison.txt")

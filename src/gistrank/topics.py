@@ -10,12 +10,11 @@ identically for every topic), and images are ranked per topic by score.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import IntegrityError, TrainingError, json_text, jsonl_text, read_json, write_atomic
+from .errors import IntegrityError, TrainingError
 from .ltr import (
     AscentStats,
     CoordinateAscentConfig,
@@ -157,23 +156,4 @@ def rank_images(
     matrix = stack_vectors(vectors, len(next(iter(models.values())).weights))
     ids = [v.instance_id for v in vectors]
     return {topic: rank(model, ids, matrix, query_id=topic) for topic, model in models.items()}
-
-
-def save_lexicon(lexicon: Lexicon, path: str | Path) -> None:
-    write_atomic(path, json_text(lexicon.to_json_obj()))
-
-
-def load_lexicon(path: str | Path) -> Lexicon:
-    return read_json(path, Lexicon.from_json_obj)
-
-
-def write_instance_vectors(vectors: Sequence[InstanceVector], path: str | Path) -> None:
-    objs = (
-        {
-            "instance_id": vector.instance_id,
-            "entries": {str(d): s for d, s in sorted(vector.entries.items())},
-        }
-        for vector in vectors
-    )
-    write_atomic(path, jsonl_text(objs))
 

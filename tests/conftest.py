@@ -32,16 +32,17 @@ def count_pipeline_calls(monkeypatch, names) -> dict[str, int]:
 def kg_from_parts(nodes, edges) -> KnowledgeGraph:
     """Assemble a KnowledgeGraph directly from (id, kind, title[, redirects, abstract])
     node tuples and (src, dst) category-link edge pairs."""
-    specs = [(*spec, (), "")[:5] for spec in nodes]
-    edges = list(edges)
+    specs = sorted(((*spec, (), "")[:5] for spec in nodes), key=lambda spec: spec[0])
+    position = {spec[0]: i for i, spec in enumerate(specs)}
+    ends = [(position[a], position[b]) for a, b in edges]
     return KnowledgeGraph.from_columns(
         ids=[spec[0] for spec in specs],
         is_category=[spec[1] is NodeKind.CATEGORY for spec in specs],
         titles=[spec[2] for spec in specs],
         abstracts=[spec[4] for spec in specs],
         redirect_titles={spec[0]: frozenset(spec[3]) for spec in specs if spec[3]},
-        edges=edges,
-        edge_is_redirect=[False] * len(edges),
+        ends=ends,
+        edge_is_redirect=[False] * len(ends),
     )
 
 

@@ -28,11 +28,10 @@ from gistrank.ltr import (
     RankModel,
     average_precision,
     precision_at_k,
-    save_model,
 )
-from gistrank.pipeline import _read_rankings_jsonl, run_all
+from gistrank.pipeline import ARTIFACTS, run_all
 from gistrank.query_graph import build_query_graph
-from gistrank.topics import load_lexicon, rank_images
+from gistrank.topics import rank_images
 
 from tests.conftest import query_graph_from_edges, random_edges, random_kg
 from tests.test_clustering import all_partitions, modularity_oracle, wgraph
@@ -168,8 +167,8 @@ def test_criterion_5_coordinate_ascent():
 
         with tempfile.TemporaryDirectory() as tmp:
             path_a, path_b = Path(tmp) / "a.json", Path(tmp) / "b.json"
-            save_model(train_examples(examples, names, config), path_a)
-            save_model(train_examples(examples, names, config), path_b)
+            ARTIFACTS["model1.json"].write(path_a, train_examples(examples, names, config))
+            ARTIFACTS["model1.json"].write(path_b, train_examples(examples, names, config))
             assert path_a.read_bytes() == path_b.read_bytes()
 
 
@@ -210,8 +209,8 @@ def test_criterion_7_lexicon_size_trend(pipeline_run):
 def test_criterion_8_random_model_sanity(pipeline_run):
     with criterion(8, "random-weight models score near topic prevalence"):
         out = pipeline_run["out"] / "TII"
-        lexicon = load_lexicon(out / "lexicon.json")
-        rankings1 = _read_rankings_jsonl(out / "rankings1.jsonl")
+        lexicon = ARTIFACTS["lexicon.json"].read(out / "lexicon.json")
+        rankings1 = ARTIFACTS["rankings1.jsonl"].read(out / "rankings1.jsonl")
         split = json.loads((out / "split.json").read_text())
         corpus = read_corpus(pipeline_run["root"] / "corpus.jsonl")
         gold = {inst.instance_id: set(inst.topics) for inst in corpus}

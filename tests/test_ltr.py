@@ -16,13 +16,12 @@ from gistrank.ltr import (
     RankModel,
     Ranking,
     average_precision,
-    load_model,
     mean_metric,
     precision_at_k,
     rank,
-    save_model,
     train_coordinate_ascent,
 )
+from gistrank.pipeline import ARTIFACTS
 from gistrank.topics import InstanceVector, Lexicon, stack_vectors, train_topic_models
 
 
@@ -290,16 +289,16 @@ class TestTrainCoordinateAscent:
         model_a = train_examples(examples, names, config)
         model_b = train_examples(examples, names, config)
         path_a, path_b = tmp_path / "a.json", tmp_path / "b.json"
-        save_model(model_a, path_a)
-        save_model(model_b, path_b)
+        ARTIFACTS["model1.json"].write(path_a, model_a)
+        ARTIFACTS["model1.json"].write(path_b, model_b)
         assert path_a.read_bytes() == path_b.read_bytes()
 
     def test_model_round_trip(self, tmp_path):
         examples, names = separable_examples(n_queries=3)
         model = train_examples(examples, names, CoordinateAscentConfig(restarts=1))
         path = tmp_path / "model.json"
-        save_model(model, path)
-        loaded = load_model(path)
+        ARTIFACTS["model1.json"].write(path, model)
+        loaded = ARTIFACTS["model1.json"].read(path)
         assert loaded.weights == model.weights
         assert loaded.feature_names == model.feature_names
         assert loaded.training_map == model.training_map

@@ -5,8 +5,10 @@ import hashlib
 import json
 import logging
 import re
+import shutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from gistrank.cli import main
@@ -16,8 +18,16 @@ from gistrank.features import write_feature_rows
 from gistrank.fixture import gen_fixture
 from gistrank.kg import load_graph
 from gistrank.linking import LinkMode, link_instance, read_corpus
-from gistrank.pipeline import STAGE_ORDER, STAGE_OUTPUTS, run_all, run_stage, split_instances
-from gistrank.query_graph import build_query_graph
+from gistrank.pipeline import (
+    ARTIFACTS,
+    STAGE_INPUTS,
+    STAGE_ORDER,
+    STAGE_OUTPUTS,
+    run_all,
+    run_stage,
+    split_instances,
+)
+from gistrank.query_graph import QueryGraph, build_query_graph
 
 from tests.conftest import count_pipeline_calls, kg_adjacency, neighbors
 
@@ -326,13 +336,13 @@ class TestStages:
 
     def test_stale_stage1_model_rejected(self, fixture_dir, tmp_path):
         from gistrank.errors import IntegrityError
-        from gistrank.ltr import RankModel, save_model
+        from gistrank.ltr import RankModel
 
         config = load_config(fixture_dir / "pipeline.config", {"out": str(tmp_path / "o")})
         for stage in ("link", "graph", "cluster", "features", "train1"):
             run_stage(config, stage)
         bogus = RankModel(weights=(1.0,), feature_names=("other",), training_map=0.0)
-        save_model(bogus, tmp_path / "o" / "TII" / "model1.json")
+        ARTIFACTS["model1.json"].write(tmp_path / "o" / "TII" / "model1.json", bogus)
         with pytest.raises(IntegrityError, match="feature names"):
             run_stage(config, "rank1")
 
@@ -389,6 +399,72 @@ def _add_foreign_partition_node(data: bytes) -> bytes:
     return b"".join(lines)
 
 
+def _same(a, b) -> bool:
+    """``a == b``, with query graphs compared by their rows, arrays bit for
+    bit with their dtype and C layout, and mappings in their order too."""
+    if isinstance(a, QueryGraph):
+        return isinstance(b, QueryGraph) and _same(
+            (a.instance_id, a.order, a.origins, a.hops), (b.instance_id, b.order, b.origins, b.hops)
+        )
+    if isinstance(a, np.ndarray):
+        return (
+            isinstance(b, np.ndarray) and (a.dtype, a.shape) == (b.dtype, b.shape)
+            and a.flags.c_contiguous and b.flags.c_contiguous and a.tobytes() == b.tobytes()
+        )
+    if isinstance(a, dict):
+        return isinstance(b, dict) and list(a) == list(b) and all(_same(a[k], b[k]) for k in a)
+    if isinstance(a, (list, tuple)):
+        return type(a) is type(b) and len(a) == len(b) and all(map(_same, a, b))
+    return a == b
+
+
+@pytest.fixture(scope="module")
+def written(fixture_dir, tmp_path_factory) -> dict[str, list]:
+    """The (path, object) pairs that one ``run_all`` wrote, by artifact name."""
+    records: dict[str, list] = {name: [] for name in ARTIFACTS}
+    with pytest.MonkeyPatch.context() as mp:
+        for name, artifact in ARTIFACTS.items():
+            def write(path, obj, _name=name, _write=artifact.write):
+                records[_name].append((path, obj))
+                _write(path, obj)
+
+            mp.setitem(ARTIFACTS, name, artifact._replace(write=write))
+        out = tmp_path_factory.mktemp("written")
+        run_all(load_config(fixture_dir / "pipeline.config", {"out": str(out)}))
+    return records
+
+
+class TestArtifacts:
+    """``run_all`` hands each object it writes to the consumers of the file,
+    so reading the file back must give an equal object."""
+
+    @pytest.mark.parametrize(
+        "name", sorted({name for inputs in STAGE_INPUTS.values() for name in inputs} | {"report.json"})
+    )
+    def test_what_run_all_hands_over_reads_back_equal(self, written, name):
+        assert len(written[name]) == 3  # once per mode
+        for path, obj in written[name]:
+            assert _same(obj, ARTIFACTS[name].read(path)), path
+
+    def test_features_in_the_stage_form_round_trip(self, tmp_path):
+        # Per instance: doc ids, one C-contiguous float64 matrix, grades; a
+        # -0.0 and the shortest repr of a float survive the text.
+        features = {
+            "i1": (["3", "4"], np.array([[x / 7 for x in range(16)], [0.0] * 16]), [5, None]),
+            "i2": (["10"], np.array([[-0.0] + [1.0] * 15]), [1]),
+        }
+        path = tmp_path / "features.tsv"
+        ARTIFACTS["features.tsv"].write(path, features)
+        flat = tmp_path / "flat.tsv"
+        write_feature_rows(flat, [
+            (iid, doc_id, values, grade)
+            for iid, (doc_ids, matrix, grades) in features.items()
+            for doc_id, values, grade in zip(doc_ids, matrix.tolist(), grades)
+        ])
+        assert path.read_bytes() == flat.read_bytes()
+        assert _same(ARTIFACTS["features.tsv"].read(path), features)
+
+
 class TestAtomicWrites:
     def test_failed_write_leaves_the_old_file_and_no_temp_file(self, tmp_path):
         path = tmp_path / "features.tsv"
@@ -440,8 +516,16 @@ class TestRunAll:
         per_run = ("load_graph", "read_corpus", "build_idf_table")
         per_link_mode = ("link_instance", "build_query_graph", "louvain")
         counts = count_pipeline_calls(
-            monkeypatch, per_run + per_link_mode + ("extract_instance_features",)
+            monkeypatch, per_run + per_link_mode + ("extract_instance_features", "read_feature_rows")
         )
+        parsed_graphs = []
+        parse_graph = QueryGraph.from_json_obj.__func__
+
+        def counted_parse(cls, obj):
+            parsed_graphs.append(obj["instance_id"])
+            return parse_graph(cls, obj)
+
+        monkeypatch.setattr(QueryGraph, "from_json_obj", classmethod(counted_parse))
         out = run_all(load_config(fixture_dir / "pipeline.config", {"out": str(tmp_path / "o")}))
         n = len(read_corpus(fixture_dir / "corpus.jsonl"))
         assert {name: counts[name] for name in per_run} == dict.fromkeys(per_run, 1)
@@ -450,6 +534,19 @@ class TestRunAll:
         graphs = _nonempty_graphs(out / "T") + _nonempty_graphs(out / "TII")
         assert graphs > n
         assert counts["extract_instance_features"] == graphs
+        # Each consumer takes what the run made from the store: nothing is read back.
+        assert counts["read_feature_rows"] == 0 and parsed_graphs == []
+
+    def test_run_stage_reads_its_inputs_from_disk(self, fixture_dir, run_all_out, tmp_path):
+        out = tmp_path / "copy"
+        shutil.copytree(run_all_out, out)
+        rankings = out / "TII" / "rankings1.jsonl"
+        records = [json.loads(line) for line in rankings.read_text().splitlines()]
+        for record in records:
+            record["items"] = [["999999", 1.0]]
+        rankings.write_text("".join(json.dumps(record) + "\n" for record in records))
+        run_stage(load_config(fixture_dir / "pipeline.config", {"out": str(out)}), "lexicon")
+        assert json.loads((out / "TII" / "lexicon.json").read_text())["entries"] == {"999999": 0}
 
     def test_graph_layer_bytes_are_pinned(self, tmp_path):
         # Recorded by running these commands at commit 7128ac1, whose Louvain
@@ -813,16 +910,35 @@ class TestCli:
         for name in later:
             assert main([name, "--config", config, "--seed", "99"]) == 0
 
-    def test_seed_dependent_input_without_manifest_exit_code(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "stage, artifact",
+        [
+            ("graph", "seeds.jsonl"),
+            ("cluster", "query_graphs.jsonl"),
+            ("features", "partitions.jsonl"),
+            ("train1", "features.tsv"),
+            ("rank1", "model1.json"),
+            ("lexicon", "rankings1.jsonl"),
+            ("train2", "lexicon.json"),
+            ("rank2", "topic_models.json"),
+            ("evaluate", "rankings2.json"),
+        ],
+        ids=lambda value: value.split(".")[0],
+    )
+    def test_input_without_producer_manifest_exit_code(self, tmp_path, capsys, stage, artifact):
+        # Only the manifests of seed-dependent producers were once required,
+        # so a features.tsv without features.manifest.json fed train1.
+        producer = next(s for s, outputs in STAGE_OUTPUTS.items() if artifact in outputs)
         out = tmp_path / "fx"
         main(["gen-fixture", "--seed", "9", "--instances", "9", "--topics", "3", "--out", str(out)])
         config = str(out / "pipeline.config")
-        for name in ("link", "graph", "cluster", "features", "train1"):
+        for name in STAGE_ORDER[: STAGE_ORDER.index(stage)]:
             assert main([name, "--config", config]) == 0
-        (out / "out" / "TII" / "train1.manifest.json").unlink()
-        assert main(["rank1", "--config", config]) == 2
+        (out / "out" / "TII" / f"{producer}.manifest.json").unlink()
+        capsys.readouterr()
+        assert main([stage, "--config", config]) == 2
         err = capsys.readouterr().err
-        assert "train1.manifest.json" in err and "run stage 'train1'" in err
+        assert f"{producer}.manifest.json" in err and f"run stage {producer!r}" in err
 
     def test_bad_fixture_sizes_exit_code(self, tmp_path, capsys):
         assert (

@@ -7,13 +7,12 @@ import pytest
 
 from gistrank.errors import IntegrityError, ParseError, TrainingError
 from gistrank.ltr import CoordinateAscentConfig, RankModel, Ranking
+from gistrank.pipeline import ARTIFACTS
 from gistrank.topics import (
     InstanceVector,
     Lexicon,
     build_lexicon,
-    load_lexicon,
     rank_images,
-    save_lexicon,
     stack_vectors,
     train_topic_models,
     vectorize,
@@ -227,14 +226,12 @@ class TestRankImages:
 
 
 def test_instance_vector_io_round_trip(tmp_path):
-    from gistrank.topics import write_instance_vectors
-
     vectors = [
         InstanceVector("a", {3: -1.25, 0: 0.5}),
         InstanceVector("b", {}),
     ]
     path = tmp_path / "vectors.jsonl"
-    write_instance_vectors(vectors, path)
+    ARTIFACTS["vectors_train.jsonl"].write(path, vectors)
     lines = path.read_text(encoding="utf-8").splitlines()
     assert [json.loads(line) for line in lines] == [
         {"entries": {"0": 0.5, "3": -1.25}, "instance_id": "a"},
@@ -246,8 +243,8 @@ def test_instance_vector_io_round_trip(tmp_path):
 def test_lexicon_io_round_trip(tmp_path):
     lexicon = Lexicon(entries={5: 0, 9: 1}, top_k=10)
     path = tmp_path / "lexicon.json"
-    save_lexicon(lexicon, path)
-    loaded = load_lexicon(path)
+    ARTIFACTS["lexicon.json"].write(path, lexicon)
+    loaded = ARTIFACTS["lexicon.json"].read(path)
     assert loaded.entries == lexicon.entries
     assert loaded.top_k == 10
 
@@ -271,13 +268,13 @@ def test_damaged_lexicon_is_parse_error(tmp_path, entries, top_k):
     path = tmp_path / "lexicon.json"
     path.write_text(json.dumps({"entries": entries, "top_k": top_k}))
     with pytest.raises(ParseError, match="lexicon"):
-        load_lexicon(path)
+        ARTIFACTS["lexicon.json"].read(path)
 
 
 def test_empty_lexicon_loads(tmp_path):
     path = tmp_path / "lexicon.json"
-    save_lexicon(Lexicon(entries={}, top_k=1), path)
-    assert load_lexicon(path) == Lexicon(entries={}, top_k=1)
+    ARTIFACTS["lexicon.json"].write(path, Lexicon(entries={}, top_k=1))
+    assert ARTIFACTS["lexicon.json"].read(path) == Lexicon(entries={}, top_k=1)
 
 
 def test_lexicon_feature_names_ordered():
