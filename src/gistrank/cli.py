@@ -16,15 +16,7 @@ import logging
 import sys
 
 from .config import load_config
-from .errors import (
-    ConfigError,
-    GistRankError,
-    IntegrityError,
-    NotFoundError,
-    ParseError,
-    StageDependencyError,
-    TrainingError,
-)
+from .errors import ConfigError, GistRankError, TrainingError
 from .fixture import gen_fixture
 from .pipeline import STAGE_ORDER, run_stage
 
@@ -67,31 +59,16 @@ def main(argv: list[str] | None = None) -> int:
             paths = gen_fixture(args.seed, args.instances, args.topics, args.out)
             logger.info("fixture written: %s", ", ".join(str(p) for p in paths.values()))
             return 0
-        overrides = {}
-        if args.mode:
-            overrides["mode"] = args.mode
-        if args.seed is not None:
-            overrides["seed"] = str(args.seed)
-        if args.out:
-            overrides["out"] = args.out
-        if args.image_labels:
-            overrides["image_labels"] = args.image_labels
+        options = {"mode": args.mode, "seed": args.seed, "out": args.out, "image_labels": args.image_labels}
+        overrides = {key: str(value) for key, value in options.items() if value not in (None, "")}
         config = load_config(args.config, overrides)
         out_dir = run_stage(config, args.command)
         logger.info("stage %s finished; artifacts in %s", args.command, out_dir)
         return 0
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ParseError, IntegrityError, NotFoundError, StageDependencyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except TrainingError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except GistRankError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        # Parse, integrity, lookup and stage-dependency errors are data errors.
+        return 1 if isinstance(exc, ConfigError) else 3 if isinstance(exc, TrainingError) else 2
 
 
 if __name__ == "__main__":

@@ -1,6 +1,6 @@
 """Exception types shared across the package, and the shared artifact I/O:
-the JSON and JSON-lines text every writer emits, the atomic file writer, and
-the file readers.
+the JSON and JSON-lines text every writer emits, the string record of the
+binary artifacts, the atomic file writer, and the file readers.
 
 The CLI maps these onto exit codes: config problems exit 1, data problems
 (parse, integrity, lookup, missing stage artifacts) exit 2, training
@@ -15,7 +15,9 @@ import re
 import secrets
 from contextlib import contextmanager
 from pathlib import Path
-from typing import IO, Any, Callable, Iterable, Iterator, TypeVar
+from typing import IO, Any, Callable, Iterable, Iterator, Sequence, TypeVar
+
+import numpy as np
 
 T = TypeVar("T")
 
@@ -56,6 +58,26 @@ def json_text(obj: Any) -> str:
 def jsonl_text(objs: Iterable[Any]) -> str:
     """A JSON-lines artifact's text: one compact object per line, keys sorted."""
     return "".join(json.dumps(obj, sort_keys=True) + "\n" for obj in objs)
+
+
+def save_strings(fh: IO[bytes], strings: Sequence[str]) -> None:
+    """Write ``strings`` as one uint8 record of their UTF-8 bytes, each
+    string ended by a newline.
+
+    The bytes equal ``np.save`` of that array, but are encoded a few
+    thousand strings at a time, twice (once to size the record), so no copy
+    of all the text is ever held.
+    """
+    chunks = [strings[i : i + 4096] for i in range(0, len(strings), 4096)]
+
+    def encoded():
+        return (("\n".join(chunk) + "\n").encode("utf-8") for chunk in chunks)
+
+    size = sum(map(len, encoded()))
+    header = {"descr": np.dtype(np.uint8).str, "fortran_order": False, "shape": (size,)}
+    np.lib.format.write_array_header_1_0(fh, header)
+    for data in encoded():
+        fh.write(data)
 
 
 @contextmanager

@@ -158,11 +158,8 @@ def compare_modes(reports: Sequence[EvalReport]) -> ModeComparison:
             raise IntegrityError("report is missing its mode")
         by_mode[report.mode] = report
 
-    ordering = True
     chain = [by_mode[m].overall_map for m in ("TII", "TI", "T") if m in by_mode]
-    for better, worse in zip(chain, chain[1:]):
-        if better < worse:
-            ordering = False
+    ordering = not any(better < worse for better, worse in zip(chain, chain[1:]))
     return ModeComparison(
         k=k,
         overall_map={m: r.overall_map for m, r in by_mode.items()},

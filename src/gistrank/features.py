@@ -10,20 +10,22 @@ instance's query-graph nodes form one matrix, a row per node in the graph's
 
 from __future__ import annotations
 
+import io
 import math
 import re
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from tokenize import TokenError
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .clustering import Partition, relatedness_matrix
-from .errors import IntegrityError, ParseError, atomic_open, read_lines
+from .errors import IntegrityError, ParseError, atomic_open, save_strings
 from .kg import KnowledgeGraph
-from .linking import Instance
+from .linking import VALID_GRADES, Instance
 from .query_graph import QueryGraph
 
 FEATURE_NAMES: tuple[str, ...] = (
@@ -326,61 +328,78 @@ def normalize_per_query(matrix: np.ndarray) -> np.ndarray:
 
 def write_feature_rows(
     path: str | Path,
-    rows: Iterable[tuple[str, int, Sequence[float], int | None]],
+    matrix: np.ndarray,
+    instance_ids: Sequence[str],
+    doc_ids: Sequence[str],
+    grades: Sequence[int | None],
 ) -> None:
-    """Write the feature dump TSV: instance id, node id, 16 features, grade."""
-    with atomic_open(path) as fh:
-        fh.write("\t".join(("instance_id", "node_id") + FEATURE_NAMES + ("grade",)) + "\n")
-        for instance_id, node_id, values, grade in rows:
-            cells = [instance_id, str(node_id)]
-            cells.extend(repr(v) for v in values)
-            cells.append("" if grade is None else str(grade))
-            fh.write("\t".join(cells) + "\n")
+    """Write the feature dump, a row per candidate and each instance's rows in one run.
+
+    The file is five ``np.save`` records: the feature names and the instance
+    id of each row, as strings by ``save_strings``; the int64 node id and
+    grade (0 for none) of each row; and the float64 matrix, a row per
+    candidate and a column per feature.
+    """
+    with atomic_open(path, binary=True) as fh:
+        save_strings(fh, FEATURE_NAMES)
+        save_strings(fh, instance_ids)
+        for record in (
+            np.fromiter(map(int, doc_ids), np.int64, len(doc_ids)),
+            np.fromiter((grade or 0 for grade in grades), np.int64, len(grades)),
+            np.ascontiguousarray(matrix, dtype=np.float64),
+        ):
+            np.save(fh, record, allow_pickle=False)
+
+
+def _read_record(fh: io.BytesIO, path: Path, name: str, dtype: type, shape: tuple = ()) -> np.ndarray:
+    """The next ``np.save`` record of ``fh``; ``ParseError`` unless it has
+    ``dtype`` and ``shape``, or any one-dimensional shape when that is empty."""
+    try:
+        array = np.lib.format.read_array(fh, allow_pickle=False)
+    except (SyntaxError, TokenError, TypeError, ValueError) as exc:  # what numpy's header parser raises
+        raise ParseError(f"{path}: malformed {name} record ({exc})") from None
+    expected = shape or (array.size,)
+    if array.dtype != dtype or array.shape != expected:
+        found = f"{array.dtype} {array.shape}"
+        raise ParseError(f"{path}: the {name} record is {found}, not {np.dtype(dtype)} {expected}")
+    return array
 
 
 def read_feature_rows(path: str | Path) -> dict[str, tuple[list[str], np.ndarray, list[int | None]]]:
     """Read a feature dump into its doc ids (node ids as decimal strings),
-    float64 feature matrix and grades per instance, each in file order;
-    fails when the header names do not match.
+    one fresh float64 matrix and grades per instance, in file order.
 
-    A line that is not UTF-8, has the wrong field count or a malformed
-    number raises ``ParseError``, a non-finite feature value ``IntegrityError``.
+    A missing, malformed or cut record, another dtype or shape, bytes after
+    the last record, an instance id that is not UTF-8, a grade outside
+    0..5 and an instance's rows in more than one run raise ``ParseError``;
+    other feature names, or a non-finite value (naming its instance and
+    node), raise ``IntegrityError``.
     """
     path = Path(path)
-    expected = ["instance_id", "node_id", *FEATURE_NAMES, "grade"]
-    lines = read_lines(path)
-    header = lines[0] if lines else ""
-    if header is None:
-        raise ParseError(f"{path}:1: line is not valid UTF-8")
-    names = header.split("\t")
-    if names != expected:
-        raise IntegrityError(f"{path}: feature header mismatch: {names!r}")
-    # One array for all rows: a row of Python floats takes five times the memory.
-    values = np.empty((max(len(lines) - 1, 0), len(FEATURE_NAMES)))
-    rows_of: dict[str, list[int]] = {}
-    doc_ids: list[str] = []
-    grades: list[int | None] = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if line is None:
-            raise ParseError(f"{path}:{lineno}: line is not valid UTF-8")
-        if not line:
-            continue
-        cells = line.split("\t")
-        if len(cells) != len(expected):
-            raise ParseError(f"{path}:{lineno}: expected {len(expected)} fields")
-        try:
-            node_id = int(cells[1])
-            row = [float(c) for c in cells[2:-1]]
-            grade = int(cells[-1]) if cells[-1] else None
-        except ValueError:
-            raise ParseError(f"{path}:{lineno}: malformed numeric field") from None
-        if not all(map(math.isfinite, row)):
-            raise IntegrityError(f"{path}:{lineno}: non-finite feature value")
-        rows_of.setdefault(cells[0], []).append(len(doc_ids))
-        values[len(doc_ids)] = row
-        doc_ids.append(str(node_id))
-        grades.append(grade)
-    return {
-        iid: ([doc_ids[i] for i in rows], values[rows], [grades[i] for i in rows])
-        for iid, rows in rows_of.items()
-    }
+    fh = io.BytesIO(path.read_bytes())
+    names, ids = (_read_record(fh, path, name, np.uint8) for name in ("feature names", "instance id"))
+    if names.tobytes() != "".join(name + "\n" for name in FEATURE_NAMES).encode():
+        raise IntegrityError(f"{path}: the feature names are not those of this feature extractor")
+    try:
+        *instance_ids, end = str(ids, "utf-8").split("\n")
+    except UnicodeDecodeError:
+        raise ParseError(f"{path}: an instance id is not valid UTF-8") from None
+    n = len(instance_ids)
+    node_ids = _read_record(fh, path, "node id", np.int64, (n,))
+    grades = _read_record(fh, path, "grade", np.int64, (n,))
+    matrix = _read_record(fh, path, "feature", np.float64, (n, len(FEATURE_NAMES)))
+    if end or fh.read(1):
+        raise ParseError(f"{path}: bytes follow the last instance id or the last record")
+    if not np.isin(grades, [0, *VALID_GRADES]).all():
+        raise ParseError(f"{path}: a grade is neither 0 (none) nor one of {sorted(VALID_GRADES)}")
+    finite = np.isfinite(matrix).all(axis=1)
+    if not finite.all():
+        row = int(np.argmin(finite))  # the first row that is not
+        raise IntegrityError(f"{path}: instance {instance_ids[row]!r}, node {node_ids[row]}: non-finite value")
+    doc_ids, grade_list = list(map(str, node_ids.tolist())), [g or None for g in grades.tolist()]
+    starts = [i for i in range(n) if i == 0 or instance_ids[i] != instance_ids[i - 1]]
+    runs = list(zip(starts, [*starts[1:], n]))
+    features = {instance_ids[a]: (doc_ids[a:b], matrix[a:b].copy(), grade_list[a:b]) for a, b in runs}
+    if len(features) != len(runs):
+        raise ParseError(f"{path}: the rows of an instance are not in one run")
+    return features

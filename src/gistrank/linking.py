@@ -188,21 +188,28 @@ def _instance_from_record(obj: dict) -> Instance:
     grades = None
     if obj.get("concept_grades"):
         grades = {int(k): int(v) for k, v in obj["concept_grades"].items()}
-    return Instance(
+    instance = Instance(
         instance_id=str(obj["id"]),
         tags=tuple(str(t) for t in obj.get("tags", ())),
         image_labels=tuple(str(t) for t in obj.get("image_labels", ())),
         topics=frozenset(str(t) for t in obj.get("topics", ())),
         concept_grades=grades,
     )
+    # A JSON escape can spell a lone surrogate, which has no UTF-8 encoding.
+    try:
+        "".join((instance.instance_id, *instance.tags, *instance.image_labels, *instance.topics)).encode()
+    except UnicodeEncodeError:
+        raise ValueError("not valid UTF-8") from None
+    return instance
 
 
 def read_corpus(path: str | Path) -> list[Instance]:
     """Read a JSON-lines corpus file.
 
     Unreadable records (a line that is not UTF-8, not JSON, or not a valid
-    record) are skipped with a warning instead of aborting the whole run;
-    duplicate instance ids are an integrity error.
+    record, or a string in the record with no UTF-8 encoding) are skipped
+    with a warning instead of aborting the whole run; duplicate instance ids
+    are an integrity error.
     """
     instances: list[Instance] = []
     seen: set[str] = set()

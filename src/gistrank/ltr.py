@@ -136,12 +136,13 @@ class RankModel:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "RankModel":
-        return cls(
-            weights=tuple(float(w) for w in obj["weights"]),
-            feature_names=tuple(obj["feature_names"]),
-            training_map=float(obj["training_map"]),
-            config=obj.get("config", {}),
-        )
+        """The model of a JSON object; a weight or training MAP that is not
+        finite (JSON ``NaN``, ``Infinity``) is a ``ValueError``."""
+        weights = tuple(float(w) for w in obj["weights"])
+        training_map = float(obj["training_map"])
+        if not all(map(math.isfinite, (*weights, training_map))):
+            raise ValueError("a weight or the training MAP is not finite")
+        return cls(weights, tuple(obj["feature_names"]), training_map, obj.get("config", {}))
 
 
 def rank(model: RankModel, doc_ids: Sequence[str], matrix: np.ndarray, query_id: str = "") -> Ranking:
@@ -613,19 +614,10 @@ def train_coordinate_ascent(
     for i, p in enumerate(below):
         finals[p] += later[i * (config.restarts - 1):(i + 1) * (config.restarts - 1)]
 
-    models = []
-    for restarts in finals:
-        best_weights, best_map = None, -1.0
-        for weights, final_map, _ in restarts:
-            if final_map > best_map:
-                best_weights, best_map = weights, final_map
-        models.append(
-            RankModel(
-                weights=tuple(float(w) for w in best_weights),
-                feature_names=tuple(feature_names),
-                training_map=best_map,
-                config=config.as_dict(),
-            )
-        )
-    return models
+    # The best restart of each problem; ``max`` keeps the first of equals.
+    best = [max(restarts, key=lambda run: run[1]) for restarts in finals]
+    return [
+        RankModel(tuple(map(float, weights)), tuple(feature_names), final_map, config.as_dict())
+        for weights, final_map, _ in best
+    ]
 

@@ -19,6 +19,7 @@ import dataclasses
 import functools
 import json
 import logging
+import math
 from pathlib import Path
 from typing import Any, Callable, Iterable, NamedTuple, TypeVar
 
@@ -77,7 +78,7 @@ STAGE_OUTPUTS = {
     "link": ("seeds.jsonl", "link_report.json"),
     "graph": ("query_graphs.jsonl",),
     "cluster": ("partitions.jsonl",),
-    "features": ("features.tsv",),
+    "features": ("features.bin",),
     "train1": ("split.json", "model1.json"),
     "rank1": ("rankings1.jsonl",),
     "lexicon": ("lexicon.json",),
@@ -91,8 +92,8 @@ STAGE_INPUTS = {
     "graph": ("seeds.jsonl",),
     "cluster": ("query_graphs.jsonl",),
     "features": ("query_graphs.jsonl", "partitions.jsonl"),
-    "train1": ("features.tsv",),
-    "rank1": ("features.tsv", "model1.json"),
+    "train1": ("features.bin",),
+    "rank1": ("features.bin", "model1.json"),
     "lexicon": ("rankings1.jsonl", "split.json"),
     "train2": ("rankings1.jsonl", "lexicon.json", "split.json"),
     "rank2": ("rankings1.jsonl", "lexicon.json", "split.json", "topic_models.json"),
@@ -310,7 +311,10 @@ def _parse_partition(obj: dict) -> tuple[str, Partition]:
 
 
 def _parse_items(items: list) -> tuple[tuple[str, float], ...]:
-    return tuple((str(d), float(s)) for d, s in items)
+    parsed = tuple((str(d), float(s)) for d, s in items)
+    if not all(math.isfinite(s) for _, s in parsed):
+        raise ValueError("a ranking score is not finite")
+    return parsed
 
 
 def _parse_ranking(obj: dict) -> tuple[str, Ranking]:
@@ -331,12 +335,14 @@ Split = tuple[set[str], set[str]]
 
 
 def _write_features(path: Path, features: dict[str, FeatureRows]) -> None:
-    rows = [
-        (iid, doc_id, values, grade)
-        for iid, (doc_ids, matrix, grades) in features.items()
-        for doc_id, values, grade in zip(doc_ids, matrix.tolist(), grades)
-    ]
-    write_feature_rows(path, rows)
+    parts = features.values()
+    write_feature_rows(
+        path,
+        np.concatenate([np.empty((0, len(FEATURE_NAMES))), *(matrix for _, matrix, _ in parts)]),
+        [iid for iid, (doc_ids, _, _) in features.items() for _ in doc_ids],
+        [doc_id for doc_ids, _, _ in parts for doc_id in doc_ids],
+        [grade for _, _, grades in parts for grade in grades],
+    )
 
 
 def _write_vectors(path: Path, vectors: list[InstanceVector]) -> None:
@@ -377,7 +383,7 @@ ARTIFACTS = {
         _by_instance_id(lambda obj: QueryGraph.from_json_obj(obj)), lambda _, qg: qg.to_json_obj()
     ),
     "partitions.jsonl": _jsonl(_parse_partition, lambda iid, p: {**p.to_json_obj(), "instance_id": iid}),
-    "features.tsv": _Artifact(lambda path: read_feature_rows(path), _write_features),
+    "features.bin": _Artifact(lambda path: read_feature_rows(path), _write_features),
     "split.json": _json(
         lambda obj: (set(obj["train"]), set(obj["test"])),
         lambda split: {"train": sorted(split[0]), "test": sorted(split[1])},

@@ -11,12 +11,11 @@ import hashlib
 import io
 from itertools import chain, islice
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
 from . import __version__
-from .errors import atomic_open
+from .errors import atomic_open, save_strings
 from .features import IdfTable
 from .kg import KnowledgeGraph
 
@@ -47,26 +46,6 @@ class _HashingSink:
     def write(self, data) -> int:
         self.sha256.update(data)
         return self.fh.write(data)
-
-
-def _save_strings(sink: _HashingSink, strings: Sequence[str]) -> None:
-    """Write ``strings`` as one uint8 record of their UTF-8 bytes, each
-    string ended by a newline.
-
-    The bytes equal ``np.save`` of that array, but are encoded a few
-    thousand strings at a time, twice (once to size the record), so no copy
-    of all the text is ever held.
-    """
-    chunks = [strings[i : i + 4096] for i in range(0, len(strings), 4096)]
-
-    def encoded():
-        return (("\n".join(chunk) + "\n").encode("utf-8") for chunk in chunks)
-
-    size = sum(map(len, encoded()))
-    header = {"descr": np.dtype(np.uint8).str, "fortran_order": False, "shape": (size,)}
-    np.lib.format.write_array_header_1_0(sink, header)
-    for data in encoded():
-        sink.write(data)
 
 
 def kg_snapshot_key(nodes_path: str | Path, edges_path: str | Path) -> bytes:
@@ -118,7 +97,7 @@ def save_kg_snapshot(path: str | Path, key: bytes, graph: KnowledgeGraph, idf: I
         sink = _HashingSink(fh)
         for record in records:
             np.save(sink, record, allow_pickle=False)
-        _save_strings(sink, strings)
+        save_strings(sink, strings)
         fh.write(_check_record(key, sink.sha256.digest()))
 
 

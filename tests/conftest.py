@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import itertools
 from collections import deque
 from pathlib import Path
@@ -27,6 +28,24 @@ def count_pipeline_calls(monkeypatch, names) -> dict[str, int]:
 
         monkeypatch.setattr(pipeline, name, counted)
     return counts
+
+
+def npy_records(data: bytes) -> list[tuple[int, np.ndarray]]:
+    """The ``np.save`` records of a feature dump, each with the offset at which it ends."""
+    fh = io.BytesIO(data)
+    records = []
+    while fh.tell() < len(data):
+        array = np.lib.format.read_array(fh, allow_pickle=False)
+        records.append((fh.tell(), array))
+    return records
+
+
+def edit_npy_record(data: bytes, index: int, edit) -> bytes:
+    """``data`` with record ``index`` replaced by ``edit(record)``, saved again."""
+    fh = io.BytesIO()
+    for i, (_, array) in enumerate(npy_records(data)):
+        np.save(fh, edit(array.copy()) if i == index else array, allow_pickle=False)
+    return fh.getvalue()
 
 
 def kg_from_parts(nodes, edges) -> KnowledgeGraph:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gistrank.clustering import Partition, build_relatedness_graph, louvain, relatedness_matrix
-from gistrank.errors import IntegrityError, ParseError
+from gistrank.errors import GistRankError, IntegrityError, ParseError
 from gistrank.features import (
     BOOLEAN_FEATURES,
     FEATURE_NAMES,
@@ -31,6 +31,7 @@ from gistrank.query_graph import build_query_graph
 
 from tests.conftest import (
     all_pairs_hops,
+    edit_npy_record,
     kg_from_parts,
     neighbor_tuples,
     query_graph_from_edges,
@@ -726,49 +727,111 @@ class TestIdfTable:
         assert table.n_documents == reference.n_documents
 
 
+def _write_dump(path, rows) -> None:
+    """Write (instance id, node id, 16 values, grade) rows as one feature dump."""
+    ids, nodes, values, grades = (list(column) for column in zip(*rows))
+    write_feature_rows(path, np.array(values, dtype=np.float64), ids, list(map(str, nodes)), grades)
+
+
+_ROWS = [
+    ("i1", 3, tuple(float(x) / 7 for x in range(16)), 5),
+    ("i1", 4, (0.0,) * 16, None),
+    ("i2", 10, (-0.0,) + (1.0,) * 15, 1),
+]
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
 class TestFeatureIO:
     def test_round_trip(self, tmp_path):
-        rows = [
-            ("i1", 3, tuple(float(x) / 7 for x in range(16)), 5),
-            ("i2", 10, (-0.0,) + (1.0,) * 15, 1),
-            ("i1", 4, (0.0,) * 16, None),
-        ]
-        path = tmp_path / "features.tsv"
-        write_feature_rows(path, rows)
-        read = {iid: (ids, repr(m.tolist()), grades) for iid, (ids, m, grades) in read_feature_rows(path).items()}
+        path = tmp_path / "features.bin"
+        _write_dump(path, _ROWS)
+        read = {iid: (ids, m.tobytes(), grades) for iid, (ids, m, grades) in read_feature_rows(path).items()}
         assert read == {
-            "i1": (["3", "4"], repr([list(rows[0][2]), list(rows[2][2])]), [5, None]),
-            "i2": (["10"], repr([list(rows[1][2])]), [1]),
+            "i1": (["3", "4"], np.array([_ROWS[0][2], _ROWS[1][2]]).tobytes(), [5, None]),
+            "i2": (["10"], np.array([_ROWS[2][2]]).tobytes(), [1]),
         }
+        # Five records, as ``np.load`` reads them one after another.
+        with path.open("rb") as fh:
+            records = [np.load(fh) for _ in range(5)]
+            assert fh.read() == b""
+        names, ids, nodes, grades, matrix = records
+        assert names.tobytes().decode().split("\n")[:-1] == list(FEATURE_NAMES)
+        assert ids.tobytes() == b"i1\ni1\ni2\n"
+        assert nodes.tolist() == [3, 4, 10] and grades.tolist() == [5, 0, 1]
+        assert matrix.dtype == np.float64 and matrix.shape == (3, 16)
 
     def test_header_mismatch_fails(self, tmp_path):
-        path = tmp_path / "features.tsv"
-        path.write_text("instance_id\tnode_id\twrong\tgrade\n", encoding="utf-8")
-        with pytest.raises(IntegrityError, match="header mismatch"):
+        path = tmp_path / "features.bin"
+        _write_dump(path, _ROWS)
+        names = "".join(name + "\n" for name in reversed(FEATURE_NAMES)).encode()
+        path.write_bytes(edit_npy_record(path.read_bytes(), 0, lambda _: np.frombuffer(names, np.uint8)))
+        with pytest.raises(IntegrityError, match="feature names"):
             read_feature_rows(path)
 
     def test_wrong_field_count_is_parse_error(self, tmp_path):
-        path = tmp_path / "features.tsv"
-        write_feature_rows(path, [("i1", 3, (0.5,) * 15, 1)])
-        with pytest.raises(ParseError, match="features.tsv:2"):
+        path = tmp_path / "features.bin"
+        write_feature_rows(path, np.full((1, 15), 0.5), ["i1"], ["3"], [1])
+        message = r"features.bin: the feature record is float64 \(1, 15\), not float64 \(1, 16\)"
+        with pytest.raises(ParseError, match=message):
             read_feature_rows(path)
 
     @pytest.mark.parametrize("line", [1, 3])
     def test_non_utf8_line_is_parse_error(self, tmp_path, line):
-        path = tmp_path / "features.tsv"
-        write_feature_rows(path, [("i1", 3, (0.5,) * 16, 1), ("i1", 4, (0.5,) * 16, None)])
-        lines = path.read_bytes().splitlines(keepends=True)
-        lines[line - 1] = b"\xff" + lines[line - 1]
-        path.write_bytes(b"".join(lines))
-        with pytest.raises(ParseError, match=f"features.tsv:{line}: line is not valid UTF-8"):
+        # The instance ids are lines of UTF-8 text in one record.
+        path = tmp_path / "features.bin"
+        _write_dump(path, _ROWS)
+        data = bytearray(path.read_bytes())
+        data[data.index(b"i1\ni1\ni2\n") + 3 * (line - 1)] = 0xFF
+        path.write_bytes(bytes(data))
+        with pytest.raises(ParseError, match="features.bin: an instance id is not valid UTF-8"):
             read_feature_rows(path)
 
     @pytest.mark.parametrize("cell", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_cell_is_integrity_error(self, tmp_path, cell):
-        path = tmp_path / "features.tsv"
-        write_feature_rows(path, [("i1", 3, (0.5,) * 15 + (cell,), 1)])
-        with pytest.raises(IntegrityError, match="features.tsv:2"):
+        path = tmp_path / "features.bin"
+        _write_dump(path, [_ROWS[0], ("i1", 4, (0.5,) * 15 + (cell,), None)])
+        with pytest.raises(IntegrityError, match="features.bin: instance 'i1', node 4: non-finite"):
             read_feature_rows(path)
+
+    @pytest.mark.parametrize(
+        "index, edit, message",
+        [
+            (2, lambda nodes: nodes.astype(np.float64), "node id record is float64"),
+            (3, lambda grades: grades[:-1], r"grade record is int64 \(2,\), not int64 \(3,\)"),
+            (3, lambda grades: grades + 6, "a grade is neither 0"),
+            (1, lambda ids: np.append(ids, np.uint8(ord("x"))), "bytes follow the last instance id"),
+            (1, lambda ids: np.frombuffer(b"i1\ni2\ni1\n", np.uint8), "not in one run"),
+            (4, lambda matrix: np.asfortranarray(matrix.astype(np.float32)), "feature record is float32"),
+        ],
+        ids=["node-dtype", "grade-count", "grade-range", "ids-unended", "instance-split", "matrix-dtype"],
+    )
+    def test_malformed_record_is_parse_error(self, tmp_path, index, edit, message):
+        path = tmp_path / "features.bin"
+        _write_dump(path, _ROWS)
+        path.write_bytes(edit_npy_record(path.read_bytes(), index, edit))
+        with pytest.raises(ParseError, match=message):
+            read_feature_rows(path)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_every_cut_or_flipped_byte_is_read_or_a_gistrank_error(self, fuzz_dir, data):
+        path = fuzz_dir / "features.bin"
+        _write_dump(path, _ROWS)
+        good = path.read_bytes()
+        at = data.draw(st.integers(0, len(good) - 1))
+        if data.draw(st.booleans()):
+            damaged = good[:at]
+        else:
+            damaged = good[:at] + bytes([good[at] ^ data.draw(st.integers(1, 255))]) + good[at + 1 :]
+        path.write_bytes(damaged)
+        try:
+            read_feature_rows(path)
+        except GistRankError:
+            pass
 
 
 def test_feature_names_frozen():

@@ -4,6 +4,7 @@ import filecmp
 import hashlib
 import json
 import logging
+import math
 import re
 import shutil
 from pathlib import Path
@@ -29,13 +30,23 @@ from gistrank.pipeline import (
 )
 from gistrank.query_graph import QueryGraph, build_query_graph
 
-from tests.conftest import count_pipeline_calls, kg_adjacency, neighbors
+from tests.conftest import count_pipeline_calls, edit_npy_record, kg_adjacency, neighbors, npy_records
 
 
 @pytest.fixture(scope="module")
 def fixture_dir(tmp_path_factory) -> Path:
     out = tmp_path_factory.mktemp("fixture")
     gen_fixture(seed=7, n_instances=30, n_topics=3, out_dir=out)
+    return out
+
+
+@pytest.fixture(scope="module")
+def through_rank1(tmp_path_factory) -> Path:
+    """A 9×3 fixture whose TII stages have run from link through rank1."""
+    out = tmp_path_factory.mktemp("through_rank1")
+    main(["gen-fixture", "--seed", "9", "--instances", "9", "--topics", "3", "--out", str(out)])
+    for stage in STAGE_ORDER[: STAGE_ORDER.index("rank1") + 1]:
+        assert main([stage, "--config", str(out / "pipeline.config")]) == 0
     return out
 
 
@@ -236,7 +247,7 @@ class TestStages:
             "link_report.json",
             "query_graphs.jsonl",
             "partitions.jsonl",
-            "features.tsv",
+            "features.bin",
             "model1.json",
             "rankings1.jsonl",
             "lexicon.json",
@@ -347,13 +358,6 @@ class TestStages:
             run_stage(config, "rank1")
 
 
-def _prefix_first_node_id(data: bytes, prefix: bytes) -> bytes:
-    header, first, rest = data.split(b"\n", 2)
-    cells = first.split(b"\t")
-    cells[1] = prefix + cells[1]
-    return b"\n".join([header, b"\t".join(cells), rest])
-
-
 def _prefix_first_doc_ids(data: bytes, prefix: str) -> bytes:
     """Prefix the first ranked doc id of every stage-1 ranking."""
     records = [json.loads(line) for line in data.splitlines()]
@@ -361,6 +365,25 @@ def _prefix_first_doc_ids(data: bytes, prefix: str) -> bytes:
         if record["items"]:
             record["items"][0][0] = prefix + record["items"][0][0]
     return "".join(json.dumps(r, sort_keys=True) + "\n" for r in records).encode()
+
+
+def _edit_json(data: bytes, edit) -> bytes:
+    """The JSON text ``data`` after ``edit`` changed its object in place."""
+    obj = json.loads(data)
+    edit(obj)
+    return json.dumps(obj).encode()
+
+
+def _nan_first_score(data: bytes) -> bytes:
+    """A NaN for the first score of the first stage-1 ranking that has one."""
+    records = [json.loads(line) for line in data.splitlines()]
+    next(r for r in records if r["items"])["items"][0][1] = math.nan
+    return "".join(json.dumps(r) + "\n" for r in records).encode()
+
+
+def _cut_after_records(n: int):
+    """Cut a feature dump right after its first ``n`` records."""
+    return lambda data: data[: ([0] + [end for end, _ in npy_records(data)])[n]]
 
 
 def _edit_first_seeded_graph(data: bytes, edit) -> bytes:
@@ -447,38 +470,46 @@ class TestArtifacts:
             assert _same(obj, ARTIFACTS[name].read(path)), path
 
     def test_features_in_the_stage_form_round_trip(self, tmp_path):
-        # Per instance: doc ids, one C-contiguous float64 matrix, grades; a
-        # -0.0 and the shortest repr of a float survive the text.
+        # Per instance, in the order given (not sorted): doc ids, one fresh
+        # C-contiguous float64 matrix, grades with None for ungraded rows.
+        # The values come back bit for bit, -0.0 and a subnormal included.
         features = {
-            "i1": (["3", "4"], np.array([[x / 7 for x in range(16)], [0.0] * 16]), [5, None]),
-            "i2": (["10"], np.array([[-0.0] + [1.0] * 15]), [1]),
+            "i2": (["10"], np.array([[-0.0] + [1.0] * 15]), [None]),
+            "i1": (["4", "3"], np.array([[x / 7 for x in range(16)], [0.0] * 15 + [5e-324]]), [5, None]),
         }
-        path = tmp_path / "features.tsv"
-        ARTIFACTS["features.tsv"].write(path, features)
-        flat = tmp_path / "flat.tsv"
-        write_feature_rows(flat, [
-            (iid, doc_id, values, grade)
-            for iid, (doc_ids, matrix, grades) in features.items()
-            for doc_id, values, grade in zip(doc_ids, matrix.tolist(), grades)
-        ])
+        path = tmp_path / "features.bin"
+        ARTIFACTS["features.bin"].write(path, features)
+        flat = tmp_path / "flat.bin"
+        write_feature_rows(
+            flat, np.concatenate([m for _, m, _ in features.values()]), ["i2", "i1", "i1"], ["10", "4", "3"],
+            [None, 5, None],
+        )
         assert path.read_bytes() == flat.read_bytes()
-        assert _same(ARTIFACTS["features.tsv"].read(path), features)
+        read = ARTIFACTS["features.bin"].read(path)
+        assert _same(read, features) and list(read) == ["i2", "i1"]
+        assert all(m.flags.writeable and m.base is None for _, m, _ in read.values())
+        ARTIFACTS["features.bin"].write(path, {})
+        assert ARTIFACTS["features.bin"].read(path) == {}
 
 
 class TestAtomicWrites:
-    def test_failed_write_leaves_the_old_file_and_no_temp_file(self, tmp_path):
-        path = tmp_path / "features.tsv"
-        write_feature_rows(path, [("i1", 3, (0.5,) * 16, 1)])
+    def test_failed_write_leaves_the_old_file_and_no_temp_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "features.bin"
+        write_feature_rows(path, np.full((1, 16), 0.5), ["i1"], ["3"], [1])
         old = path.read_bytes()
+        save = np.save
 
-        def rows():
-            yield ("i2", 4, (0.25,) * 16, None)
-            raise OSError("disk full")
+        def save_until_the_matrix(fh, array, **kwargs):
+            if array.ndim == 2:  # the disk fills up in the last record
+                fh.write(b"\x93NUMPY")
+                raise OSError("disk full")
+            save(fh, array, **kwargs)
 
+        monkeypatch.setattr(np, "save", save_until_the_matrix)
         with pytest.raises(OSError, match="disk full"):
-            write_feature_rows(path, rows())
+            write_feature_rows(path, np.full((1, 16), 0.25), ["i2"], ["4"], [None])
         assert path.read_bytes() == old
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["features.tsv"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["features.bin"]
 
     def test_writers_replace_the_file_in_one_step(self, tmp_path):
         path = tmp_path / "a.json"
@@ -501,7 +532,7 @@ class TestRunAll:
     def test_each_mode_writes_what_its_staged_run_writes(
         self, fixture_dir, run_all_out, tmp_path, mode
     ):
-        features = {m: (run_all_out / m / "features.tsv").read_bytes() for m in ("T", "TI", "TII")}
+        features = {m: (run_all_out / m / "features.bin").read_bytes() for m in ("T", "TI", "TII")}
         assert len(set(features.values())) == 3  # TI ranks fewer candidates than TII
         config = load_config(
             fixture_dir / "pipeline.config", {"out": str(tmp_path / "staged"), "mode": mode}
@@ -509,7 +540,7 @@ class TestRunAll:
         for stage in STAGE_ORDER:
             run_stage(config, stage)
         staged = _artifacts(tmp_path / "staged" / mode)
-        assert "features.tsv" in staged and "report.txt" in staged
+        assert "features.bin" in staged and "report.txt" in staged
         assert _artifacts(run_all_out / mode) == staged
 
     def test_shared_work_runs_once_per_run_or_link_mode(self, fixture_dir, tmp_path, monkeypatch):
@@ -730,6 +761,24 @@ class TestCli:
         lineno = len(lines) if where == "last" else where
         assert f"error: {path}:{lineno}: line is not valid UTF-8" in capsys.readouterr().err
 
+    def test_corpus_record_with_a_lone_surrogate_is_skipped(self, tmp_path, caplog):
+        # A JSON escape can spell a lone surrogate, which UTF-8 cannot encode:
+        # the feature dump once died on it with a raw UnicodeEncodeError.
+        out = tmp_path / "fx"
+        main(["gen-fixture", "--seed", "9", "--instances", "9", "--topics", "3", "--out", str(out)])
+        corpus = out / "corpus.jsonl"
+        lines = corpus.read_bytes().splitlines(keepends=True)
+        record = json.loads(lines[2])
+        record["id"] += "\udcff"
+        lines[2] = json.dumps(record).encode() + b"\n"
+        corpus.write_bytes(b"".join(lines))
+        assert main(["all", "--config", str(out / "pipeline.config")]) == 0
+        assert f"{corpus}:3: skipping unreadable record (not valid UTF-8)" in caplog.text
+        kept = {json.loads(line)["id"] for i, line in enumerate(lines) if i != 2}
+        for mode in ("T", "TI", "TII"):
+            seeds = (out / "out" / mode / "seeds.jsonl").read_text().splitlines()
+            assert {json.loads(line)["instance_id"] for line in seeds} == kept
+
     def test_non_utf8_corpus_record_is_skipped(self, tmp_path, capsys, caplog):
         out = tmp_path / "fx"
         main(["gen-fixture", "--seed", "9", "--instances", "9", "--topics", "3", "--out", str(out)])
@@ -763,8 +812,23 @@ class TestCli:
     @pytest.mark.parametrize(
         "artifact, upstream, stage, corrupt",
         [
-            ("features.tsv", 4, "train1", lambda data: _prefix_first_node_id(data, b"n")),
+            # Node ids written as floats, not int64.
+            ("features.bin", 4, "train1", lambda data: edit_npy_record(data, 2, lambda ids: ids.astype(float))),
             ("model1.json", 5, "rank1", lambda data: data.replace(b'"weights"', b'"weight"')),
+            # Python's json reads NaN and Infinity, which once passed as weights, MAPs and scores.
+            (
+                "model1.json", 5, "rank1",
+                lambda data: _edit_json(data, lambda m: m["weights"].__setitem__(0, math.nan)),
+            ),
+            (
+                "topic_models.json", 8, "rank2",
+                lambda data: _edit_json(data, lambda ms: next(iter(ms.values())).update(training_map=math.inf)),
+            ),
+            ("rankings1.jsonl", 6, "lexicon", _nan_first_score),
+            (
+                "rankings2.json", 9, "evaluate",
+                lambda data: _edit_json(data, lambda rs: next(iter(rs.values()))[0].__setitem__(1, math.nan)),
+            ),
             ("rankings1.jsonl", 6, "lexicon", lambda data: data[:-40]),
             ("rankings1.jsonl", 6, "lexicon", lambda data: _prefix_first_doc_ids(data, "x")),
             ("rankings1.jsonl", 8, "rank2", lambda data: _prefix_first_doc_ids(data, "x")),
@@ -776,7 +840,8 @@ class TestCli:
             ("topic_models.json", 8, "rank2", lambda data: data.replace(b'"concept:', b'"concept:x', 1)),
             ("rankings2.json", 9, "evaluate", lambda data: data[:-40]),
         ],
-        ids=["feature-node-id", "model1-no-weights", "truncated-rankings1",
+        ids=["feature-node-id", "model1-no-weights", "model1-nan-weight", "topic-model-infinite-map",
+             "rankings1-nan-score", "rankings2-nan-score", "truncated-rankings1",
              "rankings1-doc-id-for-lexicon", "rankings1-doc-id-for-rank2", "truncated-split",
              "truncated-lexicon", "truncated-topic-models", "topic-model-no-weights",
              "topic-model-not-the-lexicon", "truncated-rankings2"],
@@ -815,20 +880,52 @@ class TestCli:
         assert "error:" in err and "corpus.jsonl" in err and "split.json" in err
         assert repr(dropped) in err
 
-    def test_non_finite_feature_cell_exit_code(self, tmp_path, capsys):
+    def test_non_finite_feature_cell_exit_code(self, through_rank1, tmp_path, capsys):
         out = tmp_path / "fx"
-        main(["gen-fixture", "--seed", "9", "--instances", "9", "--topics", "3", "--out", str(out)])
-        config = str(out / "pipeline.config")
-        for name in ("link", "graph", "cluster", "features"):
-            assert main([name, "--config", config]) == 0
-        path = out / "out" / "TII" / "features.tsv"
-        header, first, rest = path.read_bytes().split(b"\n", 2)
-        cells = first.split(b"\t")
-        cells[2] = b"nan"
-        path.write_bytes(b"\n".join([header, b"\t".join(cells), rest]))
-        assert main(["train1", "--config", config]) == 2
-        err = capsys.readouterr().err
-        assert "non-finite" in err and "features.tsv:2" in err
+        shutil.copytree(through_rank1, out)
+        path = out / "out" / "TII" / "features.bin"
+        records = [array for _, array in npy_records(path.read_bytes())]
+        row = len(records[2]) // 2
+
+        def nan_cell(matrix):
+            matrix[row, 1] = math.nan
+            return matrix
+
+        path.write_bytes(edit_npy_record(path.read_bytes(), 4, nan_cell))
+        instance_id = records[1].tobytes().decode().split("\n")[row]
+        for stage in ("train1", "rank1"):
+            capsys.readouterr()
+            assert main([stage, "--config", str(out / "pipeline.config")]) == 2
+            err = capsys.readouterr().err
+            assert f"{path}: instance {instance_id!r}, node {records[2][row]}: non-finite value" in err
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            *map(_cut_after_records, range(5)),
+            lambda data: data[: npy_records(data)[1][0] + 20],  # inside the header of the node ids
+            lambda data: data[:-100],  # inside the matrix
+            lambda data: data[:-1],
+            lambda data: data + b"\0",
+            lambda data: edit_npy_record(data, 4, lambda m: m.astype(np.float32)),
+            lambda data: edit_npy_record(data, 4, lambda m: m[:, :15]),
+            lambda data: edit_npy_record(data, 0, lambda names: names[::-1]),
+        ],
+        ids=["cut-empty", "cut-after-names", "cut-after-instance-ids", "cut-after-node-ids", "cut-after-grades",
+             "cut-in-a-header", "cut-in-the-matrix", "cut-last-byte", "appended-byte", "matrix-float32",
+             "matrix-15-columns", "wrong-feature-names"],
+    )
+    def test_damaged_feature_dump_exit_code(self, through_rank1, tmp_path, capsys, damage):
+        # A feature dump cut to a prefix once fed train1 ... evaluate, which
+        # all exited 0 on the rows that were left.
+        out = tmp_path / "fx"
+        shutil.copytree(through_rank1, out)
+        path = out / "out" / "TII" / "features.bin"
+        path.write_bytes(damage(path.read_bytes()))
+        for stage in ("train1", "rank1"):
+            capsys.readouterr()
+            assert main([stage, "--config", str(out / "pipeline.config")]) == 2
+            assert f"error: {path}: " in capsys.readouterr().err
 
     def test_negative_min_gain_exit_code(self, tmp_path, capsys):
         # Steps of zero gain used to be accepted forever, and `all` hung.
@@ -878,12 +975,14 @@ class TestCli:
         config = str(out / "pipeline.config")
         for name in STAGE_ORDER[:upstream]:
             assert main([name, "--config", config]) == 0
-        path = out / "out" / "TII" / "features.tsv"
-        path.write_bytes(path.read_bytes() + b"\xff")
-        lineno = len(path.read_bytes().splitlines())
+        path = out / "out" / "TII" / "features.bin"
+        data = bytearray(path.read_bytes())
+        (_, _), (end, instance_ids), *_ = npy_records(bytes(data))
+        data[end - instance_ids.size] = 0xFF  # the first byte of the first instance id
+        path.write_bytes(bytes(data))
         capsys.readouterr()
         assert main([stage, "--config", config]) == 2
-        assert f"error: {path}:{lineno}: line is not valid UTF-8" in capsys.readouterr().err
+        assert f"error: {path}: an instance id is not valid UTF-8" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "rerun, later, stale",
@@ -916,7 +1015,7 @@ class TestCli:
             ("graph", "seeds.jsonl"),
             ("cluster", "query_graphs.jsonl"),
             ("features", "partitions.jsonl"),
-            ("train1", "features.tsv"),
+            ("train1", "features.bin"),
             ("rank1", "model1.json"),
             ("lexicon", "rankings1.jsonl"),
             ("train2", "lexicon.json"),
@@ -927,7 +1026,7 @@ class TestCli:
     )
     def test_input_without_producer_manifest_exit_code(self, tmp_path, capsys, stage, artifact):
         # Only the manifests of seed-dependent producers were once required,
-        # so a features.tsv without features.manifest.json fed train1.
+        # so a feature dump without features.manifest.json fed train1.
         producer = next(s for s, outputs in STAGE_OUTPUTS.items() if artifact in outputs)
         out = tmp_path / "fx"
         main(["gen-fixture", "--seed", "9", "--instances", "9", "--topics", "3", "--out", str(out)])
