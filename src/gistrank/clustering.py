@@ -14,10 +14,9 @@ from typing import Mapping
 
 import numpy as np
 
-from .query_graph import QueryGraph
+from .query_graph import MAX_PATH_LENGTH, QueryGraph
 
 RELATEDNESS_DECAY = 0.5
-RELATEDNESS_HORIZON = 4
 
 # Gains this small are treated as zero so float noise cannot cause moves.
 MIN_GAIN = 1e-12
@@ -76,7 +75,7 @@ def relatedness_matrix(qg: QueryGraph) -> np.ndarray:
     entry is a power of two, so sums over it are exact in any order.
     """
     hops = qg.hops
-    within = (hops >= 0) & (hops <= RELATEDNESS_HORIZON)
+    within = (hops >= 0) & (hops <= MAX_PATH_LENGTH)
     return np.where(within, RELATEDNESS_DECAY**hops, 0.0)
 
 

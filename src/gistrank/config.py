@@ -8,34 +8,31 @@ key reproduces a whole run; any of them can be overridden individually.
 from __future__ import annotations
 
 import hashlib
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ConfigError, read_lines
 from .evaluation import MODES
 from .ltr import CoordinateAscentConfig
 
-_TRAIN_KEYS = ("restarts", "step_base", "step_levels", "min_gain", "seed", "relevance_threshold")
-
 
 @dataclass(frozen=True)
 class PipelineConfig:
+    """A checked run configuration; ``load_config`` fills in every default."""
+
     kg_nodes: Path
     kg_edges: Path
     corpus: Path
     out: Path
-    mode: str = "TII"
-    top_k: int = 10
-    eval_k: int = 50
-    seed: int = 7
-    split_ratio: float = 0.6
-    split_seed: int | None = None
-    image_labels: Path | None = None
-    train1: CoordinateAscentConfig = field(default_factory=CoordinateAscentConfig)
-    train2: CoordinateAscentConfig = field(
-        default_factory=lambda: CoordinateAscentConfig(relevance_threshold=1)
-    )
+    mode: str
+    top_k: int
+    eval_k: int
+    seed: int
+    split_ratio: float
+    split_seed: int | None
+    image_labels: Path | None
+    train1: CoordinateAscentConfig
+    train2: CoordinateAscentConfig
 
     def resolved_split_seed(self) -> int:
         return self.split_seed if self.split_seed is not None else self.seed + 1
@@ -55,17 +52,7 @@ class PipelineConfig:
         if self.eval_k < 1:
             raise ConfigError("eval.k: must be >= 1")
         for prefix, train in (("train1", self.train1), ("train2", self.train2)):
-            if train.restarts < 1:
-                raise ConfigError(f"{prefix}.restarts: must be >= 1")
-            if train.step_levels < 1:
-                raise ConfigError(f"{prefix}.step_levels: must be >= 1")
-            # Written so that NaN fails too.
-            if not (train.step_base > 0 and math.isfinite(train.step_base)):
-                raise ConfigError(f"{prefix}.step_base: must be finite and > 0, got {train.step_base!r}")
-            if not math.isfinite(train.largest_step()):
-                raise ConfigError(f"{prefix}.step_base * 2**({prefix}.step_levels - 1): must be finite")
-            if not (train.min_gain >= 0 and math.isfinite(train.min_gain)):
-                raise ConfigError(f"{prefix}.min_gain: must be finite and >= 0, got {train.min_gain!r}")
+            train.check(f"{prefix}.", ConfigError)
 
     def config_hash(self) -> str:
         return hashlib.sha256(self.canonical_text().encode("utf-8")).hexdigest()[:16]
@@ -86,8 +73,8 @@ class PipelineConfig:
             "image_labels": str(self.image_labels) if self.image_labels else "",
         }
         for prefix, train in (("train1", self.train1), ("train2", self.train2)):
-            for key in _TRAIN_KEYS:
-                items[f"{prefix}.{key}"] = repr(getattr(train, key))
+            for key, value in train.as_dict().items():
+                items[f"{prefix}.{key}"] = repr(value)
         return "\n".join(f"{k}={v}" for k, v in sorted(items.items()))
 
 
@@ -129,14 +116,10 @@ def load_config(path: str | Path, overrides: dict[str, str] | None = None) -> Pi
         raw = values.pop(key, None)
         return default if raw is None else _parse_scalar(key, raw, kind)
 
-    def train_config(prefix: str, default_threshold: int, default_seed: int) -> CoordinateAscentConfig:
+    def train_config(prefix: str, **defaults) -> CoordinateAscentConfig:
+        defaults = {**CoordinateAscentConfig().as_dict(), **defaults}
         return CoordinateAscentConfig(
-            restarts=scalar(f"{prefix}.restarts", int, 5),
-            step_base=scalar(f"{prefix}.step_base", float, 0.05),
-            step_levels=scalar(f"{prefix}.step_levels", int, 10),
-            min_gain=scalar(f"{prefix}.min_gain", float, 1e-6),
-            seed=scalar(f"{prefix}.seed", int, default_seed),
-            relevance_threshold=scalar(f"{prefix}.relevance_threshold", int, default_threshold),
+            **{key: scalar(f"{prefix}.{key}", type(value), value) for key, value in defaults.items()}
         )
 
     kg_nodes = path_of("kg.nodes")
@@ -151,8 +134,8 @@ def load_config(path: str | Path, overrides: dict[str, str] | None = None) -> Pi
         raise ConfigError("workers: the worker pool was removed; the pipeline runs sequentially")
 
     seed = scalar("seed", int, 7)
-    train1 = train_config("train1", 4, seed + 2)
-    train2 = train_config("train2", 1, seed + 3)
+    train1 = train_config("train1", seed=seed + 2)
+    train2 = train_config("train2", seed=seed + 3, relevance_threshold=1)
 
     config = PipelineConfig(
         kg_nodes=kg_nodes,

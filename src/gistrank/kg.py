@@ -46,14 +46,13 @@ def normalize_title(text: str) -> str:
 class ConceptNode:
     """One concept: an article or a category.
 
-    Titles are stored normalized. Only articles may carry redirect titles
-    and an abstract; categories keep both empty.
+    Titles are stored normalized. Only articles may carry an abstract;
+    categories keep it empty.
     """
 
     node_id: int
     kind: NodeKind
     title: str
-    redirect_titles: frozenset[str] = frozenset()
     abstract_text: str = ""
 
     @property
@@ -68,25 +67,21 @@ class KnowledgeGraph:
     ``ids`` holds the node ids ascending (not necessarily dense); a node's
     position is its index there, found by binary search, and
     ``is_category``, ``titles`` and ``abstracts`` follow the same order.
-    ``redirect_titles`` holds the normalized redirect titles of only the
-    nodes that carry any, by id. ``indptr``/``indices`` is the CSR adjacency
-    of the category-link edges over positions: symmetric, each row's
-    neighbours ascending. ``edges`` holds every edge as a (src, dst) id row
-    in file order, ``edge_is_redirect`` marks the redirects. ``title_index``
-    maps every normalized title and redirect title to a node id, with
-    redirect edges already resolved to their target. Every array is
-    read-only, so the stages and modes of a run share one graph unchanged.
+    ``indptr``/``indices`` is the CSR adjacency of the category-link edges
+    over positions: symmetric, each row's neighbours ascending.
+    ``title_index`` maps every normalized title, in position order, and
+    after them every redirect title that is no node's title to a node id,
+    with redirect edges already resolved to their target; the redirects
+    themselves are not kept. Every array is read-only, so the stages and
+    modes of a run share one graph unchanged.
     """
 
     ids: np.ndarray
     is_category: np.ndarray
     titles: Sequence[str] = field(repr=False)
     abstracts: Sequence[str] = field(repr=False)
-    redirect_titles: Mapping[int, frozenset[str]] = field(repr=False)
     indptr: np.ndarray = field(repr=False)
     indices: np.ndarray = field(repr=False)
-    edges: np.ndarray = field(repr=False)
-    edge_is_redirect: np.ndarray = field(repr=False)
     title_index: Mapping[str, int] = field(repr=False)
 
     @classmethod
@@ -101,7 +96,8 @@ class KnowledgeGraph:
         edge_is_redirect: Sequence[bool],
     ) -> "KnowledgeGraph":
         """Index checked node columns, in ascending id order, and the edges
-        between them, as (src, dst) rows of node positions.
+        between them, as (src, dst) rows of node positions; the redirect
+        titles (by carrier id) and redirect edges go into ``title_index``.
 
         Raises IntegrityError on a node with two redirect targets or a
         redirect cycle.
@@ -115,28 +111,33 @@ class KnowledgeGraph:
         pairs = pairs[np.diff(pairs, prepend=-1) != 0]  # a link listed both ways counts once
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(pairs // n, minlength=n), out=indptr[1:])
-        edges = node_ids[ends]
         return cls(
             ids=node_ids,
             is_category=np.asarray(is_category, dtype=bool),
             titles=list(titles),
             abstracts=list(abstracts),
-            redirect_titles=dict(redirect_titles),
             indptr=indptr,
             indices=pairs % n,
-            edges=edges,
-            edge_is_redirect=redirect,
-            title_index=_title_index(node_ids.tolist(), titles, redirect_titles, edges[redirect].tolist()),
+            title_index=_title_index(
+                node_ids.tolist(), titles, redirect_titles, node_ids[ends[redirect]].tolist()
+            ),
         )
 
     def __post_init__(self) -> None:
-        for array in (self.ids, self.is_category, self.indptr, self.indices, self.edges,
-                      self.edge_is_redirect):
+        for array in (self.ids, self.is_category, self.indptr, self.indices):
             array.flags.writeable = False
 
     @property
     def n_nodes(self) -> int:
         return len(self.ids)
+
+    @property
+    def edges(self) -> np.ndarray:
+        """Each category link once, as an ascending (id, id) row, in ascending
+        row order; derived from the CSR on each call."""
+        rows = np.repeat(np.arange(self.n_nodes), np.diff(self.indptr))
+        upper = rows < self.indices
+        return self.ids[np.stack([rows[upper], self.indices[upper]], axis=1)]
 
     @property
     def nodes(self) -> Mapping[int, ConceptNode]:
@@ -160,7 +161,6 @@ class KnowledgeGraph:
             node_id,
             NodeKind.CATEGORY if self.is_category[p] else NodeKind.ARTICLE,
             self.titles[p],
-            self.redirect_titles.get(node_id, frozenset()),
             self.abstracts[p],
         )
 

@@ -195,11 +195,14 @@ def _instance_from_record(obj: dict) -> Instance:
         topics=frozenset(str(t) for t in obj.get("topics", ())),
         concept_grades=grades,
     )
-    # A JSON escape can spell a lone surrogate, which has no UTF-8 encoding.
+    # A JSON escape can spell a lone surrogate, which has no UTF-8 encoding,
+    # or a newline, which ends an instance id in the feature dump.
     try:
         "".join((instance.instance_id, *instance.tags, *instance.image_labels, *instance.topics)).encode()
     except UnicodeEncodeError:
         raise ValueError("not valid UTF-8") from None
+    if "\n" in instance.instance_id:
+        raise ValueError("instance id holds a newline")
     return instance
 
 
@@ -207,9 +210,9 @@ def read_corpus(path: str | Path) -> list[Instance]:
     """Read a JSON-lines corpus file.
 
     Unreadable records (a line that is not UTF-8, not JSON, or not a valid
-    record, or a string in the record with no UTF-8 encoding) are skipped
-    with a warning instead of aborting the whole run; duplicate instance ids
-    are an integrity error.
+    record, a string in the record with no UTF-8 encoding, or an instance id
+    holding a newline) are skipped with a warning instead of aborting the
+    whole run; duplicate instance ids are an integrity error.
     """
     instances: list[Instance] = []
     seen: set[str] = set()

@@ -103,12 +103,29 @@ class CoordinateAscentConfig:
     def as_dict(self) -> dict:
         return asdict(self)
 
-    def largest_step(self) -> float:
-        """The largest step, ``step_base * 2**(step_levels - 1)``, or inf when it overflows."""
+    def check(self, prefix: str, error: type[Exception]) -> None:
+        """Raise ``error`` on the first setting training cannot run with,
+        naming its key under ``prefix``.
+
+        The comparisons are written so that NaN fails them: a negative
+        min_gain accepts steps of no gain forever, a NaN one accepts none.
+        """
         try:
-            return self.step_base * 2.0 ** (self.step_levels - 1)
+            largest_step = self.step_base * 2.0 ** (self.step_levels - 1)
         except OverflowError:
-            return math.inf
+            largest_step = math.inf
+        for ok, message in (
+            (self.restarts >= 1, f"{prefix}restarts: must be >= 1, got {self.restarts}"),
+            (self.step_levels >= 1, f"{prefix}step_levels: must be >= 1, got {self.step_levels}"),
+            (self.step_base > 0 and math.isfinite(self.step_base),
+             f"{prefix}step_base: must be finite and > 0, got {self.step_base!r}"),
+            (math.isfinite(largest_step),
+             f"{prefix}step_base * 2**({prefix}step_levels - 1): must be finite"),
+            (self.min_gain >= 0 and math.isfinite(self.min_gain),
+             f"{prefix}min_gain: must be finite and >= 0, got {self.min_gain!r}"),
+        ):
+            if not ok:
+                raise error(message)
 
 
 @dataclass(frozen=True)
@@ -581,18 +598,7 @@ def train_coordinate_ascent(
     problems = [_training_queries(p, n_dims, config.relevance_threshold) for p in problems]
     if not problems:
         return []
-    if config.restarts < 1:
-        raise TrainingError(f"no model trained: restarts must be >= 1, got {config.restarts}")
-    # Written so that NaN fails: a negative min_gain accepts steps of no
-    # gain forever, a NaN one accepts none.
-    if not (config.min_gain >= 0 and math.isfinite(config.min_gain)):
-        raise TrainingError(f"min_gain must be finite and >= 0, got {config.min_gain!r}")
-    if not (config.step_base > 0 and math.isfinite(config.step_base)):
-        raise TrainingError(f"step_base must be finite and > 0, got {config.step_base!r}")
-    if not (config.step_levels >= 1 and math.isfinite(config.largest_step())):
-        raise TrainingError(
-            f"step_levels must be >= 1 and step_base * 2**(step_levels - 1) finite, got {config.step_levels}"
-        )
+    config.check("", TrainingError)
     deltas = np.array(
         [sign * config.step_base * (2.0**level) for level in range(config.step_levels) for sign in (1.0, -1.0)]
     )

@@ -13,8 +13,8 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import IntegrityError, NotFoundError
-from .kg import KnowledgeGraph
+from .errors import IntegrityError
+from .kg import KnowledgeGraph, _search
 from .linking import SeedOrigin, SeedSet, seeds_from_json, seeds_to_json
 
 MAX_PATH_LENGTH = 4
@@ -172,13 +172,12 @@ def build_query_graph(graph: KnowledgeGraph, seedset: SeedSet) -> QueryGraph:
     empty subgraph.
     """
     seeds = dict(seedset.seeds)
-    try:
-        sources = graph.positions_of(sorted(seeds))
-    except NotFoundError:
-        missing = next(s for s in seeds if s not in graph.nodes)
+    at, found = _search(graph.ids, list(seeds))
+    if not all(found):
         raise IntegrityError(
-            f"instance {seedset.instance_id!r}: seed {missing} is not in the graph"
-        ) from None
+            f"instance {seedset.instance_id!r}: seed {list(seeds)[found.index(False)]} is not in the graph"
+        )
+    sources = np.sort(at)  # the ids ascend with their positions
     dist = _hop_counts(graph, sources, MAX_PATH_LENGTH)
     candidate = (dist <= MAX_PATH_LENGTH).any(axis=0) & graph.is_category
     candidate[sources] = False

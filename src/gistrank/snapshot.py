@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import io
-from itertools import chain, islice
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +22,7 @@ from .kg import KnowledgeGraph
 
 # Bump when the records written by ``save_kg_snapshot`` change; it is part of
 # the snapshot key, so snapshots in an older format read as misses.
-KG_SNAPSHOT_FORMAT = 1
+KG_SNAPSHOT_FORMAT = 2
 _DIGEST_SIZE = hashlib.sha256().digest_size
 
 
@@ -63,32 +63,20 @@ def save_kg_snapshot(path: str | Path, key: bytes, graph: KnowledgeGraph, idf: I
     """Write ``graph`` and ``idf`` to ``path`` under ``key``, atomically.
 
     The file is a run of ``np.save`` records: the graph's arrays, the
-    redirect carriers and their alias counts, the ``title_index`` keys and
-    targets, the IDF counts and document count, then every string as UTF-8,
-    each ended by a newline (no TSV field holds one): the titles, the
-    abstracts, the aliases and the IDF tokens. A ``title_index`` key is a
-    title or an alias, stored as the place of its first copy among those
-    strings. The last record holds the key and the sha256 of the records
+    ``title_index`` targets, the IDF counts and document count, then every
+    string as UTF-8, each ended by a newline (no TSV field holds one): the
+    titles, the abstracts, the ``title_index`` keys that are no title and
+    the IDF tokens. The index's keys are the titles followed by those, in
+    that order. The last record holds the key and the sha256 of the records
     before it. Mappings keep their order, IDF tokens are sorted and nothing
     records a time, so the bytes are a function of the graph alone.
     """
-    aliases = [sorted(titles) for titles in graph.redirect_titles.values()]
     tokens = sorted(idf.doc_frequency)
-    strings = [*graph.titles, *graph.abstracts, *chain.from_iterable(aliases), *tokens]
-    n, n_aliases = graph.n_nodes, sum(map(len, aliases))
-    place: dict[str, int] = {}
-    for i in chain(range(n), range(2 * n, 2 * n + n_aliases)):
-        place.setdefault(strings[i], i)
     records = (
         graph.ids,
         graph.is_category,
         graph.indptr,
         graph.indices,
-        graph.edges,
-        graph.edge_is_redirect,
-        np.array(list(graph.redirect_titles), dtype=np.int64),
-        np.array(list(map(len, aliases)), dtype=np.int64),
-        np.array([place[title] for title in graph.title_index], dtype=np.int64),
         np.array(list(graph.title_index.values()), dtype=np.int64),
         np.array([idf.doc_frequency[t] for t in tokens], dtype=np.int64),
         np.array(idf.n_documents, dtype=np.int64),
@@ -97,7 +85,8 @@ def save_kg_snapshot(path: str | Path, key: bytes, graph: KnowledgeGraph, idf: I
         sink = _HashingSink(fh)
         for record in records:
             np.save(sink, record, allow_pickle=False)
-        save_strings(sink, strings)
+        aliases = islice(graph.title_index, graph.n_nodes, None)
+        save_strings(sink, [*graph.titles, *graph.abstracts, *aliases, *tokens])
         fh.write(_check_record(key, sink.sha256.digest()))
 
 
@@ -120,7 +109,7 @@ def load_kg_snapshot(path: str | Path, key: bytes) -> tuple[KnowledgeGraph, IdfT
     # The records are the ones this module wrote under this key. The strings
     # are decoded from ``data`` in place, which is let go before the split.
     fh = io.BytesIO(data)
-    records = [np.lib.format.read_array(fh, allow_pickle=False) for _ in range(12)]
+    records = [np.lib.format.read_array(fh, allow_pickle=False) for _ in range(7)]
     np.lib.format.read_magic(fh)
     (size,), _, _ = np.lib.format.read_array_header_1_0(fh)
     with memoryview(data) as view:
@@ -129,24 +118,17 @@ def load_kg_snapshot(path: str | Path, key: bytes) -> tuple[KnowledgeGraph, IdfT
     strings = text.split("\n")
     del text
     strings.pop()  # the empty rest after the last newline
-    ids, is_category, indptr, indices, edges, edge_is_redirect = records[:6]
-    carriers, alias_counts, title_keys, targets, frequencies, n_documents = records[6:]
-    n = len(ids)
-    rest = iter(strings[2 * n :])
+    ids, is_category, indptr, indices, targets, frequencies, n_documents = records
+    n, n_keys = len(ids), len(targets)
+    titles = strings[:n]
     graph = KnowledgeGraph(
         ids=ids,
         is_category=is_category,
-        titles=strings[:n],
+        titles=titles,
         abstracts=strings[n : 2 * n],
-        redirect_titles={
-            carrier: frozenset(islice(rest, k))
-            for carrier, k in zip(carriers.tolist(), alias_counts.tolist())
-        },
         indptr=indptr,
         indices=indices,
-        edges=edges,
-        edge_is_redirect=edge_is_redirect,
-        title_index=dict(zip(map(strings.__getitem__, title_keys.tolist()), targets.tolist())),
+        title_index=dict(zip(titles + strings[2 * n : n + n_keys], targets.tolist())),
     )
-    idf = IdfTable(doc_frequency=dict(zip(rest, frequencies.tolist())), n_documents=int(n_documents))
+    idf = IdfTable(doc_frequency=dict(zip(strings[n + n_keys :], frequencies.tolist())), n_documents=int(n_documents))
     return graph, idf

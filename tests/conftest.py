@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import itertools
+import weakref
 from collections import deque
 from pathlib import Path
 
@@ -48,13 +49,19 @@ def edit_npy_record(data: bytes, index: int, edit) -> bytes:
     return fh.getvalue()
 
 
+# The category links that ``kg_from_parts`` built each graph from: the
+# oracles read a graph's adjacency from these, not from its CSR.
+_LINKS: weakref.WeakKeyDictionary[KnowledgeGraph, list] = weakref.WeakKeyDictionary()
+
+
 def kg_from_parts(nodes, edges) -> KnowledgeGraph:
     """Assemble a KnowledgeGraph directly from (id, kind, title[, redirects, abstract])
     node tuples and (src, dst) category-link edge pairs."""
     specs = sorted(((*spec, (), "")[:5] for spec in nodes), key=lambda spec: spec[0])
     position = {spec[0]: i for i, spec in enumerate(specs)}
+    edges = list(edges)
     ends = [(position[a], position[b]) for a, b in edges]
-    return KnowledgeGraph.from_columns(
+    graph = KnowledgeGraph.from_columns(
         ids=[spec[0] for spec in specs],
         is_category=[spec[1] is NodeKind.CATEGORY for spec in specs],
         titles=[spec[2] for spec in specs],
@@ -63,29 +70,33 @@ def kg_from_parts(nodes, edges) -> KnowledgeGraph:
         ends=ends,
         edge_is_redirect=[False] * len(ends),
     )
+    _LINKS[graph] = edges
+    return graph
 
 
 def save_graph(graph: KnowledgeGraph, nodes_path: str | Path, edges_path: str | Path) -> None:
-    """Write a graph back to the TSV file format (round-trips with load_graph)."""
+    """Write a graph back to the TSV file format (round-trips with load_graph).
+
+    The graph keeps its redirects only as ``title_index`` entries, so they are
+    written from there: a node whose title maps to another node as a redirect
+    edge to it, and a key that is no title as a redirect title of the node it
+    maps to, which must be an article.
+    """
+    index = graph.title_index
+    aliases: dict[int, list[str]] = {}
+    for alias in itertools.islice(index, graph.n_nodes, None):
+        aliases.setdefault(index[alias], []).append(alias)
     with Path(nodes_path).open("w", encoding="utf-8") as fh:
         for node_id in graph.ids.tolist():
             node = graph.node(node_id)
-            fh.write(
-                "\t".join(
-                    (
-                        str(node.node_id),
-                        node.kind.value,
-                        node.title,
-                        "|".join(sorted(node.redirect_titles)),
-                        node.abstract_text,
-                    )
-                )
-                + "\n"
-            )
-    kinds = {False: EdgeKind.CATEGORY_LINK.value, True: EdgeKind.REDIRECT.value}
+            redirects = "|".join(sorted(aliases.get(node_id, ())))
+            fh.write(f"{node_id}\t{node.kind.value}\t{node.title}\t{redirects}\t{node.abstract_text}\n")
     with Path(edges_path).open("w", encoding="utf-8") as fh:
-        for (src, dst), redirect in zip(graph.edges.tolist(), graph.edge_is_redirect.tolist()):
-            fh.write(f"{src}\t{dst}\t{kinds[redirect]}\n")
+        for src, dst in graph.edges.tolist():
+            fh.write(f"{src}\t{dst}\t{EdgeKind.CATEGORY_LINK.value}\n")
+        for src, title in zip(graph.ids.tolist(), graph.titles):
+            if index[title] != src:
+                fh.write(f"{src}\t{index[title]}\t{EdgeKind.REDIRECT.value}\n")
 
 
 def neighbors(graph: KnowledgeGraph, node_id: int) -> tuple[int, ...]:
@@ -95,12 +106,12 @@ def neighbors(graph: KnowledgeGraph, node_id: int) -> tuple[int, ...]:
 
 
 def kg_adjacency(graph: KnowledgeGraph) -> dict[int, tuple[int, ...]]:
-    """Each node's category-link neighbours, ascending, read from ``graph.edges``."""
+    """Each node's category-link neighbours, ascending, from the links
+    ``kg_from_parts`` built ``graph`` from."""
     neighbors: dict[int, set[int]] = {v: set() for v in graph.ids.tolist()}
-    for (a, b), redirect in zip(graph.edges.tolist(), graph.edge_is_redirect.tolist()):
-        if not redirect:
-            neighbors[a].add(b)
-            neighbors[b].add(a)
+    for a, b in _LINKS[graph]:
+        neighbors[a].add(b)
+        neighbors[b].add(a)
     return {v: tuple(sorted(ns)) for v, ns in neighbors.items()}
 
 

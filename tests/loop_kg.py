@@ -32,8 +32,9 @@ def _data_lines(path: Path) -> Iterable[tuple[int, str]]:
             yield lineno, line
 
 
-def _parse_nodes(path: Path) -> dict[int, ConceptNode]:
+def _parse_nodes(path: Path) -> tuple[dict[int, ConceptNode], dict[int, frozenset[str]]]:
     nodes: dict[int, ConceptNode] = {}
+    redirect_titles: dict[int, frozenset[str]] = {}
     seen_titles: dict[str, int] = {}
     for lineno, line in _data_lines(path):
         parts = line.split("\t")
@@ -71,8 +72,9 @@ def _parse_nodes(path: Path) -> dict[int, ConceptNode]:
                 "redirect titles or an abstract"
             )
         seen_titles[title] = node_id
-        nodes[node_id] = ConceptNode(node_id, kind, title, redirects, abstract)
-    return nodes
+        nodes[node_id] = ConceptNode(node_id, kind, title, abstract)
+        redirect_titles[node_id] = redirects
+    return nodes, redirect_titles
 
 
 def _parse_edges(path: Path, nodes: Mapping[int, ConceptNode]) -> list[tuple[int, int, EdgeKind]]:
@@ -110,7 +112,9 @@ def _parse_edges(path: Path, nodes: Mapping[int, ConceptNode]) -> list[tuple[int
 
 
 def _build_title_index(
-    nodes: Mapping[int, ConceptNode], edges: Iterable[tuple[int, int, EdgeKind]]
+    nodes: Mapping[int, ConceptNode],
+    redirect_titles: Mapping[int, frozenset[str]],
+    edges: Iterable[tuple[int, int, EdgeKind]],
 ) -> dict[str, int]:
     redirect_to: dict[int, int] = {}
     for src, dst, kind in edges:
@@ -134,14 +138,14 @@ def _build_title_index(
         index[nodes[node_id].title] = resolve(node_id)
     for node_id in sorted(nodes):
         target = resolve(node_id)
-        for alias in sorted(nodes[node_id].redirect_titles):
+        for alias in sorted(redirect_titles[node_id]):
             index.setdefault(alias, target)
     return index
 
 
 def loop_load_graph(nodes_path: str | Path, edges_path: str | Path) -> LoopGraph:
     nodes_path, edges_path = Path(nodes_path), Path(edges_path)
-    nodes = _parse_nodes(nodes_path)
+    nodes, redirect_titles = _parse_nodes(nodes_path)
     edges = _parse_edges(edges_path, nodes)
     neighbor_sets: dict[int, set[int]] = {node_id: set() for node_id in nodes}
     for src, dst, kind in edges:
@@ -152,5 +156,5 @@ def loop_load_graph(nodes_path: str | Path, edges_path: str | Path) -> LoopGraph
         nodes=dict(sorted(nodes.items())),
         edges=edges,
         adjacency={node_id: tuple(sorted(ns)) for node_id, ns in neighbor_sets.items()},
-        title_index=_build_title_index(nodes, edges),
+        title_index=_build_title_index(nodes, redirect_titles, edges),
     )

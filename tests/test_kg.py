@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gistrank.errors import GistRankError, IntegrityError, NotFoundError, ParseError
-from gistrank.kg import NodeKind, load_graph, normalize_title
+from gistrank.kg import EdgeKind, NodeKind, load_graph, normalize_title
 
 from tests.conftest import graph_rows, kg_from_parts, neighbors, save_graph, tsv_text
 from tests.loop_kg import loop_load_graph
@@ -151,7 +151,6 @@ class TestInvariants:
         reloaded = load_graph(nodes2, edges2)
         assert reloaded.nodes == tiny_kg.nodes
         assert reloaded.edges.tolist() == tiny_kg.edges.tolist()
-        assert reloaded.edge_is_redirect.tolist() == tiny_kg.edge_is_redirect.tolist()
         assert reloaded.title_index == tiny_kg.title_index
 
     def test_round_trip_with_redirect_edges(self, tmp_path):
@@ -167,8 +166,8 @@ class TestInvariants:
         save_graph(graph, nodes2, edges2)
         reloaded = load_graph(nodes2, edges2)
         assert reloaded.nodes == graph.nodes
-        assert reloaded.edges.tolist() == graph.edges.tolist()
-        assert reloaded.edge_is_redirect.tolist() == [False, True]
+        assert reloaded.edges.tolist() == graph.edges.tolist() == [[0, 2]]
+        assert edges2.read_text() == "0\t2\tcategory_link\n1\t0\tredirect\n"
         assert reloaded.title_index == graph.title_index
 
     def test_title_index_targets_exist(self, tiny_kg):
@@ -276,7 +275,8 @@ def _assert_same_graph(graph, ref):
     assert [graph.node(v) for v in ref.nodes] == list(ref.nodes.values())
     assert {v: neighbors(graph, v) for v in ref.nodes} == ref.adjacency
     assert list(graph.title_index.items()) == list(ref.title_index.items())
-    assert len(graph.edges) == len(ref.edges)
+    links = {(min(a, b), max(a, b)) for a, b, kind in ref.edges if kind is EdgeKind.CATEGORY_LINK}
+    assert graph.edges.tolist() == sorted(map(list, links))
 
 
 def _mutate(draw, node_rows, edge_rows, row=None) -> list:

@@ -30,7 +30,8 @@ from gistrank.pipeline import (
 )
 from gistrank.query_graph import QueryGraph, build_query_graph
 
-from tests.conftest import count_pipeline_calls, edit_npy_record, kg_adjacency, neighbors, npy_records
+from tests.conftest import count_pipeline_calls, edit_npy_record, neighbors, npy_records
+from tests.loop_kg import loop_load_graph
 
 
 @pytest.fixture(scope="module")
@@ -171,7 +172,7 @@ class TestGenFixture:
         assert all(instance.topics for instance in corpus)
         # the CSR rows equal the symmetric category links, exhaustively on this
         # mid-size fixture
-        adjacency = kg_adjacency(graph)
+        adjacency = loop_load_graph(fixture_dir / "kg_nodes.tsv", fixture_dir / "kg_edges.tsv").adjacency
         for a in graph.ids.tolist():
             assert neighbors(graph, a) == adjacency[a]
             for b in adjacency[a]:
@@ -778,6 +779,23 @@ class TestCli:
         for mode in ("T", "TI", "TII"):
             seeds = (out / "out" / mode / "seeds.jsonl").read_text().splitlines()
             assert {json.loads(line)["instance_id"] for line in seeds} == kept
+
+    def test_corpus_record_with_a_newline_in_its_id_is_skipped(self, tmp_path, caplog):
+        # The feature dump ends each instance id with a newline: an id holding
+        # one once passed `all` but split in the dump, so a staged train1 exited 2.
+        out = tmp_path / "fx"
+        main(["gen-fixture", "--seed", "9", "--instances", "9", "--topics", "3", "--out", str(out)])
+        corpus = out / "corpus.jsonl"
+        lines = corpus.read_bytes().splitlines(keepends=True)
+        record = json.loads(lines[2])
+        record["id"] += "\nx"
+        lines[2] = json.dumps(record).encode() + b"\n"
+        corpus.write_bytes(b"".join(lines))
+        config = str(out / "pipeline.config")
+        assert main(["all", "--config", config]) == 0
+        assert f"{corpus}:3: skipping unreadable record (instance id holds a newline)" in caplog.text
+        for stage in ("features", "train1", "rank1"):
+            assert main([stage, "--config", config]) == 0, stage
 
     def test_non_utf8_corpus_record_is_skipped(self, tmp_path, capsys, caplog):
         out = tmp_path / "fx"

@@ -240,8 +240,7 @@ class TestBuildQueryGraph:
 
     def test_subgraph_edges_are_induced(self, tiny_kg):
         qg = build_query_graph(tiny_kg, seedset([0, 1]))
-        kg_edges = {(min(a, b), max(a, b)) for a, nbrs in kg_adjacency(tiny_kg).items() for b in nbrs}
-        assert {tuple(e) for e in qg.to_json_obj()["edges"]} <= kg_edges
+        assert {tuple(e) for e in qg.to_json_obj()["edges"]} <= {(0, 2), (1, 2)}  # tiny_kg's links
 
     def test_category_seed_not_double_counted(self, tiny_kg):
         qg = build_query_graph(tiny_kg, seedset([0, 1, 2]))

@@ -21,9 +21,9 @@ from gistrank.snapshot import kg_snapshot_key, load_kg_snapshot, save_kg_snapsho
 
 from tests.conftest import count_pipeline_calls, graph_rows, random_kg, tsv_text
 
-_ARRAYS = ("ids", "is_category", "indptr", "indices", "edges", "edge_is_redirect")
+_ARRAYS = ("ids", "is_category", "indptr", "indices")
 _LISTS = ("titles", "abstracts")
-_MAPPINGS = ("redirect_titles", "title_index")
+_MAPPINGS = ("title_index",)
 
 
 def assert_same_kg(got: KnowledgeGraph, want: KnowledgeGraph) -> None:
@@ -232,6 +232,21 @@ class TestStagesUseTheSnapshot:
         assert graph.lookup_title("Brand new concept") == 999999
         assert idf.doc_frequency["newword"] == 1
 
+    def test_older_format_is_a_miss_and_rewritten(self, fixture_9x3, tmp_path, monkeypatch):
+        run_stage(_config(fixture_9x3, tmp_path / "ref"), "link")
+        fresh = (tmp_path / "ref" / KG_SNAPSHOT).read_bytes()
+        config = _config(fixture_9x3, tmp_path / "o")
+        with monkeypatch.context() as patch:
+            patch.setattr(snapshot, "KG_SNAPSHOT_FORMAT", 1)
+            run_stage(config, "link")
+        path = tmp_path / "o" / KG_SNAPSHOT
+        assert path.read_bytes() != fresh
+        assert load_kg_snapshot(path, kg_snapshot_key(config.kg_nodes, config.kg_edges)) is None
+        counts = _count_loads(monkeypatch)
+        run_stage(config, "graph")
+        assert counts == {"load_graph": 1, "build_idf_table": 1}
+        assert path.read_bytes() == fresh
+
     def test_malformed_tsv_exits_2_with_an_old_snapshot_present(self, fixture_9x3, tmp_path, capsys):
         fixture = tmp_path / "fx"
         fixture.mkdir()
@@ -263,8 +278,8 @@ class TestStagesUseTheSnapshot:
         with (tmp_path / "a" / KG_SNAPSHOT).open("rb") as fh:
             while fh.tell() < len(first):
                 records.append(np.load(fh, allow_pickle=False))
-        assert len(records) == 14
-        assert records[12].tobytes().decode("utf-8").startswith("\n".join(graph.titles) + "\n")
+        assert len(records) == 9
+        assert records[7].tobytes().decode("utf-8").startswith("\n".join(graph.titles) + "\n")
 
     def test_stages_parse_once_and_leave_no_temp_file(self, fixture_9x3, tmp_path, monkeypatch):
         counts = _count_loads(monkeypatch)
