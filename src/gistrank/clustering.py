@@ -66,15 +66,13 @@ class Partition:
         }
 
 
-def relatedness_matrix(qg: QueryGraph) -> np.ndarray:
-    """Semantic relatedness of every node pair of ``qg``, in [0, 1].
-
-    Rows and columns follow ``qg.order``. Entry (i, j) is decay^d for hop
-    distance d inside the query graph; identical nodes score 1 and pairs
-    farther apart than the horizon (or unreachable) score 0. Every nonzero
-    entry is a power of two, so sums over it are exact in any order.
+def relatedness_matrix(hops: np.ndarray) -> np.ndarray:
+    """Semantic relatedness, in [0, 1], of the node pairs of a query graph's
+    ``hops`` matrix (or of each matrix of a stack of them): decay^d for hop
+    distance d, so 1 for a node and itself, and 0 beyond the horizon or for
+    unreachable pairs. Every nonzero entry is a power of two, so sums over it
+    are exact in any order.
     """
-    hops = qg.hops
     within = (hops >= 0) & (hops <= MAX_PATH_LENGTH)
     return np.where(within, RELATEDNESS_DECAY**hops, 0.0)
 
@@ -82,7 +80,7 @@ def relatedness_matrix(qg: QueryGraph) -> np.ndarray:
 def build_relatedness_graph(qg: QueryGraph) -> WeightedGraph:
     """Weighted graph over all query-graph nodes: the relatedness matrix with
     its diagonal zeroed."""
-    matrix = relatedness_matrix(qg)
+    matrix = relatedness_matrix(qg.hops)
     np.fill_diagonal(matrix, 0.0)
     return WeightedGraph(nodes=qg.order, matrix=matrix)
 

@@ -100,10 +100,11 @@ def atomic_open(path: str | Path, binary: bool = False) -> Iterator[IO]:
         raise
 
 
-def write_atomic(path: str | Path, data: str | bytes) -> None:
-    """Replace ``path`` with ``data`` (text is written as UTF-8) in one step."""
+def write_atomic(path: str | Path, data: str | bytes) -> str | bytes:
+    """Replace ``path`` with ``data`` (text is written as UTF-8) in one step; returns ``data``."""
     with atomic_open(path, binary=isinstance(data, bytes)) as fh:
         fh.write(data)
+    return data
 
 
 def read_json(path: str | Path, parse: Callable[[Any], T]) -> T:

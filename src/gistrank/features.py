@@ -24,7 +24,7 @@ import numpy as np
 
 from .clustering import Partition, relatedness_matrix
 from .errors import IntegrityError, ParseError, atomic_open, save_strings
-from .kg import KnowledgeGraph
+from .kg import KnowledgeGraph, _search
 from .linking import VALID_GRADES, Instance
 from .query_graph import QueryGraph
 
@@ -214,101 +214,102 @@ def build_idf_table(graph: KnowledgeGraph) -> IdfTable:
     return IdfTable(doc_frequency=dict(Counter(tokens)), n_documents=len(docs))
 
 
-def _cosine(a: Mapping[str, float], b: Mapping[str, float]) -> float:
-    if not a or not b:
-        return 0.0
-    dot = sum(w * b[t] for t, w in a.items() if t in b)
-    if dot == 0.0:
-        return 0.0
-    norm_a = math.sqrt(sum(w * w for w in a.values()))
-    norm_b = math.sqrt(sum(w * w for w in b.values()))
-    return dot / (norm_a * norm_b)
+def _check(qg: QueryGraph, partition: Partition, graph: KnowledgeGraph) -> None:
+    """Raise unless ``partition`` assigns exactly the nodes of ``qg``, all in ``graph``."""
+    where, nodes, assigned = f"instance {qg.instance_id!r}", set(qg.order), partition.assignment.keys()
+    if nodes - assigned:
+        raise IntegrityError(f"{where}: node {min(nodes - assigned)} is not assigned to a cluster")
+    if assigned - nodes:
+        raise IntegrityError(f"{where}: partition assigns node {min(assigned - nodes)}, outside the query graph")
+    graph.positions_of(qg.order)
 
 
 def extract_instance_features(
-    qg: QueryGraph,
-    partition: Partition,
-    instance: Instance,
+    graphs: Sequence[QueryGraph],
+    partitions: Sequence[Partition],
+    instances: Sequence[Instance],
     graph: KnowledgeGraph,
     idf: IdfTable,
-    pagerank_scores: np.ndarray,
-) -> np.ndarray:
-    """Feature matrix of one instance: a row per node, a column per feature.
+) -> list[np.ndarray]:
+    """Feature matrices of a stage's instances, one per query graph, with a
+    row per node in ``qg.order`` and a column per entry of ``FEATURE_NAMES``;
+    ``partitions[i]`` and ``instances[i]`` belong to ``graphs[i]``.
 
-    Rows follow ``qg.order`` and columns follow ``FEATURE_NAMES``. The graph
-    columns are read for all nodes at once from the rows of ``qg.hops`` and
-    its relatedness matrix; the text columns are computed per node.
-    ``pagerank_scores`` are the PageRank scores of ``qg`` in ``qg.order``, as
-    computed by :func:`pagerank_batch` over many instances at once.
+    The graph columns are computed per group of graphs with one node count,
+    the text columns from a memo of each distinct node's tokens and weights.
+    The first graph that fails a check raises the error it would raise alone.
     """
-    if partition.assignment.keys() != set(qg.order):
-        where = f"instance {qg.instance_id!r}"
-        missing = set(qg.order) - partition.assignment.keys()
-        if missing:
-            raise IntegrityError(f"{where}: node {min(missing)} is not assigned to a cluster")
-        foreign = min(partition.assignment.keys() - set(qg.order))
-        raise IntegrityError(f"{where}: partition assigns node {foreign}, outside the query graph")
-    n = qg.n_nodes
+    # The graphs before the first bad partition or unknown node are
+    # extracted, and checked for non-finite values, before that one raises.
+    pairs = enumerate(zip(graphs, partitions))
+    good = next((i for i, (qg, p) in pairs if p.assignment.keys() != set(qg.order)), len(graphs))
+    sizes = np.array([qg.n_nodes for qg in graphs[:good]], dtype=np.intp)
+    positions, found = _search(graph.ids, [v for qg in graphs[:good] for v in qg.order])
+    if not all(found):
+        good = int(np.searchsorted(np.cumsum(sizes), found.index(False), side="right"))
+        positions, sizes = positions[: sizes[:good].sum()], sizes[:good]
+    batch, ends = graphs[:good], np.cumsum(sizes)
+    matrix = np.empty((len(positions), len(FEATURE_NAMES)))
+    column = {name: matrix[:, j] for j, name in enumerate(FEATURE_NAMES)}
+    origins = [o for qg in batch for o in qg.origins]
+    is_seed = np.array([o is not None for o in origins], dtype=bool)
+    cluster_ids = np.array([p.assignment[v] for qg, p in zip(batch, partitions) for v in qg.order])
+    for ids, rows in _segments_by_length(np.arange(len(positions)), sizes):
+        # The group's graphs of n nodes stacked: each column is a masked reduction along
+        # the last axis that counts integers or adds multiples of 1/16, exact in any order.
+        hops, seeds, labels = np.stack([batch[i].hops for i in ids.tolist()]), is_seed[rows], cluster_ids[rows]
+        n, eye = rows.shape[1], np.eye(rows.shape[1], dtype=bool)
+        reachable = hops > 0
+        r, total = reachable.sum(axis=2), np.where(reachable, hops, 0).sum(axis=2)
+        n_seeds = seeds.sum(axis=1, keepdims=True)
+        related = np.where(eye, 0.0, relatedness_matrix(hops))
+        peers = (labels[:, :, None] == labels[:, None, :]) & ~eye
+        n_peers = peers.sum(axis=2)
+        column["degree_centrality"][rows] = (hops == 1).sum(axis=2) / max(n - 1, 1)
+        # Scaled by the reachable fraction so disconnected graphs stay in
+        # [0, 1]; a row with nothing reachable has r = total = 0 and scores 0.
+        column["closeness"][rows] = (r / max(n - 1, 1)) * (r / np.maximum(total, 1))
+        near = (reachable & (hops <= 2) & seeds[:, None, :]).sum(axis=2)
+        column["seeds_within_2hops"][rows] = near / np.maximum(n_seeds, 1)
+        column["cluster_size_ratio"][rows] = (n_peers + 1) / n
+        column["mean_intra_cluster_relatedness"][rows] = (related * peers).sum(axis=2) / np.maximum(n_peers, 1)
+        seed_related = (related * seeds[:, None, :]).sum(axis=2)
+        column["mean_seed_relatedness"][rows] = seed_related / np.maximum(n_seeds - seeds, 1)
+    column["betweenness"][:] = np.concatenate([np.empty(0), *(betweenness(qg) for qg in batch)])
+    column["pagerank"][:] = np.concatenate([np.empty(0), *pagerank_batch(batch)])
+    column["is_intermediate"][:] = ~is_seed
+    column["origin_tag"][:] = [bool(o and o.from_tags) for o in origins]
+    column["origin_image"][:] = [bool(o and o.from_image) for o in origins]
+    column["origin_both"][:] = [bool(o and o.from_tags and o.from_image) for o in origins]
+    column["is_category"][:] = graph.is_category[positions]
 
-    hops = qg.hops
-    reachable = hops > 0
-    r = reachable.sum(axis=1)
-    total = np.where(reachable, hops, 0).sum(axis=1)
-    # Scaled by the reachable fraction so disconnected graphs stay in [0, 1];
-    # a row with nothing reachable has r = total = 0 and scores 0.
-    closeness = (r / max(n - 1, 1)) * (r / np.maximum(total, 1))
-
-    seed_cols = [i for i, o in enumerate(qg.origins) if o is not None]
-    n_seeds = len(seed_cols)
-    to_seeds = hops[:, seed_cols]
-    near = ((to_seeds > 0) & (to_seeds <= 2)).sum(axis=1)
-
-    related = relatedness_matrix(qg)
-    np.fill_diagonal(related, 0.0)
-    labels = np.array([partition.assignment[v] for v in qg.order])
-    peers = labels[:, None] == labels[None, :]
-    np.fill_diagonal(peers, False)
-    intra = (related * peers).sum(axis=1) / np.maximum(peers.sum(axis=1), 1)
-    other_seeds = n_seeds - np.isin(np.arange(n), seed_cols)
-    seed_rel = related[:, seed_cols].sum(axis=1) / np.maximum(other_seeds, 1)
-    # Cluster ids are read from a file and may be negative, so not bincount.
-    _, cluster_of, cluster_sizes = np.unique(labels, return_inverse=True, return_counts=True)
-
-    positions = graph.positions_of(qg.order)
-    mention_text = " ".join(list(instance.tags) + list(instance.image_labels))
-    instance_tokens = set(tokenize(mention_text))
-    instance_tfidf = idf.tfidf(tokenize(mention_text))
-    jaccard, cosine, log_length = [], [], []
-    for p in positions.tolist():
-        title_tokens = set(tokenize(graph.titles[p]))
-        union = title_tokens | instance_tokens
-        jaccard.append(len(title_tokens & instance_tokens) / len(union) if union else 0.0)
-        abstract_tokens = tokenize(graph.abstracts[p])
-        cosine.append(_cosine(idf.tfidf(abstract_tokens), instance_tfidf))
-        log_length.append(math.log(1.0 + len(abstract_tokens)))
-
-    columns = {
-        "degree_centrality": (hops == 1).sum(axis=1) / max(n - 1, 1),
-        "betweenness": betweenness(qg),
-        "closeness": closeness,
-        "pagerank": pagerank_scores,
-        "seeds_within_2hops": near / max(n_seeds, 1),
-        "is_intermediate": [o is None for o in qg.origins],
-        "cluster_size_ratio": cluster_sizes[cluster_of] / n,
-        "mean_intra_cluster_relatedness": intra,
-        "mean_seed_relatedness": seed_rel,
-        "origin_tag": [bool(o and o.from_tags) for o in qg.origins],
-        "origin_image": [bool(o and o.from_image) for o in qg.origins],
-        "origin_both": [bool(o and o.from_tags and o.from_image) for o in qg.origins],
-        "title_token_jaccard": jaccard,
-        "abstract_tfidf_cosine": cosine,
-        "log_abstract_length": log_length,
-        "is_category": graph.is_category[positions],
-    }
-    matrix = np.column_stack([np.asarray(columns[name], dtype=np.float64) for name in FEATURE_NAMES])
-    if not np.isfinite(matrix).all():
-        raise IntegrityError(f"instance {qg.instance_id!r}: non-finite feature value")
-    return matrix
+    memo = {}  # title tokens, abstract weights, their norm and log(1 + abstract tokens)
+    for p in dict.fromkeys(positions.tolist()):
+        abstract = tokenize(graph.abstracts[p])
+        weights = idf.tfidf(abstract)
+        norm = math.sqrt(sum(w * w for w in weights.values()))
+        memo[p] = set(tokenize(graph.titles[p])), weights, norm, math.log(1.0 + len(abstract))
+    text = []
+    for instance, end, n in zip(instances, ends.tolist(), sizes.tolist()):
+        mention = tokenize(" ".join((*instance.tags, *instance.image_labels)))
+        mention_tokens, mention_weights = set(mention), idf.tfidf(mention)
+        mention_norm = math.sqrt(sum(w * w for w in mention_weights.values()))
+        for title_tokens, weights, norm, log_length in map(memo.get, positions[end - n : end].tolist()):
+            shared = len(title_tokens & mention_tokens)
+            union = len(title_tokens) + len(mention_tokens) - shared
+            # Over the abstract's weights in their order, as the bits depend on it.
+            dot = sum(w * mention_weights[t] for t, w in weights.items() if t in mention_weights)
+            cosine = dot / (norm * mention_norm) if dot != 0.0 else 0.0
+            text.append((shared / union if union else 0.0, cosine, log_length))
+    names = ("title_token_jaccard", "abstract_tfidf_cosine", "log_abstract_length")
+    matrix[:, [FEATURE_NAMES.index(name) for name in names]] = np.reshape(text, (-1, 3))
+    finite = np.isfinite(matrix).all(axis=1)
+    if not finite.all():
+        bad = batch[int(np.searchsorted(ends, np.argmin(finite), side="right"))]
+        raise IntegrityError(f"instance {bad.instance_id!r}: non-finite feature value")
+    if good < len(graphs):
+        _check(graphs[good], partitions[good], graph)
+    return [matrix[end - n : end] for end, n in zip(ends.tolist(), sizes.tolist())]
 
 
 def normalize_per_query(matrix: np.ndarray) -> np.ndarray:

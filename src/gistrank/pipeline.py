@@ -45,7 +45,6 @@ from .features import (
     build_idf_table,
     extract_instance_features,
     normalize_per_query,
-    pagerank_batch,
     read_feature_rows,
     write_feature_rows,
 )
@@ -150,7 +149,7 @@ class _Shared:
     def __init__(self) -> None:
         self.kg: tuple[KnowledgeGraph, IdfTable] | None = None
         self.corpus: list[Instance] | None = None
-        self.store: dict[tuple[str, object], object] = {}
+        self.store: dict[tuple, object] = {}
 
 
 class PipelineContext:
@@ -218,8 +217,8 @@ def _mode_dir(config: PipelineConfig) -> Path:
     return config.out / config.mode
 
 
-def _write_json(path: Path, obj) -> None:
-    write_atomic(path, json_text(obj))
+def _write_json(path: Path, obj) -> str:
+    return write_atomic(path, json_text(obj))
 
 
 def _seeds(config: PipelineConfig) -> dict[str, int]:
@@ -353,11 +352,11 @@ def _write_vectors(path: Path, vectors: list[InstanceVector]) -> None:
 
 
 class _Artifact(NamedTuple):
-    """How one artifact is read from its file and written to it; ``read`` is
-    None where nothing reads the file back."""
+    """How one artifact is read from its file and written to it. ``read`` is None
+    where nothing reads the file back; ``write`` returns the text it wrote, or None."""
 
     read: Callable[[Path], Any] | None
-    write: Callable[[Path, Any], None]
+    write: Callable[[Path, Any], str | None]
 
 
 def _jsonl(parse: Callable[[dict], tuple[str, Any]], to_obj: Callable[[str, Any], dict]) -> _Artifact:
@@ -453,15 +452,12 @@ def _raw_features(
                 f"{ctx.config.corpus}: no corpus record for instance {iid!r} "
                 f"of {mode_dir / 'query_graphs.jsonl'}"
             )
-    features = []
-    for qg, pagerank_scores in zip(graphs.values(), pagerank_batch(list(graphs.values()))):
-        if qg.order:
-            instance = instances[qg.instance_id]
-            matrix = extract_instance_features(
-                qg, partitions[qg.instance_id], instance, ctx.graph, ctx.idf, pagerank_scores
-            )
-            features.append((qg, instance.concept_grades or {}, matrix))
-    return features
+    batch = [qg for qg in graphs.values() if qg.order]
+    batch_instances = [instances[qg.instance_id] for qg in batch]
+    matrices = extract_instance_features(
+        batch, [partitions[qg.instance_id] for qg in batch], batch_instances, ctx.graph, ctx.idf
+    )
+    return [(qg, inst.concept_grades or {}, m) for qg, inst, m in zip(batch, batch_instances, matrices)]
 
 
 def _features(
@@ -602,25 +598,29 @@ def _step(stage: str, transform: Callable[..., tuple], ctx: PipelineContext) -> 
     checked (``_check_input``) and read through its reader. ``transform``
     takes the inputs in ``STAGE_INPUTS`` order and returns the outputs in
     ``STAGE_OUTPUTS`` order, each of which is written through its writer and
-    stored. When every output is stored already, as for TI after TII in the
-    link-mode stages, those are written and the transform is not called.
+    stored, with its text when it depends only on the link mode. When every
+    output's text is stored already, as for TI after TII in the link-mode
+    stages, that text is written again and the transform is not called.
     """
     store, mode_dir = ctx.shared.store, _mode_dir(ctx.config)
     keys = {name: ctx.key(name) for name in STAGE_OUTPUTS[stage]}
-    if all(key in store for key in keys.values()):
-        outputs = [store[key] for key in keys.values()]
-    else:
-        inputs = {name: ctx.key(name) for name in STAGE_INPUTS[stage]}
-        for name, key in inputs.items():
-            if key not in store:
-                _check_input(ctx.config, stage, name)
-        outputs = transform(ctx, *(
-            store[key] if key in store else ARTIFACTS[name].read(mode_dir / name)
-            for name, key in inputs.items()
-        ))
+    if all(("text", *key) in store for key in keys.values()):
+        for name, key in keys.items():
+            write_atomic(mode_dir / name, store["text", *key])
+        return
+    inputs = {name: ctx.key(name) for name in STAGE_INPUTS[stage]}
+    for name, key in inputs.items():
+        if key not in store:
+            _check_input(ctx.config, stage, name)
+    outputs = transform(ctx, *(
+        store[key] if key in store else ARTIFACTS[name].read(mode_dir / name)
+        for name, key in inputs.items()
+    ))
     for (name, key), obj in zip(keys.items(), outputs):
-        ARTIFACTS[name].write(mode_dir / name, obj)
+        text = ARTIFACTS[name].write(mode_dir / name, obj)
         store[key] = obj
+        if name in _BY_LINK_MODE:
+            store["text", *key] = text
 
 
 # Each stage is its transform bound into ``_step``, called with the context alone.

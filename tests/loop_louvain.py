@@ -41,7 +41,7 @@ def build_relatedness_graph(qg: QueryGraph) -> WeightedGraph:
     Pairs are listed in row-major order of the upper triangle, which is the
     order of ``itertools.combinations(qg.order, 2)``.
     """
-    matrix = relatedness_matrix(qg)
+    matrix = relatedness_matrix(qg.hops)
     rows, cols = np.nonzero(np.triu(matrix, k=1))
     order = qg.order
     weights = {

@@ -45,7 +45,7 @@ def pairs_graph(n, weighted_edges):
 
 
 def relatedness(qg, a, b):
-    return float(relatedness_matrix(qg)[qg.order.index(a), qg.order.index(b)])
+    return float(relatedness_matrix(qg.hops)[qg.order.index(a), qg.order.index(b)])
 
 
 def all_partitions(n):
@@ -103,7 +103,7 @@ class TestRelatednessMatrix:
     @given(seeded_query_graphs())
     def test_matches_definition(self, drawn):
         qg, edges = drawn
-        matrix = relatedness_matrix(qg)
+        matrix = relatedness_matrix(qg.hops)
         hops = all_pairs_hops(qg.order, edges)
         assert np.array_equal(matrix, matrix.T)
         assert np.all(np.diag(matrix) == 1.0)

@@ -8,13 +8,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import gistrank.features as features_module
 from gistrank.clustering import Partition, build_relatedness_graph, louvain, relatedness_matrix
-from gistrank.errors import GistRankError, IntegrityError, ParseError
+from gistrank.errors import GistRankError, IntegrityError, NotFoundError, ParseError
 from gistrank.features import (
     BOOLEAN_FEATURES,
     FEATURE_NAMES,
     IdfTable,
-    _cosine,
     betweenness,
     build_idf_table,
     extract_instance_features,
@@ -27,7 +27,7 @@ from gistrank.features import (
 )
 from gistrank.kg import NodeKind
 from gistrank.linking import Instance, SeedOrigin, SeedSet
-from gistrank.query_graph import build_query_graph
+from gistrank.query_graph import QueryGraph, build_query_graph
 
 from tests.conftest import (
     all_pairs_hops,
@@ -35,6 +35,7 @@ from tests.conftest import (
     kg_from_parts,
     neighbor_tuples,
     query_graph_from_edges,
+    query_graph_parts,
     random_edges,
     random_query_graph,
     seeded_query_graphs,
@@ -206,6 +207,18 @@ def loop_graph_features(qg, edges, partition, node_id):
     }
 
 
+def _cosine(a, b):
+    """Cosine of two tf-idf weight maps, each norm summed anew on each call."""
+    if not a or not b:
+        return 0.0
+    dot = sum(w * b[t] for t, w in a.items() if t in b)
+    if dot == 0.0:
+        return 0.0
+    norm_a = math.sqrt(sum(w * w for w in a.values()))
+    norm_b = math.sqrt(sum(w * w for w in b.values()))
+    return dot / (norm_a * norm_b)
+
+
 def loop_instance_features(qg, edges, partition, instance, graph, idf, candidates, pagerank_scores):
     """Reference: the per-candidate assembly that the feature matrix replaced.
 
@@ -230,7 +243,7 @@ def loop_instance_features(qg, edges, partition, instance, graph, idf, candidate
     near = ((to_seeds > 0) & (to_seeds <= 2)).sum(axis=1)
     seeds_within = (near / max(n_seeds, 1)).tolist()
 
-    related = relatedness_matrix(qg)
+    related = relatedness_matrix(qg.hops)
     np.fill_diagonal(related, 0.0)
     labels = np.array([partition.assignment[v] for v in qg.order])
     peers = labels[:, None] == labels[None, :]
@@ -277,6 +290,28 @@ def loop_instance_features(qg, edges, partition, instance, graph, idf, candidate
 _WORDS = ("car", "volvo", "motor", "vehicle", "road", "sky", "sea", "red")
 
 
+def draw_node_specs(draw, nodes):
+    """A ``kg_from_parts`` spec per node: a random kind, a title of random
+    words and, for an article, an abstract of random words."""
+    words = st.lists(st.sampled_from(_WORDS), max_size=6).map(" ".join)
+    specs = []
+    for v in nodes:
+        kind = draw(st.sampled_from(NodeKind))
+        abstract = draw(words) if kind is NodeKind.ARTICLE else ""
+        specs.append((v, kind, draw(words), (), abstract))
+    return specs
+
+
+def draw_instance(draw, instance_id):
+    """An instance whose tags and image labels share words with the titles and abstracts."""
+    words = st.lists(st.sampled_from(_WORDS), max_size=6).map(" ".join)
+    return Instance(
+        instance_id=instance_id,
+        tags=tuple(draw(st.lists(words, max_size=3))),
+        image_labels=tuple(draw(st.lists(words, max_size=3))),
+    )
+
+
 @st.composite
 def featured_instances(draw):
     """A random query graph with mixed seed origins over a graph with titles and abstracts.
@@ -287,22 +322,41 @@ def featured_instances(draw):
     candidates.
     """
     qg, edges = draw(seeded_query_graphs())
-    words = st.lists(st.sampled_from(_WORDS), max_size=6).map(" ".join)
-    specs = []
-    for v in qg.order:
-        kind = draw(st.sampled_from(NodeKind))
-        abstract = draw(words) if kind is NodeKind.ARTICLE else ""
-        specs.append((v, kind, draw(words), (), abstract))
-    kg = kg_from_parts(specs, [])
+    kg = kg_from_parts(draw_node_specs(draw, qg.order), [])
     labels = draw(st.lists(st.integers(0, 3), min_size=qg.n_nodes, max_size=qg.n_nodes))
     partition = Partition(assignment=dict(zip(qg.order, labels)), modularity=0.0)
-    instance = Instance(
-        instance_id="q",
-        tags=tuple(draw(st.lists(words, max_size=3))),
-        image_labels=tuple(draw(st.lists(words, max_size=3))),
-    )
+    instance = draw_instance(draw, "q")
     candidates = draw(st.lists(st.sampled_from(qg.order), unique=True)) if qg.order else []
     return qg, edges, partition, kg, instance, candidates
+
+
+@st.composite
+def featured_batches(draw):
+    """A shuffled batch of instances over one knowledge graph.
+
+    It mixes node counts and holds several graphs of one node count (a drawn
+    graph again, under another instance id and partition, so the two share
+    every node), a single-node graph, graphs with disconnected parts and
+    cluster ids down to -3. Returns the (query graph, its drawn edges,
+    partition, instance) of each, and the knowledge graph of all their nodes.
+    """
+    parts = draw(st.lists(query_graph_parts(), min_size=1, max_size=5))
+    parts.append(([draw(st.integers(0, 999))], {}, []))
+    parts += [parts[i] for i in draw(st.lists(st.integers(0, len(parts) - 1), min_size=1, max_size=3))]
+    kg = kg_from_parts(draw_node_specs(draw, sorted({v for ids, _, _ in parts for v in ids})), [])
+    cases = []
+    for i, (ids, seeds, edges) in enumerate(draw(st.permutations(parts))):
+        qg = QueryGraph.from_parts(f"q{i}", seeds, frozenset(ids) - seeds.keys(), edges)
+        labels = draw(st.lists(st.integers(-3, 3), min_size=qg.n_nodes, max_size=qg.n_nodes))
+        partition = Partition(assignment=dict(zip(qg.order, labels)), modularity=0.0)
+        cases.append((qg, edges, partition, draw_instance(draw, qg.instance_id)))
+    return cases, kg
+
+
+def extract_one(qg, partition, instance, kg, idf):
+    """The feature matrix of one instance, as a batch of one."""
+    (matrix,) = extract_instance_features([qg], [partition], [instance], kg, idf)
+    return matrix
 
 
 def column(name):
@@ -480,8 +534,7 @@ def extraction_setup(tiny_kg):
 def features_of(qg, partition, instance, kg, node, idf=None):
     """The feature row of ``node`` as a candidate of ``instance``."""
     idf = build_idf_table(kg) if idf is None else idf
-    matrix = extract_instance_features(qg, partition, instance, kg, idf, pagerank(qg))
-    return matrix[qg.order.index(node)]
+    return extract_one(qg, partition, instance, kg, idf)[qg.order.index(node)]
 
 
 class TestExtractFeatures:
@@ -559,24 +612,22 @@ class TestExtractFeatures:
         with pytest.raises(IntegrityError, match=f"partition assigns node {foreign}"):
             features_of(qg, padded, instance, kg, 0, idf)
 
-    def test_non_finite_value_rejected(self, extraction_setup):
+    def test_non_finite_value_rejected(self, extraction_setup, monkeypatch):
         kg, qg, partition, instance, idf = extraction_setup
-        scores = pagerank(qg).copy()
-        scores[qg.order.index(1)] = float("nan")
-        with pytest.raises(IntegrityError, match="non-finite"):
-            extract_instance_features(qg, partition, instance, kg, idf, scores)
+        monkeypatch.setattr(features_module, "betweenness", lambda qg: np.full(qg.n_nodes, np.nan))
+        with pytest.raises(IntegrityError, match="instance 'q1': non-finite feature value"):
+            extract_one(qg, partition, instance, kg, idf)
 
     @settings(max_examples=80, deadline=None)
     @given(featured_instances())
     def test_matches_loop_reference_bit_for_bit(self, case):
         qg, edges, partition, kg, instance, candidates = case
         idf = build_idf_table(kg)
-        scores = pagerank(qg)
-        matrix = extract_instance_features(qg, partition, instance, kg, idf, scores)
+        matrix = extract_one(qg, partition, instance, kg, idf)
         assert matrix.shape == (qg.n_nodes, len(FEATURE_NAMES))
         got = matrix[[qg.order.index(v) for v in sorted(candidates)]]
         expected = np.array(
-            loop_instance_features(qg, edges, partition, instance, kg, idf, candidates, scores),
+            loop_instance_features(qg, edges, partition, instance, kg, idf, candidates, pagerank(qg)),
             dtype=np.float64,
         ).reshape(len(candidates), len(FEATURE_NAMES))
         assert got.shape == expected.shape
@@ -591,9 +642,7 @@ class TestExtractFeatures:
         partition = Partition(assignment=dict(zip(qg.order, labels)), modularity=0.0)
         kg = kg_from_parts([(v, NodeKind.CATEGORY, f"node {v}") for v in qg.order], [])
         instance = Instance(instance_id="q", tags=("node",))
-        matrix = extract_instance_features(
-            qg, partition, instance, kg, build_idf_table(kg), pagerank(qg)
-        )
+        matrix = extract_one(qg, partition, instance, kg, build_idf_table(kg))
         for node_id, row in zip(qg.order, matrix):
             expected = loop_graph_features(qg, edges, partition, node_id)
             assert {name: row[column(name)] for name in expected} == expected
@@ -624,13 +673,105 @@ class TestExtractFeatures:
             partition = louvain(build_relatedness_graph(qg))
             instance = Instance(instance_id="r", tags=("node 1", "node 2"))
             idf = build_idf_table(kg)
-            matrix = extract_instance_features(qg, partition, instance, kg, idf, pagerank(qg))
+            matrix = extract_one(qg, partition, instance, kg, idf)
             for name in bounded:
                 values = matrix[:, column(name)]
                 assert ((0.0 <= values) & (values <= 1.0 + 1e-12)).all(), name
             for name in BOOLEAN_FEATURES:
                 assert set(matrix[:, column(name)].tolist()) <= {0.0, 1.0}
             assert np.isfinite(matrix).all()
+
+
+class TestExtractBatch:
+    @settings(max_examples=60, deadline=None)
+    @given(featured_batches())
+    def test_matches_loop_reference_bit_for_bit(self, drawn):
+        cases, kg = drawn
+        idf = build_idf_table(kg)
+        graphs, _, partitions, instances = map(list, zip(*cases))
+        matrices = extract_instance_features(graphs, partitions, instances, kg, idf)
+        assert len(matrices) == len(cases)
+        for (qg, edges, partition, instance), matrix in zip(cases, matrices):
+            expected = np.array(
+                loop_instance_features(qg, edges, partition, instance, kg, idf, qg.order, pagerank(qg)),
+                dtype=np.float64,
+            ).reshape(qg.n_nodes, len(FEATURE_NAMES))
+            assert matrix.shape == expected.shape
+            for j, name in enumerate(FEATURE_NAMES):
+                assert matrix[:, j].tobytes() == expected[:, j].tobytes(), (qg.instance_id, name)
+
+    @settings(max_examples=30, deadline=None)
+    @given(featured_batches())
+    def test_matrices_do_not_depend_on_the_batch(self, drawn):
+        cases, kg = drawn
+        idf = build_idf_table(kg)
+
+        def extract(picked):
+            graphs, _, partitions, instances = map(list, zip(*picked))
+            return [m.tobytes() for m in extract_instance_features(graphs, partitions, instances, kg, idf)]
+
+        alone = [extract([case])[0] for case in cases]
+        assert extract(cases) == alone
+        assert extract(cases[::-1]) == alone[::-1]
+        assert extract(cases[1::2]) == alone[1::2]
+
+    def test_empty_batch(self, tiny_kg):
+        assert extract_instance_features([], [], [], tiny_kg, build_idf_table(tiny_kg)) == []
+
+
+# Each way an instance can fail extraction, as (graph, partition, the error
+# class and message it raises) for an instance id and a node id of its own;
+# kind None is a good instance, and "non-finite" one only under a patched
+# betweenness.
+def _fails(kind, iid, node):
+    qg = QueryGraph.from_parts(
+        iid, {0: SeedOrigin(from_tags=True), node: SeedOrigin(from_image=True)}, frozenset({1}),
+        [(0, 1), (1, node)],
+    )
+    assignment = dict.fromkeys(qg.order, -1)
+    if kind == "unassigned":
+        del assignment[node]
+        return qg, assignment, IntegrityError, f"instance {iid!r}: node {node} is not assigned to a cluster"
+    if kind == "foreign":
+        assignment[node + 10] = 0
+        message = f"instance {iid!r}: partition assigns node {node + 10}, outside the query graph"
+        return qg, assignment, IntegrityError, message
+    if kind == "unknown":
+        # Its first node (the lowest id) is the unknown one: the first row of its graph.
+        qg = QueryGraph.from_parts(iid, dict.fromkeys((-node, 0), SeedOrigin(from_tags=True)), frozenset(), [])
+        return qg, dict.fromkeys(qg.order, 0), NotFoundError, f"unknown node id {-node}"
+    return qg, assignment, IntegrityError, f"instance {iid!r}: non-finite feature value"
+
+
+_FAILURES = ("unassigned", "foreign", "unknown", "non-finite")
+
+
+@pytest.mark.parametrize("second", _FAILURES)
+@pytest.mark.parametrize("first", _FAILURES)
+def test_first_bad_instance_in_batch_order_raises(first, second, monkeypatch):
+    # Batching must not change which error a stage reports: the first bad
+    # instance in batch order raises, with the error it would raise alone.
+    kg = kg_from_parts([(v, NodeKind.CATEGORY, f"node {v}") for v in range(8)], [])
+    cases = [_fails(None, "a", 2), _fails(first, "b", 3), _fails(None, "c", 4), _fails(second, "d", 5)]
+    non_finite = {iid for iid, kind in zip("abcd", (None, first, None, second)) if kind == "non-finite"}
+    real = features_module.betweenness
+    monkeypatch.setattr(
+        features_module, "betweenness",
+        lambda qg: np.full(qg.n_nodes, np.nan) if qg.instance_id in non_finite else real(qg),
+    )
+    graphs = [qg for qg, _, _, _ in cases]
+    partitions = [Partition(assignment=a, modularity=0.0) for _, a, _, _ in cases]
+    instances = [Instance(instance_id=qg.instance_id) for qg in graphs]
+    _, _, error, message = cases[1]
+    with pytest.raises(GistRankError) as raised:
+        extract_instance_features(graphs, partitions, instances, kg, build_idf_table(kg))
+    assert type(raised.value) is error and str(raised.value) == message
+    # Without the first bad instance, the second one raises in its place.
+    del graphs[1], partitions[1], instances[1]
+    _, _, error, message = cases[3]
+    with pytest.raises(GistRankError) as raised:
+        extract_instance_features(graphs, partitions, instances, kg, build_idf_table(kg))
+    assert type(raised.value) is error and str(raised.value) == message
 
 
 def feature_row(fill, **named):
