@@ -188,6 +188,9 @@ def _instance_from_record(obj: dict) -> Instance:
     grades = None
     if obj.get("concept_grades"):
         grades = {int(k): int(v) for k, v in obj["concept_grades"].items()}
+        # int() reads "7" and " 7" as one node id.
+        if len(grades) != len(obj["concept_grades"]):
+            raise ValueError("two concept grades name one node id")
     instance = Instance(
         instance_id=str(obj["id"]),
         tags=tuple(str(t) for t in obj.get("tags", ())),
@@ -210,9 +213,10 @@ def read_corpus(path: str | Path) -> list[Instance]:
     """Read a JSON-lines corpus file.
 
     Unreadable records (a line that is not UTF-8, not JSON, or not a valid
-    record, a string in the record with no UTF-8 encoding, or an instance id
-    holding a newline) are skipped with a warning instead of aborting the
-    whole run; duplicate instance ids are an integrity error.
+    record, a string in the record with no UTF-8 encoding, an instance id
+    holding a newline, or two concept grades for one node id) are skipped
+    with a warning instead of aborting the whole run; duplicate instance ids
+    are an integrity error.
     """
     instances: list[Instance] = []
     seen: set[str] = set()

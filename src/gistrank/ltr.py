@@ -236,70 +236,67 @@ _SPARSE_RATIO = 8
 class _LengthGroup:
     """The (run, query) pairs whose queries have one document count.
 
-    A block is one query's (document matrix, relevance) pair. Each pair
-    caches what a probe starts from: its scores under the run's weights,
-    their stable best-first order (and each document's place in it), the
-    relevance in that order and its AP. Queries without a relevant document
-    never enter a group: their AP is 0 under any weights.
+    Each pair holds its query's relevance row and the index of its document
+    matrix, and caches what a probe starts from: its scores under the run's
+    weights, their stable best-first order (and each document's place in
+    it), the relevance in that order and its AP. Queries without a relevant
+    document never enter a group: their AP is 0 under any weights.
     """
 
-    def __init__(self, blocks: list[tuple[np.ndarray, np.ndarray]], pairs: list[tuple[int, int, int]]):
+    def __init__(self, pairs: list[tuple[int, int, np.ndarray, np.ndarray]]):
         # Queries on one matrix object share it (in stage 2 every topic ranks
         # the same training instances).
-        matrices = {id(matrix): matrix for matrix, _ in blocks}
+        matrices = {id(matrix): matrix for _, _, matrix, _ in pairs}
         matrix_index = {key: i for i, key in enumerate(matrices)}
-        self.block_matrix = np.array([matrix_index[id(matrix)] for matrix, _ in blocks])
         self.matrices = list(matrices.values())
         # A single matrix (the stage-2 topics) is used as it is, not copied.
         self.stack = self.matrices[0][None] if len(self.matrices) == 1 else np.stack(self.matrices)
-        self.relevant = np.stack([relevant for _, relevant in blocks])
+        self.run, self.slot, self.matrix = (
+            np.array(column) for column in zip(*((r, s, matrix_index[id(m)]) for r, s, m, _ in pairs))
+        )
+        self.relevant = np.stack([relevant for *_, relevant in pairs])
         self.n_relevant = self.relevant.sum(axis=1)
-        self.run, self.slot, self.block = (np.array(column) for column in zip(*pairs))
-        n_pairs, n_docs = len(pairs), self.relevant.shape[1]
+        n_pairs, n_docs = self.relevant.shape
         self.scores = np.empty((n_pairs, n_docs))
         self.order = np.empty((n_pairs, n_docs), dtype=np.intp)
         self.place = np.empty((n_pairs, n_docs), dtype=np.intp)
         self.sorted_scores = np.empty((n_pairs, n_docs))
         self.ranked_relevant = np.empty((n_pairs, n_docs), dtype=bool)
         self.ap = np.empty(n_pairs)
-        pairs_of_run: dict[int, list[int]] = {}
-        for i, (run, _, _) in enumerate(pairs):
-            pairs_of_run.setdefault(run, []).append(i)
-        self.pairs_of_run = {run: np.array(ids) for run, ids in pairs_of_run.items()}
 
     def refresh(self, run: int, weights: np.ndarray) -> None:
         """Recompute the cache of ``run``'s pairs for new weights."""
-        pairs = self.pairs_of_run.get(run)
-        if pairs is None:
+        pairs = np.flatnonzero(self.run == run)
+        if pairs.size == 0:
             return
-        blocks = self.block[pairs]
-        scores = np.stack([self.matrices[m] @ weights for m in self.block_matrix[blocks]])
+        scores = np.stack([self.matrices[m] @ weights for m in self.matrix[pairs]])
         # Stable sort on negated scores keeps ascending doc-index order among ties.
         order = np.argsort(-scores, axis=1, kind="stable")
         rows = np.arange(len(pairs))[:, None]
         place = np.empty_like(order)
         place[rows, order] = np.arange(order.shape[1])
-        ranked = self.relevant[blocks[:, None], order]
+        ranked = self.relevant[pairs[:, None], order]
         self.scores[pairs] = scores
         self.order[pairs] = order
         self.place[pairs] = place
         self.sorted_scores[pairs] = scores[rows, order]
         self.ranked_relevant[pairs] = ranked
-        self.ap[pairs] = _ap_rows(ranked, self.n_relevant[blocks])
+        self.ap[pairs] = _ap_rows(ranked, self.n_relevant[pairs])
 
     def probe(self, pairs: np.ndarray, dim: int, deltas: np.ndarray) -> np.ndarray:
         """AP of each pair under each step on ``dim`` (shape: pairs x steps).
 
         Documents are ordered by the key (-score, doc index), the key of a
-        stable sort on negated scores. A row keeps the cached AP unless its
-        relevance sequence differs from the cached one; only then does it go
-        through the AP arithmetic.
+        stable sort on negated scores. A pair whose matrix has no document
+        non-zero on ``dim`` keeps its cached AP; every step of every other
+        pair goes through the AP arithmetic once. ``_ap_rows`` reduces each
+        row on its own, so a row equal to the cached one gets the cached bits.
         """
         ap = np.repeat(self.ap[pairs][:, None], len(deltas), axis=1)
         # Per matrix: the documents non-zero on dim first, in ascending order.
         moves = self.stack[:, :, dim] != 0.0
         moved, n_moved = np.argsort(~moves, axis=1, kind="stable"), moves.sum(axis=1)
-        matrices = self.block_matrix[self.block[pairs]]
+        matrices = self.matrix[pairs]
         hit = np.flatnonzero(n_moved[matrices] > 0)
         if hit.size == 0:
             return ap
@@ -314,98 +311,71 @@ class _LengthGroup:
             else:
                 part = matrices[rows]
                 parts = self._replace(pairs[rows], dim, deltas, moved[part, :width], n_moved[part])
-            for at_pair, at_step, relevant in parts:
-                at_pair = rows[at_pair]
-                changed = (relevant != self.ranked_relevant[pairs[at_pair]]).any(axis=1)
-                if changed.any():
-                    at_pair, at_step = at_pair[changed], at_step[changed]
-                    ap[at_pair, at_step] = _ap_rows(
-                        relevant[changed], self.n_relevant[self.block[pairs[at_pair]]]
-                    )
+            # The rows of ``parts`` are the (pair, step) rows in row-major order.
+            n_relevant = np.repeat(self.n_relevant[pairs[rows]], len(deltas))
+            flat = np.empty(len(n_relevant))
+            for at, relevant in parts:
+                flat[at] = _ap_rows(relevant, n_relevant[at])
+            ap[rows] = flat.reshape(len(rows), len(deltas))
         return ap
 
     def _resort(self, pairs, dim, deltas):
-        """Yield (pair, step, relevance row) of every step, from a full stable re-sort."""
-        blocks = self.block[pairs]
+        """Yield the relevance rows of every (pair, step), from a full stable re-sort."""
         shifted = (
             self.scores[pairs][:, None, :]
-            + deltas[None, :, None] * self.stack[self.block_matrix[blocks], :, dim][:, None, :]
+            + deltas[None, :, None] * self.stack[self.matrix[pairs], :, dim][:, None, :]
         )
         order = np.argsort(np.negative(shifted, out=shifted), axis=-1, kind="stable")
-        relevant = self.relevant[blocks[:, None, None], order]
-        at_pair, at_step = np.divmod(np.arange(len(pairs) * len(deltas)), len(deltas))
-        yield at_pair, at_step, relevant.reshape(len(at_pair), -1)
+        relevant = self.relevant[pairs[:, None, None], order]
+        yield slice(None), relevant.reshape(-1, order.shape[-1])
 
     def _replace(self, pairs, dim, deltas, docs, count):
-        """Yield (pair, step, relevance row) of the steps that may change the relevance.
+        """Yield the relevance rows of every (pair, step), a slice of rows at a time.
 
         Only the ``docs`` non-zero on ``dim`` move (ascending doc index,
         padded; ``count`` per pair). Each is re-placed among the unmoved
         ones, which keep their cached order.
         """
-        blocks = self.block[pairs]
         n_pairs, n_docs = len(pairs), self.relevant.shape[1]
         valid = np.arange(docs.shape[1]) < count[:, None]
         rows = np.arange(n_pairs)[:, None]
         shifted = (
             self.scores[pairs[:, None], docs][:, None, :]
-            + deltas[None, :, None]
-            * self.stack[self.block_matrix[blocks][:, None], docs, dim][:, None, :]
+            + deltas[None, :, None] * self.stack[self.matrix[pairs][:, None], docs, dim][:, None, :]
         )
+        labels = self.relevant[pairs[:, None], docs]
 
         # The unmoved documents in cached order: the first n_docs - count.
-        place = self.place[pairs[:, None], docs]
         is_moved = np.zeros((n_pairs, n_docs + 1), dtype=bool)
-        is_moved[rows, np.where(valid, place, n_docs)] = True
-        is_moved = is_moved[:, :n_docs]
-        keep = np.argsort(is_moved, axis=1, kind="stable")
+        is_moved[rows, np.where(valid, self.place[pairs[:, None], docs], n_docs)] = True
+        keep = np.argsort(is_moved[:, :n_docs], axis=1, kind="stable")
         rest = np.arange(n_docs) < (n_docs - count)[:, None]
-        rest_relevant = self.ranked_relevant[pairs[:, None], keep] & rest
+        rest_relevant = self.ranked_relevant[pairs[:, None], keep]
         rest_keys = np.where(rest, -self.sorted_scores[pairs[:, None], keep], np.inf)
         rest_docs = self.order[pairs[:, None], keep]
 
-        # Gap (number of unmoved documents ahead) of each moved document,
-        # from the cached order and after the step.
-        moved_before = np.cumsum(is_moved, axis=1) - is_moved
-        base_gap = place - moved_before[rows, place]
+        # The new place of each moved document: its gap (the number of
+        # unmoved documents ahead after the step) plus its rank among the moved.
         keys = np.negative(shifted, out=shifted)
         gap = _count_ahead(rest_keys, rest_docs, n_docs - count, keys, docs)
+        keys = np.where(valid[:, None, :], keys, np.inf)
+        rank = np.argsort(np.argsort(keys, axis=-1, kind="stable"), axis=-1, kind="stable")
+        new_place = np.where(valid[:, None, :], gap + rank, n_docs).reshape(-1, docs.shape[1])
 
-        # Unchanged for sure when every moved document only crosses unmoved
-        # documents of its own relevance and all moved documents share one
-        # relevance: each crossed range then holds one relevance value
-        # before and after, at the same places.
-        labels = self.relevant[blocks[:, None], docs]
-        low = np.minimum(gap, base_gap[:, None, :])
-        high = np.maximum(gap, base_gap[:, None, :])
-        prefix = np.zeros((n_pairs, n_docs + 1), dtype=np.intp)
-        np.cumsum(rest_relevant, axis=1, out=prefix[:, 1:])
-        crossed = prefix[rows[:, :, None], high] - prefix[rows[:, :, None], low]
-        uniform = np.where(labels[:, None, :], crossed == high - low, crossed == 0)
-        one_relevance = (labels | ~valid).all(axis=1) | ~(labels & valid).any(axis=1)
-        unsure_pair, unsure_step = np.nonzero(
-            ~((uniform | ~valid[:, None, :]).all(axis=-1) & one_relevance[:, None])
-        )
-        del low, high, crossed, uniform
-
-        # Rebuild the other rows, a slice at a time: moved documents at gap +
-        # rank among the moved, unmoved ones filling the free places in
-        # cached order.
+        # Rebuild every row, a slice at a time: moved documents at their new
+        # places, unmoved ones filling the free places in cached order.
+        every_pair = np.repeat(np.arange(n_pairs), len(deltas))
         step = max(1, _SLICE_ELEMENTS // n_docs)
-        for start in range(0, len(unsure_pair), step):
-            at_pair = unsure_pair[start:start + step]
-            at_step = unsure_step[start:start + step]
-            row_valid = valid[at_pair]
-            keyed = np.where(row_valid, keys[at_pair, at_step], np.inf)
-            rank = np.argsort(np.argsort(keyed, axis=1, kind="stable"), axis=1, kind="stable")
-            new_place = np.where(row_valid, gap[at_pair, at_step] + rank, n_docs)
+        for start in range(0, len(new_place), step):
+            at = slice(start, start + step)
+            at_pair = every_pair[at]
             row_ids = np.arange(len(at_pair))[:, None]
             taken = np.zeros((len(at_pair), n_docs + 1), dtype=bool)
-            taken[row_ids, new_place] = True
+            taken[row_ids, new_place[at]] = True
             relevant = np.empty_like(taken)
             relevant[:, :n_docs][~taken[:, :n_docs]] = rest_relevant[at_pair][rest[at_pair]]
-            relevant[row_ids, new_place] = labels[at_pair]
-            yield at_pair, at_step, relevant[:, :n_docs]
+            relevant[row_ids, new_place[at]] = labels[at_pair]
+            yield at, relevant[:, :n_docs]
 
 
 def _count_ahead(
@@ -465,19 +435,13 @@ def _ascend(
     """
     n_runs = len(runs)
     n_dims = len(runs[0][1])
-    grouped: dict[int, tuple[dict[int, int], list, list[tuple[int, int, int]]]] = {}
-    for r, (blocks, _) in enumerate(runs):
-        for slot, block in enumerate(blocks):
-            relevant = block[1]
-            if not relevant.any():
-                continue
-            index, members, pairs = grouped.setdefault(len(relevant), ({}, [], []))
-            if id(block) not in index:
-                index[id(block)] = len(members)
-                members.append(block)
-            pairs.append((r, slot, index[id(block)]))
-    groups = [_LengthGroup(members, pairs) for _, members, pairs in grouped.values()]
-    n_queries = np.array([len(blocks) for blocks, _ in runs], dtype=np.float64)
+    grouped: dict[int, list[tuple[int, int, np.ndarray, np.ndarray]]] = {}
+    for r, (queries, _) in enumerate(runs):
+        for slot, (matrix, relevant) in enumerate(queries):
+            if relevant.any():
+                grouped.setdefault(len(relevant), []).append((r, slot, matrix, relevant))
+    groups = [_LengthGroup(pairs) for pairs in grouped.values()]
+    n_queries = np.array([len(queries) for queries, _ in runs], dtype=np.float64)
     table = np.zeros((n_runs, int(n_queries.max()), len(deltas)))
 
     def mean_over_queries(rows: np.ndarray) -> np.ndarray:
@@ -487,8 +451,8 @@ def _ascend(
     # The highest MAP a run can reach: every query with a relevant document
     # at AP 1.0, summed like the APs, so a run at it compares equal exactly.
     has_relevant = np.zeros(table.shape[:2])
-    for r, (blocks, _) in enumerate(runs):
-        has_relevant[r, :len(blocks)] = [relevant.any() for _, relevant in blocks]
+    for r, (queries, _) in enumerate(runs):
+        has_relevant[r, :len(queries)] = [relevant.any() for _, relevant in queries]
     ceiling = np.cumsum(has_relevant, axis=1)[:, -1] / n_queries
 
     weights = [w for _, w in runs]

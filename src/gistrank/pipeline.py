@@ -660,30 +660,32 @@ def _run(ctx: PipelineContext, stage: str) -> None:
     _write_manifest(ctx.config, stage)
 
 
-# ``run_all`` runs each stage for TII first, so that TII does the work TI reuses.
+# ``run_all`` runs TII first, so that TII does the work TI reuses.
 _RUN_ORDER = ("TII", "TI", "T")
 
 
 def run_all(config: PipelineConfig) -> Path:
     """Run the full pipeline for modes T, TI, and TII and compare them.
 
-    It runs stage by stage, each for TII, TI and T in turn, through the same
-    runner as ``run_stage`` and over one loaded graph, corpus and IDF table.
-    Every output goes to disk and into one store, from which its consumers
-    take it: nothing is read back. Before each stage the store drops what no
-    stage from there on reads; the comparison takes the reports from it.
+    It runs mode by mode, TII, TI and T, each through all ten stages, with
+    the same runner as ``run_stage`` and over one loaded graph, corpus and
+    IDF table. Every output goes to disk and into one store, from which its
+    consumers take it: nothing is read back. When a mode ends, its report is
+    kept for the comparison, and the store drops every entry not keyed by
+    the link mode of a later mode.
     """
     config.validate()
     base = PipelineContext(config)
     contexts = [base.for_mode(mode) for mode in _RUN_ORDER]
-    store = base.shared.store
-    for i, stage in enumerate(STAGE_ORDER):
-        wanted = {name for later in STAGE_ORDER[i:] for name in STAGE_INPUTS[later]}
-        for key in [key for key in store if key[0] not in wanted]:
-            del store[key]
-        for ctx in contexts:
+    store, reports = base.shared.store, {}
+    for i, ctx in enumerate(contexts):
+        for stage in STAGE_ORDER:
             _run(ctx, stage)
-    comparison = compare_modes([store["report.json", mode] for mode in MODES])
+        reports[ctx.config.mode] = store["report.json", ctx.config.mode]
+        keep = {_link_mode(c.config) for c in contexts[i + 1:]}
+        for key in [key for key in store if key[-1] not in keep]:
+            del store[key]
+    comparison = compare_modes([reports[mode] for mode in MODES])
     _write_json(config.out / "comparison.json", comparison.to_json_obj())
     write_atomic(config.out / "comparison.txt", comparison.table())
     logger.info("comparison written to %s", config.out / "comparison.txt")

@@ -151,6 +151,19 @@ class TestCorpusIO:
         path.write_text('{"id": "a", "concept_grades": {"1": 9}}\n', encoding="utf-8")
         assert read_corpus(path) == []
 
+    def test_two_grades_for_one_node_skip_the_record(self, tmp_path, caplog):
+        # int() reads "7" and " 7" as one id; the last grade once won silently.
+        path = tmp_path / "corpus.jsonl"
+        path.write_text(
+            '{"id": "a", "concept_grades": {"7": 5, " 7": 1}}\n{"id": "b", "concept_grades": {"7": 5}}\n',
+            encoding="utf-8",
+        )
+        assert [(i.instance_id, i.concept_grades) for i in read_corpus(path)] == [("b", {7: 5})]
+        assert any(
+            "corpus.jsonl:1: skipping unreadable record (two concept grades name one node id)" in r.message
+            for r in caplog.records
+        )
+
     def test_duplicate_id_is_integrity_error(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
         path.write_text('{"id": "a"}\n{"id": "a"}\n', encoding="utf-8")

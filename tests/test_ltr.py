@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from gistrank import ltr
 from gistrank.errors import IntegrityError, TrainingError
@@ -509,6 +509,23 @@ class TestBatchedTrainerMatchesLoop:
             examples, names, config
         )
 
+    # A ratio of 0 re-places the moved documents in every probe, also when
+    # every document moves; a ratio above any document count re-sorts every
+    # probed query. The other path fails the test if it is taken.
+    @pytest.mark.parametrize("ratio, unused", [(0, "_resort"), (10**9, "_replace")])
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=training_sets())
+    def test_each_probe_path_alone_equals_loop(self, monkeypatch, ratio, unused, data):
+        def unused_path(*args):
+            raise AssertionError(f"{unused} ran with _SPARSE_RATIO = {ratio}")
+
+        monkeypatch.setattr(ltr, "_SPARSE_RATIO", ratio)
+        monkeypatch.setattr(ltr._LengthGroup, unused, unused_path)
+        examples, names, config = data
+        assert train_examples(examples, names, config) == loop_train_coordinate_ascent(
+            examples, names, config
+        )
+
     @settings(max_examples=25, deadline=None)
     @given(
         st.integers(0, 2**32 - 1),
@@ -818,3 +835,19 @@ class TestCeilingStop:
         assert (ap <= 1.0).all()
         first = np.array([row[:n].all() for row, n in zip(relevant, n_relevant)])
         assert ((ap == 1.0) == first).all()
+
+
+@settings(max_examples=100, deadline=None)
+@given(relevance_rows(), st.integers(0, 3))
+def test_ap_rows_bits_do_not_depend_on_the_batch(relevant, extra):
+    # A probe recomputes rows, some equal to the cached one, in batches of
+    # other sizes and layouts than the refresh that cached it; a row must get
+    # the same bits in each. The strided copy is a view into wider rows, as
+    # ``_replace`` passes its rebuilt rows.
+    n_relevant = relevant.sum(axis=1)
+    batch = ltr._ap_rows(relevant, n_relevant).tolist()
+    alone = [ltr._ap_rows(row[None], n)[0] for row, n in zip(relevant, n_relevant)]
+    wide = np.zeros((len(relevant) + extra, relevant.shape[1] + 1), dtype=bool)
+    wide[extra:, :-1] = relevant
+    strided = ltr._ap_rows(wide[extra:, :-1], n_relevant).tolist()
+    assert batch == alone == strided

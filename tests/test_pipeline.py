@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from gistrank import pipeline
 from gistrank.cli import main
 from gistrank.config import load_config
 from gistrank.errors import ConfigError, StageDependencyError, atomic_open, write_atomic
@@ -565,6 +566,27 @@ class TestRunAll:
         assert counts["extract_instance_features"] == 2
         # Each consumer takes what the run made from the store: nothing is read back.
         assert counts["read_feature_rows"] == 0 and parsed_graphs == []
+
+    def test_modes_run_one_after_another_and_keep_only_what_later_modes_read(
+        self, fixture_dir, tmp_path, monkeypatch
+    ):
+        # Each mode runs all ten stages; when it ends, the store keeps only
+        # what is keyed by the link mode of a later mode.
+        calls = []
+        run = pipeline._run
+
+        def recording_run(ctx, stage):
+            if stage == "link":
+                calls.append((ctx.config.mode, "held", {key[-1] for key in ctx.shared.store}))
+            calls.append((ctx.config.mode, stage))
+            run(ctx, stage)
+
+        monkeypatch.setattr(pipeline, "_run", recording_run)
+        run_all(load_config(fixture_dir / "pipeline.config", {"out": str(tmp_path / "o")}))
+        expected = []
+        for mode, held in (("TII", set()), ("TI", {LinkMode.TAGS_AND_IMAGE}), ("T", set())):
+            expected += [(mode, "held", held), *((mode, stage) for stage in STAGE_ORDER)]
+        assert calls == expected
 
     def test_run_stage_reads_its_inputs_from_disk(self, fixture_dir, run_all_out, tmp_path):
         out = tmp_path / "copy"
