@@ -185,18 +185,23 @@ def corpus_link_stats(graph: KnowledgeGraph, corpus: Sequence[Instance]) -> Link
 def _instance_from_record(obj: dict) -> Instance:
     if not isinstance(obj, dict) or "id" not in obj:
         raise IntegrityError("corpus record must be an object with an 'id' key")
-    grades = None
-    if obj.get("concept_grades"):
-        grades = {int(k): int(v) for k, v in obj["concept_grades"].items()}
-        # int() reads "7" and " 7" as one node id.
-        if len(grades) != len(obj["concept_grades"]):
-            raise ValueError("two concept grades name one node id")
+    tags, image_labels, topics = (obj.get(key, []) for key in ("tags", "image_labels", "topics"))
+    # A string is iterable too, and would be read one character at a time.
+    if not all(isinstance(value, list) for value in (tags, image_labels, topics)):
+        raise ValueError("tags, image_labels and topics must be arrays")
+    given = {} if obj.get("concept_grades") is None else obj["concept_grades"]
+    if not isinstance(given, dict):
+        raise ValueError("concept_grades must be an object")
+    grades = {int(k): int(v) for k, v in given.items()}
+    # int() reads "7" and " 7" as one node id.
+    if len(grades) != len(given):
+        raise ValueError("two concept grades name one node id")
     instance = Instance(
         instance_id=str(obj["id"]),
-        tags=tuple(str(t) for t in obj.get("tags", ())),
-        image_labels=tuple(str(t) for t in obj.get("image_labels", ())),
-        topics=frozenset(str(t) for t in obj.get("topics", ())),
-        concept_grades=grades,
+        tags=tuple(map(str, tags)),
+        image_labels=tuple(map(str, image_labels)),
+        topics=frozenset(map(str, topics)),
+        concept_grades=grades or None,
     )
     # A JSON escape can spell a lone surrogate, which has no UTF-8 encoding,
     # or a newline, which ends an instance id in the feature dump.
@@ -212,11 +217,14 @@ def _instance_from_record(obj: dict) -> Instance:
 def read_corpus(path: str | Path) -> list[Instance]:
     """Read a JSON-lines corpus file.
 
-    Unreadable records (a line that is not UTF-8, not JSON, or not a valid
-    record, a string in the record with no UTF-8 encoding, an instance id
-    holding a newline, or two concept grades for one node id) are skipped
-    with a warning instead of aborting the whole run; duplicate instance ids
-    are an integrity error.
+    ``tags``, ``image_labels`` and ``topics`` are JSON arrays, and
+    ``concept_grades`` an object of grades by node id (absent or null: no
+    grades). Unreadable records (a line that is not UTF-8, not JSON, or not
+    a valid record, such as one with a field of another JSON type or a grade
+    that ``int()`` cannot read, a string in the record with no UTF-8 encoding,
+    an instance id holding a newline, or two concept grades for one node id)
+    are skipped with a warning instead of aborting the whole run; duplicate
+    instance ids are an integrity error.
     """
     instances: list[Instance] = []
     seen: set[str] = set()
@@ -230,7 +238,8 @@ def read_corpus(path: str | Path) -> list[Instance]:
             continue
         try:
             instance = _instance_from_record(json.loads(line))
-        except (json.JSONDecodeError, IntegrityError, KeyError, TypeError, ValueError) as exc:
+        # int() of a JSON Infinity grade raises OverflowError.
+        except (IntegrityError, KeyError, OverflowError, TypeError, ValueError) as exc:
             logger.warning("%s:%d: skipping unreadable record (%s)", path, lineno, exc)
             continue
         if instance.instance_id in seen:

@@ -201,7 +201,9 @@ def _training_queries(queries, n_dims: int, threshold: int) -> list[tuple[np.nda
 
 def _ap_rows(relevant: np.ndarray, n_relevant) -> np.ndarray:
     """AP of each ranked relevance row (last axis: rank), one pairwise sum per row."""
-    precision = np.cumsum(relevant, axis=-1) / np.arange(1, relevant.shape[-1] + 1, dtype=np.float64)
+    # Hit counts are exact in int32, which numpy accumulates from bool faster than int64.
+    hits = np.cumsum(relevant, axis=-1, dtype=np.int32)
+    precision = hits / np.arange(1, relevant.shape[-1] + 1, dtype=np.float64)
     precision *= relevant
     return precision.sum(axis=-1) / n_relevant
 
@@ -224,9 +226,9 @@ def _initial_weights(n_dims: int, seed: int, restart: int) -> np.ndarray:
 
 
 # A probe works on (pairs x steps x documents) arrays. It takes its pairs in
-# slices of at most this many elements, so the temporaries stay small however
-# many runs train together.
-_SLICE_ELEMENTS = 1 << 13
+# slices of at most this many (pair, step, document) elements, so the
+# temporaries stay small however many runs train together.
+_SLICE_ELEMENTS = 1 << 16
 
 # A probe re-places only the documents that move when fewer than 1 in this
 # many move; otherwise it re-sorts the whole query.
@@ -237,10 +239,11 @@ class _LengthGroup:
     """The (run, query) pairs whose queries have one document count.
 
     Each pair holds its query's relevance row and the index of its document
-    matrix, and caches what a probe starts from: its scores under the run's
-    weights, their stable best-first order (and each document's place in
-    it), the relevance in that order and its AP. Queries without a relevant
-    document never enter a group: their AP is 0 under any weights.
+    matrix, and caches three things a probe starts from: its scores under
+    the run's weights, their stable best-first order, and the AP of that
+    order. A probe gathers the rest (the relevance and scores in cached
+    order) through ``order``. Queries without a relevant document never
+    enter a group: their AP is 0 under any weights.
     """
 
     def __init__(self, pairs: list[tuple[int, int, np.ndarray, np.ndarray]]):
@@ -259,9 +262,6 @@ class _LengthGroup:
         n_pairs, n_docs = self.relevant.shape
         self.scores = np.empty((n_pairs, n_docs))
         self.order = np.empty((n_pairs, n_docs), dtype=np.intp)
-        self.place = np.empty((n_pairs, n_docs), dtype=np.intp)
-        self.sorted_scores = np.empty((n_pairs, n_docs))
-        self.ranked_relevant = np.empty((n_pairs, n_docs), dtype=bool)
         self.ap = np.empty(n_pairs)
 
     def refresh(self, run: int, weights: np.ndarray) -> None:
@@ -272,16 +272,9 @@ class _LengthGroup:
         scores = np.stack([self.matrices[m] @ weights for m in self.matrix[pairs]])
         # Stable sort on negated scores keeps ascending doc-index order among ties.
         order = np.argsort(-scores, axis=1, kind="stable")
-        rows = np.arange(len(pairs))[:, None]
-        place = np.empty_like(order)
-        place[rows, order] = np.arange(order.shape[1])
-        ranked = self.relevant[pairs[:, None], order]
         self.scores[pairs] = scores
         self.order[pairs] = order
-        self.place[pairs] = place
-        self.sorted_scores[pairs] = scores[rows, order]
-        self.ranked_relevant[pairs] = ranked
-        self.ap[pairs] = _ap_rows(ranked, self.n_relevant[pairs])
+        self.ap[pairs] = _ap_rows(self.relevant[pairs[:, None], order], self.n_relevant[pairs])
 
     def probe(self, pairs: np.ndarray, dim: int, deltas: np.ndarray) -> np.ndarray:
         """AP of each pair under each step on ``dim`` (shape: pairs x steps).
@@ -303,34 +296,28 @@ class _LengthGroup:
         n_docs = self.relevant.shape[1]
         width = int(n_moved[matrices[hit]].max())
         resort = width * _SPARSE_RATIO > n_docs
-        step = max(1, _SLICE_ELEMENTS // (len(deltas) * (n_docs if resort else width)))
+        step = max(1, _SLICE_ELEMENTS // (len(deltas) * n_docs))
         for start in range(0, len(hit), step):
             rows = hit[start:start + step]
             if resort:
-                parts = self._resort(pairs[rows], dim, deltas)
+                relevant = self._resort(pairs[rows], dim, deltas)
             else:
                 part = matrices[rows]
-                parts = self._replace(pairs[rows], dim, deltas, moved[part, :width], n_moved[part])
-            # The rows of ``parts`` are the (pair, step) rows in row-major order.
-            n_relevant = np.repeat(self.n_relevant[pairs[rows]], len(deltas))
-            flat = np.empty(len(n_relevant))
-            for at, relevant in parts:
-                flat[at] = _ap_rows(relevant, n_relevant[at])
-            ap[rows] = flat.reshape(len(rows), len(deltas))
+                relevant = self._replace(pairs[rows], dim, deltas, moved[part, :width], n_moved[part])
+            ap[rows] = _ap_rows(relevant, self.n_relevant[pairs[rows], None])
         return ap
 
     def _resort(self, pairs, dim, deltas):
-        """Yield the relevance rows of every (pair, step), from a full stable re-sort."""
+        """Return the relevance rows of every (pair, step), from a full stable re-sort."""
         shifted = (
             self.scores[pairs][:, None, :]
             + deltas[None, :, None] * self.stack[self.matrix[pairs], :, dim][:, None, :]
         )
         order = np.argsort(np.negative(shifted, out=shifted), axis=-1, kind="stable")
-        relevant = self.relevant[pairs[:, None, None], order]
-        yield slice(None), relevant.reshape(-1, order.shape[-1])
+        return self.relevant[pairs[:, None, None], order]
 
     def _replace(self, pairs, dim, deltas, docs, count):
-        """Yield the relevance rows of every (pair, step), a slice of rows at a time.
+        """Return the relevance rows of every (pair, step), re-placing only the moved documents.
 
         Only the ``docs`` non-zero on ``dim`` move (ascending doc index,
         padded; ``count`` per pair). Each is re-placed among the unmoved
@@ -347,12 +334,13 @@ class _LengthGroup:
 
         # The unmoved documents in cached order: the first n_docs - count.
         is_moved = np.zeros((n_pairs, n_docs + 1), dtype=bool)
-        is_moved[rows, np.where(valid, self.place[pairs[:, None], docs], n_docs)] = True
-        keep = np.argsort(is_moved[:, :n_docs], axis=1, kind="stable")
+        is_moved[rows, np.where(valid, docs, n_docs)] = True
+        order = self.order[pairs]
+        keep = np.argsort(is_moved[rows, order], axis=1, kind="stable")
         rest = np.arange(n_docs) < (n_docs - count)[:, None]
-        rest_relevant = self.ranked_relevant[pairs[:, None], keep]
-        rest_keys = np.where(rest, -self.sorted_scores[pairs[:, None], keep], np.inf)
-        rest_docs = self.order[pairs[:, None], keep]
+        rest_docs = order[rows, keep]
+        rest_relevant = self.relevant[pairs[:, None], rest_docs]
+        rest_keys = np.where(rest, -self.scores[pairs[:, None], rest_docs], np.inf)
 
         # The new place of each moved document: its gap (the number of
         # unmoved documents ahead after the step) plus its rank among the moved.
@@ -360,22 +348,20 @@ class _LengthGroup:
         gap = _count_ahead(rest_keys, rest_docs, n_docs - count, keys, docs)
         keys = np.where(valid[:, None, :], keys, np.inf)
         rank = np.argsort(np.argsort(keys, axis=-1, kind="stable"), axis=-1, kind="stable")
-        new_place = np.where(valid[:, None, :], gap + rank, n_docs).reshape(-1, docs.shape[1])
+        new_place = np.where(valid[:, None, :], gap + rank, n_docs)
 
-        # Rebuild every row, a slice at a time: moved documents at their new
-        # places, unmoved ones filling the free places in cached order.
-        every_pair = np.repeat(np.arange(n_pairs), len(deltas))
-        step = max(1, _SLICE_ELEMENTS // n_docs)
-        for start in range(0, len(new_place), step):
-            at = slice(start, start + step)
-            at_pair = every_pair[at]
-            row_ids = np.arange(len(at_pair))[:, None]
-            taken = np.zeros((len(at_pair), n_docs + 1), dtype=bool)
-            taken[row_ids, new_place[at]] = True
-            relevant = np.empty_like(taken)
-            relevant[:, :n_docs][~taken[:, :n_docs]] = rest_relevant[at_pair][rest[at_pair]]
-            relevant[row_ids, new_place[at]] = labels[at_pair]
-            yield at, relevant[:, :n_docs]
+        # Moved documents at their new places, unmoved ones filling the free
+        # places in cached order.
+        at = (rows[:, :, None], np.arange(len(deltas))[:, None], new_place)
+        taken = np.zeros((n_pairs, len(deltas), n_docs + 1), dtype=bool)
+        taken[at] = True
+        free = ~taken[..., :n_docs]
+        relevant = np.empty_like(taken)
+        relevant[..., :n_docs][free] = np.broadcast_to(rest_relevant[:, None], free.shape)[
+            np.broadcast_to(rest[:, None], free.shape)
+        ]
+        relevant[at] = labels[:, None, :]
+        return relevant[..., :n_docs]
 
 
 def _count_ahead(

@@ -210,7 +210,11 @@ class PipelineContext:
 
 
 def _parse_label_override(obj: dict) -> tuple[str, tuple[str, ...]]:
-    return str(obj["id"]), tuple(str(t) for t in obj.get("image_labels", ()))
+    labels = obj.get("image_labels", [])
+    # A string is iterable too, and would be read one character at a time.
+    if not isinstance(labels, list):
+        raise ValueError("image_labels must be an array")
+    return str(obj["id"]), tuple(map(str, labels))
 
 
 def _mode_dir(config: PipelineConfig) -> Path:

@@ -1,8 +1,10 @@
 """Concept linking and corpus statistics."""
 
 import json
+import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gistrank.errors import IntegrityError
 from gistrank.linking import (
@@ -169,6 +171,74 @@ class TestCorpusIO:
         path.write_text('{"id": "a"}\n{"id": "a"}\n', encoding="utf-8")
         with pytest.raises(IntegrityError, match="duplicate instance id"):
             read_corpus(path)
+
+    # An array of grades once raised a raw AttributeError, an infinite grade
+    # an OverflowError, and a string of tags or topics was read one
+    # character at a time.
+    @pytest.mark.parametrize(
+        "record",
+        [
+            {"id": "x", "tags": ["x"], "concept_grades": [5]},
+            {"id": "y", "tags": "sunset beach", "topics": "beach"},
+            {"id": "z", "concept_grades": {"1": float("inf")}},
+        ],
+    )
+    def test_field_of_another_json_type_skips_the_record(self, tmp_path, caplog, record):
+        path = tmp_path / "corpus.jsonl"
+        path.write_text(
+            '{"id": "a", "tags": ["x"], "concept_grades": null}\n' + json.dumps(record) + "\n",
+            encoding="utf-8",
+        )
+        assert [(i.instance_id, i.tags, i.concept_grades) for i in read_corpus(path)] == [("a", ("x",), None)]
+        assert any("corpus.jsonl:2: skipping unreadable record" in r.message for r in caplog.records)
+
+
+# Any JSON value in any field, and often the type the field should have,
+# so that a record bad in one place only is common too.
+leaves = st.one_of(
+    st.none(), st.booleans(), st.integers(-1, 6), st.integers(), st.floats(),
+    st.sampled_from([math.inf, -math.inf, math.nan]), st.text(max_size=4),
+)
+json_values = st.recursive(
+    leaves,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+arrays = st.lists(leaves, max_size=3) | json_values
+corpus_records = st.fixed_dictionaries(
+    {},
+    optional={
+        "id": json_values,
+        "tags": arrays,
+        "image_labels": arrays,
+        "topics": arrays,
+        "concept_grades": st.dictionaries(st.integers(-2, 9).map(str), leaves, max_size=3) | json_values,
+    },
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(corpus_records, max_size=4))
+def test_any_json_in_a_corpus_field_is_read_or_skipped(fuzz_dir, records):
+    path = fuzz_dir / "corpus.jsonl"
+    path.write_text("".join(json.dumps(record) + "\n" for record in records), encoding="utf-8")
+    try:
+        corpus = read_corpus(path)
+    except IntegrityError as exc:
+        assert "duplicate instance id" in str(exc)
+        return
+    for instance in corpus:
+        assert type(instance.tags) is tuple and type(instance.image_labels) is tuple
+        assert type(instance.topics) is frozenset
+        texts = (instance.instance_id, *instance.tags, *instance.image_labels, *instance.topics)
+        assert all(type(text) is str for text in texts)
+        grades = instance.concept_grades or {}
+        assert all(type(key) is int and type(value) is int for key, value in grades.items())
 
 
 def test_grade_range_enforced():

@@ -511,7 +511,9 @@ class TestBatchedTrainerMatchesLoop:
 
     # A ratio of 0 re-places the moved documents in every probe, also when
     # every document moves; a ratio above any document count re-sorts every
-    # probed query. The other path fails the test if it is taken.
+    # probed query. The other path fails the test if it is taken. A slice
+    # budget of 1 probes every pair alone, one of 100 a few pairs at a time
+    # (how many depends on the query length), and one of 2**30 all at once.
     @pytest.mark.parametrize("ratio, unused", [(0, "_resort"), (10**9, "_replace")])
     @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=training_sets())
@@ -522,9 +524,10 @@ class TestBatchedTrainerMatchesLoop:
         monkeypatch.setattr(ltr, "_SPARSE_RATIO", ratio)
         monkeypatch.setattr(ltr._LengthGroup, unused, unused_path)
         examples, names, config = data
-        assert train_examples(examples, names, config) == loop_train_coordinate_ascent(
-            examples, names, config
-        )
+        expected = loop_train_coordinate_ascent(examples, names, config)
+        for budget in (1, 100, 1 << 30):
+            monkeypatch.setattr(ltr, "_SLICE_ELEMENTS", budget)
+            assert train_examples(examples, names, config) == expected
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -843,7 +846,9 @@ def test_ap_rows_bits_do_not_depend_on_the_batch(relevant, extra):
     # A probe recomputes rows, some equal to the cached one, in batches of
     # other sizes and layouts than the refresh that cached it; a row must get
     # the same bits in each. The strided copy is a view into wider rows, as
-    # ``_replace`` passes its rebuilt rows.
+    # ``_replace`` passes its rebuilt rows. A probe passes them as (pairs x
+    # steps x documents), with one relevant count per pair; here each row
+    # is a pair of two equal steps, contiguous and as such a view.
     n_relevant = relevant.sum(axis=1)
     batch = ltr._ap_rows(relevant, n_relevant).tolist()
     alone = [ltr._ap_rows(row[None], n)[0] for row, n in zip(relevant, n_relevant)]
@@ -851,3 +856,8 @@ def test_ap_rows_bits_do_not_depend_on_the_batch(relevant, extra):
     wide[extra:, :-1] = relevant
     strided = ltr._ap_rows(wide[extra:, :-1], n_relevant).tolist()
     assert batch == alone == strided
+    steps = np.repeat(relevant[:, None], 2, axis=1)
+    wide_steps = np.zeros((len(relevant) + extra, 2, relevant.shape[1] + 1), dtype=bool)
+    wide_steps[extra:, :, :-1] = steps
+    for rows in (steps, wide_steps[extra:, :, :-1]):
+        assert ltr._ap_rows(rows, n_relevant[:, None]).T.tolist() == [batch, batch]

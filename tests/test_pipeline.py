@@ -333,14 +333,17 @@ class TestStages:
     def test_malformed_label_override_is_parse_error(self, fixture_dir, tmp_path):
         from gistrank.errors import ParseError
 
-        override = tmp_path / "labels.jsonl"
-        override.write_text('{"image_labels": ["x"]}\n')  # missing id
-        config = load_config(
-            fixture_dir / "pipeline.config",
-            {"out": str(tmp_path / "o"), "image_labels": str(override)},
-        )
-        with pytest.raises(ParseError, match="labels.jsonl:1"):
-            run_stage(config, "link")
+        # A record without an id, and labels that are a string, not an array
+        # (once read one character at a time).
+        for i, record in enumerate(['{"image_labels": ["x"]}', '{"id": "inst000", "image_labels": "dog"}']):
+            override = tmp_path / "labels.jsonl"
+            override.write_text(record + "\n")
+            config = load_config(
+                fixture_dir / "pipeline.config",
+                {"out": str(tmp_path / f"o{i}"), "image_labels": str(override)},
+            )
+            with pytest.raises(ParseError, match="labels.jsonl:1"):
+                run_stage(config, "link")
 
     def test_stale_stage1_model_rejected(self, fixture_dir, tmp_path):
         from gistrank.errors import IntegrityError
