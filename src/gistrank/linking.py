@@ -185,22 +185,29 @@ def corpus_link_stats(graph: KnowledgeGraph, corpus: Sequence[Instance]) -> Link
 def _instance_from_record(obj: dict) -> Instance:
     if not isinstance(obj, dict) or "id" not in obj:
         raise IntegrityError("corpus record must be an object with an 'id' key")
+    if not isinstance(obj["id"], str):
+        raise ValueError("id must be a string")
     tags, image_labels, topics = (obj.get(key, []) for key in ("tags", "image_labels", "topics"))
     # A string is iterable too, and would be read one character at a time.
     if not all(isinstance(value, list) for value in (tags, image_labels, topics)):
         raise ValueError("tags, image_labels and topics must be arrays")
+    if not all(isinstance(text, str) for text in (*tags, *image_labels, *topics)):
+        raise ValueError("tags, image_labels and topics must hold strings")
     given = {} if obj.get("concept_grades") is None else obj["concept_grades"]
     if not isinstance(given, dict):
         raise ValueError("concept_grades must be an object")
-    grades = {int(k): int(v) for k, v in given.items()}
+    # int() would truncate 4.9 and read true as 1.
+    if not all(type(v) is int for v in given.values()):
+        raise ValueError("concept grades must be integers")
+    grades = {int(k): v for k, v in given.items()}
     # int() reads "7" and " 7" as one node id.
     if len(grades) != len(given):
         raise ValueError("two concept grades name one node id")
     instance = Instance(
-        instance_id=str(obj["id"]),
-        tags=tuple(map(str, tags)),
-        image_labels=tuple(map(str, image_labels)),
-        topics=frozenset(map(str, topics)),
+        instance_id=obj["id"],
+        tags=tuple(tags),
+        image_labels=tuple(image_labels),
+        topics=frozenset(topics),
         concept_grades=grades or None,
     )
     # A JSON escape can spell a lone surrogate, which has no UTF-8 encoding,
@@ -217,14 +224,15 @@ def _instance_from_record(obj: dict) -> Instance:
 def read_corpus(path: str | Path) -> list[Instance]:
     """Read a JSON-lines corpus file.
 
-    ``tags``, ``image_labels`` and ``topics`` are JSON arrays, and
-    ``concept_grades`` an object of grades by node id (absent or null: no
-    grades). Unreadable records (a line that is not UTF-8, not JSON, or not
-    a valid record, such as one with a field of another JSON type or a grade
-    that ``int()`` cannot read, a string in the record with no UTF-8 encoding,
-    an instance id holding a newline, or two concept grades for one node id)
-    are skipped with a warning instead of aborting the whole run; duplicate
-    instance ids are an integrity error.
+    ``id`` is a JSON string, ``tags``, ``image_labels`` and ``topics`` are
+    arrays of strings, and ``concept_grades`` an object of integer grades by
+    node id (absent or null: no grades). Unreadable records (a line that is
+    not UTF-8, not JSON, or not a valid record, such as one with a field or
+    an array element of another JSON type, a grade that is not a JSON
+    integer or a key that ``int()`` cannot read, a string in the record with
+    no UTF-8 encoding, an instance id holding a newline, or two concept
+    grades for one node id) are skipped with a warning instead of aborting
+    the whole run; duplicate instance ids are an integrity error.
     """
     instances: list[Instance] = []
     seen: set[str] = set()
@@ -238,8 +246,7 @@ def read_corpus(path: str | Path) -> list[Instance]:
             continue
         try:
             instance = _instance_from_record(json.loads(line))
-        # int() of a JSON Infinity grade raises OverflowError.
-        except (IntegrityError, KeyError, OverflowError, TypeError, ValueError) as exc:
+        except (IntegrityError, KeyError, TypeError, ValueError) as exc:
             logger.warning("%s:%d: skipping unreadable record (%s)", path, lineno, exc)
             continue
         if instance.instance_id in seen:

@@ -51,7 +51,8 @@ from .features import (
 from .kg import KnowledgeGraph, load_graph
 from .linking import Instance, LinkMode, SeedSet, corpus_link_stats, link_instance, read_corpus
 from .ltr import AscentStats, RankModel, Ranking, rank, train_coordinate_ascent
-from .query_graph import QueryGraph, build_query_graph
+# No stage calls ``build_query_graph``; the benchmark's tracer patches it here.
+from .query_graph import QueryGraph, QueryGraphRows, build_query_graph, build_query_graphs, with_hops
 from .snapshot import kg_snapshot_key, load_kg_snapshot, save_kg_snapshot
 from .topics import InstanceVector, Lexicon, build_lexicon, rank_images, train_topic_models, vectorize
 
@@ -210,11 +211,13 @@ class PipelineContext:
 
 
 def _parse_label_override(obj: dict) -> tuple[str, tuple[str, ...]]:
-    labels = obj.get("image_labels", [])
+    instance_id, labels = obj["id"], obj.get("image_labels", [])
     # A string is iterable too, and would be read one character at a time.
     if not isinstance(labels, list):
         raise ValueError("image_labels must be an array")
-    return str(obj["id"]), tuple(map(str, labels))
+    if not all(isinstance(text, str) for text in (instance_id, *labels)):
+        raise ValueError("the id and the image labels must be strings")
+    return instance_id, tuple(labels)
 
 
 def _mode_dir(config: PipelineConfig) -> Path:
@@ -306,6 +309,13 @@ def _by_instance_id(parse: Callable[[dict], T]) -> Callable[[dict], tuple[str, T
     return lambda obj: (obj["instance_id"], parse(obj))
 
 
+def _read_query_graphs(path: Path) -> dict[str, QueryGraph]:
+    """The query graphs of a file by instance id, every record parsed and
+    checked before one batch builds all of their hop counts."""
+    rows = _read_jsonl(path, _by_instance_id(QueryGraphRows.from_json_obj))
+    return dict(zip(rows, with_hops(list(rows.values()))))
+
+
 def _parse_partition(obj: dict) -> tuple[str, Partition]:
     assignment = {int(n): int(c) for n, c in obj["assignment"].items()}
     if len(assignment) != len(obj["assignment"]):
@@ -382,8 +392,9 @@ def _json(parse: Callable[[Any], Any], to_obj: Callable[[Any], Any]) -> _Artifac
 ARTIFACTS = {
     "seeds.jsonl": _jsonl(_by_instance_id(SeedSet.from_json_obj), lambda _, seeds: seeds.to_json_obj()),
     "link_report.json": _Artifact(None, _write_json),
-    "query_graphs.jsonl": _jsonl(
-        _by_instance_id(lambda obj: QueryGraph.from_json_obj(obj)), lambda _, qg: qg.to_json_obj()
+    "query_graphs.jsonl": _Artifact(
+        _read_query_graphs,
+        lambda path, graphs: write_atomic(path, jsonl_text(qg.to_json_obj() for qg in graphs.values())),
     ),
     "partitions.jsonl": _jsonl(_parse_partition, lambda iid, p: {**p.to_json_obj(), "instance_id": iid}),
     "features.bin": _Artifact(lambda path: read_feature_rows(path), _write_features),
@@ -426,7 +437,7 @@ def _link(ctx: PipelineContext) -> tuple[dict[str, SeedSet], dict]:
 
 
 def _graph(ctx: PipelineContext, seeds: dict[str, SeedSet]) -> tuple[dict[str, QueryGraph]]:
-    return ({iid: build_query_graph(ctx.graph, ss) for iid, ss in seeds.items()},)
+    return (dict(zip(seeds, build_query_graphs(ctx.graph, list(seeds.values())))),)
 
 
 def _cluster(ctx: PipelineContext, graphs: dict[str, QueryGraph]) -> tuple[dict[str, Partition]]:

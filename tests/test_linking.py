@@ -174,13 +174,22 @@ class TestCorpusIO:
 
     # An array of grades once raised a raw AttributeError, an infinite grade
     # an OverflowError, and a string of tags or topics was read one
-    # character at a time.
+    # character at a time. Other JSON values in place of a string were kept
+    # as their str(), and other grades truncated by int().
     @pytest.mark.parametrize(
         "record",
         [
             {"id": "x", "tags": ["x"], "concept_grades": [5]},
             {"id": "y", "tags": "sunset beach", "topics": "beach"},
             {"id": "z", "concept_grades": {"1": float("inf")}},
+            {"id": "x", "tags": [5, None, {"a": 1}], "concept_grades": {"1": 4.9, "2": True}},
+            {"id": 5, "tags": ["x"]},
+            {"id": "x", "tags": ["x", None]},
+            {"id": "x", "image_labels": [{"a": 1}]},
+            {"id": "x", "topics": [1]},
+            {"id": "x", "concept_grades": {"1": 4.9}},
+            {"id": "x", "concept_grades": {"1": True}},
+            {"id": "x", "concept_grades": {"1": 5.0}},
         ],
     )
     def test_field_of_another_json_type_skips_the_record(self, tmp_path, caplog, record):

@@ -5,13 +5,17 @@ import hashlib
 import json
 import logging
 import math
+import os
 import re
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gistrank
 from gistrank import pipeline
 from gistrank.cli import main
 from gistrank.config import load_config
@@ -29,7 +33,7 @@ from gistrank.pipeline import (
     run_stage,
     split_instances,
 )
-from gistrank.query_graph import QueryGraph, build_query_graph
+from gistrank.query_graph import QueryGraph, QueryGraphRows, build_query_graph
 
 from tests.conftest import count_pipeline_calls, edit_npy_record, neighbors, npy_records
 from tests.loop_kg import loop_load_graph
@@ -333,9 +337,17 @@ class TestStages:
     def test_malformed_label_override_is_parse_error(self, fixture_dir, tmp_path):
         from gistrank.errors import ParseError
 
-        # A record without an id, and labels that are a string, not an array
-        # (once read one character at a time).
-        for i, record in enumerate(['{"image_labels": ["x"]}', '{"id": "inst000", "image_labels": "dog"}']):
+        # A record without an id, labels that are a string, not an array
+        # (once read one character at a time), and an id or a label that is
+        # not a string (once kept as its str()).
+        records = [
+            '{"image_labels": ["x"]}',
+            '{"id": "inst000", "image_labels": "dog"}',
+            '{"id": "inst000", "image_labels": ["dog", 5]}',
+            '{"id": "inst000", "image_labels": [null]}',
+            '{"id": 0, "image_labels": ["dog"]}',
+        ]
+        for i, record in enumerate(records):
             override = tmp_path / "labels.jsonl"
             override.write_text(record + "\n")
             config = load_config(
@@ -549,24 +561,23 @@ class TestRunAll:
 
     def test_shared_work_runs_once_per_run_or_link_mode(self, fixture_dir, tmp_path, monkeypatch):
         per_run = ("load_graph", "read_corpus", "build_idf_table")
-        per_link_mode = ("link_instance", "build_query_graph", "louvain")
-        counts = count_pipeline_calls(
-            monkeypatch, per_run + per_link_mode + ("extract_instance_features", "read_feature_rows")
-        )
+        per_link_mode = ("link_instance", "louvain")
+        batches = ("build_query_graphs", "extract_instance_features")
+        counts = count_pipeline_calls(monkeypatch, per_run + per_link_mode + batches + ("read_feature_rows",))
         parsed_graphs = []
-        parse_graph = QueryGraph.from_json_obj.__func__
+        parse_graph = QueryGraphRows.from_json_obj.__func__
 
         def counted_parse(cls, obj):
             parsed_graphs.append(obj["instance_id"])
             return parse_graph(cls, obj)
 
-        monkeypatch.setattr(QueryGraph, "from_json_obj", classmethod(counted_parse))
+        monkeypatch.setattr(QueryGraphRows, "from_json_obj", classmethod(counted_parse))
         out = run_all(load_config(fixture_dir / "pipeline.config", {"out": str(tmp_path / "o")}))
         n = len(read_corpus(fixture_dir / "corpus.jsonl"))
         assert {name: counts[name] for name in per_run} == dict.fromkeys(per_run, 1)
         assert {name: counts[name] for name in per_link_mode} == dict.fromkeys(per_link_mode, 2 * n)
         # One batch per link mode: T and TII (which TI reuses).
-        assert counts["extract_instance_features"] == 2
+        assert {name: counts[name] for name in batches} == dict.fromkeys(batches, 2)
         # Each consumer takes what the run made from the store: nothing is read back.
         assert counts["read_feature_rows"] == 0 and parsed_graphs == []
 
@@ -629,6 +640,23 @@ class TestCli:
         assert main(["gen-fixture", "--seed", "3", "--instances", "9", "--topics", "3", "--out", str(out)]) == 0
         assert main(["link", "--config", str(out / "pipeline.config")]) == 0
         assert (out / "out" / "TII" / "seeds.jsonl").is_file()
+
+    def test_all_imports_no_numpy_ma(self, fixture_dir, tmp_path):
+        # numpy.ma adds about 1.2 MB of resident memory, and numpy 2 imports
+        # it on the first plain np.unique (through np.ma.is_masked); no stage
+        # needs it. Older numpy imports it with numpy itself.
+        code = (
+            "import sys, numpy; before = 'numpy.ma' in sys.modules; from gistrank.cli import main; "
+            "print(main(sys.argv[1:]), before, 'numpy.ma' in sys.modules)"
+        )
+        config = fixture_dir / "pipeline.config"
+        result = subprocess.run(
+            [sys.executable, "-c", code, "all", "--config", str(config), "--out", str(tmp_path / "o")],
+            capture_output=True, text=True, timeout=300,
+            env={**os.environ, "PYTHONPATH": str(Path(gistrank.__file__).parents[1])},
+        )
+        status, before, after = result.stdout.split()
+        assert (status, after) == ("0", before)
 
     def test_usage_error_exit_code(self, capsys):
         assert main(["link"]) == 1  # missing --config

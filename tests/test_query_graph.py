@@ -5,12 +5,21 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from gistrank import query_graph
 from gistrank.errors import IntegrityError, NotFoundError
 from gistrank.kg import NodeKind
 from gistrank.linking import SeedOrigin, SeedSet, seeds_to_json
-from gistrank.query_graph import MAX_PATH_LENGTH, QueryGraph, bfs_distances, build_query_graph
+from gistrank.query_graph import (
+    MAX_PATH_LENGTH,
+    QueryGraph,
+    QueryGraphRows,
+    bfs_distances,
+    build_query_graph,
+    build_query_graphs,
+    with_hops,
+)
 
 from tests.conftest import (
     all_pairs_hops,
@@ -84,9 +93,8 @@ def loop_build_query_graph(graph, seedset):
     return QueryGraph.from_parts(seedset.instance_id, seeds, frozenset(intermediates), frozenset(edges))
 
 
-@st.composite
-def expansion_cases(draw):
-    """A random knowledge graph and a seed set of 0 to 6 of its nodes.
+def draw_expansion_graph(draw):
+    """A random knowledge graph of 1 to 16 nodes with ids 0..n-1.
 
     A path through all nodes puts seed pairs both within and beyond 4 hops;
     a hub joined to three or more nodes and a few random edges add shortcuts
@@ -103,8 +111,31 @@ def expansion_cases(draw):
     pairs = list(itertools.combinations(range(n), 2))
     if pairs:
         edges |= set(draw(st.lists(st.sampled_from(pairs), max_size=3)))
-    graph = kg_from_parts([(v, kinds[v], f"n{v}") for v in range(n)], sorted(edges))
-    return graph, seedset(draw(st.lists(st.integers(0, n - 1), max_size=6, unique=True)))
+    return kg_from_parts([(v, kinds[v], f"n{v}") for v in range(n)], sorted(edges))
+
+
+def draw_seedset(draw, graph, instance_id="q"):
+    """A seed set of 0 to 6 nodes of ``graph``, in drawn order."""
+    return seedset(draw(st.lists(st.integers(0, graph.n_nodes - 1), max_size=6, unique=True)), instance_id)
+
+
+@st.composite
+def expansion_cases(draw):
+    """A random knowledge graph and a seed set of 0 to 6 of its nodes."""
+    graph = draw_expansion_graph(draw)
+    return graph, draw_seedset(draw, graph)
+
+
+@st.composite
+def expansion_batches(draw, min_size=0):
+    """A random knowledge graph and a batch of seed sets over it, with
+    instance ids "q0", "q1", ...: seed sets of ``expansion_cases``, some
+    drawn again under another id, so distinct seeds recur across the batch."""
+    graph = draw_expansion_graph(draw)
+    seedsets = [draw_seedset(draw, graph, f"q{i}") for i in range(draw(st.integers(min_size, 5)))]
+    for i in draw(st.lists(st.integers(0, len(seedsets) - 1), max_size=2)) if seedsets else ():
+        seedsets.append(seedset(seedsets[i].seeds, f"q{len(seedsets)}"))
+    return graph, draw(st.permutations(seedsets))
 
 
 def floyd_warshall(graph):
@@ -248,6 +279,51 @@ class TestBuildQueryGraph:
         assert 2 not in qg.intermediates
 
 
+def graph_form(qg):
+    return qg.instance_id, qg.to_json_obj(), qg.origins, qg.hops.tolist()
+
+
+class TestBuildQueryGraphs:
+    # A block budget of 1 cell takes one distinct seed and one seed pair at
+    # a time, one of 40 a few (how many depends on the graph), and the
+    # default all of them at once on these graphs.
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(case=expansion_batches())
+    def test_graphs_do_not_depend_on_the_batch(self, monkeypatch, case):
+        graph, seedsets = case
+        alone = [graph_form(loop_build_query_graph(graph, ss)) for ss in seedsets]
+        assert [graph_form(build_query_graph(graph, ss)) for ss in seedsets] == alone
+        for budget in (1, 40, query_graph._BLOCK_CELLS):
+            monkeypatch.setattr(query_graph, "_BLOCK_CELLS", budget)
+            assert list(map(graph_form, build_query_graphs(graph, seedsets))) == alone
+            assert list(map(graph_form, build_query_graphs(graph, seedsets[::-1]))) == alone[::-1]
+
+    def test_empty_batch(self, tiny_kg):
+        assert build_query_graphs(tiny_kg, []) == []
+
+    @settings(max_examples=100, deadline=None)
+    @given(expansion_batches(min_size=1), st.data())
+    def test_first_seed_set_with_an_unknown_seed_raises_its_own_error(self, case, data):
+        graph, seedsets = case
+        # Ids beyond the graph's nodes 0..n-1, negative, and beyond int64,
+        # each put at a drawn place in a drawn seed set's order.
+        unknown = st.sampled_from([graph.n_nodes, 999, -1, 2**63, 2**70])
+        for i in data.draw(st.lists(st.integers(0, len(seedsets) - 1), min_size=1, unique=True)):
+            items = list(seedsets[i].seeds.items())
+            at = data.draw(st.integers(0, len(items)))
+            items[at:at] = [(data.draw(unknown), SeedOrigin(from_image=True))]
+            seedsets[i] = SeedSet(seedsets[i].instance_id, dict(items))
+        errors = []
+        for ss in seedsets:
+            try:
+                build_query_graph(graph, ss)
+            except IntegrityError as exc:
+                errors.append(str(exc))
+        with pytest.raises(IntegrityError) as raised:
+            build_query_graphs(graph, seedsets)
+        assert str(raised.value) == errors[0]
+
+
 class TestQueryGraphType:
     def test_distances_within_subgraph(self, tiny_kg):
         qg = build_query_graph(tiny_kg, seedset([0, 1]))
@@ -255,16 +331,23 @@ class TestQueryGraphType:
         assert qg.hops.tolist() == [[0, 2, 1], [2, 0, 1], [1, 1, 0]]
 
     @settings(max_examples=60, deadline=None)
-    @given(query_graph_parts())
-    def test_hops_match_all_pairs_bfs(self, parts):
-        ids, seeds, edges = parts
-        qg = query_graph_from_parts(ids, seeds, edges)
-        expected = all_pairs_hops(ids, edges)
-        assert qg.order == tuple(sorted(ids))
-        assert qg.origins == tuple(map(seeds.get, qg.order))
-        assert qg.hops.shape == (len(ids),) * 2
-        assert not qg.hops.flags.writeable
-        assert qg.hops.tolist() == [[expected.get((a, b), -1) for b in qg.order] for a in qg.order]
+    @given(st.lists(query_graph_parts(), max_size=5), st.data())
+    def test_hops_match_all_pairs_bfs(self, drawn, data):
+        # A batch of mixed node counts, always with a one-node graph and a
+        # pair with no path; each graph alone too.
+        batch = data.draw(st.permutations([*drawn, ([7], {}, []), ([1, 2], {}, [])]))
+        rows = [
+            QueryGraphRows.from_parts(f"q{i}", seeds, frozenset(ids) - seeds.keys(), edges)
+            for i, (ids, seeds, edges) in enumerate(batch)
+        ]
+        for (ids, seeds, edges), batched in zip(batch, with_hops(rows)):
+            for qg in (batched, query_graph_from_parts(ids, seeds, edges)):
+                expected = all_pairs_hops(ids, edges)
+                assert qg.order == tuple(sorted(ids))
+                assert qg.origins == tuple(map(seeds.get, qg.order))
+                assert qg.hops.shape == (len(ids),) * 2
+                assert not qg.hops.flags.writeable
+                assert qg.hops.tolist() == [[expected.get((a, b), -1) for b in qg.order] for a in qg.order]
 
     @settings(max_examples=60, deadline=None)
     @given(query_graph_parts())
