@@ -103,15 +103,20 @@ def betweenness(qg: QueryGraph) -> np.ndarray:
     return np.array(raw) / scale
 
 
-def pagerank(qg: QueryGraph, damping: float = 0.85, tol: float = 1e-9) -> np.ndarray:
+# PageRank's damping factor, and the per-node change below which its power iteration stops.
+DAMPING = 0.85
+TOLERANCE = 1e-9
+
+
+def pagerank(qg: QueryGraph) -> np.ndarray:
     """PageRank by power iteration with uniform teleport, in ``qg.order``.
 
     Mass of isolated (dangling) nodes is redistributed uniformly; iteration
-    stops once the largest per-node change drops below ``tol``. Scores sum
-    to 1 within 1e-6 on a nonempty graph. This is the one-graph case of
+    stops once the largest per-node change drops below ``TOLERANCE``. Scores
+    sum to 1 within 1e-6 on a nonempty graph. This is the one-graph case of
     :func:`pagerank_batch`.
     """
-    return pagerank_batch([qg], damping, tol)[0]
+    return pagerank_batch([qg])[0]
 
 
 def _segments_by_length(
@@ -132,19 +137,15 @@ def _segments_by_length(
     return groups
 
 
-def pagerank_batch(
-    graphs: Sequence[QueryGraph], damping: float = 0.85, tol: float = 1e-9
-) -> list[np.ndarray]:
+def pagerank_batch(graphs: Sequence[QueryGraph]) -> list[np.ndarray]:
     """PageRank of each query graph in its ``order``, in one power iteration over their union.
 
     The graphs form one block-diagonal system, but every graph keeps its own
     node count, dangling mass and stopping point: a graph is frozen from the
-    first iteration in which its own largest change is below ``tol``. Each
+    first iteration in which its own largest change is below ``TOLERANCE``. Each
     graph's scores therefore equal, bit for bit, those of :func:`pagerank`
     on that graph alone.
     """
-    if not 0.0 < damping < 1.0:
-        raise ValueError("damping must be in (0, 1)")
     sizes = np.array([len(qg.order) for qg in graphs], dtype=np.intp)
     offsets = np.cumsum(sizes) - sizes
     # Ascending neighbour lists as one CSR column array over global node indices.
@@ -168,7 +169,7 @@ def pagerank_batch(
     nonempty = np.flatnonzero(sizes)
     starts = offsets[nonempty]
 
-    teleport = (1.0 - damping) / n
+    teleport = (1.0 - DAMPING) / n
     out_degree = np.maximum(degree, 1.0)
     scores = 1.0 / n
     active = sizes > 0
@@ -183,10 +184,10 @@ def pagerank_batch(
         for members, idx in dangling_groups:
             dangling_mass[members] = scores[idx].sum(axis=1)
         incoming += dangling_mass[graph_of] / n
-        updated = teleport + damping * incoming
+        updated = teleport + DAMPING * incoming
         change = np.maximum.reduceat(np.abs(updated - scores), starts)
         scores = np.where(active[graph_of], updated, scores)
-        active[nonempty[change < tol]] = False
+        active[nonempty[change < TOLERANCE]] = False
     return [scores[start : start + size] for start, size in zip(offsets, sizes)]
 
 

@@ -57,11 +57,15 @@ _ORIGINS = {(t, i): SeedOrigin(t, i) for t in (False, True) for i in (False, Tru
 
 def seeds_from_json(items: Sequence[dict]) -> dict[int, SeedOrigin]:
     """The seed map written by :func:`seeds_to_json`; raises ``ValueError``
-    when two of ``items`` name one node id."""
-    seeds = {int(s["id"]): _ORIGINS[bool(s["from_tags"]), bool(s["from_image"])] for s in items}
-    if len(seeds) != len(items):
+    when a seed id is not a JSON integer or an origin flag not a boolean,
+    or when two of ``items`` name one node id."""
+    flags = {s["id"]: (s["from_tags"], s["from_image"]) for s in items}
+    # Checked by type, as int() reads 9.9 as 9 and _ORIGINS[1, 0] hits (1 == True).
+    if not all(type(v) is int and type(t) is type(i) is bool for v, (t, i) in flags.items()):
+        raise ValueError("a seed id is not an integer or an origin flag not a boolean")
+    if len(flags) != len(items):
         raise ValueError("two seeds name one node id")
-    return seeds
+    return {v: _ORIGINS[origin] for v, origin in flags.items()}
 
 
 @dataclass(frozen=True)

@@ -60,55 +60,6 @@ logger = logging.getLogger(__name__)
 
 T = TypeVar("T")
 
-STAGE_ORDER = (
-    "link",
-    "graph",
-    "cluster",
-    "features",
-    "train1",
-    "rank1",
-    "lexicon",
-    "train2",
-    "rank2",
-    "evaluate",
-)
-
-# The files each stage writes besides its manifest, in the manifest's order.
-STAGE_OUTPUTS = {
-    "link": ("seeds.jsonl", "link_report.json"),
-    "graph": ("query_graphs.jsonl",),
-    "cluster": ("partitions.jsonl",),
-    "features": ("features.bin",),
-    "train1": ("split.json", "model1.json"),
-    "rank1": ("rankings1.jsonl",),
-    "lexicon": ("lexicon.json",),
-    "train2": ("vectors_train.jsonl", "topic_models.json"),
-    "rank2": ("vectors_test.jsonl", "rankings2.json"),
-    "evaluate": ("report.json", "report.txt"),
-}
-
-STAGE_INPUTS = {
-    "link": (),
-    "graph": ("seeds.jsonl",),
-    "cluster": ("query_graphs.jsonl",),
-    "features": ("query_graphs.jsonl", "partitions.jsonl"),
-    "train1": ("features.bin",),
-    "rank1": ("features.bin", "model1.json"),
-    "lexicon": ("rankings1.jsonl", "split.json"),
-    "train2": ("rankings1.jsonl", "lexicon.json", "split.json"),
-    "rank2": ("rankings1.jsonl", "lexicon.json", "split.json", "topic_models.json"),
-    "evaluate": ("rankings2.json", "lexicon.json"),
-}
-
-# The seeds that each stage's outputs depend on; other stages depend on none.
-STAGE_SEEDS = {
-    "train1": ("split", "train1"),
-    "rank1": ("split", "train1"),
-    "lexicon": ("split", "train1"),
-    "train2": ("split", "train1", "train2"),
-    "rank2": ("split", "train1", "train2"),
-}
-
 
 def split_instances(instance_ids: Iterable[str], ratio: float, seed: int) -> tuple[set[str], set[str]]:
     """Deterministic train/test split: a pure function of ids, ratio, seed."""
@@ -210,13 +161,22 @@ class PipelineContext:
         return name, self.config.mode
 
 
+def _strings(value: Any) -> list[str]:
+    """``value`` if it is a JSON array of strings; a string would be read a character at a time."""
+    if not isinstance(value, list) or not all(isinstance(text, str) for text in value):
+        raise ValueError("expected an array of strings")
+    return value
+
+
+def _is_finite(value: Any) -> bool:
+    """Whether ``value`` is a finite JSON number: not NaN, an infinity or a boolean."""
+    return type(value) in (int, float) and math.isfinite(value)
+
+
 def _parse_label_override(obj: dict) -> tuple[str, tuple[str, ...]]:
-    instance_id, labels = obj["id"], obj.get("image_labels", [])
-    # A string is iterable too, and would be read one character at a time.
-    if not isinstance(labels, list):
-        raise ValueError("image_labels must be an array")
-    if not all(isinstance(text, str) for text in (instance_id, *labels)):
-        raise ValueError("the id and the image labels must be strings")
+    instance_id, labels = obj["id"], _strings(obj.get("image_labels", []))
+    if not isinstance(instance_id, str):
+        raise ValueError("the id must be a string")
     return instance_id, tuple(labels)
 
 
@@ -243,14 +203,11 @@ def _write_manifest(config: PipelineConfig, stage: str) -> None:
         "seed": config.seed,
         "seeds": _seeds(config),
         "config_hash": config.config_hash(),
-        "inputs": list(STAGE_INPUTS[stage]),
-        "outputs": list(STAGE_OUTPUTS[stage]),
+        "inputs": list(STAGES[stage].inputs),
+        "outputs": list(STAGES[stage].outputs),
         "version": __version__,
     }
     _write_json(_mode_dir(config) / f"{stage}.manifest.json", manifest)
-
-
-_PRODUCER = {name: stage for stage, outputs in STAGE_OUTPUTS.items() for name in outputs}
 
 
 def _check_input(config: PipelineConfig, stage: str, name: str) -> None:
@@ -258,14 +215,14 @@ def _check_input(config: PipelineConfig, stage: str, name: str) -> None:
     exist and, when the producer's outputs are seed-dependent, that the
     manifest records this run's seeds."""
     mode_dir = _mode_dir(config)
-    producer = _PRODUCER[name]
+    producer = next(s for s, spec in STAGES.items() if name in spec.outputs)
     manifest = mode_dir / f"{producer}.manifest.json"
     for path in (mode_dir / name, manifest):
         if not path.is_file():
             raise StageDependencyError(
                 f"stage {stage!r} needs {path} which does not exist; run stage {producer!r} first"
             )
-    keys = STAGE_SEEDS.get(producer, ())
+    keys = STAGES[producer].seeds
     if not keys:
         return
     made_with = read_json(manifest, lambda obj: {k: int(obj["seeds"][k]) for k in keys})
@@ -317,17 +274,19 @@ def _read_query_graphs(path: Path) -> dict[str, QueryGraph]:
 
 
 def _parse_partition(obj: dict) -> tuple[str, Partition]:
-    assignment = {int(n): int(c) for n, c in obj["assignment"].items()}
+    assignment, modularity = {int(n): c for n, c in obj["assignment"].items()}, obj["modularity"]
     if len(assignment) != len(obj["assignment"]):
         raise ValueError("two keys of the assignment name one node id")
-    return obj["instance_id"], Partition(assignment=assignment, modularity=float(obj["modularity"]))
+    # int() would read 1.7 and true as cluster 1.
+    if not all(type(c) is int for c in assignment.values()) or not _is_finite(modularity):
+        raise ValueError("the cluster ids must be integers and the modularity a finite number")
+    return obj["instance_id"], Partition(assignment=assignment, modularity=float(modularity))
 
 
 def _parse_items(items: list) -> tuple[tuple[str, float], ...]:
-    parsed = tuple((str(d), float(s)) for d, s in items)
-    if not all(math.isfinite(s) for _, s in parsed):
-        raise ValueError("a ranking score is not finite")
-    return parsed
+    if not all(type(d) is str and _is_finite(s) for d, s in items):
+        raise ValueError("a ranking item is not a doc id string and a finite score")
+    return tuple((d, float(s)) for d, s in items)
 
 
 def _parse_ranking(obj: dict) -> tuple[str, Ranking]:
@@ -399,7 +358,7 @@ ARTIFACTS = {
     "partitions.jsonl": _jsonl(_parse_partition, lambda iid, p: {**p.to_json_obj(), "instance_id": iid}),
     "features.bin": _Artifact(lambda path: read_feature_rows(path), _write_features),
     "split.json": _json(
-        lambda obj: (set(obj["train"]), set(obj["test"])),
+        lambda obj: (set(_strings(obj["train"])), set(_strings(obj["test"]))),
         lambda split: {"train": sorted(split[0]), "test": sorted(split[1])},
     ),
     "model1.json": _json(RankModel.from_json_obj, RankModel.to_json_obj),
@@ -422,12 +381,6 @@ ARTIFACTS = {
 # The raw feature matrices of every query-graph node, from which each mode
 # takes its candidate rows; stored, not written.
 _RAW_FEATURES = "raw features"
-
-# What depends only on the link mode: ``run_all``'s TI takes it from TII,
-# which links the same way, and computes none of it again.
-_BY_LINK_MODE = frozenset(
-    (*STAGE_OUTPUTS["link"], *STAGE_OUTPUTS["graph"], *STAGE_OUTPUTS["cluster"], _RAW_FEATURES)
-)
 
 
 def _link(ctx: PipelineContext) -> tuple[dict[str, SeedSet], dict]:
@@ -542,17 +495,9 @@ def _lexicon(ctx: PipelineContext, rankings: dict[str, Ranking], split: Split) -
     return (lexicon,)
 
 
-def _vectors_for(
-    ids: Iterable[str], rankings: dict[str, Ranking], lexicon: Lexicon
-) -> list[InstanceVector]:
-    vectors = []
-    for iid in sorted(ids):
-        if iid in rankings:
-            vectors.append(vectorize(rankings[iid], lexicon))
-        else:
-            # Instances with no stage-1 candidates stay rankable as zeros.
-            vectors.append(InstanceVector(instance_id=iid, entries={}))
-    return vectors
+def _vectors_for(ids: Iterable[str], rankings: dict[str, Ranking], lexicon: Lexicon) -> list[InstanceVector]:
+    # Instances with no stage-1 candidates stay rankable as zeros.
+    return [vectorize(rankings[iid], lexicon) if iid in rankings else InstanceVector(iid, {}) for iid in sorted(ids)]
 
 
 def _train2(
@@ -606,46 +551,79 @@ def _evaluate(ctx: PipelineContext, rankings: dict[str, Ranking], lexicon: Lexic
     return report, report_table(report)
 
 
-def _step(stage: str, transform: Callable[..., tuple], ctx: PipelineContext) -> None:
-    """Run ``stage`` in ``ctx``'s mode: all of its file work around ``transform``.
+class Stage(NamedTuple):
+    """A stage's transform, the artifacts it reads and writes besides its
+    manifest (in the manifest's order), the seeds its outputs depend on,
+    and whether they depend only on the link mode."""
+
+    transform: Callable[..., tuple]
+    inputs: tuple[str, ...]
+    outputs: tuple[str, ...]
+    seeds: tuple[str, ...] = ()
+    by_link_mode: bool = False
+
+
+# Every stage in run order: the one place that says what a stage reads, writes and depends on.
+STAGES = {
+    "link": Stage(_link, (), ("seeds.jsonl", "link_report.json"), by_link_mode=True),
+    "graph": Stage(_graph, ("seeds.jsonl",), ("query_graphs.jsonl",), by_link_mode=True),
+    "cluster": Stage(_cluster, ("query_graphs.jsonl",), ("partitions.jsonl",), by_link_mode=True),
+    "features": Stage(_features, ("query_graphs.jsonl", "partitions.jsonl"), ("features.bin",)),
+    "train1": Stage(_train1, ("features.bin",), ("split.json", "model1.json"), ("split", "train1")),
+    "rank1": Stage(_rank1, ("features.bin", "model1.json"), ("rankings1.jsonl",), ("split", "train1")),
+    "lexicon": Stage(_lexicon, ("rankings1.jsonl", "split.json"), ("lexicon.json",), ("split", "train1")),
+    "train2": Stage(
+        _train2, ("rankings1.jsonl", "lexicon.json", "split.json"),
+        ("vectors_train.jsonl", "topic_models.json"), ("split", "train1", "train2"),
+    ),
+    "rank2": Stage(
+        _rank2, ("rankings1.jsonl", "lexicon.json", "split.json", "topic_models.json"),
+        ("vectors_test.jsonl", "rankings2.json"), ("split", "train1", "train2"),
+    ),
+    "evaluate": Stage(
+        _evaluate, ("rankings2.json", "lexicon.json"), ("report.json", "report.txt"), ("split", "train1", "train2")
+    ),
+}
+STAGE_ORDER = tuple(STAGES)
+
+# What depends only on the link mode: ``run_all``'s TI takes it from TII,
+# which links the same way, and computes none of it again.
+_BY_LINK_MODE = frozenset((*(n for s in STAGES.values() if s.by_link_mode for n in s.outputs), _RAW_FEATURES))
+
+
+def _step(stage: str, ctx: PipelineContext) -> None:
+    """Run ``stage`` in ``ctx``'s mode: all of its file work around its transform.
 
     Each input comes from the store when this run made it; otherwise it is
-    checked (``_check_input``) and read through its reader. ``transform``
-    takes the inputs in ``STAGE_INPUTS`` order and returns the outputs in
-    ``STAGE_OUTPUTS`` order, each of which is written through its writer and
-    stored, with its text when it depends only on the link mode. When every
-    output's text is stored already, as for TI after TII in the link-mode
-    stages, that text is written again and the transform is not called.
+    checked (``_check_input``) and read through its reader. The transform
+    takes the inputs and returns the outputs in table order; each output is
+    written through its writer and stored, with its text when the stage is
+    ``by_link_mode``. When every output's text is stored already, as for TI
+    after TII, that text is written again and the transform is not called.
     """
-    store, mode_dir = ctx.shared.store, _mode_dir(ctx.config)
-    keys = {name: ctx.key(name) for name in STAGE_OUTPUTS[stage]}
+    spec, store, mode_dir = STAGES[stage], ctx.shared.store, _mode_dir(ctx.config)
+    keys = {name: ctx.key(name) for name in spec.outputs}
     if all(("text", *key) in store for key in keys.values()):
         for name, key in keys.items():
             write_atomic(mode_dir / name, store["text", *key])
         return
-    inputs = {name: ctx.key(name) for name in STAGE_INPUTS[stage]}
+    inputs = {name: ctx.key(name) for name in spec.inputs}
     for name, key in inputs.items():
         if key not in store:
             _check_input(ctx.config, stage, name)
-    outputs = transform(ctx, *(
+    outputs = spec.transform(ctx, *(
         store[key] if key in store else ARTIFACTS[name].read(mode_dir / name)
         for name, key in inputs.items()
     ))
     for (name, key), obj in zip(keys.items(), outputs):
         text = ARTIFACTS[name].write(mode_dir / name, obj)
         store[key] = obj
-        if name in _BY_LINK_MODE:
+        if spec.by_link_mode:
             store["text", *key] = text
 
 
-# Each stage is its transform bound into ``_step``, called with the context alone.
-_STAGE_FUNCS = {
-    stage: functools.partial(_step, stage, transform)
-    for stage, transform in zip(
-        STAGE_ORDER,
-        (_link, _graph, _cluster, _features, _train1, _rank1, _lexicon, _train2, _rank2, _evaluate),
-    )
-}
+# Each stage is ``_step`` bound to its name, called with the context alone.
+_STAGE_FUNCS = {stage: functools.partial(_step, stage) for stage in STAGES}
 
 
 def run_stage(config: PipelineConfig, stage: str) -> Path:

@@ -207,11 +207,15 @@ class QueryGraphRows(NamedTuple):
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "QueryGraphRows":
+        intermediates, edges = obj["intermediates"], obj["edges"]
+        # Checked by type, as int() reads 2.5 as 2 and true as 1.
+        if not all(type(v) is int for v in (*intermediates, *(v for edge in edges for v in edge))):
+            raise ValueError("a node id is not an integer")
         return cls.from_parts(
             instance_id=obj["instance_id"],
             seeds=seeds_from_json(obj["seeds"]),
-            intermediates=frozenset(int(n) for n in obj["intermediates"]),
-            edges=((int(a), int(b)) for a, b in obj["edges"]),
+            intermediates=frozenset(intermediates),
+            edges=edges,
         )
 
 

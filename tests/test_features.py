@@ -476,12 +476,6 @@ class TestPagerank:
             got = pagerank(qg).tolist()
             assert got == pytest.approx(in_order(qg, dense_pagerank(qg, edges)), abs=1e-6)
 
-    def test_invalid_damping(self):
-        with pytest.raises(ValueError):
-            pagerank(query_graph_from_edges(1, []), damping=1.0)
-        with pytest.raises(ValueError):
-            pagerank_batch([], damping=0.0)
-
 
 class TestPagerankBatch:
     @settings(max_examples=30, deadline=None)

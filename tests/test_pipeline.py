@@ -26,9 +26,8 @@ from gistrank.kg import load_graph
 from gistrank.linking import LinkMode, link_instance, read_corpus
 from gistrank.pipeline import (
     ARTIFACTS,
-    STAGE_INPUTS,
     STAGE_ORDER,
-    STAGE_OUTPUTS,
+    STAGES,
     run_all,
     run_stage,
     split_instances,
@@ -219,6 +218,22 @@ class TestStages:
         with pytest.raises(StageDependencyError, match="train1"):
             run_stage(config, "rank1")
 
+    def test_stage_table_invariants(self):
+        outputs = [name for spec in STAGES.values() for name in spec.outputs]
+        # Every artifact is written by exactly one stage.
+        assert sorted(outputs) == sorted(ARTIFACTS)
+        producer = {name: stage for stage, spec in STAGES.items() for name in spec.outputs}
+        for stage, spec in STAGES.items():
+            for name in spec.inputs:
+                made_by = STAGES[producer[name]]
+                # Each input comes from an earlier stage.
+                assert STAGE_ORDER.index(producer[name]) < STAGE_ORDER.index(stage), (stage, name)
+                # run_all's TI takes a link-mode stage's outputs from TII, so
+                # such a stage may read nothing that depends on the mode.
+                assert made_by.by_link_mode or not spec.by_link_mode, (stage, name)
+                # A stage's outputs depend on every seed its inputs depend on.
+                assert set(made_by.seeds) <= set(spec.seeds), (stage, name)
+
     def test_unknown_stage(self, fixture_dir):
         config = load_config(fixture_dir / "pipeline.config")
         with pytest.raises(ConfigError, match="unknown stage"):
@@ -292,12 +307,12 @@ class TestStages:
         for stage in STAGE_ORDER:
             manifest = json.loads((mode_dir / f"{stage}.manifest.json").read_text())
             assert manifest["stage"] == stage
-            assert manifest["outputs"] == list(STAGE_OUTPUTS[stage])
+            assert manifest["outputs"] == list(STAGES[stage].outputs)
             for name in manifest["outputs"]:
                 assert (mode_dir / name).is_file(), name
         # Nothing else: every file a stage writes is declared.
         written = {p.relative_to(mode_dir).as_posix() for p in mode_dir.rglob("*") if p.is_file()}
-        declared = {name for outputs in STAGE_OUTPUTS.values() for name in outputs}
+        declared = {name for spec in STAGES.values() for name in spec.outputs}
         assert written == declared | set(manifests)
 
     def test_link_report_written(self, fixture_dir, tmp_path):
@@ -398,16 +413,18 @@ def _cut_after_records(n: int):
     return lambda data: data[: ([0] + [end for end, _ in npy_records(data)])[n]]
 
 
-def _edit_first_seeded_graph(data: bytes, edit) -> bytes:
-    """Apply ``edit(record, seed_id)`` to the first query-graph line that has a seed."""
+def _edit_first_line(data: bytes, field: str, edit) -> bytes:
+    """Apply ``edit`` in place to the record of the first JSON line whose ``field`` is not empty."""
     lines = data.splitlines(keepends=True)
-    for i, line in enumerate(lines):
-        record = json.loads(line)
-        if record["seeds"]:
-            edit(record, record["seeds"][0]["id"])
-            lines[i] = json.dumps(record).encode() + b"\n"
-            break
+    i = next(i for i, line in enumerate(lines) if json.loads(line)[field])
+    record = json.loads(lines[i])
+    edit(record)
+    lines[i] = json.dumps(record).encode() + b"\n"
     return b"".join(lines)
+
+
+def _first_seed(record: dict) -> dict:
+    return record["seeds"][0]
 
 
 def _respell_first_partition_key(record: dict) -> None:
@@ -475,12 +492,12 @@ class TestArtifacts:
     so reading the file back must give an equal object."""
 
     @pytest.mark.parametrize(
-        "name", sorted({name for inputs in STAGE_INPUTS.values() for name in inputs} | {"report.json"})
+        "name", sorted({name for spec in STAGES.values() for name in spec.inputs} | {"report.json"})
     )
     def test_what_run_all_hands_over_reads_back_equal(self, written, name):
         # Once per mode, but TI writes again the text TII's writer made for
         # the outputs of the stages that depend only on the link mode.
-        by_link_mode = {name for stage in ("link", "graph", "cluster") for name in STAGE_OUTPUTS[stage]}
+        by_link_mode = {name for stage in ("link", "graph", "cluster") for name in STAGES[stage].outputs}
         assert len(written[name]) == (2 if name in by_link_mode else 3)
         for path, obj in written[name]:
             assert _same(obj, ARTIFACTS[name].read(path)), path
@@ -687,24 +704,68 @@ class TestCli:
             ),
             (
                 "query_graphs.jsonl", ["link", "graph"], "cluster",
-                lambda data: _edit_first_seeded_graph(
-                    data, lambda record, seed: record["intermediates"].append(seed)
+                lambda data: _edit_first_line(
+                    data, "seeds", lambda r: r["intermediates"].append(_first_seed(r)["id"])
                 ),
             ),
             (
                 "query_graphs.jsonl", ["link", "graph"], "cluster",
-                lambda data: _edit_first_seeded_graph(
-                    data, lambda record, seed: record["edges"].append([seed, seed])
+                lambda data: _edit_first_line(
+                    data, "seeds", lambda r: r["edges"].append([_first_seed(r)["id"]] * 2)
                 ),
             ),
             (
                 "partitions.jsonl", ["link", "graph", "cluster"], "features",
                 _add_foreign_partition_node,
             ),
+            # Values that int(), float() or bool() once read as others: a seed
+            # id of 9.9 as 9, the flag "false" as true, an intermediate or an
+            # edge end of 2.5 as 2, a cluster id of 1.7 or true as 1; and a NaN
+            # modularity passed.
+            (
+                "seeds.jsonl", ["link"], "graph",
+                lambda data: _edit_first_line(
+                    data, "seeds", lambda r: _first_seed(r).update(id=_first_seed(r)["id"] + 0.9)
+                ),
+            ),
+            (
+                "seeds.jsonl", ["link"], "graph",
+                lambda data: _edit_first_line(data, "seeds", lambda r: _first_seed(r).update(from_tags="false")),
+            ),
+            (
+                "query_graphs.jsonl", ["link", "graph"], "cluster",
+                lambda data: _edit_first_line(
+                    data, "intermediates", lambda r: r.update(intermediates=[v + 0.5 for v in r["intermediates"]])
+                ),
+            ),
+            (
+                "query_graphs.jsonl", ["link", "graph"], "cluster",
+                lambda data: _edit_first_line(
+                    data, "edges", lambda r: r.update(edges=[[a + 0.5, b] for a, b in r["edges"]])
+                ),
+            ),
+            (
+                "partitions.jsonl", ["link", "graph", "cluster"], "features",
+                lambda data: _edit_first_line(
+                    data, "assignment", lambda r: r.update(assignment=dict.fromkeys(r["assignment"], 1.7))
+                ),
+            ),
+            (
+                "partitions.jsonl", ["link", "graph", "cluster"], "features",
+                lambda data: _edit_first_line(
+                    data, "assignment", lambda r: r.update(assignment=dict.fromkeys(r["assignment"], True))
+                ),
+            ),
+            (
+                "partitions.jsonl", ["link", "graph", "cluster"], "features",
+                lambda data: _edit_first_line(data, "assignment", lambda r: r.update(modularity=math.nan)),
+            ),
         ],
         ids=["truncated-seeds", "truncated-graphs", "truncated-partitions", "non-utf8-seeds",
              "partition-type", "graph-stray-edge", "graph-seed-as-intermediate",
-             "graph-self-loop", "partition-foreign-node"],
+             "graph-self-loop", "partition-foreign-node", "seed-float-id", "seed-string-flag",
+             "graph-float-intermediate", "graph-float-edge-end", "partition-float-cluster",
+             "partition-boolean-cluster", "partition-nan-modularity"],
     )
     def test_malformed_graph_layer_artifact_exit_code(
         self, tmp_path, capsys, artifact, upstream, stage, corrupt
@@ -907,12 +968,38 @@ class TestCli:
             ("topic_models.json", 8, "rank2", lambda data: data.replace(b'"weights"', b'"weight"', 1)),
             ("topic_models.json", 8, "rank2", lambda data: data.replace(b'"concept:', b'"concept:x', 1)),
             ("rankings2.json", 9, "evaluate", lambda data: data[:-40]),
+            # Values that str(), float() or set() once read as others: the doc
+            # id 5 as "5", null as "None", the score true as 1.0, and a string
+            # of instance ids as the set of its characters.
+            (
+                "rankings1.jsonl", 6, "lexicon",
+                lambda data: _edit_first_line(
+                    data, "items", lambda r: r.update(items=[[int(d), s] for d, s in r["items"]])
+                ),
+            ),
+            (
+                "rankings1.jsonl", 6, "lexicon",
+                lambda data: _edit_first_line(
+                    data, "items", lambda r: r.update(items=[[d, True] for d, _ in r["items"]])
+                ),
+            ),
+            (
+                "rankings2.json", 9, "evaluate",
+                lambda data: _edit_json(data, lambda rs: next(iter(rs.values()))[0].__setitem__(0, None)),
+            ),
+            (
+                "rankings2.json", 9, "evaluate",
+                lambda data: _edit_json(data, lambda rs: next(iter(rs.values()))[0].__setitem__(1, True)),
+            ),
+            ("split.json", 6, "lexicon", lambda data: _edit_json(data, lambda sp: sp.update(train=sp["train"][0]))),
         ],
         ids=["feature-node-id", "model1-no-weights", "model1-nan-weight", "topic-model-infinite-map",
              "rankings1-nan-score", "rankings2-nan-score", "truncated-rankings1",
              "rankings1-doc-id-for-lexicon", "rankings1-doc-id-for-rank2", "truncated-split",
              "truncated-lexicon", "truncated-topic-models", "topic-model-no-weights",
-             "topic-model-not-the-lexicon", "truncated-rankings2"],
+             "topic-model-not-the-lexicon", "truncated-rankings2", "rankings1-integer-doc-id",
+             "rankings1-boolean-score", "rankings2-null-doc-id", "rankings2-boolean-score",
+             "split-string-ids"],
     )
     def test_malformed_training_artifact_exit_code(
         self, tmp_path, capsys, artifact, upstream, stage, corrupt
@@ -1095,7 +1182,7 @@ class TestCli:
     def test_input_without_producer_manifest_exit_code(self, tmp_path, capsys, stage, artifact):
         # Only the manifests of seed-dependent producers were once required,
         # so a feature dump without features.manifest.json fed train1.
-        producer = next(s for s, outputs in STAGE_OUTPUTS.items() if artifact in outputs)
+        producer = next(s for s, spec in STAGES.items() if artifact in spec.outputs)
         out = tmp_path / "fx"
         main(["gen-fixture", "--seed", "9", "--instances", "9", "--topics", "3", "--out", str(out)])
         config = str(out / "pipeline.config")

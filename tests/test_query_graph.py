@@ -365,14 +365,15 @@ class TestQueryGraphType:
         assert clone.hops.tolist() == qg.hops.tolist()
 
     def test_json_edge_endpoints_are_read_as_ints(self, tiny_kg):
-        # Edge endpoints are read like seed and intermediate ids: int() of
-        # each, so a null endpoint is a malformed record, not a stray one.
+        # Edge endpoints are read like seed and intermediate ids: JSON
+        # integers only, as int() would read "0" and 1.5 as node ids 0 and
+        # 1, and true as 1. Anything else is a malformed record, not a stray edge.
         obj = build_query_graph(tiny_kg, seedset([0, 1])).to_json_obj()
         assert obj["edges"]
-        respelled = {**obj, "edges": [[str(a), float(b)] for a, b in obj["edges"]]}
-        assert QueryGraph.from_json_obj(respelled).to_json_obj() == obj
-        with pytest.raises(TypeError):
-            QueryGraph.from_json_obj({**obj, "edges": [[None, b] for _, b in obj["edges"]]})
+        assert QueryGraph.from_json_obj(obj).to_json_obj() == obj
+        for respell in (str, lambda v: v + 0.5, lambda v: True, lambda v: None):
+            with pytest.raises(ValueError, match="not an integer"):
+                QueryGraph.from_json_obj({**obj, "edges": [[respell(a), b] for a, b in obj["edges"]]})
 
     def test_edge_outside_nodes_is_integrity_error(self):
         with pytest.raises(IntegrityError, match="edge"):

@@ -147,7 +147,7 @@ def _stage_artifacts(mode_dir: Path) -> dict[str, bytes]:
     return {
         name: (mode_dir / name).read_bytes()
         for stage in _GRAPH_STAGES
-        for name in pipeline.STAGE_OUTPUTS[stage]
+        for name in pipeline.STAGES[stage].outputs
     }
 
 
