@@ -1,6 +1,7 @@
 """Exception types shared across the package, and the shared artifact I/O:
-the JSON and JSON-lines text every writer emits, the string record of the
-binary artifacts, the atomic file writer, and the file readers.
+the checks of JSON numbers and keys the readers share, the JSON and
+JSON-lines text every writer emits, the string record of the binary
+artifacts, the atomic file writer, and the file readers.
 
 The CLI maps these onto exit codes: config problems exit 1, data problems
 (parse, integrity, lookup, missing stage artifacts) exit 2, training
@@ -10,6 +11,7 @@ failures exit 3.
 from __future__ import annotations
 
 import json
+import math
 import os
 import re
 import secrets
@@ -48,6 +50,20 @@ class TrainingError(GistRankError):
 
 class StageDependencyError(GistRankError):
     """A pipeline stage is missing an upstream artifact."""
+
+
+def is_finite_number(value: Any) -> bool:
+    """Whether ``value`` is a finite JSON number: not NaN, an infinity, a boolean or a string."""
+    return type(value) in (int, float) and math.isfinite(value)
+
+
+def int_key(text: str) -> int:
+    """The int a JSON object key spells as ``str()`` writes it; ``int()``
+    alone would also read " 7" and "+7" as 7 and "7_1" as 71."""
+    value = int(text)
+    if str(value) != text:
+        raise ValueError(f"the key {text!r} is not an integer as str() writes it")
+    return value
 
 
 def json_text(obj: Any) -> str:

@@ -31,7 +31,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import IntegrityError, TrainingError
+from .errors import IntegrityError, TrainingError, is_finite_number
 
 
 def average_precision(ranked_relevance: Sequence[bool]) -> float:
@@ -153,13 +153,12 @@ class RankModel:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "RankModel":
-        """The model of a JSON object; a weight or training MAP that is not
-        finite (JSON ``NaN``, ``Infinity``) is a ``ValueError``."""
-        weights = tuple(float(w) for w in obj["weights"])
-        training_map = float(obj["training_map"])
-        if not all(map(math.isfinite, (*weights, training_map))):
-            raise ValueError("a weight or the training MAP is not finite")
-        return cls(weights, tuple(obj["feature_names"]), training_map, obj.get("config", {}))
+        """The model of a JSON object; a weight or training MAP that is not a finite
+        number (a boolean, a string, JSON ``NaN`` or ``Infinity``) is a ``ValueError``."""
+        weights, training_map = obj["weights"], obj["training_map"]
+        if not all(map(is_finite_number, (*weights, training_map))):
+            raise ValueError("a weight or the training MAP is not a finite number")
+        return cls(tuple(map(float, weights)), tuple(obj["feature_names"]), float(training_map), obj.get("config", {}))
 
 
 def rank(model: RankModel, doc_ids: Sequence[str], matrix: np.ndarray, query_id: str = "") -> Ranking:
@@ -281,9 +280,8 @@ class _LengthGroup:
 
         Documents are ordered by the key (-score, doc index), the key of a
         stable sort on negated scores. A pair whose matrix has no document
-        non-zero on ``dim`` keeps its cached AP; every step of every other
-        pair goes through the AP arithmetic once. ``_ap_rows`` reduces each
-        row on its own, so a row equal to the cached one gets the cached bits.
+        non-zero on ``dim`` keeps its cached AP. ``_ap_rows`` reduces each
+        row on its own, so equal rows, the cached one included, get equal bits.
         """
         ap = np.repeat(self.ap[pairs][:, None], len(deltas), axis=1)
         # Per matrix: the documents non-zero on dim first, in ascending order.
@@ -300,11 +298,10 @@ class _LengthGroup:
         for start in range(0, len(hit), step):
             rows = hit[start:start + step]
             if resort:
-                relevant = self._resort(pairs[rows], dim, deltas)
+                ap[rows] = _ap_rows(self._resort(pairs[rows], dim, deltas), self.n_relevant[pairs[rows], None])
             else:
                 part = matrices[rows]
-                relevant = self._replace(pairs[rows], dim, deltas, moved[part, :width], n_moved[part])
-            ap[rows] = _ap_rows(relevant, self.n_relevant[pairs[rows], None])
+                ap[rows] = self._replace(pairs[rows], dim, deltas, moved[part, :width], n_moved[part])
         return ap
 
     def _resort(self, pairs, dim, deltas):
@@ -317,18 +314,21 @@ class _LengthGroup:
         return self.relevant[pairs[:, None, None], order]
 
     def _replace(self, pairs, dim, deltas, docs, count):
-        """Return the relevance rows of every (pair, step), re-placing only the moved documents.
+        """Return the AP of every (pair, step), re-placing only the moved documents.
 
         Only the ``docs`` non-zero on ``dim`` move (ascending doc index,
         padded; ``count`` per pair). Each is re-placed among the unmoved
-        ones, which keep their cached order.
+        ones, which keep their cached order. In ascending step order equal
+        places come in runs, and only the first step of a run builds and
+        reduces its row: equal places give an equal row, so equal AP bits.
         """
         n_pairs, n_docs = len(pairs), self.relevant.shape[1]
         valid = np.arange(docs.shape[1]) < count[:, None]
         rows = np.arange(n_pairs)[:, None]
-        shifted = (
+        by_delta = np.argsort(deltas, kind="stable")
+        keys = -(
             self.scores[pairs[:, None], docs][:, None, :]
-            + deltas[None, :, None] * self.stack[self.matrix[pairs][:, None], docs, dim][:, None, :]
+            + deltas[by_delta, None] * self.stack[self.matrix[pairs][:, None], docs, dim][:, None, :]
         )
         labels = self.relevant[pairs[:, None], docs]
 
@@ -344,51 +344,51 @@ class _LengthGroup:
 
         # The new place of each moved document: its gap (the number of
         # unmoved documents ahead after the step) plus its rank among the moved.
-        keys = np.negative(shifted, out=shifted)
-        gap = _count_ahead(rest_keys, rest_docs, n_docs - count, keys, docs)
+        gap = _count_ahead(rest_keys, rest_docs, keys, docs)
         keys = np.where(valid[:, None, :], keys, np.inf)
         rank = np.argsort(np.argsort(keys, axis=-1, kind="stable"), axis=-1, kind="stable")
         new_place = np.where(valid[:, None, :], gap + rank, n_docs)
 
-        # Moved documents at their new places, unmoved ones filling the free
-        # places in cached order.
-        at = (rows[:, :, None], np.arange(len(deltas))[:, None], new_place)
-        taken = np.zeros((n_pairs, len(deltas), n_docs + 1), dtype=bool)
+        # One row per run of equal places: moved documents at their new
+        # places, unmoved ones filling the free places in cached order.
+        first = np.ones(new_place.shape[:2], dtype=bool)
+        first[:, 1:] = (new_place[:, 1:] != new_place[:, :-1]).any(axis=-1)
+        owner = np.nonzero(first)[0]
+        at = (np.arange(len(owner))[:, None], new_place[first])
+        taken = np.zeros((len(owner), n_docs + 1), dtype=bool)
         taken[at] = True
-        free = ~taken[..., :n_docs]
         relevant = np.empty_like(taken)
-        relevant[..., :n_docs][free] = np.broadcast_to(rest_relevant[:, None], free.shape)[
-            np.broadcast_to(rest[:, None], free.shape)
-        ]
-        relevant[at] = labels[:, None, :]
-        return relevant[..., :n_docs]
+        relevant[:, :n_docs][~taken[:, :n_docs]] = rest_relevant[owner][rest[owner]]
+        relevant[at] = labels[owner]
+        distinct = _ap_rows(relevant[:, :n_docs], self.n_relevant[pairs[owner]])
+        # Each step takes its run's AP, back in the caller's step order.
+        return distinct[np.cumsum(first).reshape(first.shape) - 1][:, np.argsort(by_delta)]
 
 
-def _count_ahead(
-    rest_keys: np.ndarray, rest_docs: np.ndarray, n_rest: np.ndarray, keys: np.ndarray, docs: np.ndarray
-) -> np.ndarray:
-    """Number of unmoved documents ahead of each moved one, by binary search.
+def _count_ahead(rest_keys: np.ndarray, rest_docs: np.ndarray, keys: np.ndarray, docs: np.ndarray) -> np.ndarray:
+    """Number of unmoved documents ahead of each moved one, from one search.
 
     Row i of ``rest_keys``/``rest_docs`` holds the negated scores and doc
-    indices of its ``n_rest[i]`` unmoved documents in key order, then +inf
-    keys; ``keys`` (rows x steps x moved) are the moved documents' negated
-    new scores and ``docs`` (rows x moved) their doc indices. An equal score
-    puts the lower doc index first.
+    indices of its unmoved documents in key order, then +inf keys; ``keys``
+    (rows x steps x moved) are the moved documents' negated new scores and
+    ``docs`` (rows x moved) their doc indices. An equal score puts the lower
+    doc index first. numpy sorts complex numbers by real, then imaginary
+    part, so (row + key j) puts all rows in one sorted array.
     """
-    offset = (np.arange(rest_keys.shape[0]) * rest_keys.shape[1])[:, None, None]
-    flat_keys, flat_docs = rest_keys.ravel(), rest_docs.ravel()
-    lo = np.zeros(keys.shape, dtype=np.intp)
-    hi = np.broadcast_to(n_rest[:, None, None], keys.shape)
-    for _ in range(rest_keys.shape[1].bit_length()):
-        mid = (lo + hi) >> 1
-        mid_keys = flat_keys[offset + mid]
-        ahead = mid_keys < keys
-        ties = mid_keys == keys
-        if ties.any():
-            ahead |= ties & (flat_docs[offset + mid] < docs[:, None, :])
-        lo = np.where(ahead, mid + 1, lo)
-        hi = np.where(ahead, hi, mid)
-    return lo
+    n_rows, n_rest = rest_keys.shape
+    table = np.empty(rest_keys.size, dtype=np.complex128)
+    table.real, table.imag = np.repeat(np.arange(n_rows), n_rest), rest_keys.ravel()
+    query = np.empty(keys.shape, dtype=np.complex128)
+    query.real, query.imag = np.arange(n_rows)[:, None, None], keys
+    ahead, after = (np.searchsorted(table, query, side=side).ravel() for side in ("left", "right"))
+    tie = np.flatnonzero(after != ahead)
+    if tie.size:
+        # Of the unmoved documents with an equal key, those of lower doc index are ahead.
+        span = ahead[tie, None] + np.arange(int((after[tie] - ahead[tie]).max()))
+        moved_docs = np.broadcast_to(docs[:, None, :], keys.shape).ravel()[tie, None]
+        lower = rest_docs.ravel()[np.minimum(span, table.size - 1)] < moved_docs
+        ahead[tie] += (lower & (span < after[tie, None])).sum(axis=1)
+    return ahead.reshape(keys.shape) - (np.arange(n_rows) * n_rest)[:, None, None]
 
 
 @dataclass

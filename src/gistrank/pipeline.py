@@ -19,7 +19,6 @@ import dataclasses
 import functools
 import json
 import logging
-import math
 from pathlib import Path
 from typing import Any, Callable, Iterable, NamedTuple, TypeVar
 
@@ -33,6 +32,8 @@ from .errors import (
     IntegrityError,
     ParseError,
     StageDependencyError,
+    int_key,
+    is_finite_number,
     json_text,
     jsonl_text,
     read_json,
@@ -168,11 +169,6 @@ def _strings(value: Any) -> list[str]:
     return value
 
 
-def _is_finite(value: Any) -> bool:
-    """Whether ``value`` is a finite JSON number: not NaN, an infinity or a boolean."""
-    return type(value) in (int, float) and math.isfinite(value)
-
-
 def _parse_label_override(obj: dict) -> tuple[str, tuple[str, ...]]:
     instance_id, labels = obj["id"], _strings(obj.get("image_labels", []))
     if not isinstance(instance_id, str):
@@ -274,17 +270,15 @@ def _read_query_graphs(path: Path) -> dict[str, QueryGraph]:
 
 
 def _parse_partition(obj: dict) -> tuple[str, Partition]:
-    assignment, modularity = {int(n): c for n, c in obj["assignment"].items()}, obj["modularity"]
-    if len(assignment) != len(obj["assignment"]):
-        raise ValueError("two keys of the assignment name one node id")
+    assignment, modularity = {int_key(n): c for n, c in obj["assignment"].items()}, obj["modularity"]
     # int() would read 1.7 and true as cluster 1.
-    if not all(type(c) is int for c in assignment.values()) or not _is_finite(modularity):
+    if not all(type(c) is int for c in assignment.values()) or not is_finite_number(modularity):
         raise ValueError("the cluster ids must be integers and the modularity a finite number")
     return obj["instance_id"], Partition(assignment=assignment, modularity=float(modularity))
 
 
 def _parse_items(items: list) -> tuple[tuple[str, float], ...]:
-    if not all(type(d) is str and _is_finite(s) for d, s in items):
+    if not all(type(d) is str and is_finite_number(s) for d, s in items):
         raise ValueError("a ranking item is not a doc id string and a finite score")
     return tuple((d, float(s)) for d, s in items)
 
@@ -292,7 +286,7 @@ def _parse_items(items: list) -> tuple[tuple[str, float], ...]:
 def _parse_ranking(obj: dict) -> tuple[str, Ranking]:
     items = _parse_items(obj["items"])
     for doc_id, _ in items:
-        int(doc_id)  # a node id; a ValueError reads as a malformed record
+        int_key(doc_id)  # a node id; a ValueError reads as a malformed record
     return obj["query_id"], Ranking(query_id=obj["query_id"], items=items)
 
 

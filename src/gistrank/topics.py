@@ -14,7 +14,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import IntegrityError, TrainingError
+from .errors import IntegrityError, TrainingError, int_key
 from .ltr import (
     AscentStats,
     CoordinateAscentConfig,
@@ -48,13 +48,13 @@ class Lexicon:
     @classmethod
     def from_json_obj(cls, obj: dict) -> "Lexicon":
         """Raises ``ValueError`` unless the dimensions are the integers
-        0..n-1, each once, and ``top_k`` is at least 1."""
-        entries, n = {int(node_id): dim for node_id, dim in obj["entries"].items()}, len(obj["entries"])
+        0..n-1, each once, and ``top_k`` is an integer of at least 1."""
+        entries, n = {int_key(node_id): dim for node_id, dim in obj["entries"].items()}, len(obj["entries"])
         if any(type(dim) is not int for dim in entries.values()) or sorted(entries.values()) != list(range(n)):
             raise ValueError(f"lexicon dimensions must be the integers 0..{n - 1}, each once")
-        top_k = int(obj["top_k"])
-        if top_k < 1:
-            raise ValueError(f"lexicon top_k must be >= 1, got {top_k}")
+        top_k = obj["top_k"]
+        if type(top_k) is not int or top_k < 1:
+            raise ValueError(f"lexicon top_k must be an integer >= 1, got {top_k!r}")
         return cls(entries=entries, top_k=top_k)
 
 

@@ -861,3 +861,115 @@ def test_ap_rows_bits_do_not_depend_on_the_batch(relevant, extra):
     wide_steps[extra:, :, :-1] = steps
     for rows in (steps, wide_steps[extra:, :, :-1]):
         assert ltr._ap_rows(rows, n_relevant[:, None]).T.tolist() == [batch, batch]
+
+
+def resorted_ap(group, pairs, dim, deltas):
+    """``_ap_rows`` over the rows of a plain stable re-sort of each pair's
+    cached scores under each step, and the number of runs of equal rankings
+    in ascending step order over the pairs with a document that moves."""
+    rows, runs = [], 0
+    by_delta = np.argsort(deltas)
+    for p in pairs:
+        column = group.stack[group.matrix[p], :, dim]
+        orders = [np.argsort(-(group.scores[p] + delta * column), kind="stable") for delta in deltas]
+        rows.append([group.relevant[p][order] for order in orders])
+        if column.any():
+            runs += 1 + sum(not np.array_equal(orders[a], orders[b]) for a, b in zip(by_delta, by_delta[1:]))
+    return ltr._ap_rows(np.array(rows), group.n_relevant[pairs, None]), runs
+
+
+def replaced_ap(monkeypatch, group, pairs, dim, deltas, budget):
+    """``group.probe`` on the re-place path alone, and how many rows it reduced."""
+    reduced = []
+
+    def counting_ap_rows(relevant, n_relevant):
+        reduced.append(int(np.prod(relevant.shape[:-1])))
+        return ap_rows(relevant, n_relevant)
+
+    def unused_path(*args):
+        raise AssertionError("_resort ran with _SPARSE_RATIO = 0")
+
+    ap_rows = ltr._ap_rows
+    monkeypatch.setattr(ltr, "_SPARSE_RATIO", 0)
+    monkeypatch.setattr(ltr, "_SLICE_ELEMENTS", budget)
+    monkeypatch.setattr(ltr, "_ap_rows", counting_ap_rows)
+    monkeypatch.setattr(ltr._LengthGroup, "_resort", unused_path)
+    try:
+        return group.probe(pairs, dim, deltas), sum(reduced)
+    finally:
+        monkeypatch.undo()
+
+
+class TestProbeEqualsResort:
+    """The APs a probe returns (pairs x steps, in the caller's step order)
+    equal, bit for bit, ``_ap_rows`` over rows rebuilt by a plain stable
+    re-sort, and only the first step of each run of equal rankings reaches
+    ``_ap_rows``. A slice budget of 1 or 100 probes one pair at a time
+    here, one of 2**30 all at once."""
+
+    # In the caller's order, as ``train_coordinate_ascent`` interleaves signs.
+    DELTAS = np.array([1 / 64, -1 / 64, 1 / 32, -1 / 32, 0.125, -0.125, 0.25, -0.25, 0.5, -0.5, 1.0, -1.0])
+
+    @staticmethod
+    def group():
+        # Weights (0.5, 0.5, 0): the unmoved documents 1, 2, 5 and 6 score
+        # 0.5, and 0 and 9 score 1.0. On dimension 0 the step -0.125 sends
+        # document 4 (0.75) to 0.5 and document 8 (1.125) to 1.0, each into
+        # a tie with unmoved documents of lower and higher index; the four
+        # steps of at most 1/32 leave the cached ranking. On dimension 2 only
+        # document 8, first by 0.125, moves, by at most 0.001.
+        a = np.array([
+            [0, 2, 0], [0, 1, 0], [0, 1, 0], [0, 0.25, 0], [2, -0.5, 0],
+            [0, 1, 0], [0, 1, 0], [0, -1, 0], [1, 1.25, 0.001], [0, 2, 0],
+        ])
+        b = a * [0, 1, 1]  # nothing non-zero on dimension 0
+        ones = np.array([0, 1, 0, 0, 1, 0, 1, 1, 1, 0], dtype=bool)
+        group = ltr._LengthGroup([(0, 0, a, ones), (0, 1, a, ~ones), (1, 0, b, ones)])
+        for run in (0, 1):
+            group.refresh(run, np.array([0.5, 0.5, 0.0]))
+        return group
+
+    @pytest.mark.parametrize("budget", [1, 100, 1 << 30])
+    def test_moved_documents_tie_runs_of_unmoved_ones(self, monkeypatch, budget):
+        group, pairs = self.group(), np.arange(3)
+        expected, runs = resorted_ap(group, pairs, 0, self.DELTAS)
+        tie_step = int(np.flatnonzero(self.DELTAS == -0.125)[0])
+        shifted = group.scores[0] + self.DELTAS[tie_step] * group.stack[0, :, 0]
+        assert np.argsort(-shifted, kind="stable").tolist() == [0, 8, 9, 1, 2, 4, 5, 6, 3, 7]
+        ap, reduced = replaced_ap(monkeypatch, group, pairs, 0, self.DELTAS, budget)
+        assert ap.tobytes() == expected.tobytes()
+        # The pair on b keeps its cached AP; the four small steps are one run.
+        assert reduced == runs <= 2 * (len(self.DELTAS) - 3)
+        assert (ap[2] == group.ap[2]).all()
+
+    @pytest.mark.parametrize("budget", [1, 100, 1 << 30])
+    def test_probe_where_nothing_changes(self, monkeypatch, budget):
+        group, pairs = self.group(), np.arange(3)
+        expected, runs = resorted_ap(group, pairs, 2, self.DELTAS)
+        ap, reduced = replaced_ap(monkeypatch, group, pairs, 2, self.DELTAS, budget)
+        assert ap.tobytes() == expected.tobytes()
+        assert ap.tobytes() == np.repeat(group.ap[:, None], len(self.DELTAS), axis=1).tobytes()
+        assert reduced == runs == 3  # one row per pair
+
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([9, 17, 24]), st.integers(1, 4))
+    def test_random_groups(self, monkeypatch, seed, n_docs, n_pairs):
+        # Grid weights and steps keep many scores exact, so moved documents
+        # tie unmoved ones and equal rankings repeat over steps.
+        rng = np.random.default_rng(seed)
+        matrices = [random_rows(rng, n_docs, 3, 0.3) for _ in range(2)]
+        pairs = []
+        for p in range(n_pairs):
+            relevant = rng.random(n_docs) < 0.4
+            relevant[rng.integers(n_docs)] = True
+            pairs.append((p % 2, p, matrices[int(rng.integers(2))], relevant))
+        group = ltr._LengthGroup(pairs)
+        for run in (0, 1):
+            group.refresh(run, np.asarray(GRID)[rng.integers(len(GRID), size=3)])
+        deltas = np.array([sign * 0.25 * 2.0**level for level in range(4) for sign in (1.0, -1.0)])
+        for dim in range(3):
+            expected, runs = resorted_ap(group, np.arange(n_pairs), dim, deltas)
+            for budget in (1, 100, 1 << 30):
+                ap, reduced = replaced_ap(monkeypatch, group, np.arange(n_pairs), dim, deltas, budget)
+                assert ap.tobytes() == expected.tobytes()
+                assert reduced == runs

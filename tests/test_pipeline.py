@@ -423,6 +423,12 @@ def _edit_first_line(data: bytes, field: str, edit) -> bytes:
     return b"".join(lines)
 
 
+def _respell_key(mapping: dict, respell) -> None:
+    """Give the longest key of ``mapping`` the spelling ``respell(key)``, keeping its value."""
+    key = max(mapping, key=len)
+    mapping[respell(key)] = mapping.pop(key)
+
+
 def _first_seed(record: dict) -> dict:
     return record["seeds"][0]
 
@@ -760,12 +766,26 @@ class TestCli:
                 "partitions.jsonl", ["link", "graph", "cluster"], "features",
                 lambda data: _edit_first_line(data, "assignment", lambda r: r.update(modularity=math.nan)),
             ),
+            # int() reads the keys "+7" and " 7" as node 7, and "7_1" as node 71.
+            (
+                "partitions.jsonl", ["link", "graph", "cluster"], "features",
+                lambda data: _edit_first_line(
+                    data, "assignment", lambda r: _respell_key(r["assignment"], lambda k: "+" + k)
+                ),
+            ),
+            (
+                "partitions.jsonl", ["link", "graph", "cluster"], "features",
+                lambda data: _edit_first_line(
+                    data, "assignment", lambda r: _respell_key(r["assignment"], lambda k: k[:1] + "_" + k[1:])
+                ),
+            ),
         ],
         ids=["truncated-seeds", "truncated-graphs", "truncated-partitions", "non-utf8-seeds",
              "partition-type", "graph-stray-edge", "graph-seed-as-intermediate",
              "graph-self-loop", "partition-foreign-node", "seed-float-id", "seed-string-flag",
              "graph-float-intermediate", "graph-float-edge-end", "partition-float-cluster",
-             "partition-boolean-cluster", "partition-nan-modularity"],
+             "partition-boolean-cluster", "partition-nan-modularity", "partition-plus-key",
+             "partition-underscore-key"],
     )
     def test_malformed_graph_layer_artifact_exit_code(
         self, tmp_path, capsys, artifact, upstream, stage, corrupt
@@ -992,6 +1012,30 @@ class TestCli:
                 lambda data: _edit_json(data, lambda rs: next(iter(rs.values()))[0].__setitem__(1, True)),
             ),
             ("split.json", 6, "lexicon", lambda data: _edit_json(data, lambda sp: sp.update(train=sp["train"][0]))),
+            # float() read the weight true as 1.0 and "0.5" as 0.5, and int()
+            # the top_k 2.5 as 2 and the lexicon keys and stage-1 doc ids "+7"
+            # and " 7" as node 7.
+            ("model1.json", 5, "rank1", lambda data: _edit_json(data, lambda m: m["weights"].__setitem__(0, True))),
+            ("model1.json", 5, "rank1", lambda data: _edit_json(data, lambda m: m["weights"].__setitem__(0, "0.5"))),
+            (
+                "model1.json", 5, "rank1",
+                lambda data: _edit_json(data, lambda m: m.update(training_map=str(m["training_map"]))),
+            ),
+            (
+                "topic_models.json", 8, "rank2",
+                lambda data: _edit_json(data, lambda ms: next(iter(ms.values()))["weights"].__setitem__(0, True)),
+            ),
+            ("lexicon.json", 7, "train2", lambda data: _edit_json(data, lambda lx: lx.update(top_k=2.5))),
+            ("lexicon.json", 7, "train2", lambda data: _edit_json(data, lambda lx: lx.update(top_k=True))),
+            (
+                "lexicon.json", 7, "train2",
+                lambda data: _edit_json(data, lambda lx: _respell_key(lx["entries"], lambda k: "+" + k)),
+            ),
+            (
+                "lexicon.json", 7, "train2",
+                lambda data: _edit_json(data, lambda lx: _respell_key(lx["entries"], lambda k: " " + k)),
+            ),
+            ("rankings1.jsonl", 6, "lexicon", lambda data: _prefix_first_doc_ids(data, "+")),
         ],
         ids=["feature-node-id", "model1-no-weights", "model1-nan-weight", "topic-model-infinite-map",
              "rankings1-nan-score", "rankings2-nan-score", "truncated-rankings1",
@@ -999,7 +1043,9 @@ class TestCli:
              "truncated-lexicon", "truncated-topic-models", "topic-model-no-weights",
              "topic-model-not-the-lexicon", "truncated-rankings2", "rankings1-integer-doc-id",
              "rankings1-boolean-score", "rankings2-null-doc-id", "rankings2-boolean-score",
-             "split-string-ids"],
+             "split-string-ids", "model1-boolean-weight", "model1-string-weight", "model1-string-map",
+             "topic-model-boolean-weight", "lexicon-float-top-k", "lexicon-boolean-top-k",
+             "lexicon-plus-key", "lexicon-space-key", "rankings1-plus-doc-id"],
     )
     def test_malformed_training_artifact_exit_code(
         self, tmp_path, capsys, artifact, upstream, stage, corrupt
