@@ -51,20 +51,6 @@ class EvalReport:
             "lexicon_size": self.lexicon_size,
         }
 
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "EvalReport":
-        return cls(
-            mode=obj.get("mode"),
-            k=int(obj["k"]),
-            per_topic={
-                topic: TopicEval(float(ev["ap"]), float(ev["p_at_k"]), int(ev["positives"]))
-                for topic, ev in obj["per_topic"].items()
-            },
-            overall_map=float(obj["overall_map"]),
-            overall_p_at_k=float(obj["overall_p_at_k"]),
-            lexicon_size=obj.get("lexicon_size"),
-        )
-
 
 def evaluate(
     rankings: Mapping[str, Ranking],

@@ -192,20 +192,6 @@ def _seeds(config: PipelineConfig) -> dict[str, int]:
     }
 
 
-def _write_manifest(config: PipelineConfig, stage: str) -> None:
-    manifest = {
-        "stage": stage,
-        "mode": config.mode,
-        "seed": config.seed,
-        "seeds": _seeds(config),
-        "config_hash": config.config_hash(),
-        "inputs": list(STAGES[stage].inputs),
-        "outputs": list(STAGES[stage].outputs),
-        "version": __version__,
-    }
-    _write_json(_mode_dir(config) / f"{stage}.manifest.json", manifest)
-
-
 def _check_input(config: PipelineConfig, stage: str, name: str) -> None:
     """Check that input ``name`` of ``stage`` and its producer's manifest
     exist and, when the producer's outputs are seed-dependent, that the
@@ -221,7 +207,9 @@ def _check_input(config: PipelineConfig, stage: str, name: str) -> None:
     keys = STAGES[producer].seeds
     if not keys:
         return
-    made_with = read_json(manifest, lambda obj: {k: int(obj["seeds"][k]) for k in keys})
+    made_with = read_json(manifest, lambda obj: {k: obj["seeds"][k] for k in keys})
+    if not all(type(seed) is int for seed in made_with.values()):  # int() would read 10.5 and "10" as 10
+        raise ParseError(f"{manifest}: malformed file (a seed is not an integer)")
     expected = {k: _seeds(config)[k] for k in keys}
     if made_with != expected:
         raise StageDependencyError(
@@ -300,6 +288,14 @@ FeatureRows = tuple[list[str], np.ndarray, list[int | None]]
 Split = tuple[set[str], set[str]]
 
 
+def _parse_split(obj: dict) -> Split:
+    train, test = _strings(obj["train"]), _strings(obj["test"])
+    # The writer lists each instance id once, in one of the two lists.
+    if len({*train, *test}) != len(train) + len(test):
+        raise ValueError("an instance id is listed twice")
+    return set(train), set(test)
+
+
 def _write_features(path: Path, features: dict[str, FeatureRows]) -> None:
     parts = features.values()
     write_feature_rows(
@@ -351,10 +347,7 @@ ARTIFACTS = {
     ),
     "partitions.jsonl": _jsonl(_parse_partition, lambda iid, p: {**p.to_json_obj(), "instance_id": iid}),
     "features.bin": _Artifact(lambda path: read_feature_rows(path), _write_features),
-    "split.json": _json(
-        lambda obj: (set(_strings(obj["train"])), set(_strings(obj["test"]))),
-        lambda split: {"train": sorted(split[0]), "test": sorted(split[1])},
-    ),
+    "split.json": _json(_parse_split, lambda split: {"train": sorted(split[0]), "test": sorted(split[1])}),
     "model1.json": _json(RankModel.from_json_obj, RankModel.to_json_obj),
     "rankings1.jsonl": _jsonl(_parse_ranking, lambda iid, r: {"query_id": iid, "items": _items(r)}),
     "lexicon.json": _json(Lexicon.from_json_obj, Lexicon.to_json_obj),
@@ -368,7 +361,7 @@ ARTIFACTS = {
         lambda obj: {topic: Ranking(topic, _parse_items(items)) for topic, items in obj.items()},
         lambda rankings: {topic: _items(r) for topic, r in rankings.items()},
     ),
-    "report.json": _json(EvalReport.from_json_obj, EvalReport.to_json_obj),
+    "report.json": _Artifact(None, lambda path, report: _write_json(path, report.to_json_obj())),
     "report.txt": _Artifact(None, write_atomic),
 }
 
@@ -588,32 +581,41 @@ _BY_LINK_MODE = frozenset((*(n for s in STAGES.values() if s.by_link_mode for n 
 def _step(stage: str, ctx: PipelineContext) -> None:
     """Run ``stage`` in ``ctx``'s mode: all of its file work around its transform.
 
-    Each input comes from the store when this run made it; otherwise it is
-    checked (``_check_input``) and read through its reader. The transform
-    takes the inputs and returns the outputs in table order; each output is
-    written through its writer and stored, with its text when the stage is
-    ``by_link_mode``. When every output's text is stored already, as for TI
-    after TII, that text is written again and the transform is not called.
+    It makes the mode directory. Each input comes from the store when this
+    run made it; otherwise it is checked (``_check_input``) and read through
+    its reader. The transform takes the inputs and returns the outputs in
+    table order; each output is written through its writer and stored, with
+    its text when the stage is ``by_link_mode``. When every output's text is
+    stored already, as for TI after TII, that text is written again and the
+    transform is not called. Last comes the manifest, ``<stage>.manifest.json``.
     """
-    spec, store, mode_dir = STAGES[stage], ctx.shared.store, _mode_dir(ctx.config)
+    config, spec, store, mode_dir = ctx.config, STAGES[stage], ctx.shared.store, _mode_dir(ctx.config)
+    try:
+        mode_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"out: cannot make the output directory {mode_dir}: {exc.strerror}") from None
     keys = {name: ctx.key(name) for name in spec.outputs}
     if all(("text", *key) in store for key in keys.values()):
         for name, key in keys.items():
             write_atomic(mode_dir / name, store["text", *key])
-        return
-    inputs = {name: ctx.key(name) for name in spec.inputs}
-    for name, key in inputs.items():
-        if key not in store:
-            _check_input(ctx.config, stage, name)
-    outputs = spec.transform(ctx, *(
-        store[key] if key in store else ARTIFACTS[name].read(mode_dir / name)
-        for name, key in inputs.items()
+    else:
+        inputs = {name: ctx.key(name) for name in spec.inputs}
+        for name, key in inputs.items():
+            if key not in store:
+                _check_input(config, stage, name)
+        outputs = spec.transform(ctx, *(
+            store[key] if key in store else ARTIFACTS[name].read(mode_dir / name)
+            for name, key in inputs.items()
+        ))
+        for (name, key), obj in zip(keys.items(), outputs):
+            text = ARTIFACTS[name].write(mode_dir / name, obj)
+            store[key] = obj
+            if spec.by_link_mode:
+                store["text", *key] = text
+    _write_json(mode_dir / f"{stage}.manifest.json", dict(
+        stage=stage, mode=config.mode, seed=config.seed, seeds=_seeds(config), config_hash=config.config_hash(),
+        inputs=list(spec.inputs), outputs=list(spec.outputs), version=__version__,
     ))
-    for (name, key), obj in zip(keys.items(), outputs):
-        text = ARTIFACTS[name].write(mode_dir / name, obj)
-        store[key] = obj
-        if spec.by_link_mode:
-            store["text", *key] = text
 
 
 # Each stage is ``_step`` bound to its name, called with the context alone.
@@ -632,19 +634,8 @@ def run_stage(config: PipelineConfig, stage: str) -> Path:
     if stage not in _STAGE_FUNCS:
         raise ConfigError(f"unknown stage {stage!r}; expected one of {', '.join(STAGE_ORDER)} or all")
     config.validate()
-    _run(PipelineContext(config), stage)
+    _STAGE_FUNCS[stage](PipelineContext(config))
     return _mode_dir(config)
-
-
-def _run(ctx: PipelineContext, stage: str) -> None:
-    """Run one stage in one mode, then write its manifest."""
-    mode_dir = _mode_dir(ctx.config)
-    try:
-        mode_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"out: cannot make the output directory {mode_dir}: {exc.strerror}") from None
-    _STAGE_FUNCS[stage](ctx)
-    _write_manifest(ctx.config, stage)
 
 
 # ``run_all`` runs TII first, so that TII does the work TI reuses.
@@ -655,7 +646,7 @@ def run_all(config: PipelineConfig) -> Path:
     """Run the full pipeline for modes T, TI, and TII and compare them.
 
     It runs mode by mode, TII, TI and T, each through all ten stages, with
-    the same runner as ``run_stage`` and over one loaded graph, corpus and
+    the same ``_step`` as ``run_stage`` and over one loaded graph, corpus and
     IDF table. Every output goes to disk and into one store, from which its
     consumers take it: nothing is read back. When a mode ends, its report is
     kept for the comparison, and the store drops every entry not keyed by
@@ -667,7 +658,7 @@ def run_all(config: PipelineConfig) -> Path:
     store, reports = base.shared.store, {}
     for i, ctx in enumerate(contexts):
         for stage in STAGE_ORDER:
-            _run(ctx, stage)
+            _STAGE_FUNCS[stage](ctx)
         reports[ctx.config.mode] = store["report.json", ctx.config.mode]
         keep = {_link_mode(c.config) for c in contexts[i + 1:]}
         for key in [key for key in store if key[-1] not in keep]:

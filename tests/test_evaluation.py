@@ -53,13 +53,6 @@ class TestEvaluate:
         second = evaluate(rankings, gold, k=2)
         assert first == second
 
-    def test_json_round_trip(self):
-        rankings = {"sky": ranking("sky", ["a", "b"])}
-        gold = {"a": {"sky"}, "b": set()}
-        report = evaluate(rankings, gold, k=2, mode="TII", lexicon_size=42)
-        clone = EvalReport.from_json_obj(report.to_json_obj())
-        assert clone == report
-
 
 def mk_report(mode, overall_map, k=50, lexicon=10):
     return EvalReport(

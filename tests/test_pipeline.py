@@ -315,6 +315,17 @@ class TestStages:
         declared = {name for spec in STAGES.values() for name in spec.outputs}
         assert written == declared | set(manifests)
 
+    def test_one_stage_call_makes_the_mode_directory_and_the_manifest(self, fixture_dir, tmp_path):
+        # The stage function is the whole stage: nothing around it makes
+        # the directory or writes the manifest.
+        config = load_config(fixture_dir / "pipeline.config", {"out": str(tmp_path / "fresh"), "mode": "T"})
+        pipeline._STAGE_FUNCS["link"](pipeline.PipelineContext(config))
+        mode_dir = tmp_path / "fresh" / "T"
+        assert sorted(p.name for p in mode_dir.iterdir()) == sorted(("link.manifest.json", *STAGES["link"].outputs))
+        manifest = json.loads((mode_dir / "link.manifest.json").read_text())
+        assert (manifest["stage"], manifest["mode"]) == ("link", "T")
+        assert manifest["outputs"] == list(STAGES["link"].outputs)
+
     def test_link_report_written(self, fixture_dir, tmp_path):
         config = load_config(fixture_dir / "pipeline.config", {"out": str(tmp_path / "o")})
         run_stage(config, "link")
@@ -399,6 +410,11 @@ def _edit_json(data: bytes, edit) -> bytes:
     obj = json.loads(data)
     edit(obj)
     return json.dumps(obj).encode()
+
+
+def _edit_split_seed(data: bytes, edit) -> bytes:
+    """The manifest text ``data`` with ``edit`` applied to its split seed."""
+    return _edit_json(data, lambda m: m["seeds"].update(split=edit(m["seeds"]["split"])))
 
 
 def _nan_first_score(data: bytes) -> bytes:
@@ -497,9 +513,7 @@ class TestArtifacts:
     """``run_all`` hands each object it writes to the consumers of the file,
     so reading the file back must give an equal object."""
 
-    @pytest.mark.parametrize(
-        "name", sorted({name for spec in STAGES.values() for name in spec.inputs} | {"report.json"})
-    )
+    @pytest.mark.parametrize("name", sorted({name for spec in STAGES.values() for name in spec.inputs}))
     def test_what_run_all_hands_over_reads_back_equal(self, written, name):
         # Once per mode, but TI writes again the text TII's writer made for
         # the outputs of the stages that depend only on the link mode.
@@ -610,15 +624,14 @@ class TestRunAll:
         # Each mode runs all ten stages; when it ends, the store keeps only
         # what is keyed by the link mode of a later mode.
         calls = []
-        run = pipeline._run
+        for stage, run in list(pipeline._STAGE_FUNCS.items()):
+            def recording_run(ctx, stage=stage, run=run):
+                if stage == "link":
+                    calls.append((ctx.config.mode, "held", {key[-1] for key in ctx.shared.store}))
+                calls.append((ctx.config.mode, stage))
+                run(ctx)
 
-        def recording_run(ctx, stage):
-            if stage == "link":
-                calls.append((ctx.config.mode, "held", {key[-1] for key in ctx.shared.store}))
-            calls.append((ctx.config.mode, stage))
-            run(ctx, stage)
-
-        monkeypatch.setattr(pipeline, "_run", recording_run)
+            monkeypatch.setitem(pipeline._STAGE_FUNCS, stage, recording_run)
         run_all(load_config(fixture_dir / "pipeline.config", {"out": str(tmp_path / "o")}))
         expected = []
         for mode, held in (("TII", set()), ("TI", {LinkMode.TAGS_AND_IMAGE}), ("T", set())):
@@ -1036,6 +1049,13 @@ class TestCli:
                 lambda data: _edit_json(data, lambda lx: _respell_key(lx["entries"], lambda k: " " + k)),
             ),
             ("rankings1.jsonl", 6, "lexicon", lambda data: _prefix_first_doc_ids(data, "+")),
+            # The writer lists each instance id once, in one of the two lists.
+            ("split.json", 6, "lexicon", lambda data: _edit_json(data, lambda sp: sp["train"].extend(sp["test"][:2]))),
+            ("split.json", 6, "lexicon", lambda data: _edit_json(data, lambda sp: sp["train"].append(sp["train"][0]))),
+            # int() read the seeds 10.5 and "10" as the split seed 10.
+            ("train1.manifest.json", 5, "rank1", lambda data: _edit_split_seed(data, lambda seed: seed + 0.5)),
+            ("train1.manifest.json", 5, "rank1", lambda data: _edit_split_seed(data, str)),
+            ("train1.manifest.json", 5, "rank1", lambda data: _edit_split_seed(data, lambda seed: True)),
         ],
         ids=["feature-node-id", "model1-no-weights", "model1-nan-weight", "topic-model-infinite-map",
              "rankings1-nan-score", "rankings2-nan-score", "truncated-rankings1",
@@ -1045,7 +1065,8 @@ class TestCli:
              "rankings1-boolean-score", "rankings2-null-doc-id", "rankings2-boolean-score",
              "split-string-ids", "model1-boolean-weight", "model1-string-weight", "model1-string-map",
              "topic-model-boolean-weight", "lexicon-float-top-k", "lexicon-boolean-top-k",
-             "lexicon-plus-key", "lexicon-space-key", "rankings1-plus-doc-id"],
+             "lexicon-plus-key", "lexicon-space-key", "rankings1-plus-doc-id", "split-overlap",
+             "split-repeated-id", "manifest-float-seed", "manifest-string-seed", "manifest-boolean-seed"],
     )
     def test_malformed_training_artifact_exit_code(
         self, tmp_path, capsys, artifact, upstream, stage, corrupt
