@@ -3,9 +3,10 @@
 Training runs coordinate ascent directly on mean average precision: one
 weight dimension at a time is probed with geometrically spaced additive
 steps and a step is kept only when it improves training MAP. Weights are
-renormalized to unit L1 after every accepted step, which never changes the
-induced rankings. Multiple restarts (uniform, then seeded random inits)
-guard against poor local optima; everything is deterministic given the seed.
+renormalized to unit L1 after every accepted step, which changes the
+induced rankings only where rounding re-ranks tied scores. Multiple
+restarts (uniform, then seeded random inits) guard against poor local
+optima; everything is deterministic given the seed.
 
 A restart stops early once its training MAP reaches the ceiling, the share
 of queries with a relevant document, and the later restarts of the same
@@ -18,9 +19,16 @@ data, where MAP 1.0 is reachable, this skips most of the work.
 The runs of one round (and, in stage 2, all topics) train together: each
 probe covers every active run and every query of one document count as one
 array, and re-places only the documents whose value on the probed
-coordinate is non-zero. The models equal those of probing one run and one
-query at a time bit for bit (``tests/test_ltr.py`` keeps that loop as the
-reference).
+coordinate is non-zero. A run is not probed on a coordinate where no step
+can raise its MAP: AP rises only if a relevant document gets ahead of a
+non-relevant one that was ahead of it, so at least one of the two must be
+non-zero on the coordinate. Each run caches, per coordinate, whether such
+a document exists, and a coordinate that no run can gain on is skipped
+altogether. That skip is exact too, with one guard: a run whose MAP under
+its cached rankings exceeds the accepted MAP (the unit-L1 rescaling can
+re-rank tied scores) is probed everywhere. The models equal those of
+probing every run, coordinate and query, one at a time, bit for bit
+(``tests/test_ltr.py`` keeps that loop as the reference).
 """
 
 from __future__ import annotations
@@ -262,18 +270,44 @@ class _LengthGroup:
         self.scores = np.empty((n_pairs, n_docs))
         self.order = np.empty((n_pairs, n_docs), dtype=np.intp)
         self.ap = np.empty(n_pairs)
+        self.places = np.arange(n_docs)
+        # Each document's non-zero coordinates as a bit set, a row per
+        # document of each matrix in turn (8 to a byte, in 64-bit words),
+        # and each pair's first row.
+        n_dims = self.stack.shape[-1]
+        bits = np.zeros((len(self.matrices) * n_docs, -(-n_dims // 64) * 8), dtype=np.uint8)
+        bits[:, :-(-n_dims // 8)] = np.packbits(self.stack.reshape(-1, n_dims) != 0.0, axis=-1, bitorder="little")
+        self.nonzero = bits.view(np.uint64)
+        self.first_row = self.matrix * n_docs
 
-    def refresh(self, run: int, weights: np.ndarray) -> None:
-        """Recompute the cache of ``run``'s pairs for new weights."""
+    def refresh(self, run: int, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Recompute the cache of ``run``'s pairs for new weights. Return the
+        pairs and the bit set of the coordinates on which some step may raise
+        the AP of one of them.
+
+        A step moves only the documents non-zero on its coordinate, and AP
+        rises only if a relevant document gets ahead of a non-relevant one
+        that was ahead of it. One of the two must move: a relevant document
+        with a non-relevant one ahead, or a non-relevant one with a relevant
+        one behind, that is, one from the first non-relevant place to the
+        last relevant one. The bit set is the union of their coordinates.
+        """
         pairs = np.flatnonzero(self.run == run)
         if pairs.size == 0:
-            return
+            return pairs, np.zeros(self.nonzero.shape[-1], dtype=self.nonzero.dtype)
         scores = np.stack([self.matrices[m] @ weights for m in self.matrix[pairs]])
         # Stable sort on negated scores keeps ascending doc-index order among ties.
         order = np.argsort(-scores, axis=1, kind="stable")
+        ranked = self.relevant[pairs[:, None], order]
         self.scores[pairs] = scores
         self.order[pairs] = order
-        self.ap[pairs] = _ap_rows(self.relevant[pairs[:, None], order], self.n_relevant[pairs])
+        self.ap[pairs] = _ap_rows(ranked, self.n_relevant[pairs])
+        # At place k, hits <= k leaves a non-relevant document at or ahead of
+        # it, and hits below the count a relevant one behind.
+        hits = np.cumsum(ranked, axis=1, dtype=np.int32)
+        window = (hits <= self.places) & (hits - ranked < self.n_relevant[pairs, None])
+        rows = (order + self.first_row[pairs, None])[window]
+        return pairs, np.bitwise_or.reduce(self.nonzero[rows], axis=0)
 
     def probe(self, pairs: np.ndarray, dim: int, deltas: np.ndarray) -> np.ndarray:
         """AP of each pair under each step on ``dim`` (shape: pairs x steps).
@@ -391,16 +425,56 @@ def _count_ahead(rest_keys: np.ndarray, rest_docs: np.ndarray, keys: np.ndarray,
     return ahead.reshape(keys.shape) - (np.arange(n_rows) * n_rest)[:, None, None]
 
 
+def _length_groups(runs: list[tuple[list[tuple[np.ndarray, np.ndarray]], np.ndarray]]) -> list[_LengthGroup]:
+    """The (run, query) pairs of ``runs`` by document count, without the
+    queries that have no relevant document."""
+    grouped: dict[int, list[tuple[int, int, np.ndarray, np.ndarray]]] = {}
+    for r, (queries, _) in enumerate(runs):
+        for slot, (matrix, relevant) in enumerate(queries):
+            if relevant.any():
+                grouped.setdefault(len(relevant), []).append((r, slot, matrix, relevant))
+    return [_LengthGroup(pairs) for pairs in grouped.values()]
+
+
+def _refresh_run(groups: list[_LengthGroup], run: int, weights: np.ndarray, cached_ap: np.ndarray) -> np.ndarray:
+    """Re-cache ``run``'s pairs in every group for ``weights``, write their
+    APs into ``cached_ap`` by query, and return per coordinate whether a step
+    on it may raise one of them (see ``_LengthGroup.refresh``).
+
+    Where no step may, no step puts a relevant document ahead of a
+    non-relevant one that was ahead of it. Then for every i the number of
+    non-relevant documents ahead of the i-th relevant one can only grow, so
+    every AP can only fall, and so can their sum in query order.
+    """
+    gain = 0
+    for group in groups:
+        pairs, bits = group.refresh(run, weights)
+        cached_ap[group.slot[pairs]] = group.ap[pairs]
+        gain = gain | bits
+    return np.unpackbits(gain.view(np.uint8), count=groups[0].stack.shape[-1], bitorder="little").view(bool)
+
+
+def _may_gain(gain: np.ndarray, cached_map: float, current: float, min_gain: float) -> np.ndarray:
+    """The coordinates whose probe may accept a step for a run: those where
+    a step may raise one of its APs, or every one when its MAP under the
+    cached rankings already exceeds ``current + min_gain``. That happens when
+    the unit-L1 rescaling re-ranks tied scores, and then a step that keeps
+    the cached order would be accepted."""
+    return gain | (cached_map > current + min_gain)
+
+
 @dataclass
 class AscentStats:
-    """What the early stop saved in training calls: restarts trained, those
-    that stopped at the training-MAP ceiling, and later restarts never
-    trained or cut short because an earlier restart of their problem
-    reached it."""
+    """What the early stops saved in training calls: restarts trained, those
+    that stopped at the training-MAP ceiling, later restarts never trained
+    or cut short because an earlier restart of their problem reached it, and
+    (run, coordinate) probes skipped because no step on the coordinate could
+    raise the run's MAP."""
 
     runs: int = 0
     at_ceiling: int = 0
     skipped: int = 0
+    cannot_gain: int = 0
 
 
 def _ascend(
@@ -415,18 +489,14 @@ def _ascend(
 
     A run is a query list and its start weights; ``problem`` holds each
     run's problem index, its restarts in order. Every cycle probes each
-    coordinate for all active runs at once; a run stops after a cycle
-    without an accepted step, or as soon as its MAP reaches its ceiling,
-    which also stops the later restarts of its problem.
+    coordinate at once for the active runs that may gain on it (see
+    ``_refresh_run`` and ``_may_gain``); a run stops after a cycle without
+    an accepted step, or as soon as its MAP reaches its ceiling, which also
+    stops the later restarts of its problem.
     """
     n_runs = len(runs)
     n_dims = len(runs[0][1])
-    grouped: dict[int, list[tuple[int, int, np.ndarray, np.ndarray]]] = {}
-    for r, (queries, _) in enumerate(runs):
-        for slot, (matrix, relevant) in enumerate(queries):
-            if relevant.any():
-                grouped.setdefault(len(relevant), []).append((r, slot, matrix, relevant))
-    groups = [_LengthGroup(pairs) for pairs in grouped.values()]
+    groups = _length_groups(runs)
     n_queries = np.array([len(queries) for queries, _ in runs], dtype=np.float64)
     table = np.zeros((n_runs, int(n_queries.max()), len(deltas)))
 
@@ -441,17 +511,16 @@ def _ascend(
         has_relevant[r, :len(queries)] = [relevant.any() for _, relevant in queries]
     ceiling = np.cumsum(has_relevant, axis=1)[:, -1] / n_queries
 
+    # Each run's APs under its cached rankings, by query, and the coordinates
+    # on which a probe may accept a step for it (by coordinate, then run).
+    cached = np.zeros(table.shape[:2])
+    gainful = np.zeros((n_dims, n_runs), dtype=bool)
     weights = [w for _, w in runs]
-    for group in groups:
-        for r in range(n_runs):
-            group.refresh(r, weights[r])
-        table[group.run, group.slot, 0] = group.ap
-    current = mean_over_queries(np.arange(n_runs))[:, 0]
+    for r in range(n_runs):
+        gainful[:, r] = _refresh_run(groups, r, weights[r], cached[r])
+    current = np.cumsum(cached, axis=1)[:, -1] / n_queries
     active = np.ones(n_runs, dtype=bool)
     run_ids = np.arange(n_runs)
-
-    def active_pairs() -> tuple[np.ndarray, list[np.ndarray]]:
-        return np.flatnonzero(active), [np.flatnonzero(active[g.run]) for g in groups]
 
     def stop_at_ceiling(r: int) -> bool:
         # No step can gain at the ceiling, and a later restart can at best
@@ -469,13 +538,21 @@ def _ascend(
     for r in range(n_runs):
         if active[r]:
             stop_at_ceiling(r)
-    while active.any():
+    n_active = int(active.sum())
+    while n_active:
         improved = np.zeros(n_runs, dtype=bool)
-        rows, pairs = active_pairs()
         for dim in range(n_dims):
-            if len(rows) == 0:
+            if n_active == 0:
                 break
-            for group, group_pairs in zip(groups, pairs):
+            # A run that no step on dim can raise above its MAP would accept
+            # none, so it is not probed; nor is dim when no run can gain.
+            probed = active & gainful[dim]
+            rows = np.flatnonzero(probed)
+            stats.cannot_gain += n_active - len(rows)
+            if len(rows) == 0:
+                continue
+            for group in groups:
+                group_pairs = np.flatnonzero(probed[group.run])
                 table[group.run[group_pairs], group.slot[group_pairs]] = group.probe(
                     group_pairs, dim, deltas
                 )
@@ -483,7 +560,6 @@ def _ascend(
             best = np.argmax(candidate_maps, axis=1)
             best_maps = candidate_maps[np.arange(len(rows)), best]
             gains = best_maps > current[rows] + config.min_gain
-            stopped = False
             for r, best_idx, new_map in zip(rows[gains], best[gains], best_maps[gains]):
                 if not active[r]:
                     continue
@@ -499,13 +575,13 @@ def _ascend(
                 current[r] = new_map
                 improved[r] = True
                 if stop_at_ceiling(r):
-                    stopped = True
+                    n_active = int(active.sum())
                     continue
-                for group in groups:
-                    group.refresh(r, weights[r])
-            if stopped:
-                rows, pairs = active_pairs()
+                gain = _refresh_run(groups, r, weights[r], cached[r])
+                cached_map = np.cumsum(cached[r])[-1] / n_queries[r]
+                gainful[:, r] = _may_gain(gain, cached_map, current[r], config.min_gain)
         active &= improved
+        n_active = int(active.sum())
     return [(weights[r], float(current[r]), bool(current[r] >= ceiling[r])) for r in range(n_runs)]
 
 
@@ -539,7 +615,8 @@ def train_coordinate_ascent(
     than ``min_gain``, and a later restart could at best tie, which the
     earlier one wins. The models are those of training every restart to the
     end. ``stats``, when given, adds up how many restarts were trained, how
-    many stopped at the ceiling and how many were skipped.
+    many stopped at the ceiling, how many were skipped, and how many
+    (restart, coordinate) probes were skipped because no step could gain.
 
     The runs of each round train together, across problems; each model
     equals the model a call with its problem alone would train.

@@ -170,10 +170,7 @@ def _strings(value: Any) -> list[str]:
 
 
 def _parse_label_override(obj: dict) -> tuple[str, tuple[str, ...]]:
-    instance_id, labels = obj["id"], _strings(obj.get("image_labels", []))
-    if not isinstance(instance_id, str):
-        raise ValueError("the id must be a string")
-    return instance_id, tuple(labels)
+    return obj["id"], tuple(_strings(obj.get("image_labels", [])))
 
 
 def _mode_dir(config: PipelineConfig) -> Path:
@@ -226,9 +223,10 @@ def _read_jsonl(path: Path, parse: Callable[[dict], tuple[str, T]]) -> dict[str,
     """Parse each non-blank line of a JSON-lines artifact with ``parse`` into
     an (instance id, record) pair, and return the records by id in file order.
 
-    A line that is not UTF-8 JSON, or that ``parse`` cannot read, raises
-    ``ParseError`` naming the file and line; a second record with the same
-    id raises ``IntegrityError`` naming the file, the line and the id.
+    A line that is not UTF-8 JSON, that ``parse`` cannot read, or whose id
+    is not a JSON string raises ``ParseError`` naming the file and line; a
+    second record with the same id raises ``IntegrityError`` naming the
+    file, the line and the id.
     """
     records: dict[str, T] = {}
     with path.open("rb") as fh:
@@ -237,10 +235,11 @@ def _read_jsonl(path: Path, parse: Callable[[dict], tuple[str, T]]) -> dict[str,
                 continue
             try:
                 record_id, record = parse(json.loads(line.decode("utf-8")))
-                duplicate = record_id in records  # an unhashable id is malformed too
+                if type(record_id) is not str:
+                    raise TypeError(f"the record id {record_id!r} is not a string")
             except (AttributeError, KeyError, TypeError, ValueError) as exc:
                 raise ParseError(f"{path}:{lineno}: malformed record ({exc!r})") from None
-            if duplicate:
+            if record_id in records:
                 raise IntegrityError(f"{path}:{lineno}: duplicate record for instance {record_id!r}")
             records[record_id] = record
     return records
@@ -436,8 +435,9 @@ def _features(
 def _log_ascent(stage: str, stats: AscentStats) -> None:
     logger.info(
         "stage %s: trained %d restart(s), %d stopped at the training-MAP ceiling; "
-        "%d later restart(s) could not win and were cut short or never trained",
-        stage, stats.runs, stats.at_ceiling, stats.skipped,
+        "%d later restart(s) could not win and were cut short or never trained; "
+        "%d (restart, coordinate) probe(s) skipped as unable to gain",
+        stage, stats.runs, stats.at_ceiling, stats.skipped, stats.cannot_gain,
     )
 
 

@@ -720,7 +720,7 @@ class TestCeilingStop:
         assert calls == []
         assert model == loop_train_coordinate_ascent(examples, ["f0", "f1"], config)
         assert model.weights == (0.5, 0.5) and model.training_map == 1.0
-        assert stats == AscentStats(runs=1, at_ceiling=1, skipped=4)
+        assert stats == AscentStats(runs=1, at_ceiling=1, skipped=4, cannot_gain=0)
 
     def test_ceiling_below_one(self):
         # q0 has one document, relevant: AP 1 under any weights. q1 ranks its
@@ -751,15 +751,15 @@ class TestCeilingStop:
         model = train_examples(examples, ["f0", "f1"], config, stats)
         assert model == loop_train_coordinate_ascent(examples, ["f0", "f1"], config)
         assert model.weights[1] < 0 < model.weights[0]
-        assert stats == AscentStats(runs=1, at_ceiling=1, skipped=1)
+        assert stats == AscentStats(runs=1, at_ceiling=1, skipped=1, cannot_gain=0)
 
     # Trained alone, restart 0 reaches the ceiling (below 1 on 47 and 100)
     # on 9, 47, 100, 108 and 191, and restarts 1 and 2 are never trained.
     # On 12, 203 and 346 it ends below, and restart 2 reaches the ceiling
     # before restart 1, after one or more steps.
     OUT_OF_ORDER_STATS = {
-        **dict.fromkeys([9, 47, 100, 108, 191], AscentStats(runs=1, at_ceiling=1, skipped=2)),
-        **dict.fromkeys([12, 203, 346], AscentStats(runs=3, at_ceiling=2, skipped=0)),
+        **dict.fromkeys([9, 47, 100, 108, 191], AscentStats(runs=1, at_ceiling=1, skipped=2, cannot_gain=0)),
+        **dict.fromkeys([12, 203, 346], AscentStats(runs=3, at_ceiling=2, skipped=0, cannot_gain=0)),
     }
 
     @pytest.mark.parametrize("seed", [9, 12, 47, 100, 108, 191, 203, 346])
@@ -780,7 +780,7 @@ class TestCeilingStop:
         stats = AscentStats()
         model = train_examples(examples, names, config, stats)
         assert model == loop_train_coordinate_ascent(examples, names, config)
-        assert stats == AscentStats(runs=3, at_ceiling=1, skipped=1)
+        assert stats == AscentStats(runs=3, at_ceiling=1, skipped=1, cannot_gain=0)
 
     def test_joint_problems_prune_only_their_own_restarts(self):
         sets = [mixed_queries(seed)[0] for seed in (9, 12, 47)]
@@ -800,7 +800,7 @@ class TestCeilingStop:
         # Restart 0 needs steps and reaches the ceiling; no other restart
         # is ever probed.
         assert calls and all(runs == {(0, 0)} for runs in calls)
-        assert stats == AscentStats(runs=1, at_ceiling=1, skipped=4)
+        assert stats == AscentStats(runs=1, at_ceiling=1, skipped=4, cannot_gain=0)
 
     def test_later_restarts_probed_only_below_the_ceiling(self, monkeypatch):
         # Four problems trained jointly: restarts 1 and 2 of a problem are
@@ -838,6 +838,122 @@ class TestCeilingStop:
         assert (ap <= 1.0).all()
         first = np.array([row[:n].all() for row, n in zip(relevant, n_relevant)])
         assert ((ap == 1.0) == first).all()
+
+
+@st.composite
+def gain_problems(draw):
+    """Runs as ``_ascend`` takes them, each with its own weights, and steps.
+
+    Stage-1-shaped: one or two runs of one problem, many queries of several
+    lengths with tied feature values and random grades. Stage-2-shaped:
+    several runs (topics) of one query each over one shared sparse matrix.
+    Grid weights and steps keep many scores exact, so steps tie documents.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_dims = draw(st.sampled_from([2, 3, 5, 8]))
+    if draw(st.booleans()):
+        lengths = draw(st.lists(st.sampled_from([1, 2, 3, 5, 9, 17]), min_size=2, max_size=8))
+        queries = [(random_rows(rng, n_docs, n_dims, 0.5), rng.random(n_docs) < 0.4) for n_docs in lengths]
+        queries[0][1][0] = True
+        problems = [queries] * draw(st.integers(1, 2))
+    else:
+        n_docs = draw(st.sampled_from([9, 17, 30]))
+        matrix = random_rows(rng, n_docs, n_dims, draw(st.sampled_from([0.1, 0.3])))
+        problems = []
+        for _ in range(draw(st.integers(1, 4))):
+            relevant = rng.random(n_docs) < 0.3
+            relevant[rng.integers(n_docs)] = True
+            problems.append([(matrix, relevant)])
+    runs = []
+    for queries in problems:
+        weights = np.asarray(GRID)[rng.integers(len(GRID), size=n_dims)]
+        runs.append((queries, weights / np.abs(weights).sum()))
+    base = draw(st.sampled_from([0.05, 0.25]))
+    deltas = np.array([sign * base * 2.0**level for level in range(draw(st.integers(1, 4))) for sign in (1.0, -1.0)])
+    return runs, deltas
+
+
+class TestCannotGainSkip:
+    """A run is not probed on a coordinate where no step can raise its MAP,
+    and the models stay equal to the loop's, which probes every step."""
+
+    def test_coordinate_of_settled_documents_is_not_probed(self, monkeypatch):
+        # Uniform weights rank a (relevant), b, c (relevant). Only b and c
+        # can swap, and both are zero on f0 and f2: f0 is skipped, and a
+        # step on f1 puts c ahead of b, which reaches the ceiling.
+        examples = [
+            TrainingExample("q", "a", (1.0, 0.0, 1.0), 5),
+            TrainingExample("q", "b", (0.0, 1.0, 0.0), 0),
+            TrainingExample("q", "c", (0.0, 0.5, 0.0), 5),
+        ]
+        names = ["f0", "f1", "f2"]
+        config = CoordinateAscentConfig(restarts=5)
+        dims, probe = [], ltr._LengthGroup.probe
+
+        def recording_probe(self, pairs, dim, deltas):
+            dims.append(dim)
+            return probe(self, pairs, dim, deltas)
+
+        monkeypatch.setattr(ltr._LengthGroup, "probe", recording_probe)
+        stats = AscentStats()
+        model = train_examples(examples, names, config, stats)
+        assert model == loop_train_coordinate_ascent(examples, names, config)
+        assert model.training_map == 1.0 and dims == [1]
+        assert stats == AscentStats(runs=1, at_ceiling=1, skipped=4, cannot_gain=1)
+
+    def test_rescaling_that_reranks_ties_keeps_the_run_probed(self, monkeypatch):
+        # The first accepted step, +0.4 on f0, ties documents 2, 3 and 6 at
+        # -0.1, and the doc index puts the non-relevant 3 ahead of 6. Rescaled
+        # to unit L1, 3 scores one ulp below the other two, so the cached
+        # ranking's MAP is above the accepted one. Only f3 and f4 can then
+        # re-order the cached ranking, but a step on f1 that keeps it gains.
+        rows = [
+            (0.0, 0.0, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0, -0.5, 0.0),
+            (-0.5, 0.0, 0.0, 1.0, 0.0), (0.0, 0.0, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0, 0.0, 0.25),
+            (0.0, 0.0, 0.0, -0.5, 0.0), (0.0, 0.0, 0.0, 0.1497089904215052, 2.0),
+        ]
+        grades = [1, 1, 1, 0, 1, 0, 1, 0]
+        examples = [TrainingExample("q", f"d{d}", row, g) for d, (row, g) in enumerate(zip(rows, grades))]
+        names = [f"f{i}" for i in range(5)]
+        config = CoordinateAscentConfig(restarts=1, step_levels=4, relevance_threshold=1)
+        expected = loop_train_coordinate_ascent(examples, names, config)
+        above, may_gain = [], ltr._may_gain
+
+        def recording_may_gain(gain, cached_map, current, min_gain):
+            above.append(cached_map > current + min_gain)
+            return may_gain(gain, cached_map, current, min_gain)
+
+        monkeypatch.setattr(ltr, "_may_gain", recording_may_gain)
+        assert train_examples(examples, names, config) == expected
+        assert above[0]
+        # Without the guard the run skips f0 to f2 after that step, and
+        # trains another model.
+        monkeypatch.setattr(ltr, "_may_gain", lambda gain, *_: gain)
+        assert train_examples(examples, names, config) != expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(gain_problems())
+    def test_marked_coordinates_cannot_gain(self, problem):
+        # Every step's AP from a full stable re-sort: where the trainer marks
+        # a coordinate as unable to gain, no step raises one of the run's
+        # APs or its MAP above the cached ones, so none gains over a MAP the
+        # cached one does not exceed.
+        runs, deltas = problem
+        groups = ltr._length_groups(runs)
+        n_queries = np.array([len(queries) for queries, _ in runs], dtype=np.float64)
+        cached = np.zeros((len(runs), int(n_queries.max())))
+        gainful = np.array([ltr._refresh_run(groups, r, weights, cached[r]) for r, (_, weights) in enumerate(runs)])
+        cached_maps = np.cumsum(cached, axis=1)[:, -1] / n_queries
+        for dim in range(gainful.shape[1]):
+            table = np.repeat(cached[:, :, None], len(deltas), axis=2)
+            for group in groups:
+                pairs = np.arange(len(group.run))
+                ap = ltr._ap_rows(group._resort(pairs, dim, deltas), group.n_relevant[:, None])
+                no_gain = ~gainful[group.run, dim]
+                assert (ap[no_gain] <= group.ap[no_gain, None]).all()
+                table[group.run, group.slot] = ap
+            maps = np.cumsum(table, axis=1)[:, -1] / n_queries[:, None]
+            assert (maps[~gainful[:, dim]] <= cached_maps[~gainful[:, dim], None]).all()
 
 
 @settings(max_examples=100, deadline=None)

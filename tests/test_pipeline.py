@@ -841,6 +841,30 @@ class TestCli:
         assert f"{path}:{first + 1}: malformed record" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "artifact, stage, id_key",
+        [
+            ("seeds.jsonl", "graph", "instance_id"),
+            ("query_graphs.jsonl", "cluster", "instance_id"),
+            ("partitions.jsonl", "features", "instance_id"),
+            ("rankings1.jsonl", "lexicon", "query_id"),
+        ],
+        ids=["seeds", "query-graphs", "partitions", "rankings1"],
+    )
+    def test_integer_record_id_exit_code(self, tmp_path, capsys, artifact, stage, id_key):
+        # An integer id once passed the readers: in seeds.jsonl it passed
+        # graph and cluster, and in rankings1.jsonl it made a training
+        # instance an all-zero vector through lexicon ... evaluate, exit 0.
+        out = tmp_path / "fx"
+        main(["gen-fixture", "--seed", "9", "--instances", "9", "--topics", "3", "--out", str(out)])
+        config = str(out / "pipeline.config")
+        for name in STAGE_ORDER[: STAGE_ORDER.index(stage)]:
+            assert main([name, "--config", config]) == 0
+        path = out / "out" / "TII" / artifact
+        path.write_bytes(_edit_first_line(path.read_bytes(), id_key, lambda r: r.update({id_key: 5})))
+        assert main([stage, "--config", config]) == 2
+        assert f"{path}:1: malformed record" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
         "artifact, upstream, stage, id_key",
         [
             ("labels.jsonl", 0, "link", "id"),
