@@ -1,7 +1,8 @@
 """Exception types shared across the package, and the shared artifact I/O:
-the checks of JSON numbers and keys the readers share, the JSON and
-JSON-lines text every writer emits, the string record of the binary
-artifacts, the atomic file writer, and the file readers.
+the one check of every JSON artifact's records against their declared
+shapes (``check_shape``), the JSON and JSON-lines text every writer emits,
+the string record of the binary artifacts, the atomic file writer, and the
+file readers.
 
 The CLI maps these onto exit codes: config problems exit 1, data problems
 (parse, integrity, lookup, missing stage artifacts) exit 2, training
@@ -16,6 +17,8 @@ import os
 import re
 import secrets
 from contextlib import contextmanager
+from itertools import chain
+from operator import itemgetter
 from pathlib import Path
 from typing import IO, Any, Callable, Iterable, Iterator, Sequence, TypeVar
 
@@ -52,17 +55,80 @@ class StageDependencyError(GistRankError):
     """A pipeline stage is missing an upstream artifact."""
 
 
-def is_finite_number(value: Any) -> bool:
-    """Whether ``value`` is a finite JSON number: not NaN, an infinity, a boolean or a string."""
-    return type(value) in (int, float) and math.isfinite(value)
+class int_key:
+    """The shape of a node id string, spelled as ``str()`` writes an int
+    (``int()`` alone would also read " 7" and "+7" as 7 and "7_1" as 71)."""
 
 
-def int_key(text: str) -> int:
-    """The int a JSON object key spells as ``str()`` writes it; ``int()``
-    alone would also read " 7" and "+7" as 7 and "7_1" as 71."""
-    value = int(text)
-    if str(value) != text:
-        raise ValueError(f"the key {text!r} is not an integer as str() writes it")
+def _finite(values: list) -> bool:
+    try:
+        return all(map(math.isfinite, values))
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
+_NODE_IDS = re.compile(r"(?:(?:0|-?[1-9][0-9]*)\n)*")
+
+
+def _node_ids(ids: list[str]) -> bool:
+    # One match for all of them: each id ended by a newline, which none may hold.
+    return "\n" not in "".join(ids) and _NODE_IDS.fullmatch("\n".join([*ids, ""])) is not None
+
+
+# Each scalar shape's JSON types, the test that a list of its values must pass, and its name.
+_SCALARS = {
+    str: ({str}, None, "a string"), int: ({int}, None, "an integer"), bool: ({bool}, None, "a boolean"),
+    float: ({int, float}, _finite, "a finite number"), int_key: ({str}, _node_ids, "a node id"),
+}
+
+
+def _check_types(values: list, types: set, where: str, what: str, test: Callable | None = None) -> None:
+    if not set(map(type, values)) <= types or test is not None and not test(values):
+        raise ValueError(f"{where} is not {what}")
+
+
+def _check_column(shape: Any, values: list, where: str) -> None:
+    """Raise ``ValueError`` naming the first part of ``shape`` that one of
+    ``values`` breaks. The list is checked at once, then each key or item
+    position of it as one list, so each value is visited once."""
+    if isinstance(shape, list):
+        _check_types(values, {list}, where, "an array")
+        _check_column(shape[0], list(chain.from_iterable(values)), f"{where}[*]")
+    elif isinstance(shape, dict) and list(shape) in ([str], [int_key]):
+        _check_types(values, {dict}, where, "an object")
+        ((key, item),) = shape.items()
+        _check_column(key, list(chain.from_iterable(values)), f"{where} key")
+        _check_column(item, list(chain.from_iterable(map(dict.values, values))), f"{where}[*]")
+    elif isinstance(shape, (tuple, dict)):
+        if isinstance(shape, tuple):
+            keys, kind, what = range(len(shape)), list, f"an array of {len(shape)} items"
+        else:
+            keys, kind, what = shape, dict, f"an object of the keys {', '.join(sorted(shape))}"
+        # Of the declared length, a value lacks a declared key only where it has another.
+        _check_types(values, {kind}, where, what, lambda values: set(map(len, values)) <= {len(shape)})
+        try:
+            columns = [list(map(itemgetter(k), values)) for k in keys]
+        except KeyError:
+            raise ValueError(f"{where} is not {what}") from None
+        for k, column in zip(keys, columns):
+            _check_column(shape[k], column, f"{where}[{k!r}]")
+    else:
+        types, test, what = _SCALARS[shape]
+        _check_types(values, types, where, what, test)
+
+
+def check_shape(shape: Any, value: T) -> T:
+    """``value``, a parsed JSON value, if it has ``shape``; else a ``ValueError``
+    naming where not, as ``$['seeds'][*]['id'] is not an integer``.
+
+    ``str``, ``int`` and ``bool`` are a JSON value of exactly that type (an
+    integer is never a boolean), ``float`` a finite JSON number, integer or
+    not, and ``int_key`` a node id string. ``[s]`` is an array of ``s``,
+    ``(s, t)`` an array of exactly these items, ``{"key": s, ...}`` an object
+    of exactly these keys, and ``{str: s}`` or ``{int_key: s}`` an object of
+    any such keys, each mapping to an ``s``.
+    """
+    _check_column(shape, [value], "$")
     return value
 
 
@@ -123,15 +189,16 @@ def write_atomic(path: str | Path, data: str | bytes) -> str | bytes:
     return data
 
 
-def read_json(path: str | Path, parse: Callable[[Any], T]) -> T:
-    """Parse a JSON artifact with ``parse``.
+def read_json(path: str | Path, shape: Any, parse: Callable[[Any], T]) -> T:
+    """Parse a JSON artifact of ``shape`` with ``parse``.
 
-    A file that is not UTF-8 JSON, or that ``parse`` cannot read, raises
-    ``ParseError`` naming the file.
+    A file that is not UTF-8 JSON, that does not have ``shape``, or whose
+    value ``parse`` rejects with a ``ValueError``, raises ``ParseError``
+    naming the file.
     """
     try:
-        return parse(json.loads(Path(path).read_bytes().decode("utf-8")))
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        return parse(check_shape(shape, json.loads(Path(path).read_bytes().decode("utf-8"))))
+    except ValueError as exc:
         raise ParseError(f"{path}: malformed file ({exc!r})") from None
 
 

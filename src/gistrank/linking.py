@@ -12,6 +12,7 @@ import enum
 import json
 import logging
 from dataclasses import dataclass, field, fields
+from operator import itemgetter
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -56,16 +57,13 @@ _ORIGINS = {(t, i): SeedOrigin(t, i) for t in (False, True) for i in (False, Tru
 
 
 def seeds_from_json(items: Sequence[dict]) -> dict[int, SeedOrigin]:
-    """The seed map written by :func:`seeds_to_json`; raises ``ValueError``
-    when a seed id is not a JSON integer or an origin flag not a boolean,
-    or when two of ``items`` name one node id."""
-    flags = {s["id"]: (s["from_tags"], s["from_image"]) for s in items}
-    # Checked by type, as int() reads 9.9 as 9 and _ORIGINS[1, 0] hits (1 == True).
-    if not all(type(v) is int and type(t) is type(i) is bool for v, (t, i) in flags.items()):
-        raise ValueError("a seed id is not an integer or an origin flag not a boolean")
-    if len(flags) != len(items):
+    """The seed map written by :func:`seeds_to_json`, from items of its
+    shape; raises ``ValueError`` when two of them name one node id."""
+    origins = map(_ORIGINS.__getitem__, map(itemgetter("from_tags", "from_image"), items))
+    seeds = dict(zip(map(itemgetter("id"), items), origins))
+    if len(seeds) != len(items):
         raise ValueError("two seeds name one node id")
-    return {v: _ORIGINS[origin] for v, origin in flags.items()}
+    return seeds
 
 
 @dataclass(frozen=True)

@@ -39,7 +39,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import IntegrityError, TrainingError, is_finite_number
+from .errors import IntegrityError, TrainingError
 
 
 def average_precision(ranked_relevance: Sequence[bool]) -> float:
@@ -161,12 +161,9 @@ class RankModel:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "RankModel":
-        """The model of a JSON object; a weight or training MAP that is not a finite
-        number (a boolean, a string, JSON ``NaN`` or ``Infinity``) is a ``ValueError``."""
-        weights, training_map = obj["weights"], obj["training_map"]
-        if not all(map(is_finite_number, (*weights, training_map))):
-            raise ValueError("a weight or the training MAP is not a finite number")
-        return cls(tuple(map(float, weights)), tuple(obj["feature_names"]), float(training_map), obj.get("config", {}))
+        """The model of a JSON object of the model shape."""
+        weights, names = tuple(map(float, obj["weights"])), tuple(obj["feature_names"])
+        return cls(weights, names, float(obj["training_map"]), obj["config"])
 
 
 def rank(model: RankModel, doc_ids: Sequence[str], matrix: np.ndarray, query_id: str = "") -> Ranking:
@@ -186,11 +183,12 @@ def rank(model: RankModel, doc_ids: Sequence[str], matrix: np.ndarray, query_id:
     return Ranking(query_id=query_id, items=tuple((doc_ids[i], values[i]) for i in order.tolist()))
 
 
-def _training_queries(queries, n_dims: int, threshold: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """One problem's queries as checked (matrix, relevance) pairs."""
+def _training_queries(queries, n_dims: int, threshold: int, as_float: dict) -> list[tuple[np.ndarray, np.ndarray]]:
+    """One problem's queries as checked (matrix, relevance) pairs, each
+    matrix the float64 array ``as_float`` holds for its ``id()``."""
     checked = []
     for matrix, grades in queries:
-        matrix, grades = np.asarray(matrix, dtype=np.float64), np.asarray(grades)
+        matrix, grades = as_float[id(matrix)], np.asarray(grades)
         if matrix.ndim != 2 or matrix.shape[1] != n_dims or grades.shape != matrix.shape[:1]:
             raise IntegrityError(
                 f"query {len(checked)} has a {matrix.shape} document matrix and "
@@ -622,7 +620,10 @@ def train_coordinate_ascent(
     equals the model a call with its problem alone would train.
     """
     n_dims = len(feature_names)
-    problems = [_training_queries(p, n_dims, config.relevance_threshold) for p in problems]
+    # Each distinct matrix converted once: np.asarray makes a new view on each
+    # call of an unpickled float64 array, and queries on one matrix share it.
+    as_float = {id(m): np.asarray(m, dtype=np.float64) for queries in problems for m, _ in queries}
+    problems = [_training_queries(p, n_dims, config.relevance_threshold, as_float) for p in problems]
     if not problems:
         return []
     config.check("", TrainingError)

@@ -19,6 +19,7 @@ import dataclasses
 import functools
 import json
 import logging
+from operator import itemgetter
 from pathlib import Path
 from typing import Any, Callable, Iterable, NamedTuple, TypeVar
 
@@ -32,8 +33,8 @@ from .errors import (
     IntegrityError,
     ParseError,
     StageDependencyError,
+    check_shape,
     int_key,
-    is_finite_number,
     json_text,
     jsonl_text,
     read_json,
@@ -141,7 +142,9 @@ class PipelineContext:
         if self.shared.corpus is None:
             instances = read_corpus(self.config.corpus)
             if self.config.image_labels is not None:
-                overrides = _read_jsonl(self.config.image_labels, _parse_label_override)
+                overrides = _read_jsonl(
+                    self.config.image_labels, _LABEL_OVERRIDE, lambda obj: (obj["id"], tuple(obj["image_labels"]))
+                )
                 instances = [
                     dataclasses.replace(inst, image_labels=overrides[inst.instance_id])
                     if inst.instance_id in overrides
@@ -162,17 +165,6 @@ class PipelineContext:
         return name, self.config.mode
 
 
-def _strings(value: Any) -> list[str]:
-    """``value`` if it is a JSON array of strings; a string would be read a character at a time."""
-    if not isinstance(value, list) or not all(isinstance(text, str) for text in value):
-        raise ValueError("expected an array of strings")
-    return value
-
-
-def _parse_label_override(obj: dict) -> tuple[str, tuple[str, ...]]:
-    return obj["id"], tuple(_strings(obj.get("image_labels", [])))
-
-
 def _mode_dir(config: PipelineConfig) -> Path:
     return config.out / config.mode
 
@@ -191,8 +183,8 @@ def _seeds(config: PipelineConfig) -> dict[str, int]:
 
 def _check_input(config: PipelineConfig, stage: str, name: str) -> None:
     """Check that input ``name`` of ``stage`` and its producer's manifest
-    exist and, when the producer's outputs are seed-dependent, that the
-    manifest records this run's seeds."""
+    exist, that the manifest has its shape and, when the producer's outputs
+    are seed-dependent, that it records this run's seeds."""
     mode_dir = _mode_dir(config)
     producer = next(s for s, spec in STAGES.items() if name in spec.outputs)
     manifest = mode_dir / f"{producer}.manifest.json"
@@ -202,11 +194,7 @@ def _check_input(config: PipelineConfig, stage: str, name: str) -> None:
                 f"stage {stage!r} needs {path} which does not exist; run stage {producer!r} first"
             )
     keys = STAGES[producer].seeds
-    if not keys:
-        return
-    made_with = read_json(manifest, lambda obj: {k: obj["seeds"][k] for k in keys})
-    if not all(type(seed) is int for seed in made_with.values()):  # int() would read 10.5 and "10" as 10
-        raise ParseError(f"{manifest}: malformed file (a seed is not an integer)")
+    made_with = read_json(manifest, _MANIFEST, lambda obj: {k: obj["seeds"][k] for k in keys})
     expected = {k: _seeds(config)[k] for k in keys}
     if made_with != expected:
         raise StageDependencyError(
@@ -219,29 +207,27 @@ def _link_mode(config: PipelineConfig) -> LinkMode:
     return LinkMode.TAGS_ONLY if config.mode == "T" else LinkMode.TAGS_AND_IMAGE
 
 
-def _read_jsonl(path: Path, parse: Callable[[dict], tuple[str, T]]) -> dict[str, T]:
-    """Parse each non-blank line of a JSON-lines artifact with ``parse`` into
-    an (instance id, record) pair, and return the records by id in file order.
-
-    A line that is not UTF-8 JSON, that ``parse`` cannot read, or whose id
-    is not a JSON string raises ``ParseError`` naming the file and line; a
-    second record with the same id raises ``IntegrityError`` naming the
-    file, the line and the id.
-    """
+def _read_jsonl(path: Path, shape: Any, parse: Callable[[dict], tuple[str, T]]) -> dict[str, T]:
+    """The records of a JSON-lines artifact by id, in file order: each
+    non-blank line checked against ``shape`` and parsed into an (id, record)
+    pair. A line that is not UTF-8 JSON, breaks ``shape`` or that ``parse``
+    rejects with a ``ValueError`` is a ``ParseError``, and a second record
+    for an id an ``IntegrityError``; both name the file and line."""
     records: dict[str, T] = {}
     with path.open("rb") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                record_id, record = parse(json.loads(line.decode("utf-8")))
-                if type(record_id) is not str:
-                    raise TypeError(f"the record id {record_id!r} is not a string")
-            except (AttributeError, KeyError, TypeError, ValueError) as exc:
-                raise ParseError(f"{path}:{lineno}: malformed record ({exc!r})") from None
-            if record_id in records:
-                raise IntegrityError(f"{path}:{lineno}: duplicate record for instance {record_id!r}")
-            records[record_id] = record
+        lines = [(lineno, line) for lineno, line in enumerate(fh, start=1) if line.strip()]
+    try:  # all records in one check; when it fails, each line is checked alone to name the first bad one
+        objs: list = check_shape([shape], [json.loads(line.decode("utf-8")) for _, line in lines])
+    except ValueError:
+        objs = [None] * len(lines)
+    for (lineno, line), obj in zip(lines, objs):
+        try:
+            record_id, record = parse(check_shape(shape, json.loads(line.decode("utf-8"))) if obj is None else obj)
+        except ValueError as exc:
+            raise ParseError(f"{path}:{lineno}: malformed record ({exc!r})") from None
+        if record_id in records:
+            raise IntegrityError(f"{path}:{lineno}: duplicate record for instance {record_id!r}")
+        records[record_id] = record
     return records
 
 
@@ -252,33 +238,17 @@ def _by_instance_id(parse: Callable[[dict], T]) -> Callable[[dict], tuple[str, T
 def _read_query_graphs(path: Path) -> dict[str, QueryGraph]:
     """The query graphs of a file by instance id, every record parsed and
     checked before one batch builds all of their hop counts."""
-    rows = _read_jsonl(path, _by_instance_id(QueryGraphRows.from_json_obj))
+    rows = _read_jsonl(path, _QUERY_GRAPH, _by_instance_id(QueryGraphRows.from_json_obj))
     return dict(zip(rows, with_hops(list(rows.values()))))
 
 
-def _parse_partition(obj: dict) -> tuple[str, Partition]:
-    assignment, modularity = {int_key(n): c for n, c in obj["assignment"].items()}, obj["modularity"]
-    # int() would read 1.7 and true as cluster 1.
-    if not all(type(c) is int for c in assignment.values()) or not is_finite_number(modularity):
-        raise ValueError("the cluster ids must be integers and the modularity a finite number")
-    return obj["instance_id"], Partition(assignment=assignment, modularity=float(modularity))
+def _parse_partition(obj: dict) -> Partition:
+    assignment = obj["assignment"]
+    return Partition(dict(zip(map(int, assignment), assignment.values())), float(obj["modularity"]))
 
 
-def _parse_items(items: list) -> tuple[tuple[str, float], ...]:
-    if not all(type(d) is str and is_finite_number(s) for d, s in items):
-        raise ValueError("a ranking item is not a doc id string and a finite score")
-    return tuple((d, float(s)) for d, s in items)
-
-
-def _parse_ranking(obj: dict) -> tuple[str, Ranking]:
-    items = _parse_items(obj["items"])
-    for doc_id, _ in items:
-        int_key(doc_id)  # a node id; a ValueError reads as a malformed record
-    return obj["query_id"], Ranking(query_id=obj["query_id"], items=items)
-
-
-def _items(ranking: Ranking) -> list[list]:
-    return [[d, s] for d, s in ranking.items]
+def _parse_ranking(query_id: str, items: list) -> Ranking:
+    return Ranking(query_id, tuple(zip(map(itemgetter(0), items), map(float, map(itemgetter(1), items)))))
 
 
 # An instance's rows of the feature dump: doc ids (node ids as decimal
@@ -288,7 +258,7 @@ Split = tuple[set[str], set[str]]
 
 
 def _parse_split(obj: dict) -> Split:
-    train, test = _strings(obj["train"]), _strings(obj["test"])
+    train, test = obj["train"], obj["test"]
     # The writer lists each instance id once, in one of the two lists.
     if len({*train, *test}) != len(train) + len(test):
         raise ValueError("an instance id is listed twice")
@@ -314,51 +284,83 @@ def _write_vectors(path: Path, vectors: list[InstanceVector]) -> None:
 
 
 class _Artifact(NamedTuple):
-    """How one artifact is read from its file and written to it. ``read`` is None
-    where nothing reads the file back; ``write`` returns the text it wrote, or None."""
+    """How one artifact is read from its file and written to it, and the shape
+    (see ``errors.check_shape``) of its records, or of its one JSON value.
+    ``read`` and ``shape`` are None where nothing reads the file back;
+    ``write`` returns the text it wrote, or None."""
 
     read: Callable[[Path], Any] | None
     write: Callable[[Path, Any], str | None]
+    shape: Any = None
 
 
-def _jsonl(parse: Callable[[dict], tuple[str, Any]], to_obj: Callable[[str, Any], dict]) -> _Artifact:
+def _jsonl(shape: dict, parse: Callable[[dict], tuple[str, Any]], to_obj: Callable[[str, Any], dict]) -> _Artifact:
     """A JSON-lines artifact, held as a mapping from instance id to record."""
     return _Artifact(
-        lambda path: _read_jsonl(path, parse),
+        lambda path: _read_jsonl(path, shape, parse),
         lambda path, records: write_atomic(path, jsonl_text(to_obj(k, r) for k, r in records.items())),
+        shape,
     )
 
 
-def _json(parse: Callable[[Any], Any], to_obj: Callable[[Any], Any]) -> _Artifact:
-    return _Artifact(lambda path: read_json(path, parse), lambda path, obj: _write_json(path, to_obj(obj)))
+def _json(shape: Any, parse: Callable[[Any], Any], to_obj: Callable[[Any], Any]) -> _Artifact:
+    return _Artifact(
+        lambda path: read_json(path, shape, parse), lambda path, obj: _write_json(path, to_obj(obj)), shape
+    )
 
 
-# Every artifact's reader and writer: the one place that knows the file
-# formats. Reading what a writer wrote returns an object equal to the one
-# written, so ``run_all`` hands the written object to the consumers. Names
-# that the benchmark's tracer patches are looked up when called.
+# The shapes that two files share, or that no artifact has.
+_SEEDS = [{"id": int, "from_tags": bool, "from_image": bool}]
+_QUERY_GRAPH = {"instance_id": str, "seeds": _SEEDS, "intermediates": [int], "edges": [(int, int)]}
+_MODEL = {"feature_names": [str], "weights": [float], "training_map": float, "config": {str: float}}
+_MANIFEST = {
+    "stage": str, "mode": str, "seed": int, "seeds": {"split": int, "train1": int, "train2": int},
+    "config_hash": str, "inputs": [str], "outputs": [str], "version": str,
+}
+_LABEL_OVERRIDE = {"id": str, "image_labels": [str]}
+
+# Every artifact's reader, writer and record shape: the one place that knows
+# the file formats. A reader checks the records against their shape, so its
+# parser only converts values and checks what spans fields. Reading what a
+# writer wrote returns an object equal to the one written, so ``run_all``
+# hands the written object to the consumers. Names that the benchmark's
+# tracer patches are looked up when called.
 ARTIFACTS = {
-    "seeds.jsonl": _jsonl(_by_instance_id(SeedSet.from_json_obj), lambda _, seeds: seeds.to_json_obj()),
+    "seeds.jsonl": _jsonl(
+        {"instance_id": str, "seeds": _SEEDS}, _by_instance_id(SeedSet.from_json_obj), lambda _, s: s.to_json_obj()
+    ),
     "link_report.json": _Artifact(None, _write_json),
     "query_graphs.jsonl": _Artifact(
         _read_query_graphs,
         lambda path, graphs: write_atomic(path, jsonl_text(qg.to_json_obj() for qg in graphs.values())),
+        _QUERY_GRAPH,
     ),
-    "partitions.jsonl": _jsonl(_parse_partition, lambda iid, p: {**p.to_json_obj(), "instance_id": iid}),
+    "partitions.jsonl": _jsonl(
+        {"instance_id": str, "assignment": {int_key: int}, "modularity": float},
+        _by_instance_id(_parse_partition), lambda iid, p: {**p.to_json_obj(), "instance_id": iid},
+    ),
     "features.bin": _Artifact(lambda path: read_feature_rows(path), _write_features),
-    "split.json": _json(_parse_split, lambda split: {"train": sorted(split[0]), "test": sorted(split[1])}),
-    "model1.json": _json(RankModel.from_json_obj, RankModel.to_json_obj),
-    "rankings1.jsonl": _jsonl(_parse_ranking, lambda iid, r: {"query_id": iid, "items": _items(r)}),
-    "lexicon.json": _json(Lexicon.from_json_obj, Lexicon.to_json_obj),
+    "split.json": _json(
+        {"train": [str], "test": [str]}, _parse_split, lambda sp: {"train": sorted(sp[0]), "test": sorted(sp[1])}
+    ),
+    "model1.json": _json(_MODEL, RankModel.from_json_obj, RankModel.to_json_obj),
+    "rankings1.jsonl": _jsonl(
+        {"query_id": str, "items": [(int_key, float)]},
+        lambda obj: (obj["query_id"], _parse_ranking(obj["query_id"], obj["items"])),
+        lambda iid, r: {"query_id": iid, "items": r.items},
+    ),
+    "lexicon.json": _json({"top_k": int, "entries": {int_key: int}}, Lexicon.from_json_obj, Lexicon.to_json_obj),
     "vectors_train.jsonl": _Artifact(None, _write_vectors),
     "topic_models.json": _json(
+        {str: _MODEL},
         lambda obj: {topic: RankModel.from_json_obj(m) for topic, m in obj.items()},
         lambda models: {topic: m.to_json_obj() for topic, m in models.items()},
     ),
     "vectors_test.jsonl": _Artifact(None, _write_vectors),
     "rankings2.json": _json(
-        lambda obj: {topic: Ranking(topic, _parse_items(items)) for topic, items in obj.items()},
-        lambda rankings: {topic: _items(r) for topic, r in rankings.items()},
+        {str: [(str, float)]},
+        lambda obj: {topic: _parse_ranking(topic, items) for topic, items in obj.items()},
+        lambda rankings: {topic: r.items for topic, r in rankings.items()},
     ),
     "report.json": _Artifact(None, lambda path, report: _write_json(path, report.to_json_obj())),
     "report.txt": _Artifact(None, write_atomic),

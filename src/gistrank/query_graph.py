@@ -207,16 +207,9 @@ class QueryGraphRows(NamedTuple):
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "QueryGraphRows":
-        intermediates, edges = obj["intermediates"], obj["edges"]
-        # Checked by type, as int() reads 2.5 as 2 and true as 1.
-        if not all(type(v) is int for v in (*intermediates, *(v for edge in edges for v in edge))):
-            raise ValueError("a node id is not an integer")
-        return cls.from_parts(
-            instance_id=obj["instance_id"],
-            seeds=seeds_from_json(obj["seeds"]),
-            intermediates=frozenset(intermediates),
-            edges=edges,
-        )
+        """The rows of a record of the ``query_graphs.jsonl`` shape."""
+        seeds, intermediates = seeds_from_json(obj["seeds"]), frozenset(obj["intermediates"])
+        return cls.from_parts(obj["instance_id"], seeds, intermediates, obj["edges"])
 
 
 def with_hops(rows: Sequence[QueryGraphRows]) -> list[QueryGraph]:

@@ -14,7 +14,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import IntegrityError, TrainingError, int_key
+from .errors import IntegrityError, TrainingError
 from .ltr import (
     AscentStats,
     CoordinateAscentConfig,
@@ -47,14 +47,14 @@ class Lexicon:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "Lexicon":
-        """Raises ``ValueError`` unless the dimensions are the integers
-        0..n-1, each once, and ``top_k`` is an integer of at least 1."""
-        entries, n = {int_key(node_id): dim for node_id, dim in obj["entries"].items()}, len(obj["entries"])
-        if any(type(dim) is not int for dim in entries.values()) or sorted(entries.values()) != list(range(n)):
-            raise ValueError(f"lexicon dimensions must be the integers 0..{n - 1}, each once")
-        top_k = obj["top_k"]
-        if type(top_k) is not int or top_k < 1:
-            raise ValueError(f"lexicon top_k must be an integer >= 1, got {top_k!r}")
+        """The lexicon of a JSON object of the lexicon shape; raises
+        ``ValueError`` unless the dimensions are the integers 0..n-1, each
+        once, and ``top_k`` is at least 1."""
+        entries, top_k = {int(node_id): dim for node_id, dim in obj["entries"].items()}, obj["top_k"]
+        if sorted(entries.values()) != list(range(len(entries))):
+            raise ValueError(f"lexicon dimensions must be the integers 0..{len(entries) - 1}, each once")
+        if top_k < 1:
+            raise ValueError(f"lexicon top_k must be >= 1, got {top_k!r}")
         return cls(entries=entries, top_k=top_k)
 
 

@@ -340,3 +340,16 @@ def tiny_kg(tmp_path):
     from gistrank.kg import load_graph
 
     return load_graph(nodes_file, edges_file)
+
+
+@pytest.fixture(scope="session")
+def fixture_run(tmp_path_factory) -> Path:
+    """A 30×3 seed-7 fixture directory after ``run_all``: every mode's
+    artifacts lie under its ``out``."""
+    from gistrank.config import load_config
+    from gistrank.fixture import gen_fixture
+
+    root = tmp_path_factory.mktemp("fixture_run")
+    gen_fixture(seed=7, n_instances=30, n_topics=3, out_dir=root)
+    pipeline.run_all(load_config(root / "pipeline.config", {"out": str(root / "out")}))
+    return root

@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -1089,3 +1090,24 @@ class TestProbeEqualsResort:
                 ap, reduced = replaced_ap(monkeypatch, group, np.arange(n_pairs), dim, deltas, budget)
                 assert ap.tobytes() == expected.tobytes()
                 assert reduced == runs
+
+
+def test_queries_on_one_unpickled_matrix_share_one_stacked_matrix(monkeypatch):
+    # np.asarray returns a new view of an unpickled float64 array on every
+    # call, so three problems on one such matrix once stacked it three times.
+    canonical = np.random.default_rng(0).random((6, 4))
+    unpickled = pickle.loads(pickle.dumps(canonical))
+    assert np.asarray(unpickled, dtype=np.float64) is not np.asarray(unpickled, dtype=np.float64)
+    grades = [np.array([5, 1, 4, 1, 1, 1]), np.array([1, 5, 1, 1, 4, 1]), np.array([1, 1, 1, 5, 1, 1])]
+    names, config = ["f0", "f1", "f2", "f3"], CoordinateAscentConfig(restarts=2)
+    stacks, length_groups = [], ltr._length_groups
+
+    def recording_length_groups(runs):
+        groups = length_groups(runs)
+        stacks.extend(group.stack.shape for group in groups)
+        return groups
+
+    monkeypatch.setattr(ltr, "_length_groups", recording_length_groups)
+    models = train_coordinate_ascent([[(unpickled, g)] for g in grades], names, config)
+    assert stacks and set(stacks) == {(1, 6, 4)}
+    assert models == train_coordinate_ascent([[(canonical, g)] for g in grades], names, config)

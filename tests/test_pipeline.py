@@ -1058,6 +1058,8 @@ class TestCli:
                 "model1.json", 5, "rank1",
                 lambda data: _edit_json(data, lambda m: m.update(training_map=str(m["training_map"]))),
             ),
+            # An integer beyond the float range once stopped rank1 with a raw OverflowError.
+            ("model1.json", 5, "rank1", lambda data: _edit_json(data, lambda m: m["weights"].__setitem__(0, 10**400))),
             (
                 "topic_models.json", 8, "rank2",
                 lambda data: _edit_json(data, lambda ms: next(iter(ms.values()))["weights"].__setitem__(0, True)),
@@ -1088,7 +1090,7 @@ class TestCli:
              "topic-model-not-the-lexicon", "truncated-rankings2", "rankings1-integer-doc-id",
              "rankings1-boolean-score", "rankings2-null-doc-id", "rankings2-boolean-score",
              "split-string-ids", "model1-boolean-weight", "model1-string-weight", "model1-string-map",
-             "topic-model-boolean-weight", "lexicon-float-top-k", "lexicon-boolean-top-k",
+             "model1-huge-integer-weight", "topic-model-boolean-weight", "lexicon-float-top-k", "lexicon-boolean-top-k",
              "lexicon-plus-key", "lexicon-space-key", "rankings1-plus-doc-id", "split-overlap",
              "split-repeated-id", "manifest-float-seed", "manifest-string-seed", "manifest-boolean-seed"],
     )
@@ -1284,6 +1286,25 @@ class TestCli:
         assert main([stage, "--config", config]) == 2
         err = capsys.readouterr().err
         assert f"{producer}.manifest.json" in err and f"run stage {producer!r}" in err
+
+    @pytest.mark.parametrize(
+        "producer, stage, damage",
+        [("link", "graph", lambda data: data[:10]), ("cluster", "features", lambda data: b'{"x":')],
+        ids=["truncated-link-manifest", "cut-cluster-manifest"],
+    )
+    def test_damaged_producer_manifest_exit_code(self, tmp_path, capsys, producer, stage, damage):
+        # Only the manifests of seed-dependent producers were once parsed, so
+        # a damaged manifest of link, graph, cluster or features passed.
+        out = tmp_path / "fx"
+        main(["gen-fixture", "--seed", "9", "--instances", "9", "--topics", "3", "--out", str(out)])
+        config = str(out / "pipeline.config")
+        for name in STAGE_ORDER[: STAGE_ORDER.index(stage)]:
+            assert main([name, "--config", config]) == 0
+        path = out / "out" / "TII" / f"{producer}.manifest.json"
+        path.write_bytes(damage(path.read_bytes()))
+        capsys.readouterr()
+        assert main([stage, "--config", config]) == 2
+        assert f"error: {path}: malformed file" in capsys.readouterr().err
 
     def test_bad_fixture_sizes_exit_code(self, tmp_path, capsys):
         assert (

@@ -8,9 +8,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from gistrank import query_graph
-from gistrank.errors import IntegrityError, NotFoundError
+from gistrank.errors import IntegrityError, NotFoundError, check_shape
 from gistrank.kg import NodeKind
 from gistrank.linking import SeedOrigin, SeedSet, seeds_to_json
+from gistrank.pipeline import ARTIFACTS
 from gistrank.query_graph import (
     MAX_PATH_LENGTH,
     QueryGraph,
@@ -367,13 +368,15 @@ class TestQueryGraphType:
     def test_json_edge_endpoints_are_read_as_ints(self, tiny_kg):
         # Edge endpoints are read like seed and intermediate ids: JSON
         # integers only, as int() would read "0" and 1.5 as node ids 0 and
-        # 1, and true as 1. Anything else is a malformed record, not a stray edge.
+        # 1, and true as 1. Anything else is a malformed record, not a stray
+        # edge; the record's shape, which the reader checks first, says so.
+        shape = ARTIFACTS["query_graphs.jsonl"].shape
         obj = build_query_graph(tiny_kg, seedset([0, 1])).to_json_obj()
         assert obj["edges"]
-        assert QueryGraph.from_json_obj(obj).to_json_obj() == obj
+        assert QueryGraph.from_json_obj(check_shape(shape, obj)).to_json_obj() == obj
         for respell in (str, lambda v: v + 0.5, lambda v: True, lambda v: None):
             with pytest.raises(ValueError, match="not an integer"):
-                QueryGraph.from_json_obj({**obj, "edges": [[respell(a), b] for a, b in obj["edges"]]})
+                QueryGraph.from_json_obj(check_shape(shape, {**obj, "edges": [[respell(a), b] for a, b in obj["edges"]]}))
 
     def test_edge_outside_nodes_is_integrity_error(self):
         with pytest.raises(IntegrityError, match="edge"):

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from gistrank.errors import IntegrityError, ParseError, TrainingError
+from gistrank.errors import IntegrityError, ParseError, TrainingError, check_shape
 from gistrank.ltr import CoordinateAscentConfig, RankModel, Ranking
 from gistrank.pipeline import ARTIFACTS
 from gistrank.topics import (
@@ -263,8 +263,9 @@ def test_lexicon_io_round_trip(tmp_path):
     ids=["negative-dim", "repeated-dim", "dim-gap", "repeated-node", "float-dim", "bool-dim", "top-k-zero"],
 )
 def test_damaged_lexicon_is_parse_error(tmp_path, entries, top_k):
+    # Through the shape check, as the reader parses; it rejects the types.
     with pytest.raises(ValueError):
-        Lexicon.from_json_obj({"entries": entries, "top_k": top_k})
+        Lexicon.from_json_obj(check_shape(ARTIFACTS["lexicon.json"].shape, {"entries": entries, "top_k": top_k}))
     path = tmp_path / "lexicon.json"
     path.write_text(json.dumps({"entries": entries, "top_k": top_k}))
     with pytest.raises(ParseError, match="lexicon"):
